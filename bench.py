@@ -131,9 +131,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     t_merge = time.perf_counter() - t0
     os.sync()
 
-    hot_ref = None  # per-worker caches warm in the untimed round instead
-    t_hot = 0.0
-
     # query workload: reference set x QUERY_REPS through the actor pool
     items = []
     qid = 0
@@ -146,18 +143,15 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     # pre-split: a repartition() here would be an all-to-all whose fixed
     # cost (~2-4s) dwarfs the query work.
     queries_ds = ray.data.from_items(items, override_num_blocks=num_cpus * 4)
-    # warm-up round (untimed): every worker opens the index, attaches the
-    # shared hot set and decodes the query terms' cold tails once — the
-    # reference harness likewise reports steady-state rounds, not round 0
-    search_dataset(
-        queries_ds, index_dir, batch_size=None, mode="tasks", hot_ref=hot_ref
-    ).count()
+    # warm-up round (untimed): every worker opens the index and decodes
+    # the query terms' postings once — the reference harness likewise
+    # reports steady-state rounds, not round 0
+    search_dataset(queries_ds, index_dir, batch_size=None, mode="tasks").count()
     t0 = time.perf_counter()
     # task-based search: stateless tasks + per-process searcher cache reuse
     # the warm worker pool (engine/search.py search_dataset mode="tasks")
     res = search_dataset(
-        queries_ds, index_dir, batch_size=None, mode="tasks", emit_latency=True,
-        hot_ref=hot_ref,
+        queries_ds, index_dir, batch_size=None, mode="tasks", emit_latency=True
     ).to_pandas()
     t_search = time.perf_counter() - t0
     lat = res.groupby("query_id")["latency_ms"].first().to_numpy()
@@ -179,8 +173,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     # of the headline north-rule number; recorded for the ops inventory)
     ops = {}
     try:
-        import ray.data as _rd  # noqa: F401 (kept for parity)
-
         from engine.dedup import exact_dedup
         from engine.monitor import percolate
         from engine.rayenv import read_parquet_clean

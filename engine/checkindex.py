@@ -152,25 +152,23 @@ def check_merged_index(mi) -> dict:
 
     # sorted dictionary level (BlockTree .tim/.tip role): disjoint sorted
     # ranges that cover exactly the shard term set
-    dict_ranges = mi._dict_ranges()
-    if dict_ranges is not None:
-        import pyarrow.parquet as pq
+    import pyarrow.parquet as pq
 
-        prev_max = None
-        dict_terms: list[str] = []
-        for tmin, tmax, path in dict_ranges:
-            assert tmin <= tmax, f"dict range inverted: {tmin}..{tmax}"
-            if prev_max is not None:
-                assert prev_max <= tmin, "dict ranges overlap"
-            prev_max = tmax
-            terms = pq.read_table(path, columns=["term"]).column("term").to_pylist()
-            assert terms == sorted(terms), f"dict file unsorted: {path}"
-            assert terms and terms[0] == tmin and terms[-1] == tmax, (
-                f"dict range metadata mismatch: {path}"
-            )
-            dict_terms.extend(terms)
-        assert len(dict_terms) == len(set(dict_terms)), "duplicate dict terms"
-        assert set(dict_terms) == seen, (
-            f"dict/shard term set mismatch: {len(dict_terms)} dict vs {len(seen)} shard"
+    prev_max = None
+    dict_terms: list[str] = []
+    for tmin, tmax, path in mi._dict_ranges():
+        assert tmin <= tmax, f"dict range inverted: {tmin}..{tmax}"
+        if prev_max is not None:
+            assert prev_max <= tmin, "dict ranges overlap"
+        prev_max = tmax
+        terms = pq.read_table(path, columns=["term"]).column("term").to_pylist()
+        assert terms == sorted(terms), f"dict file unsorted: {path}"
+        assert terms and terms[0] == tmin and terms[-1] == tmax, (
+            f"dict range metadata mismatch: {path}"
         )
+        dict_terms.extend(terms)
+    assert len(dict_terms) == len(set(dict_terms)), "duplicate dict terms"
+    assert set(dict_terms) == seen, (
+        f"dict/shard term set mismatch: {len(dict_terms)} dict vs {len(seen)} shard"
+    )
     return {"n_terms": n_terms, "n_docs": mi.n_docs, "ok": True}

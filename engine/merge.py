@@ -1,31 +1,42 @@
-"""Merge operators: k-way segment merge tree + salted groupby-term shuffle.
+"""Merge operators: the term-partitioned shuffle merge and its reader.
 
-Two merge paths, mirroring SURVEY §2.6:
+**merge_by_term** (the production path — build pipelines, driver entries
+and the benchmark all call it) re-groups every partition's postings by
+term with raw Ray tasks, no Dataset all-to-all:
 
-**Path A — merge tree** (`merge_tree`): the TieredMergePolicy /
-SegmentMerger shape (index/TieredMergePolicy.java:96-103,
-index/SegmentMerger.java:96-191): deterministic plan groups fan_in
-doc-adjacent segments per level until <= target_segments remain; each group
-merges via a k-way sorted-term stream (heapq over per-segment term rows —
-the MultiTermsEnum analogue). Because global docIDs were assigned at
-ingest, postings concatenate with no docBase remap (MergeState.buildDocMaps
-is the identity here). Each merge node is an idempotent atomic segment
-write keyed by (level, doc_base) => resume mid-merge reuses any completed
-node.
+1. *Heavy pre-pass.* Pruned (term, df) reads with a pigeonhole filter
+   find the terms whose global df reaches ``salt_threshold`` (the
+   stop-word band, SURVEY §4): the *heavy* terms. In parallel, tasks
+   re-shard the partition norms by doc range.
+2. *Map-side exchange.* Each explode task reads a chunk of partitions and
+   returns ``num_returns=n_buckets`` objects, one per bucket
+   ``fnv1a(term) % n_buckets`` (heavy terms hash ``(term, salt)``, salts
+   being contiguous partition-rank ranges so runs stay doc-ordered). Each
+   bucket task depends on exactly its own slot of every explode task, so
+   the exchange is the object transfer itself. The bucket task merges and
+   re-encodes its terms in one sorted batch: light terms are final and
+   go to one shard file per bucket, heavy terms leave one salted run file.
+3. *Final heavy pass.* df-weighted contiguous chunks of heavy terms each
+   read at most ``n_salts`` run files and write term-range-disjoint heavy
+   shards.
+4. *Dict level*, overlapped with step 3 in a background thread: a second
+   raw-task range exchange (boundaries are term quantiles of a few light
+   buckets — any hash bucket is a uniform vocabulary sample) writes disjoint,
+   sorted, term-only dict files, the BlockTree .tim/.tip role that serves
+   prefix/range/fuzzy/suffix expansion. A Bloom sidecar over all shard
+   terms follows.
 
-**Path B — groupby-term shuffle** (`merge_by_term`, the north-rule path):
-explode every partition's term table into (term, salt, postings-row) rows,
-`groupby(term, salt).map_groups(merge)` re-encodes each term's merged
-postings. Skew handling is explicit: a pre-pass computes global df with a
-pruned-column read + groupby-sum, terms above ``salt_threshold`` (stop
-words) are salted by contiguous partition rank ranges into ``n_salts``
-sub-groups that merge in parallel; light terms are final after the single
-shuffle, and the salted runs go through a second, tiny groupby(term) —
-n_heavy x n_salts rows — whose groups concatenate in parallel (order
-restored by doc sort — a no-op concat when salts are contiguous rank
-ranges). Output is a term-range-sharded merged index (one
-logical segment over the full doc range) whose norms reference the
-partition norm files (no rewrite).
+``MergedIndex`` reads the result as one logical segment over the full doc
+range, through the same ``segment.PostingsReader`` surface as a flushed
+``Segment``.
+
+**merge_tree** (Path A, test-only): the TieredMergePolicy / SegmentMerger
+shape (index/TieredMergePolicy.java:96-103, index/SegmentMerger.java:96-191)
+— deterministic fan_in groups of doc-adjacent segments per level, each
+merged into one idempotent atomic segment write keyed by
+(level, doc_base), so a rerun reuses every completed node. No pipeline
+calls it; it stays as the resume-mid-merge target until ``merge_by_term``
+resumes at bucket granularity (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from .rayenv import remote_args as _rargs
 import pyarrow.parquet as pq
 
 from .codec import encode_term_postings
-from .segment import TERMS_SCHEMA, Segment, write_segment
+from .segment import TERMS_SCHEMA, PostingsReader, Segment, write_segment
 
 # ---------------------------------------------------------------------------
 # Path A: k-way segment merge tree
@@ -318,7 +329,7 @@ def merge_tree(manifest: dict, index_dir: str, fan_in: int = 8, target_segments:
 
 
 # ---------------------------------------------------------------------------
-# Path B: salted groupby-term shuffle (north-rule merge)
+# Path B: salted term-partitioned shuffle (north-rule merge)
 # ---------------------------------------------------------------------------
 
 def compute_heavy_terms(
@@ -972,9 +983,9 @@ def merge_by_term(
     n_buckets: int = 128,
     parts_per_shard: int = 8,
 ) -> dict:
-    """North-rule merge: groupby-term shuffle with explicit salting.
+    """North-rule merge: term-partitioned shuffle with explicit salting.
 
-    explode partitions (pure column transform) → groupby(bucket) where
+    explode partitions (pure column transform) → raw-task exchange to
     bucket = hash(term [, salt]) — an explicit partitioned shuffle with B
     buckets so per-group scheduling overhead is O(B), not O(#terms) —
     → each bucket task merges+re-encodes its terms (heavy terms appear as
@@ -1424,14 +1435,14 @@ def merge_by_term(
     return commit_merge_manifest(index_dir, out)
 
 
-class MergedIndex:
+class MergedIndex(PostingsReader):
     """Segment-compatible reader over a merge-by-term output.
 
     One logical segment spanning all docs: light terms are addressed by
     shuffle bucket (bucket = fnv1a(term) % n_buckets → exactly one shard
     file), heavy terms by binary search over the sorted heavy-shard term
     ranges. Shard tables load lazily with an LRU — opening the index reads
-    only the manifest + norms, so searcher workers start in O(norms), not
+    only the manifest, so searcher workers start in O(manifest), not
     O(#shards) (the BlockTree prefix-index role at file granularity)."""
 
     _SHARD_CACHE_MAX = 64
@@ -1441,6 +1452,7 @@ class MergedIndex:
 
         from .checkpoint import load_merge_manifest
 
+        super().__init__()
         m = manifest or load_merge_manifest(index_dir)
         if m is None or m.get("kind") != "merge-by-term":
             raise FileNotFoundError(f"no merge-by-term manifest under {index_dir}")
@@ -1470,39 +1482,17 @@ class MergedIndex:
         # norms role — codecs/lucene80/Lucene80NormsFormat.java:30-78).
         # 1 byte/doc dense would be 10-100 GB per worker at 10^10-10^11
         # docs. Doc bounds come from the shard METADATA, so __init__ does
-        # zero norm-file I/O. Dense fallback only for pre-norm_shards
-        # manifests.
-        shard_rows = m.get("norm_shards")
-        if shard_rows:
-            self._norm_store: _NormStore | None = _NormStore(shard_rows)
-            self.doc_base = int(min(r["doc_lo"] for r in shard_rows))
-            self.max_doc = int(max(r["doc_hi"] for r in shard_rows))
-            self._norms_dense: np.ndarray | None = None
-        else:
-            self._norm_store = None
-            norm_tbl = pa.concat_tables(pq.read_table(p) for p in m["norm_files"])
-            doc_ids = norm_tbl.column("doc_id").to_numpy()
-            self.doc_base = int(doc_ids.min()) if len(doc_ids) else 0
-            self.max_doc = int(doc_ids.max()) + 1 if len(doc_ids) else 0
-            self._norms_dense = np.zeros(self.max_doc - self.doc_base, dtype=np.uint8)
-            self._norms_dense[doc_ids - self.doc_base] = norm_tbl.column(
-                "norm"
-            ).to_numpy()
+        # zero norm-file I/O.
+        shard_rows = m["norm_shards"]
+        self._norm_store: _NormStore | None = _NormStore(shard_rows)
+        self._norms_dense: np.ndarray | None = None  # set by norm_of
+        self.doc_base = int(min(r["doc_lo"] for r in shard_rows))
+        self.max_doc = int(max(r["doc_hi"] for r in shard_rows))
         self.n_docs = int(m["doc_count"])
-        from collections import OrderedDict as _OD
-
-        self._postings_cache = _OD()
-
-    _POSTINGS_CACHE_MAX = 128
 
     @property
     def sum_ttf(self) -> int:
         return int(self.manifest["sum_ttf"])
-
-    @property
-    def norm_span(self) -> int:
-        """Width of the doc-id range this reader covers (accumulator size)."""
-        return self.max_doc - self.doc_base
 
     # span bound for on-demand densification: 256 MB of norm bytes per
     # searcher process. Below it, the first MULTI-shard lookup (a heavy
@@ -1595,26 +1585,20 @@ class MergedIndex:
                 return tbl, i
         return None, -1
 
-    def _dict_ranges(self) -> list[tuple[str, str, str]] | None:
+    def _dict_ranges(self) -> list[tuple[str, str, str]]:
         """Sorted-dictionary level (the BlockTree .tim/.tip role —
         codecs/blocktree/BlockTreeTermsWriter.java:200-217): term-range-
-        sorted single-column files written at merge time. None on old
-        manifests (fall back to full shard scans)."""
-        d = self.manifest.get("dict_files")
-        if not d:
-            return None
-        return [(r["term_min"], r["term_max"], r["path"]) for r in d]
+        sorted single-column files written at merge time; [] when the
+        index holds no terms."""
+        return [(r["term_min"], r["term_max"], r["path"]) for r in self.manifest["dict_files"]]
 
-    def _dict_terms_overlapping(self, lo: str, hi: str) -> list[str] | None:
+    def _dict_terms_overlapping(self, lo: str, hi: str) -> list[str]:
         """All dictionary terms in [lo, hi], touching only the dict files
         whose [term_min, term_max] overlaps — O(matching files) I/O."""
         from bisect import bisect_left, bisect_right
 
-        ranges = self._dict_ranges()
-        if ranges is None:
-            return None
         out: list[str] = []
-        for tmin, tmax, path in ranges:
+        for tmin, tmax, path in self._dict_ranges():
             if tmax < lo or tmin > hi:
                 continue
             terms = pq.read_table(path, columns=["term"]).column("term").to_pylist()
@@ -1624,48 +1608,16 @@ class MergedIndex:
         return out  # dict files are disjoint sorted ranges => already sorted
 
     def expand_prefix(self, prefix: str, max_terms: int = 1024) -> list[str]:
-        """Terms starting with ``prefix``, lexicographic, capped. Served by
-        the sorted dictionary level when present (reads only overlapping
-        dict files); falls back to scanning every hash-bucketed shard.
-        The cap always keeps the lexicographically-first terms."""
-        hi = prefix + chr(0x10FFFF)
-        hit = self._dict_terms_overlapping(prefix, hi)
-        if hit is not None:
-            return [t for t in hit if t.startswith(prefix)][:max_terms]
-        from bisect import bisect_left
-
-        out: list[str] = []
-        paths = sorted(
-            {p for _, _, p in self._heavy_ranges} | set(self._light_by_bucket.values())
-        )
-        for p in paths:
-            _, terms = self._load(p)
-            i = bisect_left(terms, prefix)
-            while i < len(terms):
-                if not terms[i].startswith(prefix):
-                    break
-                out.append(terms[i])
-                i += 1
-        return sorted(out)[:max_terms]
+        """Terms starting with ``prefix``, lexicographic, capped; reads only
+        the overlapping dict files. The cap keeps the lexicographically-
+        first terms."""
+        hit = self._dict_terms_overlapping(prefix, prefix + chr(0x10FFFF))
+        return [t for t in hit if t.startswith(prefix)][:max_terms]
 
     def expand_range(self, lo: str, hi: str, max_terms: int = 1024) -> list[str]:
-        """Inclusive term-range scan; sorted dictionary level when present,
-        else every shard. Cap keeps the lexicographically-first terms."""
-        hit = self._dict_terms_overlapping(lo, hi)
-        if hit is not None:
-            return hit[:max_terms]
-        from bisect import bisect_left, bisect_right
-
-        out: list[str] = []
-        paths = sorted(
-            {p for _, _, p in self._heavy_ranges} | set(self._light_by_bucket.values())
-        )
-        for p in paths:
-            _, terms = self._load(p)
-            i = bisect_left(terms, lo)
-            j = bisect_right(terms, hi)
-            out.extend(terms[i:j])
-        return sorted(out)[:max_terms]
+        """Inclusive term-range scan over the sorted dictionary level. The
+        cap keeps the lexicographically-first terms."""
+        return self._dict_terms_overlapping(lo, hi)[:max_terms]
 
     def term_stats(self, term: str):
         tbl, i = self._find(term)
@@ -1673,121 +1625,15 @@ class MergedIndex:
             return 0, 0
         return int(tbl.column("df")[i].as_py()), int(tbl.column("ttf")[i].as_py())
 
-    def term_info(self, term: str):
-        from .segment import TermInfo
-
-        tbl, i = self._find(term)
-        if tbl is None:
-            return None
-        row = tbl.slice(i, 1).to_pylist()[0]
-        return TermInfo(
-            term=row["term"],
-            df=row["df"],
-            ttf=row["ttf"],
-            singleton_doc=row["singleton_doc"],
-            blob=row["blob"] or b"",
-            last_docs=np.array(row["last_docs"], dtype=np.int64),
-            offsets=np.array(row["offsets"], dtype=np.int64),
-            imp_freq=np.array(row["imp_freq"], dtype=np.int64),
-            imp_norm=np.array(row["imp_norm"], dtype=np.int64),
-            imp_start=np.array(row["imp_start"], dtype=np.int64),
-            pos_blob=row.get("pos_blob") or b"",
-            off_blob=row.get("off_blob") or b"",
-            pay_blob=row.get("pay_blob") or b"",
-        )
-
-    def payloads(self, term: str):
-        """Per-posting payload words (0 = absent) — None if not indexed."""
-        from .codec import decode_payloads
-
-        ti = self.term_info(term)
-        if ti is None or not ti.pay_blob:
-            return None
-        _, freqs = self.postings(term)
-        return decode_payloads(ti.pay_blob, freqs)
-
-    def offsets(self, term: str):
-        """Per-posting (starts, ends) offset arrays (None if not indexed)."""
-        from .codec import decode_offsets
-
-        ti = self.term_info(term)
-        if ti is None or not ti.off_blob:
-            return None
-        _, freqs = self.postings(term)
-        return decode_offsets(ti.off_blob, freqs)
-
-    def positions(self, term: str):
-        """Per-posting position arrays (None if positions not indexed)."""
-        from .codec import decode_positions
-
-        ti = self.term_info(term)
-        if ti is None or not ti.pos_blob:
-            return None
-        _, freqs = self.postings(term)
-        return decode_positions(ti.pos_blob, freqs)
-
-    def postings(self, term: str):
-        cached = self._postings_cache.get(term)
-        if cached is not None:
-            self._postings_cache.move_to_end(term)
-            return cached
-        from .codec import decode_term_postings_indexed
-
-        ti = self.term_info(term)
-        if ti is None:
-            out = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        elif ti.df == 1:
-            out = (
-                np.array([ti.singleton_doc], dtype=np.int64),
-                np.array([ti.ttf], dtype=np.int64),
-            )
-        else:
-            out = decode_term_postings_indexed(ti.blob, ti.df, ti.offsets)
-        self._postings_cache[term] = out
-        if len(self._postings_cache) > self._POSTINGS_CACHE_MAX:
-            self._postings_cache.popitem(last=False)
-        return out
-
-    def expand_suffix(self, suffix: str, max_terms: int = 1024) -> list[str]:
-        """Terms ENDING with ``suffix`` — the Solr ReversedWildcardFilter
-        leading-wildcard seek (see Segment.expand_suffix): one lazy
-        reversed-dictionary build per open reader (pruned term-only
-        reads), then every ``*foo`` is a binary-search window instead of
-        a full dictionary scan + fnmatch. Persist-at-merge is the
-        10^9-term path (a reversed twin of the dict_files level)."""
-        from bisect import bisect_left
-
-        rev = getattr(self, "_rev_terms", None)
-        if rev is None:
-            rev = sorted((t[::-1], t) for t in self.iter_terms())
-            self._rev_terms = rev
-        rsuf = suffix[::-1]
-        i = bisect_left(rev, (rsuf,))
-        out: list[str] = []
-        while i < len(rev) and len(out) < max_terms:
-            rt, t = rev[i]
-            if not rt.startswith(rsuf):
-                break
-            out.append(t)
-            i += 1
-        return sorted(out)
-
     def iter_terms(self):
-        """Enumerate dictionary terms with PRUNED single-column reads —
-        never touches postings blobs (the fix for whole-row .to_pylist()
-        scans; fuzzy expansion goes through this)."""
-        ranges = self._dict_ranges()
-        if ranges is not None:
-            for _tmin, _tmax, p in ranges:
-                yield from pq.read_table(p, columns=["term"]).column("term").to_pylist()
-            return
-        paths = sorted(
-            {p for _, _, p in self._heavy_ranges} | set(self._light_by_bucket.values())
-        )
-        for p in paths:
+        """Enumerate dictionary terms in sorted order with PRUNED
+        single-column dict-file reads — never touches postings blobs
+        (fuzzy and suffix expansion go through this)."""
+        for _tmin, _tmax, p in self._dict_ranges():
             yield from pq.read_table(p, columns=["term"]).column("term").to_pylist()
 
     def iter_term_rows(self):
+        """Every whole term row, shard by shard (CheckIndex input)."""
         paths = sorted(
             {p for _, _, p in self._heavy_ranges} | set(self._light_by_bucket.values())
         )

@@ -24,6 +24,18 @@ import pyarrow.parquet as pq
 
 CACHE_ROOT = "/tmp/rayfts-cache"
 
+
+def _hits_table(docs, scores) -> pa.Table:
+    """Ranked hits (rank int64, doc_id int64, score float32) in the given
+    order — the result table of every top-k entry here."""
+    return pa.table(
+        {
+            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
+            "doc_id": pa.array(docs, type=pa.int64()),
+            "score": pa.array(scores, type=pa.float32()),
+        }
+    )
+
 # fixed reference query set over the documents vocabulary (mix per
 # FIXTURES.md §2: single terms high/mid df, OR disjunctions, AND
 # conjunction, +must mixed, no-match)
@@ -546,13 +558,7 @@ def span_near_topk(
         docs = np.empty(0, dtype=np.int64)
         scores = np.empty(0, dtype=np.float32)
     docs, scores = topk_sort(docs, scores, k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 PERCOLATE_QUERIES = [
@@ -664,13 +670,7 @@ def function_score_topk(
     boosted = (vals * scores.astype(np.float64)).astype(np.float32)
     boosted[vals < 0] = np.float32(0.0)
     docs, boosted = topk_sort(docs, boosted, k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(boosted, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, boosted)
 
 
 def feature_field_topk(
@@ -749,13 +749,7 @@ def lmdirichlet_topk(
         load_merge_manifest(idx["index_dir"]), similarity="lmdirichlet"
     )
     docs, scores = searcher.search(query, k=k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def lmjelinek_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
@@ -769,13 +763,7 @@ def lmjelinek_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Tab
         load_merge_manifest(idx["index_dir"]), similarity="lmjelinekmercer"
     )
     docs, scores = searcher.search(query, k=k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def dfi_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
@@ -790,13 +778,7 @@ def dfi_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
     idx = get_index(sf_dir)
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), similarity="dfi")
     docs, scores = searcher.search(query, k=k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def axiomatic_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
@@ -810,13 +792,7 @@ def axiomatic_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Tab
     idx = get_index(sf_dir)
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), similarity="axiomatic")
     docs, scores = searcher.search(query, k=k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def ib_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
@@ -830,13 +806,7 @@ def ib_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
     idx = get_index(sf_dir)
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), similarity="ib")
     docs, scores = searcher.search(query, k=k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def dfr_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
@@ -850,13 +820,7 @@ def dfr_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
     idx = get_index(sf_dir)
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), similarity="dfr")
     docs, scores = searcher.search(query, k=k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def multi_sim_topk(sf_dir: str, term: str = "data", k: int = 10) -> pa.Table:
@@ -871,13 +835,7 @@ def multi_sim_topk(sf_dir: str, term: str = "data", k: int = 10) -> pa.Table:
     idx = get_index(sf_dir)
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), similarity="multi")
     docs, scores = searcher.search(term, k=k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def perfield_sim_topk(sf_dir: str, query: str = "title:doc data", k: int = 10) -> pa.Table:
@@ -895,13 +853,7 @@ def perfield_sim_topk(sf_dir: str, query: str = "title:doc data", k: int = 10) -
         similarity={"title": "classic", "": "bm25"},
     )
     docs, scores = searcher.search(query, k=k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def explain_scores(sf_dir: str, query: str = "data join", k: int = 3) -> pa.Table:
@@ -974,13 +926,7 @@ def edismax_topk(
     docs, scores = searcher.search_dismax(
         " ".join(clauses), k=k, tie_breaker=tie, boosts=boosts
     )
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def blended_term_topk(
@@ -1006,13 +952,7 @@ def blended_term_topk(
     ttf_b = sum(t for _, t in stats)
     searcher.stats_override = {t: (df_b, ttf_b) for t in terms}
     docs, scores = searcher.search_dismax(" ".join(terms), k=k, tie_breaker=0.01)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def boolean_sim_topk(sf_dir: str, query: str = "data join merge", k: int = 10) -> pa.Table:
@@ -1027,13 +967,7 @@ def boolean_sim_topk(sf_dir: str, query: str = "data join merge", k: int = 10) -
         load_merge_manifest(idx["index_dir"]), similarity="boolean"
     )
     docs, scores = searcher.search(query, k=k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def distance_feature_topk(
@@ -1065,13 +999,7 @@ def distance_feature_topk(
         scores.astype(np.float64) + dist.astype(np.float64)
     ).astype(np.float32)
     docs, combined = topk_sort(docs, combined, k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(combined, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, combined)
 
 
 def covering_query_topk(
@@ -1109,13 +1037,7 @@ def covering_query_topk(
         cl_data.append((d, s))
     all_docs = [d for d, _ in cl_data if len(d)]
     if not all_docs:
-        return pa.table(
-            {
-                "rank": pa.array([], type=pa.int64()),
-                "doc_id": pa.array([], type=pa.int64()),
-                "score": pa.array([], type=pa.float32()),
-            }
-        )
+        return _hits_table([], [])
     union = np.unique(np.concatenate(all_docs))
     acc = np.zeros(len(union), dtype=np.float64)
     cnt = np.zeros(len(union), dtype=np.int64)
@@ -1128,13 +1050,7 @@ def covering_query_topk(
     min_match = np.maximum(1, 1 + dv.values_for(union, "n_chars") % 3)
     sel = cnt >= min_match
     docs, scores = topk_sort(union[sel], acc[sel].astype(np.float32), k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 class LMScorer:
@@ -1431,13 +1347,7 @@ def join_util_topk(
         else:
             raise ValueError(f"unknown score_mode {score_mode!r}")
     if not agg:
-        return pa.table(
-            {
-                "rank": pa.array([], type=pa.int64()),
-                "doc_id": pa.array([], type=pa.int64()),
-                "score": pa.array([], type=pa.float32()),
-            }
-        )
+        return _hits_table([], [])
     ds = read_doc_values_dataset(idx["build_manifest"], [join_field])
     keyvals = sorted(agg)
     keys = pa.array(keyvals)
@@ -1462,13 +1372,7 @@ def join_util_topk(
         docs = np.empty(0, dtype=np.int64)
         scores = np.empty(0, dtype=np.float32)
     docs, scores = topk_sort(docs, scores, k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def bool_nested_match_docs(
@@ -1497,13 +1401,7 @@ def phrase_topk(sf_dir: str, phrase: str = "data join", k: int = 10) -> pa.Table
     idx = get_index(sf_dir)
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
     docs, scores = searcher.search(f'"{phrase}"', k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def bm25_snippets(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
@@ -1819,13 +1717,7 @@ def replica_bm25_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.
     replicate_index(idx["index_dir"], replica)
     searcher = IndexSearcher(load_merge_manifest(replica))
     docs, scores = searcher.search(query, k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def sorted_index_topk(
@@ -1947,13 +1839,7 @@ def common_terms_topk(sf_dir: str, k: int = 10) -> pa.Table:
     searcher = _span_searcher(sf_dir)
     ir = common_terms_query_ir(searcher, COMMON_TERMS)
     docs, scores = searcher.search(ir, k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def index_stats(sf_dir: str) -> pa.Table:
@@ -2034,13 +1920,7 @@ def omit_norms_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Ta
     idx = get_index(sf_dir)
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), omit_norms=True)
     docs, scores = searcher.search(query, k=k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def query_counts(sf_dir: str) -> pa.Table:
@@ -2421,22 +2301,10 @@ def mlt_like_text_topk(sf_dir: str, text: str | None = None, k: int = 10) -> pa.
         min_doc_freq=5,
     )
     if not sel:
-        return pa.table(
-            {
-                "rank": pa.array([], type=pa.int64()),
-                "doc_id": pa.array([], type=pa.int64()),
-                "score": pa.array([], type=pa.float32()),
-            }
-        )
+        return _hits_table([], [])
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
     docs, scores = searcher.search(" ".join(term for term, _, _, _ in sel), k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def more_like_this_topk(sf_dir: str, doc_id: int = 7, k: int = 10) -> pa.Table:
@@ -2459,22 +2327,10 @@ def more_like_this_topk(sf_dir: str, doc_id: int = 7, k: int = 10) -> pa.Table:
         idx["merge_manifest"], text, max_query_terms=10, min_term_freq=2, min_doc_freq=5
     )
     if not sel:
-        return pa.table(
-            {
-                "rank": pa.array([], type=pa.int64()),
-                "doc_id": pa.array([], type=pa.int64()),
-                "score": pa.array([], type=pa.float32()),
-            }
-        )
+        return _hits_table([], [])
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
     docs, scores = searcher.search(" ".join(term for term, _, _, _ in sel), k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def prf_expand_topk(
@@ -2524,13 +2380,7 @@ def prf_expand_topk(
     )
     terms = [query] + [term for term, _, _, _ in sel if term != query]
     docs, scores = searcher.search(" ".join(terms), k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def bm25_topk_sharded(sf_dir: str, n_shards: int = 3) -> pa.Table:
@@ -3323,13 +3173,7 @@ def bm25_scores_exact(sf_dir: str, term: str = "data") -> pa.Table:
     idx = get_index(sf_dir)
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
     docs, scores = searcher.search(term, k=searcher.doc_count)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def bm25_bool_scores_exact(sf_dir: str, query: str = "data merge") -> pa.Table:
@@ -3343,13 +3187,7 @@ def bm25_bool_scores_exact(sf_dir: str, query: str = "data merge") -> pa.Table:
     idx = get_index(sf_dir)
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
     docs, scores = searcher.search(query, k=searcher.doc_count)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def bm25_phrase_scores_exact(sf_dir: str, phrase: str = '"data join"') -> pa.Table:
@@ -3364,13 +3202,7 @@ def bm25_phrase_scores_exact(sf_dir: str, phrase: str = '"data join"') -> pa.Tab
     idx = get_index(sf_dir)
     searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
     docs, scores = searcher.search(phrase, k=searcher.doc_count)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(len(docs)), type=pa.int64()),
-            "doc_id": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float32()),
-        }
-    )
+    return _hits_table(docs, scores)
 
 
 def lang_stats_facet(sf_dir: str) -> "pa.Table":

@@ -22,9 +22,10 @@ Two physical plans per (query, segment) — the Boolean2ScorerSupplier role:
 Both are rank-identical by construction (same float32 score arithmetic;
 pruning is sound) and tested against each other (CheckHits model).
 
-``BatchSearcher`` is the stateful actor-pool stage: pass the CLASS to
-``ds.map_batches(BatchSearcher, fn_constructor_kwargs=..., concurrency=N)``
-— segments load once per actor in ``__init__``, queries stream as batches.
+``search_dataset`` is the Ray Data search stage. In actor mode it passes
+the ``BatchSearcher`` CLASS to ``ds.map_batches(..., concurrency=(1, N))``
+— segments load once per actor in ``__init__``; in task mode a
+per-process cached searcher plays that role. Both run ``_search_batch``.
 """
 
 from __future__ import annotations
@@ -861,11 +862,7 @@ class IndexSearcher:
                             }
                         )
                     else:
-                        cand = (
-                            seg._terms
-                            if hasattr(seg, "_terms")
-                            else seg.iter_terms()
-                        )
+                        cand = seg.iter_terms()
                     for t in cand:
                         if rx.fullmatch(t) and qual(t) not in seen_r:
                             seen_r.add(qual(t))
@@ -1591,12 +1588,10 @@ def _fuzzy_expand(seg, base: str, max_ed: int, max_terms: int) -> list[str]:
     length band |len(t) - len(base)| <= max_ed prunes vectorized-cheap
     before the banded DP."""
     out = []
-    ranges = None
     if hasattr(seg, "_dict_ranges"):
-        ranges = seg._dict_ranges()
-    if ranges is not None:
         import pyarrow.parquet as _pq
 
+        ranges = seg._dict_ranges()
         FUZZY_DICT_STATS["files_total"] = len(ranges)
         FUZZY_DICT_STATS["files_read"] = 0
         for tmin, tmax, path in ranges:  # sorted disjoint ranges
@@ -1609,11 +1604,7 @@ def _fuzzy_expand(seg, base: str, max_ed: int, max_terms: int) -> list[str]:
                     if len(out) >= max_terms:
                         return out
         return out
-    if hasattr(seg, "_terms"):
-        candidates = seg._terms
-    else:  # MergedIndex without a dict level: pruned-column enumeration
-        candidates = seg.iter_terms()
-    for t in candidates:
+    for t in seg.iter_terms():
         if _edit_distance_le(base, t, max_ed):
             out.append(t)
             if len(out) >= max_terms:
@@ -1873,6 +1864,73 @@ def _sloppy_freq(adj: list[np.ndarray], slop: int, phrase: tuple[str, ...]) -> f
 # ---------------------------------------------------------------------------
 
 
+def _index_manifest(index_dir: str) -> dict:
+    """The manifest a search stage opens: the merged index when there is
+    one, else the build (per-partition) manifest."""
+    from .checkpoint import load_manifest, load_merge_manifest
+
+    manifest = load_merge_manifest(index_dir) or load_manifest(index_dir)
+    if manifest is None:
+        raise FileNotFoundError(f"no manifest under {index_dir}")
+    return manifest
+
+
+def _search_batch(
+    searcher: IndexSearcher,
+    batch: pa.Table,
+    default_k: int,
+    time_limit_ms: float | None = None,
+    emit_latency: bool = False,
+) -> pa.Table:
+    """One query batch (query_id, query[, k]) → hits table (query_id
+    int64, rank int32, doc_id int64, score float32, then ``partial`` bool
+    when a time limit is set and ``latency_ms`` float64 when asked for) —
+    the per-batch loop of both Ray search stages."""
+    import time
+
+    qids = batch.column("query_id").to_pylist()
+    queries = batch.column("query").to_pylist()
+    ks = (
+        batch.column("k").to_pylist()
+        if "k" in batch.column_names
+        else [default_k] * len(qids)
+    )
+    out_qid: list[int] = []
+    out_rank: list[int] = []
+    out_doc: list[int] = []
+    out_score: list[float] = []
+    out_lat: list[float] = []
+    out_partial: list[bool] = []
+    for qid, qs, k in zip(qids, queries, ks):
+        t0 = time.perf_counter()
+        partial = False
+        if time_limit_ms is None:
+            docs, scores = searcher.search(qs, int(k))
+        else:
+            try:
+                docs, scores = searcher.search(qs, int(k), time_limit_ms=time_limit_ms)
+            except TimeLimitExceeded as e:
+                docs, scores, partial = e.docs, e.scores, True
+        lat_ms = (time.perf_counter() - t0) * 1000.0
+        out_qid.extend([qid] * len(docs))
+        out_rank.extend(range(len(docs)))
+        out_doc.extend(docs.tolist())
+        out_score.extend(scores.tolist())
+        out_lat.extend([lat_ms] * len(docs))
+        out_partial.extend([partial] * len(docs))
+    cols = {
+        "query_id": pa.array(out_qid, type=pa.int64()),
+        "rank": pa.array(out_rank, type=pa.int32()),
+        "doc_id": pa.array(out_doc, type=pa.int64()),
+        "score": pa.array(out_score, type=pa.float32()),
+    }
+    if time_limit_ms is not None:
+        cols["partial"] = pa.array(out_partial, type=pa.bool_())
+    if emit_latency:
+        cols["latency_ms"] = pa.array(out_lat, type=pa.float64())
+    return pa.table(cols)
+
+
 class BatchSearcher:
     """Stateful actor-pool search stage: segments open once per actor
     (__init__), query batches stream through __call__ (SURVEY §7.3)."""
@@ -1885,12 +1943,7 @@ class BatchSearcher:
         emit_latency: bool = False,
         time_limit_ms: float | None = None,
     ):
-        from .checkpoint import load_manifest, load_merge_manifest
-
-        manifest = load_merge_manifest(index_dir) or load_manifest(index_dir)
-        if manifest is None:
-            raise FileNotFoundError(f"no manifest under {index_dir}")
-        self.searcher = IndexSearcher(manifest, algorithm=algorithm)
+        self.searcher = IndexSearcher(_index_manifest(index_dir), algorithm=algorithm)
         self.default_k = default_k
         self.emit_latency = emit_latency
         # Solr timeAllowed + partialResults=true role: a per-query budget;
@@ -1899,51 +1952,9 @@ class BatchSearcher:
         self.time_limit_ms = time_limit_ms
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import time
-
-        qids = batch.column("query_id").to_pylist()
-        queries = batch.column("query").to_pylist()
-        ks = (
-            batch.column("k").to_pylist()
-            if "k" in batch.column_names
-            else [self.default_k] * len(qids)
+        return _search_batch(
+            self.searcher, batch, self.default_k, self.time_limit_ms, self.emit_latency
         )
-        out_qid: list[int] = []
-        out_rank: list[int] = []
-        out_doc: list[int] = []
-        out_score: list[float] = []
-        out_lat: list[float] = []
-        out_partial: list[bool] = []
-        for qid, qs, k in zip(qids, queries, ks):
-            t0 = time.perf_counter()
-            partial = False
-            if self.time_limit_ms is None:
-                docs, scores = self.searcher.search(qs, int(k))
-            else:
-                try:
-                    docs, scores = self.searcher.search(
-                        qs, int(k), time_limit_ms=self.time_limit_ms
-                    )
-                except TimeLimitExceeded as e:
-                    docs, scores, partial = e.docs, e.scores, True
-            lat_ms = (time.perf_counter() - t0) * 1000.0
-            out_qid.extend([qid] * len(docs))
-            out_rank.extend(range(len(docs)))
-            out_doc.extend(docs.tolist())
-            out_score.extend(scores.tolist())
-            out_lat.extend([lat_ms] * len(docs))
-            out_partial.extend([partial] * len(docs))
-        cols = {
-            "query_id": pa.array(out_qid, type=pa.int64()),
-            "rank": pa.array(out_rank, type=pa.int32()),
-            "doc_id": pa.array(out_doc, type=pa.int64()),
-            "score": pa.array(out_score, type=pa.float32()),
-        }
-        if self.time_limit_ms is not None:
-            cols["partial"] = pa.array(out_partial, type=pa.bool_())
-        if self.emit_latency:
-            cols["latency_ms"] = pa.array(out_lat, type=pa.float64())
-        return pa.table(cols)
 
 
 # process-level searcher cache for the stateless-task search path: Ray
@@ -1953,124 +1964,26 @@ class BatchSearcher:
 _PROCESS_SEARCHERS: dict = {}
 
 
-def build_shared_hot_set(index_dir: str, df_threshold: int = 1024):
-    """Decode the hot posting lists ONCE and pin them in the Ray object
-    store: every searcher worker on a node then reads the same immutable
-    numpy arrays zero-copy instead of paying its own cold decode (the
-    shared-mmap role of the reference's MMapDirectory + OS page cache).
-
-    Implementation: raw ray.remote tasks (the one place the Dataset API
-    can't express the semantics — a shared in-memory structure): each task
-    decodes a slice of the hot terms and its RETURN VALUE stays in plasma;
-    the driver only collects ObjectRefs, no data round-trips. Returns a
-    list of refs, each to a {term: (docs, freqs)} dict shard."""
-    import ray
-
-    from .checkpoint import load_manifest, load_merge_manifest
-
-    manifest = load_merge_manifest(index_dir) or load_manifest(index_dir)
-    searcher = IndexSearcher(manifest)
-    hot_terms = sorted(
-        {
-            t
-            for seg in searcher.segments
-            for t, df in _iter_term_dfs(seg)
-            if df >= df_threshold
-        }
-    )
-    if not hot_terms:
-        return []
-
-    @ray.remote(**_rargs())
-    def _decode_shard(terms: list[str]) -> dict:
-        s = searcher_for(index_dir)
-        return {t: _global_postings(s, t) for t in terms}
-
-    n_shards = min(64, max(1, len(hot_terms) // 16))
-    per = (len(hot_terms) + n_shards - 1) // n_shards
-    chunks = [hot_terms[i : i + per] for i in range(0, len(hot_terms), per)]
-    return [_decode_shard.remote(c) for c in chunks]
-
-
-def _global_postings(searcher: IndexSearcher, term: str):
-    parts = [seg.postings(term) for seg in searcher.segments]
-    docs = np.concatenate([p[0] for p in parts])
-    freqs = np.concatenate([p[1] for p in parts])
-    return docs, freqs
-
-
-def _iter_term_dfs(seg):
-    if hasattr(seg, "manifest"):  # MergedIndex: pruned-column shard reads
-        import pyarrow.parquet as pq
-
-        for s in seg.manifest["shards"]:
-            t = pq.read_table(s["path"], columns=["term", "df"])
-            yield from zip(t.column("term").to_pylist(), t.column("df").to_pylist())
-    else:
-        yield from zip(seg._terms, seg._df.tolist())
-
-
-def searcher_for(index_dir: str, algorithm: str = "auto", hot_ref=None) -> IndexSearcher:
+def searcher_for(index_dir: str, algorithm: str = "auto") -> IndexSearcher:
+    """This process's cached searcher over ``index_dir`` (opened once)."""
     key = (index_dir, algorithm)
     s = _PROCESS_SEARCHERS.get(key)
     if s is None:
-        from .checkpoint import load_manifest, load_merge_manifest
-
-        manifest = load_merge_manifest(index_dir) or load_manifest(index_dir)
-        if manifest is None:
-            raise FileNotFoundError(f"no manifest under {index_dir}")
-        s = IndexSearcher(manifest, algorithm=algorithm)
-        if hot_ref:
-            import ray
-
-            refs = hot_ref if isinstance(hot_ref, list) else [hot_ref]
-            n_hot = 0
-            for r in refs:
-                hot = ray.get(r)  # zero-copy plasma views, shared per node
-                n_hot += len(hot)
-                for seg in s.segments:
-                    seg._postings_cache.update(hot)
-            for seg in s.segments:
-                seg._POSTINGS_CACHE_MAX = n_hot + 128
+        s = IndexSearcher(_index_manifest(index_dir), algorithm=algorithm)
         _PROCESS_SEARCHERS[key] = s
     return s
 
 
-def make_search_fn(
-    index_dir: str, default_k: int = 10, emit_latency: bool = False, hot_ref=None
-):
-    """Stateless-task search stage (state via the per-process cache)."""
+def make_search_fn(index_dir: str, default_k: int = 10, emit_latency: bool = False):
+    """Stateless-task search stage: each batch runs on this worker
+    process's cached searcher (``searcher_for``), so the index opens once
+    per process and its postings/shard LRUs stay warm across tasks. Same
+    output as ``BatchSearcher`` without a time limit."""
 
     def _search(batch: pa.Table) -> pa.Table:
-        import time as _time
-
-        searcher = searcher_for(index_dir, hot_ref=hot_ref)
-        qids = batch.column("query_id").to_pylist()
-        queries = batch.column("query").to_pylist()
-        ks = (
-            batch.column("k").to_pylist()
-            if "k" in batch.column_names
-            else [default_k] * len(qids)
+        return _search_batch(
+            searcher_for(index_dir), batch, default_k, emit_latency=emit_latency
         )
-        out = {"query_id": [], "rank": [], "doc_id": [], "score": [], "latency_ms": []}
-        for qid, qs, k in zip(qids, queries, ks):
-            t0 = _time.perf_counter()
-            docs, scores = searcher.search(qs, int(k))
-            lat = (_time.perf_counter() - t0) * 1000.0
-            out["query_id"].extend([qid] * len(docs))
-            out["rank"].extend(range(len(docs)))
-            out["doc_id"].extend(docs.tolist())
-            out["score"].extend(scores.tolist())
-            out["latency_ms"].extend([lat] * len(docs))
-        cols = {
-            "query_id": pa.array(out["query_id"], type=pa.int64()),
-            "rank": pa.array(out["rank"], type=pa.int32()),
-            "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-            "score": pa.array(out["score"], type=pa.float32()),
-        }
-        if emit_latency:
-            cols["latency_ms"] = pa.array(out["latency_ms"], type=pa.float64())
-        return pa.table(cols)
 
     return _search
 
@@ -2082,17 +1995,21 @@ def search_dataset(
     batch_size: int = 64,
     mode: str = "actors",
     emit_latency: bool = False,
-    hot_ref=None,
 ):
-    """queries (query_id, query[, k]) → hits (query_id, rank, doc_id, score).
+    """queries (query_id, query[, k]) → hits (query_id int64, rank int32,
+    doc_id int64, score float32[, latency_ms float64]); both modes run
+    the same per-batch loop and return identical rows.
 
-    mode="actors": explicit actor pool, index opened once per actor.
+    mode="actors": autoscaling pool of 1..``concurrency`` ``BatchSearcher``
+    actors, index opened once per actor (a fixed-size pool can starve the
+    upstream read tasks of CPUs).
     mode="tasks": stateless tasks + per-process searcher cache — same
     state-amortization, but reuses the already-warm worker pool from
-    earlier pipeline stages (no actor spawn cost)."""
+    earlier pipeline stages (no actor spawn cost); ``concurrency`` is
+    unused."""
     if mode == "tasks":
         return queries_ds.map_batches(
-            make_search_fn(index_dir, emit_latency=emit_latency, hot_ref=hot_ref),
+            make_search_fn(index_dir, emit_latency=emit_latency),
             batch_size=batch_size,
             batch_format="pyarrow",
             **_rargs(),
@@ -2102,7 +2019,7 @@ def search_dataset(
         fn_constructor_kwargs={"index_dir": index_dir, "emit_latency": emit_latency},
         batch_size=batch_size,
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=(1, concurrency),
         **_rargs(),
     )
 

@@ -35,7 +35,8 @@ import os
 import shutil
 import time
 import uuid
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,111 +137,51 @@ def write_segment(
         return json.load(f)
 
 
-class Segment:
-    """Open segment: term dictionary + norms + stats, loaded once and
-    queried many times (the open-IndexReader-leaf analogue)."""
+def _prefix_terms(terms: list[str], prefix: str, max_terms: int) -> list[str]:
+    """Sorted-dictionary range scan [prefix, prefix+MAX) — the PrefixQuery
+    TermsEnum seek (BlockTree intersect role); keeps the first terms."""
+    i = bisect_left(terms, prefix)
+    out: list[str] = []
+    while i < len(terms) and len(out) < max_terms:
+        t = terms[i]
+        if not t.startswith(prefix):
+            break
+        out.append(t)
+        i += 1
+    return out
 
-    def __init__(self, seg_dir: str):
-        self.dir = seg_dir
-        with open(os.path.join(seg_dir, "meta.json")) as f:
-            self.meta = json.load(f)
-        self._terms_tbl = pq.read_table(os.path.join(seg_dir, "terms.parquet"))
-        self._terms: list[str] = self._terms_tbl.column("term").to_pylist()
-        self._df = self._terms_tbl.column("df").to_numpy()
-        self._ttf = self._terms_tbl.column("ttf").to_numpy()
-        nt = pq.read_table(os.path.join(seg_dir, "norms.parquet"))
-        doc_ids = nt.column("doc_id").to_numpy()
-        self.doc_base = int(self.meta["doc_base"])
-        self.n_docs = int(self.meta["n_docs"])
-        self.max_doc = int(doc_ids.max()) + 1 if len(doc_ids) else self.doc_base
-        # dense norm array over [doc_base, max_doc) — contiguous in practice,
-        # scatter handles any gaps from rejected/filtered rows
-        self._norms = np.zeros(self.max_doc - self.doc_base, dtype=np.uint8)
-        self._norms[doc_ids - self.doc_base] = nt.column("norm").to_numpy()
-        from collections import OrderedDict
 
+def _range_terms(terms: list[str], lo: str, hi: str, max_terms: int) -> list[str]:
+    """Inclusive sorted-dictionary range scan (TermRangeQuery role)."""
+    i = bisect_left(terms, lo)
+    j = bisect_right(terms, hi)
+    return terms[i : min(j, i + max_terms)]
+
+
+class PostingsReader:
+    """Postings surface shared by a flushed ``Segment`` and a merged
+    ``MergedIndex`` — the one leaf-reader both kinds of Lucene segment are
+    read through. A subclass supplies how a term's row is found
+    (``_find(term)`` → (terms table, row) or (None, -1)), ``iter_terms()``
+    in sorted order, ``term_stats`` and its norms; the row decode, the
+    decoded-postings LRU, the prox/offset/payload streams and the
+    reversed-dictionary suffix seek live here."""
+
+    _POSTINGS_CACHE_MAX = 128  # decoded terms kept per open reader
+
+    def __init__(self):
         self._postings_cache: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
     @property
-    def sum_ttf(self) -> int:
-        return int(self.meta["sum_ttf"])
-
-    @property
     def norm_span(self) -> int:
-        """Width of the doc-id range this segment covers (accumulator size)."""
+        """Width of the doc-id range this reader covers (accumulator size)."""
         return self.max_doc - self.doc_base
 
-    def norm_of(self, doc_ids: np.ndarray) -> np.ndarray:
-        return self._norms[np.asarray(doc_ids, dtype=np.int64) - self.doc_base]
-
-    def term_index(self, term: str) -> int:
-        i = bisect_left(self._terms, term)
-        if i < len(self._terms) and self._terms[i] == term:
-            return i
-        return -1
-
-    def expand_prefix(self, prefix: str, max_terms: int = 1024) -> list[str]:
-        """Sorted-dictionary range scan [prefix, prefix+MAX) — the
-        PrefixQuery TermsEnum seek (BlockTree intersect role)."""
-        from bisect import bisect_left
-
-        i = bisect_left(self._terms, prefix)
-        out = []
-        while i < len(self._terms) and len(out) < max_terms:
-            t = self._terms[i]
-            if not t.startswith(prefix):
-                break
-            out.append(t)
-            i += 1
-        return out
-
-    def expand_range(self, lo: str, hi: str, max_terms: int = 1024) -> list[str]:
-        """Inclusive sorted-dictionary range scan (TermRangeQuery role)."""
-        from bisect import bisect_left, bisect_right
-
-        i = bisect_left(self._terms, lo)
-        j = bisect_right(self._terms, hi)
-        return self._terms[i : min(j, i + max_terms)]
-
-    def expand_suffix(self, suffix: str, max_terms: int = 1024) -> list[str]:
-        """Terms ENDING with ``suffix`` — the leading-wildcard seek of
-        Solr's ReversedWildcardFilterFactory (solr/analysis/
-        ReversedWildcardFilter.java: index reversed tokens so ``*foo``
-        becomes a prefix seek on ``oof``). The engine derives the reversed
-        dictionary lazily from the forward one instead of indexing a
-        second postings field (scoring reuses forward postings; only the
-        TERM set is needed for MultiTermQuery rewrite); at 10^9-term
-        dictionaries the reversed dictionary would be persisted at merge
-        next to the forward dict files. Result is forward-sorted."""
-        from bisect import bisect_left
-
-        rev = getattr(self, "_rev_terms", None)
-        if rev is None:
-            rev = sorted((t[::-1], t) for t in self._terms)
-            self._rev_terms = rev
-        rsuf = suffix[::-1]
-        i = bisect_left(rev, (rsuf,))
-        out: list[str] = []
-        while i < len(rev) and len(out) < max_terms:
-            rt, t = rev[i]
-            if not rt.startswith(rsuf):
-                break
-            out.append(t)
-            i += 1
-        return sorted(out)
-
-    def term_stats(self, term: str) -> tuple[int, int]:
-        """(docFreq, totalTermFreq) — 0,0 if absent (TermStates.build role)."""
-        i = self.term_index(term)
-        if i < 0:
-            return 0, 0
-        return int(self._df[i]), int(self._ttf[i])
-
     def term_info(self, term: str) -> TermInfo | None:
-        i = self.term_index(term)
-        if i < 0:
+        tbl, i = self._find(term)
+        if tbl is None:
             return None
-        row = self._terms_tbl.slice(i, 1).to_pylist()[0]
+        row = tbl.slice(i, 1).to_pylist()[0]
         return TermInfo(
             term=row["term"],
             df=row["df"],
@@ -256,58 +197,6 @@ class Segment:
             off_blob=row.get("off_blob") or b"",
             pay_blob=row.get("pay_blob") or b"",
         )
-
-    def positions(self, term: str) -> list[np.ndarray] | None:
-        """Per-posting position arrays (None if positions not indexed)."""
-        from .codec import decode_positions
-
-        ti = self.term_info(term)
-        if ti is None or not ti.pos_blob:
-            return None
-        _, freqs = (
-            (np.array([ti.singleton_doc]), np.array([ti.ttf]))
-            if ti.df == 1
-            else self.postings(term)
-        )
-        return decode_positions(ti.pos_blob, freqs)
-
-    def offsets(self, term: str) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
-        """Per-posting (starts, ends) character-offset arrays — None when
-        offsets were not indexed (IndexOptions without _AND_OFFSETS)."""
-        from .codec import decode_offsets
-
-        ti = self.term_info(term)
-        if ti is None or not ti.off_blob:
-            return None
-        _, freqs = (
-            (np.array([ti.singleton_doc]), np.array([ti.ttf]))
-            if ti.df == 1
-            else self.postings(term)
-        )
-        return decode_offsets(ti.off_blob, freqs)
-
-    def payloads(self, term: str) -> list[np.ndarray] | None:
-        """Per-posting payload words (0 = absent, else uint32 value + 1) —
-        None when payloads were not indexed. Decode to typed values with
-        codec.payload_as_int / payload_as_float."""
-        from .codec import decode_payloads
-
-        ti = self.term_info(term)
-        if ti is None or not ti.pay_blob:
-            return None
-        _, freqs = (
-            (np.array([ti.singleton_doc]), np.array([ti.ttf]))
-            if ti.df == 1
-            else self.postings(term)
-        )
-        return decode_payloads(ti.pay_blob, freqs)
-
-    def iter_term_rows(self):
-        """Stream (term, row-dict) in sorted term order (merge input)."""
-        for batch in self._terms_tbl.to_batches():
-            yield from batch.to_pylist()
-
-    _POSTINGS_CACHE_MAX = 128  # decoded terms kept per open segment
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """Fully decoded (docs, freqs) for a term (TAAT/oracle/merge path).
@@ -335,6 +224,115 @@ class Segment:
             self._postings_cache.popitem(last=False)
         return out
 
+    def _occurrence_stream(self, term: str, blob_field: str, decode):
+        ti = self.term_info(term)
+        if ti is None or not getattr(ti, blob_field):
+            return None
+        return decode(getattr(ti, blob_field), self.postings(term)[1])
+
+    def positions(self, term: str) -> list[np.ndarray] | None:
+        """Per-posting position arrays (None if positions not indexed)."""
+        from .codec import decode_positions
+
+        return self._occurrence_stream(term, "pos_blob", decode_positions)
+
+    def offsets(self, term: str) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
+        """Per-posting (starts, ends) character-offset arrays — None when
+        offsets were not indexed (IndexOptions without _AND_OFFSETS)."""
+        from .codec import decode_offsets
+
+        return self._occurrence_stream(term, "off_blob", decode_offsets)
+
+    def payloads(self, term: str) -> list[np.ndarray] | None:
+        """Per-posting payload words (0 = absent, else uint32 value + 1) —
+        None when payloads were not indexed. Decode to typed values with
+        codec.payload_as_int / payload_as_float."""
+        from .codec import decode_payloads
+
+        return self._occurrence_stream(term, "pay_blob", decode_payloads)
+
+    def expand_suffix(self, suffix: str, max_terms: int = 1024) -> list[str]:
+        """Terms ENDING with ``suffix`` — the leading-wildcard seek of
+        Solr's ReversedWildcardFilterFactory (solr/analysis/
+        ReversedWildcardFilter.java: index reversed tokens so ``*foo``
+        becomes a prefix seek on ``oof``). The reversed dictionary is
+        derived lazily, once per open reader, from ``iter_terms()`` instead
+        of indexing a second postings field (scoring reuses forward
+        postings; only the TERM set is needed for MultiTermQuery rewrite);
+        at 10^9-term dictionaries it would be persisted at merge next to
+        the forward dict files. Result is forward-sorted."""
+        rev = getattr(self, "_rev_terms", None)
+        if rev is None:
+            rev = sorted((t[::-1], t) for t in self.iter_terms())
+            self._rev_terms = rev
+        rsuf = suffix[::-1]
+        i = bisect_left(rev, (rsuf,))
+        out: list[str] = []
+        while i < len(rev) and len(out) < max_terms:
+            rt, t = rev[i]
+            if not rt.startswith(rsuf):
+                break
+            out.append(t)
+            i += 1
+        return sorted(out)
+
+
+class Segment(PostingsReader):
+    """Open segment: term dictionary + norms + stats, loaded once and
+    queried many times (the open-IndexReader-leaf analogue)."""
+
+    def __init__(self, seg_dir: str):
+        super().__init__()
+        self.dir = seg_dir
+        with open(os.path.join(seg_dir, "meta.json")) as f:
+            self.meta = json.load(f)
+        self._terms_tbl = pq.read_table(os.path.join(seg_dir, "terms.parquet"))
+        self._terms: list[str] = self._terms_tbl.column("term").to_pylist()
+        self._df = self._terms_tbl.column("df").to_numpy()
+        self._ttf = self._terms_tbl.column("ttf").to_numpy()
+        nt = pq.read_table(os.path.join(seg_dir, "norms.parquet"))
+        doc_ids = nt.column("doc_id").to_numpy()
+        self.doc_base = int(self.meta["doc_base"])
+        self.n_docs = int(self.meta["n_docs"])
+        self.max_doc = int(doc_ids.max()) + 1 if len(doc_ids) else self.doc_base
+        # dense norm array over [doc_base, max_doc) — contiguous in practice,
+        # scatter handles any gaps from rejected/filtered rows
+        self._norms = np.zeros(self.max_doc - self.doc_base, dtype=np.uint8)
+        self._norms[doc_ids - self.doc_base] = nt.column("norm").to_numpy()
+
+    @property
+    def sum_ttf(self) -> int:
+        return int(self.meta["sum_ttf"])
+
+    def norm_of(self, doc_ids: np.ndarray) -> np.ndarray:
+        return self._norms[np.asarray(doc_ids, dtype=np.int64) - self.doc_base]
+
+    def term_index(self, term: str) -> int:
+        i = bisect_left(self._terms, term)
+        if i < len(self._terms) and self._terms[i] == term:
+            return i
+        return -1
+
+    def _find(self, term: str) -> tuple[pa.Table | None, int]:
+        i = self.term_index(term)
+        return (self._terms_tbl, i) if i >= 0 else (None, -1)
+
+    def iter_terms(self):
+        yield from self._terms
+
+    def expand_prefix(self, prefix: str, max_terms: int = 1024) -> list[str]:
+        return _prefix_terms(self._terms, prefix, max_terms)
+
+    def expand_range(self, lo: str, hi: str, max_terms: int = 1024) -> list[str]:
+        return _range_terms(self._terms, lo, hi, max_terms)
+
+    def term_stats(self, term: str) -> tuple[int, int]:
+        """(docFreq, totalTermFreq) — 0,0 if absent (TermStates.build role)."""
+        i = self.term_index(term)
+        if i < 0:
+            return 0, 0
+        return int(self._df[i]), int(self._ttf[i])
+
 
 class DictStatsReader:
     """Dictionary-only view of ONE partition's term file: the stats pass
@@ -344,7 +342,7 @@ class DictStatsReader:
     on first use — construction is free, so a fan-out closure can carry a
     list of these (really just paths) without shipping an index. Exposes
     the same dictionary surface as Segment (term_stats / expand_prefix /
-    expand_range / _terms) so IndexSearcher.rewrite works unchanged."""
+    expand_range / iter_terms) so IndexSearcher.rewrite works unchanged."""
 
     def __init__(self, terms_path: str):
         self.path = terms_path
@@ -375,24 +373,10 @@ class DictStatsReader:
         return 0, 0
 
     def expand_prefix(self, prefix: str, max_terms: int = 1024) -> list[str]:
-        terms = self._terms
-        i = bisect_left(terms, prefix)
-        out: list[str] = []
-        while i < len(terms) and len(out) < max_terms:
-            t = terms[i]
-            if not t.startswith(prefix):
-                break
-            out.append(t)
-            i += 1
-        return out
+        return _prefix_terms(self._terms, prefix, max_terms)
 
     def expand_range(self, lo: str, hi: str, max_terms: int = 1024) -> list[str]:
-        from bisect import bisect_right
-
-        terms = self._terms
-        i = bisect_left(terms, lo)
-        j = bisect_right(terms, hi)
-        return terms[i : min(j, i + max_terms)]
+        return _range_terms(self._terms, lo, hi, max_terms)
 
 
 def make_terms_table(rows: dict[str, list]) -> pa.Table:

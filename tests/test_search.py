@@ -1063,6 +1063,53 @@ def test_batch_searcher_time_allowed(corpus, tmp_path):
     assert "partial" not in plain.column_names
 
 
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("emit_latency", [False, True])
+def test_search_dataset_modes_agree(corpus, emit_latency):
+    """search_dataset in task mode (per-process cached searcher) and in
+    actor mode (BatchSearcher pool) run one batch loop: both equal
+    IndexSearcher.search row for row, float32 score bits included, under
+    the same schema."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from engine.search import search_dataset
+
+    index_dir = corpus["manifest"]["partitions"][0]["seg_dir"].rsplit("/partitions/", 1)[0]
+    queries = [
+        ("the00", 10), ("the19 the03", 25), ("+t00000 +t00001", 10),
+        ("the00 -t00000", 5), ('"the00 the01"', 10), ("tiekey", 50),
+        ("zzznomatch", 10), ("t00003 the02", 1),
+    ]
+    items = [{"query_id": i, "query": q, "k": k} for i, (q, k) in enumerate(queries)]
+    s = IndexSearcher(corpus["manifest"])
+    exp_qid, exp_rank, exp_doc, exp_score = [], [], [], []
+    for it in items:
+        d, sc = s.search(it["query"], it["k"])
+        exp_qid += [it["query_id"]] * len(d)
+        exp_rank += list(range(len(d)))
+        exp_doc += d.tolist()
+        exp_score.append(sc)
+    exp_bits = np.concatenate(exp_score).astype(np.float32).view(np.uint32)
+    fields = [("query_id", pa.int64()), ("rank", pa.int32()), ("doc_id", pa.int64()),
+              ("score", pa.float32())]
+    if emit_latency:
+        fields.append(("latency_ms", pa.float64()))
+    for mode in ("tasks", "actors"):
+        ds = ray.data.from_items(items, override_num_blocks=3)
+        res = search_dataset(ds, index_dir, concurrency=2, batch_size=3, mode=mode,
+                             emit_latency=emit_latency)
+        tbl = pa.concat_tables([t for t in ray.get(res.to_arrow_refs()) if t.num_rows])
+        assert tbl.schema == pa.schema(fields), mode
+        tbl = tbl.sort_by([("query_id", "ascending"), ("rank", "ascending")])
+        assert tbl.column("query_id").to_pylist() == exp_qid, mode
+        assert tbl.column("rank").to_pylist() == exp_rank, mode
+        assert tbl.column("doc_id").to_pylist() == exp_doc, mode
+        got_bits = tbl.column("score").to_numpy().view(np.uint32)
+        np.testing.assert_array_equal(got_bits, exp_bits, err_msg=mode)
+
+
 def test_search_after_pages_equal_big_topk(corpus):
     """IndexSearcher.searchAfter (search/IndexSearcher.java:416-433):
     chained pages of k reproduce one big top-(p*k) exactly — the
