@@ -169,34 +169,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         s, [(t, t) for t in topic_terms], freq_qrels(s, topic_terms), k=10, depth=1000
     )
 
-    # secondary LLM-pipeline op throughputs over the sf tables (not part
-    # of the headline north-rule number; recorded for the ops inventory)
-    ops = {}
-    try:
-        from engine.dedup import exact_dedup
-        from engine.monitor import percolate
-        from engine.rayenv import read_parquet_clean
-        from engine.pipelines import PERCOLATE_QUERIES
-
-        docs_path = os.path.join(sf_dir, "documents.parquet")
-        import pyarrow.parquet as _pq
-
-        n_tbl = _pq.read_metadata(docs_path).num_rows
-        t0 = time.perf_counter()
-        percolate(
-            read_parquet_clean(docs_path, columns=["doc_id", "text"]),
-            PERCOLATE_QUERIES,
-            concurrency=(1, max(2, num_cpus // 2)),
-        ).count()
-        ops["percolate_docs_per_sec"] = round(n_tbl / (time.perf_counter() - t0), 1)
-        t0 = time.perf_counter()
-        exact_dedup(
-            read_parquet_clean(docs_path, columns=["doc_id", "text"])
-        ).count()
-        ops["exact_dedup_docs_per_sec"] = round(n_tbl / (time.perf_counter() - t0), 1)
-    except Exception as exc:  # secondary metrics never fail the bench
-        ops["error"] = f"{type(exc).__name__}: {exc}"
-
     out = {
         "metric": "index-build docs/sec + BM25 query p50/p99 (build+merge+search sec)",
         "value": round(t_build + t_merge + t_search, 3),
@@ -218,7 +190,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         "quality_map_at_1000": quality["map"],
         "quality_p_at_10": quality["p_at_10"],
         "n_heavy_terms": mm.get("n_heavy_terms"),
-        "ops": ops,
     }
     ray.shutdown()
     return out

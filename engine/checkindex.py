@@ -113,15 +113,22 @@ def check_index(manifest: dict) -> dict:
 def check_merged_index(mi) -> dict:
     """CheckIndex over a merge-by-term output (engine/merge.MergedIndex):
     per-shard term order, df/ttf/postings consistency, doc-range bounds,
-    norms coverage, global stat sums."""
+    norms coverage, global stat sums. It also proves the reader's
+    single-shard lookup sound: heavy-shard term ranges are pairwise
+    disjoint, and every term resolves through ``_shard_path_of`` to the
+    file that holds it."""
+    ranges = sorted(mi._heavy_ranges)
+    for (lo_a, hi_a, _), (lo_b, _, _) in zip(ranges, ranges[1:]):
+        assert hi_a < lo_b, f"heavy ranges overlap: {lo_a}..{hi_a} / {lo_b}"
     n_terms = 0
     sum_ttf = 0
     doc_lo, doc_hi = mi.doc_base, mi.doc_base + mi.norm_span
     seen: set[str] = set()
-    for row in mi.iter_term_rows():
+    for path, row in mi.iter_term_rows():
         t = row["term"]
         assert t not in seen, f"duplicate merged term {t}"
         seen.add(t)
+        assert mi._shard_path_of(t) == path, f"{t}: lookup misses its shard {path}"
         df, ttf = row["df"], row["ttf"]
         if df == 1:
             docs = np.array([row["singleton_doc"]])
@@ -152,8 +159,6 @@ def check_merged_index(mi) -> dict:
 
     # sorted dictionary level (BlockTree .tim/.tip role): disjoint sorted
     # ranges that cover exactly the shard term set
-    import pyarrow.parquet as pq
-
     prev_max = None
     dict_terms: list[str] = []
     for tmin, tmax, path in mi._dict_ranges():
@@ -161,7 +166,7 @@ def check_merged_index(mi) -> dict:
         if prev_max is not None:
             assert prev_max <= tmin, "dict ranges overlap"
         prev_max = tmax
-        terms = pq.read_table(path, columns=["term"]).column("term").to_pylist()
+        terms = mi._dict_file_terms(path)
         assert terms == sorted(terms), f"dict file unsorted: {path}"
         assert terms and terms[0] == tmin and terms[-1] == tmax, (
             f"dict range metadata mismatch: {path}"

@@ -28,7 +28,11 @@ term with raw Ray tasks, no Dataset all-to-all:
 
 ``MergedIndex`` reads the result as one logical segment over the full doc
 range, through the same ``segment.PostingsReader`` surface as a flushed
-``Segment``.
+``Segment``. Term shards (light buckets and heavy shards, ``TERMS_SCHEMA``)
+are lz4-compressed Arrow IPC files, written by ``write_term_shard`` and
+memory-mapped by ``read_term_shard`` (the store/MMapDirectory.java role);
+every reader of a shard path goes through that function or
+``term_shard_dataset``. Dict files, norm shards and heavy runs are Parquet.
 
 **merge_tree** (Path A, test-only): the TieredMergePolicy / SegmentMerger
 shape (index/TieredMergePolicy.java:96-103, index/SegmentMerger.java:96-191)
@@ -36,7 +40,7 @@ shape (index/TieredMergePolicy.java:96-103, index/SegmentMerger.java:96-191)
 merged into one idempotent atomic segment write keyed by
 (level, doc_base), so a rerun reuses every completed node. No pipeline
 calls it; it stays as the resume-mid-merge target until ``merge_by_term``
-resumes at bucket granularity (ROADMAP item 3).
+resumes at bucket granularity (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -326,6 +331,52 @@ def merge_tree(manifest: dict, index_dir: str, fan_in: int = 8, target_segments:
         "sum_ttf": manifest["sum_ttf"],
     }
     return commit_merge_manifest(index_dir, out)
+
+
+# ---------------------------------------------------------------------------
+# Merged term shard files: lz4 Arrow IPC, memory-mapped on read
+# ---------------------------------------------------------------------------
+
+_IPC_LZ4 = pa.ipc.IpcWriteOptions(compression="lz4")
+
+
+def write_term_shard(tbl: pa.Table, path: str) -> None:
+    """Write one merged term shard (``TERMS_SCHEMA``) as an lz4-compressed
+    Arrow IPC file, atomically (tmp + ``os.replace``)."""
+    with pa.OSFile(path + ".tmp", "wb") as sink:
+        with pa.ipc.new_file(sink, tbl.schema, options=_IPC_LZ4) as w:
+            w.write_table(tbl)
+    os.replace(path + ".tmp", path)
+
+
+def read_term_shard(path: str, columns: list[str] | None = None) -> pa.Table:
+    """Read a merged term shard through ``pa.memory_map`` (the
+    store/MMapDirectory.java role). ``columns`` projects at the IPC level,
+    so a term-only read never decompresses the postings blobs."""
+    opts = None
+    if columns is not None:
+        opts = pa.ipc.IpcReadOptions(
+            included_fields=[TERMS_SCHEMA.get_field_index(c) for c in columns]
+        )
+    with pa.memory_map(path) as src:
+        tbl = pa.ipc.open_file(src, options=opts).read_all()
+    return tbl if columns is None else tbl.select(columns)
+
+
+def term_shard_dataset(paths: list[str], columns: list[str]):
+    """Ray Dataset of the ``columns`` of the given term shard files: a
+    Dataset of paths whose read tasks call ``read_term_shard`` (Ray Data
+    has no Arrow IPC file reader)."""
+    import ray.data
+
+    def _read(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables(
+            read_term_shard(p, columns) for p in batch.column("path").to_pylist()
+        )
+
+    return ray.data.from_items([{"path": p} for p in paths]).map_batches(
+        _read, batch_format="pyarrow", **_rargs()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +716,7 @@ def _dict_explode_chunk(
     out: list[list[pa.Array]] = [[] for _ in range(n_ranges)]
     bnd = np.array(boundaries, dtype=object)
     for p in paths:
-        col = pq.read_table(p, columns=["term"]).column("term").combine_chunks()
+        col = read_term_shard(p, ["term"]).column("term").combine_chunks()
         if isinstance(col, pa.ChunkedArray):  # pyarrow<8 returns ChunkedArray
             col = col.chunk(0) if col.num_chunks else pa.array([], pa.string())
         n = len(col)
@@ -965,7 +1016,7 @@ def _bloom_partial(paths: list[str], m_bits: int) -> np.ndarray:
     bits = np.zeros(m_bits // 64, dtype=np.uint64)
     mask = np.uint64(m_bits - 1)
     for p in paths:
-        col = pq.read_table(p, columns=["term"]).column("term")
+        col = read_term_shard(p, ["term"]).column("term")
         h = _fmix64(fnv1a_vec(col)) & mask
         np.bitwise_or.at(
             bits,
@@ -1108,9 +1159,8 @@ def merge_by_term(
             )
         if final_cols["term"]:
             tbl = pa.table(final_cols, schema=TERMS_SCHEMA)
-            path = os.path.join(shard_dir, f"shard-{_uuid.uuid4().hex[:12]}.parquet")
-            pq.write_table(tbl, path + ".tmp")
-            os.replace(path + ".tmp", path)
+            path = os.path.join(shard_dir, f"shard-{_uuid.uuid4().hex[:12]}.arrow")
+            write_term_shard(tbl, path)
             out_rows.append(
                 {
                     "kind": "shard",
@@ -1190,9 +1240,7 @@ def merge_by_term(
                 samp = sorted(
                     t
                     for p in samp_paths
-                    for t in pq.read_table(p, columns=["term"])
-                    .column("term")
-                    .to_pylist()
+                    for t in read_term_shard(p, ["term"]).column("term").to_pylist()
                 )
                 ns = len(samp)
                 if ns:
@@ -1305,9 +1353,8 @@ def merge_by_term(
             if not terms:
                 return []
             tbl = pa.table(cols, schema=TERMS_SCHEMA)
-            path = os.path.join(shard_dir, f"shard-heavy-{_uuid.uuid4().hex[:12]}.parquet")
-            pq.write_table(tbl, path + ".tmp")
-            os.replace(path + ".tmp", path)
+            path = os.path.join(shard_dir, f"shard-heavy-{_uuid.uuid4().hex[:12]}.arrow")
+            write_term_shard(tbl, path)
             return [
                 {
                     "kind": "shard",
@@ -1435,15 +1482,30 @@ def merge_by_term(
     return commit_merge_manifest(index_dir, out)
 
 
+class _LoadedShard(NamedTuple):
+    """One cached term shard: the Arrow table serves the lazy blob and
+    skip/impact reads; lookups and stats go through the term map and
+    numpy columns, with no bisect and no pyarrow scalars."""
+
+    tbl: pa.Table
+    rows: dict[str, int]
+    df: np.ndarray
+    ttf: np.ndarray
+
+
 class MergedIndex(PostingsReader):
     """Segment-compatible reader over a merge-by-term output.
 
     One logical segment spanning all docs: light terms are addressed by
     shuffle bucket (bucket = fnv1a(term) % n_buckets → exactly one shard
-    file), heavy terms by binary search over the sorted heavy-shard term
-    ranges. Shard tables load lazily with an LRU — opening the index reads
-    only the manifest, so searcher workers start in O(manifest), not
-    O(#shards) (the BlockTree prefix-index role at file granularity)."""
+    file), heavy terms by binary search over the sorted, disjoint
+    heavy-shard term ranges. Shards are lz4 Arrow IPC files opened through
+    ``pa.memory_map`` and load lazily into an LRU of ``_SHARD_CACHE_MAX``
+    entries, each a term → row map plus numpy df/ttf columns — opening the
+    index reads only the manifest, so searcher workers start in
+    O(manifest), not O(#shards) (the BlockTree prefix-index role at file
+    granularity). Dict files (prefix/range/fuzzy/suffix expansion) are
+    read through ``_dict_file_terms`` alone."""
 
     _SHARD_CACHE_MAX = 64
 
@@ -1469,10 +1531,10 @@ class MergedIndex(PostingsReader):
                 self._heavy_ranges.append((s["term_min"], s["term_max"], s["path"]))
         self._heavy_ranges.sort()
         self._heavy_set = set(m.get("heavy_terms", []))
-        self._tables: OrderedDict[str, tuple[pa.Table, list[str]]] = OrderedDict()
+        self._tables: OrderedDict[str, _LoadedShard] = OrderedDict()
         # Bloom sidecar (BloomFilteringPostingsFormat role): consulted
-        # before any dictionary seek; bitset loads lazily on first miss
-        # check so opening stays O(manifest)
+        # before loading a shard; bitset loads lazily on first miss check
+        # so opening stays O(manifest)
         self._bloom_meta = m.get("bloom")
         self._bloom_bits: np.ndarray | None = None
 
@@ -1520,19 +1582,24 @@ class MergedIndex(PostingsReader):
                 return dense[docs - self.doc_base]
         return store.norms_for(docs)
 
-    def _load(self, path: str) -> tuple[pa.Table, list[str]]:
-        hit = self._tables.get(path)
-        if hit is not None:
-            self._tables.move_to_end(path)
-            return hit
-        tbl = pq.read_table(path)
+    def _load(self, path: str) -> _LoadedShard:
+        """Read one term shard and build its term map (LRU-cached)."""
+        tbl = read_term_shard(path)
         terms = tbl.column("term").to_pylist()
-        self._tables[path] = (tbl, terms)
+        sh = _LoadedShard(
+            tbl,
+            dict(zip(terms, range(len(terms)))),
+            tbl.column("df").to_numpy(),
+            tbl.column("ttf").to_numpy(),
+        )
+        self._tables[path] = sh
         if len(self._tables) > self._SHARD_CACHE_MAX:
             self._tables.popitem(last=False)
-        return tbl, terms
+        return sh
 
     def _shard_path_of(self, term: str) -> str | None:
+        """The one shard file that can hold ``term``: its heavy range if
+        the term is heavy, else its hash bucket."""
         if term in self._heavy_set:
             from bisect import bisect_right
 
@@ -1562,28 +1629,28 @@ class MergedIndex(PostingsReader):
         h = _fmix64(fnv1a(term)) & (int(bm["m"]) - 1)
         return not (int(self._bloom_bits[h >> 6]) >> (h & 63)) & 1
 
-    def _find(self, term: str):
-        from bisect import bisect_left
-
-        if self._bloom_definite_miss(term):
-            return None, -1
+    def _lookup(self, term: str) -> tuple[_LoadedShard | None, int]:
+        """(loaded shard, row) of ``term``, or (None, -1). Only the target
+        shard is searched: heavy ranges are disjoint and a light term
+        lives only in its bucket (``check_merged_index`` asserts both).
+        The Bloom sidecar is consulted only when that shard is not cached,
+        because a cached shard's term map answers a miss exactly."""
         path = self._shard_path_of(term)
-        candidates = [path] if path else []
-        if not candidates or term in self._heavy_set:
-            # heavy ranges should be disjoint (bisect hits directly), but a
-            # targeted miss falls back to the full candidate scan so an
-            # overlapping range can never lose a term
-            candidates += [
-                p for _, _, p in self._heavy_ranges if p != path
-            ] + [p for p in self._light_by_bucket.values() if p != path]
-        for p in candidates:
-            if p is None:
-                continue
-            tbl, terms = self._load(p)
-            i = bisect_left(terms, term)
-            if i < len(terms) and terms[i] == term:
-                return tbl, i
-        return None, -1
+        if path is None:
+            return None, -1
+        sh = self._tables.get(path)
+        if sh is not None:
+            self._tables.move_to_end(path)
+        elif self._bloom_definite_miss(term):
+            return None, -1
+        else:
+            sh = self._load(path)
+        i = sh.rows.get(term, -1)
+        return (sh, i) if i >= 0 else (None, -1)
+
+    def _find(self, term: str):
+        sh, i = self._lookup(term)
+        return (sh.tbl, i) if sh is not None else (None, -1)
 
     def _dict_ranges(self) -> list[tuple[str, str, str]]:
         """Sorted-dictionary level (the BlockTree .tim/.tip role —
@@ -1591,6 +1658,11 @@ class MergedIndex(PostingsReader):
         sorted single-column files written at merge time; [] when the
         index holds no terms."""
         return [(r["term_min"], r["term_max"], r["path"]) for r in self.manifest["dict_files"]]
+
+    def _dict_file_terms(self, path: str) -> list[str]:
+        """The one dict-file loader: a dict file's sorted term column
+        (pruned single-column read, never postings)."""
+        return pq.read_table(path, columns=["term"]).column("term").to_pylist()
 
     def _dict_terms_overlapping(self, lo: str, hi: str) -> list[str]:
         """All dictionary terms in [lo, hi], touching only the dict files
@@ -1601,10 +1673,8 @@ class MergedIndex(PostingsReader):
         for tmin, tmax, path in self._dict_ranges():
             if tmax < lo or tmin > hi:
                 continue
-            terms = pq.read_table(path, columns=["term"]).column("term").to_pylist()
-            i = bisect_left(terms, lo)
-            j = bisect_right(terms, hi)
-            out.extend(terms[i:j])
+            terms = self._dict_file_terms(path)
+            out.extend(terms[bisect_left(terms, lo) : bisect_right(terms, hi)])
         return out  # dict files are disjoint sorted ranges => already sorted
 
     def expand_prefix(self, prefix: str, max_terms: int = 1024) -> list[str]:
@@ -1620,22 +1690,24 @@ class MergedIndex(PostingsReader):
         return self._dict_terms_overlapping(lo, hi)[:max_terms]
 
     def term_stats(self, term: str):
-        tbl, i = self._find(term)
-        if tbl is None:
+        sh, i = self._lookup(term)
+        if sh is None:
             return 0, 0
-        return int(tbl.column("df")[i].as_py()), int(tbl.column("ttf")[i].as_py())
+        return int(sh.df[i]), int(sh.ttf[i])
 
     def iter_terms(self):
-        """Enumerate dictionary terms in sorted order with PRUNED
-        single-column dict-file reads — never touches postings blobs
-        (fuzzy and suffix expansion go through this)."""
+        """Enumerate dictionary terms in sorted order from the dict files
+        — never touches postings blobs (fuzzy and suffix expansion go
+        through this)."""
         for _tmin, _tmax, p in self._dict_ranges():
-            yield from pq.read_table(p, columns=["term"]).column("term").to_pylist()
+            yield from self._dict_file_terms(p)
 
     def iter_term_rows(self):
-        """Every whole term row, shard by shard (CheckIndex input)."""
+        """(shard path, whole term row) for every term, shard by shard
+        (CheckIndex input)."""
         paths = sorted(
             {p for _, _, p in self._heavy_ranges} | set(self._light_by_bucket.values())
         )
         for p in paths:
-            yield from pq.read_table(p).to_pylist()
+            for row in read_term_shard(p).to_pylist():
+                yield p, row

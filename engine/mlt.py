@@ -12,8 +12,8 @@ is deterministic and oracle-checkable.
 
 Scale shape: the example doc's text arrives via a doc_id-pushdown read
 of the row store (one doc, k row groups); term docFreqs come from a
-term-pushdown pruned read of the merged dictionary shards (columns
-(term, df) only, isin filter — the TermStates.build stats role). Nothing
+(term, df) projection of the merged term shards with an isin filter
+(the TermStates.build stats role). Nothing
 scans the corpus; the follow-up search is the normal BM25 path.
 """
 
@@ -47,7 +47,7 @@ def select_like_terms(
     if not tf:
         return []
     shard_paths = [s["path"] for s in merge_manifest["shards"]]
-    tbl = pads.dataset(shard_paths).to_table(
+    tbl = pads.dataset(shard_paths, format="ipc").to_table(
         columns=["term", "df"],
         filter=pads.field("term").isin(sorted(tf)),
     )

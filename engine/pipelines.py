@@ -57,9 +57,9 @@ REFERENCE_QUERIES: list[tuple[int, str, int]] = [
 
 def _cache_dir(sf_dir: str, n_rows: int, variant: str = "") -> str:
     tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    # -mf5: -mf4 (multi-field + off_blob + docvalues sidecar + pages
-    # n_chars) + the pay_blob terms column (payload stream support)
-    return os.path.join(CACHE_ROOT, f"{tag}-{n_rows}-mf5{variant}")
+    # -mf6: -mf5 (multi-field + off_blob + pay_blob + docvalues sidecar
+    # + pages n_chars) with merged term shards as lz4 Arrow IPC files
+    return os.path.join(CACHE_ROOT, f"{tag}-{n_rows}-mf6{variant}")
 
 
 def get_index(
@@ -115,12 +115,13 @@ def get_index(
 def term_df_ttf(sf_dir: str) -> pa.Table:
     """(term, df, ttf) straight from the merged term dictionary — the
     end-to-end check of extract → tokenize → invert → salted merge."""
+    from .merge import read_term_shard
+
     idx = get_index(sf_dir)
-    tables = [
-        pq.read_table(s["path"], columns=["term", "df", "ttf"])
+    return pa.concat_tables(
+        read_term_shard(s["path"], ["term", "df", "ttf"])
         for s in idx["merge_manifest"]["shards"]
-    ]
-    return pa.concat_tables(tables)
+    )
 
 
 def title_term_df(sf_dir: str) -> pa.Table:
@@ -129,13 +130,13 @@ def title_term_df(sf_dir: str) -> pa.Table:
     <title>, analyzed and inverted separately from body). Oracle: the
     fixture titles are 'doc {doc_id} rep 0', so DuckDB recomputes the same
     stats from doc_id alone."""
+    from .merge import read_term_shard
+
     idx = get_index(sf_dir)
     tm = idx["merge_manifest"]["fields"]["title"]
-    tables = [
-        pq.read_table(s["path"], columns=["term", "df", "ttf"])
-        for s in tm["shards"]
-    ]
-    return pa.concat_tables(tables)
+    return pa.concat_tables(
+        read_term_shard(s["path"], ["term", "df", "ttf"]) for s in tm["shards"]
+    )
 
 
 def bm25_title_topk(sf_dir: str) -> pa.Table:
@@ -180,10 +181,25 @@ def bm25_title_topk(sf_dir: str) -> pa.Table:
 
 
 def top100_terms(sf_dir: str) -> pa.Table:
-    """Top 100 terms by df (tie: term asc) — sort/limit over the index."""
-    t = term_df_ttf(sf_dir).to_pandas()
-    t = t.sort_values(["df", "term"], ascending=[False, True]).head(100)
-    return pa.Table.from_pandas(t[["term", "df"]], preserve_index=False)
+    """Top 100 terms by df (tie: term asc) — a top-100 per term shard in
+    the read tasks, then a reduce over at most 100 rows per block; the
+    vocabulary never reaches the driver."""
+    import ray
+
+    from .merge import term_shard_dataset
+    from .rayenv import remote_args as _rargs
+
+    order = [("df", "descending"), ("term", "ascending")]
+
+    def _top(t: pa.Table) -> pa.Table:
+        return t.take(pa.compute.sort_indices(t, sort_keys=order)[:100])
+
+    idx = get_index(sf_dir)
+    paths = [s["path"] for s in idx["merge_manifest"]["shards"]]
+    parts = term_shard_dataset(paths, ["term", "df"]).map_batches(
+        _top, batch_format="pyarrow", **_rargs()
+    )
+    return _top(pa.concat_tables(ray.get(parts.to_arrow_refs())))
 
 
 def token_counts(sf_dir: str) -> pa.Table:
@@ -2257,7 +2273,7 @@ def nrt_match_docs(sf_dir: str, term: str = "data") -> pa.Table:
 def more_like_this_terms(sf_dir: str, doc_id: int = 7) -> pa.Table:
     """MoreLikeThis term selection for one example doc (MoreLikeThis.java
     createQueue): tf from the analyzed doc text (doc_id-pushdown row-store
-    read), df from a term-pushdown pruned dictionary read, ClassicSimilarity
+    read), df from a (term, df) projection of the term shards, ClassicSimilarity
     idf, top terms by (tf*idf desc, term asc). Integer-exact output."""
     import pyarrow.dataset as pads
 
@@ -3037,15 +3053,15 @@ def terms_component(
     """Solr TermsComponent role (solr/handler/component/TermsComponent.java:
     terms.lower / terms.upper / terms.limit / terms.sort): dictionary terms
     in [lower, upper) with df, sorted by term asc ("index") or df desc
-    ("count", tie term asc), capped at ``limit``. Served by a pruned
-    (term, df) range read over the merged dictionary shards — parquet
-    row-group term stats prune non-overlapping shards, nothing scans
-    postings. Oracle: the dictionary recomputed from documents.text."""
+    ("count", tie term asc), capped at ``limit``. Served by a (term, df)
+    column projection over the merged term shards with the range filter
+    applied in the scan — the IPC projection never decompresses a
+    postings blob. Oracle: the dictionary recomputed from documents.text."""
     import pyarrow.dataset as pads
 
     idx = get_index(sf_dir)
     shard_paths = [s["path"] for s in idx["merge_manifest"]["shards"]]
-    tbl = pads.dataset(shard_paths).to_table(
+    tbl = pads.dataset(shard_paths, format="ipc").to_table(
         columns=["term", "df"],
         filter=(pads.field("term") >= lower) & (pads.field("term") < upper),
     )
@@ -3265,13 +3281,11 @@ def infix_complete_body(sf_dir: str, fragment: str = "er", top_n: int = 10) -> "
     """AnalyzingInfixSuggester role (suggest/analyzing/
     AnalyzingInfixSuggester.java:118-150 lookup): completions whose term
     CONTAINS the fragment anywhere, ranked by weight (df desc, term asc).
-    Unlike the prefix suggester there is no term-range pushdown — the
+    Unlike the prefix suggester there is no term-range filter — the
     dictionary scan is full (the reference pays the same: its infix index
     is a separate search index over suggestion n-grams); per-batch partial
     top-n keeps the reduce driver-small."""
-    import ray
-    import ray.data
-
+    from .merge import term_shard_dataset
     from .rayenv import remote_args as _rargs
 
     idx = get_index(sf_dir)
@@ -3292,7 +3306,7 @@ def infix_complete_body(sf_dir: str, fragment: str = "er", top_n: int = 10) -> "
         )
 
     partials = (
-        ray.data.read_parquet(shard_paths, columns=["term", "df"])
+        term_shard_dataset(shard_paths, ["term", "df"])
         .map_batches(_cand, batch_format="pyarrow", **_rargs())
         .take_all()
     )

@@ -1589,8 +1589,6 @@ def _fuzzy_expand(seg, base: str, max_ed: int, max_terms: int) -> list[str]:
     before the banded DP."""
     out = []
     if hasattr(seg, "_dict_ranges"):
-        import pyarrow.parquet as _pq
-
         ranges = seg._dict_ranges()
         FUZZY_DICT_STATS["files_total"] = len(ranges)
         FUZZY_DICT_STATS["files_read"] = 0
@@ -1598,7 +1596,7 @@ def _fuzzy_expand(seg, base: str, max_ed: int, max_terms: int) -> list[str]:
             if _lev_range_lower_bound(base, tmin, tmax) > max_ed:
                 continue
             FUZZY_DICT_STATS["files_read"] += 1
-            for t in _pq.read_table(path, columns=["term"]).column("term").to_pylist():
+            for t in seg._dict_file_terms(path):
                 if _edit_distance_le(base, t, max_ed):
                     out.append(t)
                     if len(out) >= max_terms:

@@ -2,8 +2,10 @@
 
 A *segment* is the engine's analogue of a Lucene segment
 (index/SegmentInfo.java): an immutable, self-contained mini-index over a
-contiguous global docID range. Both SPIMI partition outputs and merge
-outputs use the same layout, so merge/search/check code is uniform:
+contiguous global docID range. SPIMI partition outputs and merge-tree
+outputs use the layout below. ``merge_by_term`` term shards
+(engine/merge.py) use the same ``TERMS_SCHEMA``, written as lz4 Arrow
+IPC files that the reader memory-maps:
 
     <dir>/terms.parquet   sorted term dictionary:
         term:string, df:int64, ttf:int64, singleton_doc:int64 (-1 unless

@@ -5,7 +5,8 @@ maxEdits of the query word, rank by distance then docFreq).
 
 Ray-Data shape: the dictionary lives in the merged index's shard term
 files, so candidates are computed WHERE the dictionary lives — a
-Dataset over the shard files pruned to (term, df), one map_batches
+Dataset over the shard files projected to (term, df)
+(``merge.term_shard_dataset``), one map_batches
 computing banded Levenshtein against the broadcast word list with a
 per-batch partial top-n, then a driver merge over the tiny
 (n_blocks × n_words × top_n) partials (the brute-force-ANN reduce
@@ -79,7 +80,7 @@ def spell_suggest(
     dictionary terms with 0 < levenshtein <= max_edits, ranked by
     (dist asc, df desc, term asc). Returns a pyarrow Table (output is
     <= len(words) * top_n rows — always driver-small)."""
-    import ray.data
+    from .merge import term_shard_dataset
 
     shard_paths = [s["path"] for s in merge_manifest["shards"]]
     words_l = [w.lower() for w in words]
@@ -120,7 +121,7 @@ def spell_suggest(
         )
 
     partials = (
-        ray.data.read_parquet(shard_paths, columns=["term", "df"])
+        term_shard_dataset(shard_paths, ["term", "df"])
         .map_batches(_cand, batch_format="pyarrow", **_rargs())
         .take_all()
     )  # <= n_blocks * n_words * top_n rows — the small reduce side
@@ -153,15 +154,14 @@ def complete_prefix(merge_manifest: dict, prefix: str, top_n: int = 10) -> pa.Ta
     AnalyzingInfixSuggester role (suggest/fst/FSTCompletion.java:34-60,
     weight-bucketed completions; suggest/analyzing/AnalyzingInfixSuggester
     lookup-by-prefix): dictionary terms starting with ``prefix`` ranked
-    by (df desc, term asc), top n. Served by a pruned (term, df) read
-    with a term-range filter pushdown — parquet row-group term stats play
-    the FST-arc role, so only shards whose term range overlaps the prefix
-    are touched."""
+    by (df desc, term asc), top n. Served by a (term, df) column
+    projection over the term shards with the term-range filter applied in
+    the scan, so no postings blob is decompressed."""
     import pyarrow.dataset as pads
 
     prefix = prefix.lower()
     shard_paths = [s["path"] for s in merge_manifest["shards"]]
-    tbl = pads.dataset(shard_paths).to_table(
+    tbl = pads.dataset(shard_paths, format="ipc").to_table(
         columns=["term", "df"],
         filter=(pads.field("term") >= prefix)
         & (pads.field("term") <= prefix + "\U0010ffff"),
@@ -190,8 +190,9 @@ def word_breaks(
     NUM_CHANGES_THEN_MAX_FREQUENCY comparator (:100, :450 — all
     candidates here have one change, so max(df_left, df_right) desc;
     tie-break = split position asc, documented). df for the candidate
-    substrings comes from ONE term-pushdown pruned dictionary read (the
-    needed term set is tiny: sum of word lengths), nothing scans."""
+    substrings comes from ONE (term, df) projection of the term shards
+    with an isin filter (the needed term set is tiny: sum of word
+    lengths); no postings blob is decompressed."""
     import pyarrow.dataset as pads
 
     words_l = [w.lower() for w in words]
@@ -202,7 +203,7 @@ def word_breaks(
     if not need:
         need = [""]
     shard_paths = [s["path"] for s in merge_manifest["shards"]]
-    tbl = pads.dataset(shard_paths).to_table(
+    tbl = pads.dataset(shard_paths, format="ipc").to_table(
         columns=["term", "df"], filter=pads.field("term").isin(need)
     )
     df_of = dict(
@@ -407,9 +408,9 @@ def fuzzy_complete(
     automaton's transposition edits (same deviation as spell_suggest,
     keeps the DuckDB oracle bit-exact), and no exactFirst promotion.
 
-    Same Ray shape as spell_suggest: one pruned (term, df) scan where
+    Same Ray shape as spell_suggest: one (term, df) projection scan where
     the dictionary lives, per-batch partial top-n, driver-small reduce."""
-    import ray.data
+    from .merge import term_shard_dataset
 
     shard_paths = [s["path"] for s in merge_manifest["shards"]]
     keys_l = [k.lower() for k in keys]
@@ -449,7 +450,7 @@ def fuzzy_complete(
         )
 
     partials = (
-        ray.data.read_parquet(shard_paths, columns=["term", "df"])
+        term_shard_dataset(shard_paths, ["term", "df"])
         .map_batches(_cand, batch_format="pyarrow", **_rargs())
         .take_all()
     )

@@ -139,3 +139,64 @@ def test_readers_agree(readers):
     assert list(mi.iter_terms()) == sorted({t for s in segs for t in s.iter_terms()})
     for s, d in zip(segs, dicts):
         assert list(d.iter_terms()) == list(s.iter_terms())
+
+
+def _info_fields(ti):
+    """A TermInfo as comparable plain values (None stays None)."""
+    if ti is None:
+        return None
+    return tuple(v.tolist() if isinstance(v, np.ndarray) else v for v in vars(ti).values())
+
+
+def test_merged_shards_ipc_eviction_and_bloom_skip(readers, monkeypatch):
+    """Merged term shards are memory-mapped lz4 Arrow IPC files; the
+    per-shard term map answers identically under constant eviction; a
+    miss on a cached shard never consults the Bloom sidecar."""
+    from engine.merge import read_term_shard
+    from engine.segment import TERMS_SCHEMA
+
+    _, _, _, mi = readers
+    mm = mi.manifest
+    assert any(int(s["bucket"]) < 0 for s in mm["shards"]), "fixture needs heavy shards"
+    for s in mm["shards"]:
+        with open(s["path"], "rb") as f:
+            assert f.read(6) == b"ARROW1", s["path"]
+        assert read_term_shard(s["path"]).schema.equals(TERMS_SCHEMA), s["path"]
+
+    # (b) one-entry shard LRU: every lookup evicts, answers stay equal
+    full = MergedIndex(None, manifest=mm)
+    tiny = MergedIndex(None, manifest=mm)
+    monkeypatch.setattr(tiny, "_SHARD_CACHE_MAX", 1)
+    terms = list(mi.iter_terms()) + [f"zz-absent-{i}" for i in range(20)]
+    for t in terms:
+        assert tiny.term_stats(t) == full.term_stats(t), t
+        assert _info_fields(tiny.term_info(t)) == _info_fields(full.term_info(t)), t
+        for a, b in zip(tiny.postings(t), full.postings(t)):
+            np.testing.assert_array_equal(a, b, err_msg=t)
+        assert len(tiny._tables) <= 1
+    assert sum(full.term_stats(t)[0] > 0 for t in terms) == len(terms) - 20
+
+    # (c) absent term whose bucket shard is cached: no Bloom probe
+    fresh = MergedIndex(None, manifest=mm)
+    calls = []
+    orig = fresh._bloom_definite_miss
+    monkeypatch.setattr(
+        fresh, "_bloom_definite_miss", lambda term: calls.append(term) or orig(term)
+    )
+    present = next(t for t in mi.iter_terms() if t not in mi._heavy_set)
+    path = fresh._shard_path_of(present)
+    absent = next(
+        t for t in (f"zz-miss-{i}" for i in range(10_000)) if fresh._shard_path_of(t) == path
+    )
+    uncached = next(
+        t for t in (f"zz-cold-{i}" for i in range(10_000))
+        if fresh._shard_path_of(t) not in (None, path)
+    )
+    assert fresh.term_stats(uncached) == (0, 0)
+    assert calls == [uncached]  # an uncached target shard consults the Bloom
+    assert fresh.term_stats(present)[0] > 0
+    assert path in fresh._tables
+    calls.clear()
+    assert fresh.term_stats(absent) == (0, 0)
+    assert fresh.term_info(absent) is None
+    assert calls == []

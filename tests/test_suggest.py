@@ -57,12 +57,10 @@ def test_banded_matches_duckdb():
 
 @pytest.mark.usefixtures("ray_session")
 def test_spell_suggest_matches_brute_force(tmp_path_factory):
-    import pyarrow.parquet as pq
-
     from engine.build import invert_to_segment
     from engine.checkpoint import finalize_build_manifest
     from engine.fixtures import make_pages
-    from engine.merge import merge_by_term
+    from engine.merge import merge_by_term, read_term_shard
 
     root = tmp_path_factory.mktemp("suggestidx")
     pages = make_pages(400, seed=23)
@@ -85,7 +83,7 @@ def test_spell_suggest_matches_brute_force(tmp_path_factory):
     import pyarrow as pa
 
     dict_tbl = pa.concat_tables(
-        [pq.read_table(s["path"], columns=["term", "df"]) for s in mm["shards"]]
+        [read_term_shard(s["path"], ["term", "df"]) for s in mm["shards"]]
     )
     terms = dict_tbl.column("term").to_pylist()
     dfs = dict_tbl.column("df").to_pylist()
