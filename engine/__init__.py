@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "build_index",
     "merge_by_term",
-    "merge_tree",
     "IndexSearcher",
     "search_dataset",
     "search_dataset_sharded",
@@ -37,10 +36,10 @@ def __getattr__(name):  # lazy top-level API (avoids import cost at package load
         from .build import build_index as f
 
         return f
-    if name in ("merge_by_term", "merge_tree"):
-        from . import merge
+    if name == "merge_by_term":
+        from .merge import merge_by_term as f
 
-        return getattr(merge, name)
+        return f
     if name in ("IndexSearcher", "search_dataset", "search_dataset_sharded"):
         from . import search
 

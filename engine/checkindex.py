@@ -9,6 +9,8 @@ ranges, global stat sums). Tests run this after every build and merge.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .codec import BLOCK_SIZE, decode_term_postings
@@ -116,7 +118,19 @@ def check_merged_index(mi) -> dict:
     norms coverage, global stat sums. It also proves the reader's
     single-shard lookup sound: heavy-shard term ranges are pairwise
     disjoint, and every term resolves through ``_shard_path_of`` to the
-    file that holds it."""
+    file that holds it. And it checks for dead bytes: ``terms/`` and
+    ``dict/`` hold only files the manifest names, and the merge's own
+    ``heavy_runs/`` and ``units/`` are gone."""
+    named = [r["path"] for r in mi.manifest["shards"] + mi.manifest["dict_files"]]
+    if named:
+        merged_dir = os.path.dirname(os.path.dirname(named[0]))
+        for sub in ("heavy_runs", "units"):
+            assert not os.path.exists(os.path.join(merged_dir, sub)), f"{sub}/ left after commit"
+        names = {os.path.basename(p) for p in named}
+        for sub in ("terms", "dict"):
+            for f in os.listdir(os.path.join(merged_dir, sub)):
+                assert not f.endswith(".tmp"), f"{sub}/{f}: temporary file left"
+                assert f in names, f"{sub}/{f}: not named by the manifest"
     ranges = sorted(mi._heavy_ranges)
     for (lo_a, hi_a, _), (lo_b, _, _) in zip(ranges, ranges[1:]):
         assert hi_a < lo_b, f"heavy ranges overlap: {lo_a}..{hi_a} / {lo_b}"

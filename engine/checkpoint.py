@@ -5,13 +5,15 @@ then atomically rename to ``segments_N`` (index/IndexWriter.java:3307-3742,
 index/SegmentInfos.java:473,781,834); crash ⇒ the last committed
 generation wins and unreferenced files are GC'd.
 
-Here: every pipeline stage (partition build, each merge level) writes its
-output segments atomically (engine/segment.py tmp+rename) and then commits
-a manifest JSON listing them (also tmp+rename). Resume = reload the
-manifest if present, else rescan completed segment dirs and redo only the
-missing ones — partition outputs are keyed by doc_base and merge outputs by
-(level, group), both deterministic, so any completed node of the plan is
-reusable mid-merge (the north rule's "resume mid-merge").
+Here: every pipeline stage (partition build, merge) writes its outputs
+atomically (tmp+rename) and then commits a manifest JSON listing them
+(also tmp+rename). Resume = reload the manifest if present, else redo only
+the missing units: partition outputs are keyed by doc_base, and each
+``merge_by_term`` bucket task leaves a done-marker under ``merged/units/``
+that a rerun of the same plan adopts (the north rule's "resume
+mid-merge"). Once the merge manifest commits, the merge sweeps its
+markers, its heavy runs and every term/dict file the manifest does not
+name (engine/merge.py).
 """
 
 from __future__ import annotations

@@ -124,7 +124,7 @@ def pages_from_documents(sf_dir: str, repeat: int = 1) -> pa.Table:
 
 def write_pages(table: pa.Table, out_path: str, n_files: int = 4) -> list[str]:
     """Write pages as n_files parquet files (multiple input partitions so
-    merge trees and docBase handling are exercised)."""
+    the merge and docBase handling are exercised)."""
     os.makedirs(out_path, exist_ok=True)
     n = table.num_rows
     per = (n + n_files - 1) // n_files

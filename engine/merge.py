@@ -1,8 +1,8 @@
-"""Merge operators: the term-partitioned shuffle merge and its reader.
+"""The merge: ``merge_by_term``, a term-partitioned shuffle, and its reader.
 
-**merge_by_term** (the production path — build pipelines, driver entries
-and the benchmark all call it) re-groups every partition's postings by
-term with raw Ray tasks, no Dataset all-to-all:
+``merge_by_term`` (build pipelines, driver entries and the benchmark all
+call it) re-groups every partition's postings by term with raw Ray tasks,
+no Dataset all-to-all:
 
 1. *Heavy pre-pass.* Pruned (term, df) reads with a pigeonhole filter
    find the terms whose global df reaches ``salt_threshold`` (the
@@ -26,6 +26,20 @@ term with raw Ray tasks, no Dataset all-to-all:
    prefix/range/fuzzy/suffix expansion. A Bloom sidecar over all shard
    terms follows.
 
+*Resume.* The unit of work is the bucket task: once it has written its
+shard and its heavy-run file it records its result rows in
+``merged/units/bucket-NNN.json``. A rerun adopts every marked bucket
+untouched and explodes fragments only for the rest (no explode at all
+when every bucket is done); the final heavy pass, the dict level and the
+Bloom read the adopted outputs and simply rerun. ``merged/units/plan.json``
+names the plan (partitions, salting, bucket and norm-shard layout); a
+rerun under a different plan clears ``merged/`` first. File names stay
+write-once ``uuid`` names. After the manifest commits — and again on any
+call that finds it committed — a sweep deletes ``heavy_runs/``,
+``units/`` and every file under ``terms/`` and ``dict/`` the manifest does
+not name, so the committed index holds only the files its manifest names
+(``check_merged_index`` asserts it).
+
 ``MergedIndex`` reads the result as one logical segment over the full doc
 range, through the same ``segment.PostingsReader`` surface as a flushed
 ``Segment``. Term shards (light buckets and heavy shards, ``TERMS_SCHEMA``)
@@ -33,108 +47,25 @@ are lz4-compressed Arrow IPC files, written by ``write_term_shard`` and
 memory-mapped by ``read_term_shard`` (the store/MMapDirectory.java role);
 every reader of a shard path goes through that function or
 ``term_shard_dataset``. Dict files, norm shards and heavy runs are Parquet.
-
-**merge_tree** (Path A, test-only): the TieredMergePolicy / SegmentMerger
-shape (index/TieredMergePolicy.java:96-103, index/SegmentMerger.java:96-191)
-— deterministic fan_in groups of doc-adjacent segments per level, each
-merged into one idempotent atomic segment write keyed by
-(level, doc_base), so a rerun reuses every completed node. No pipeline
-calls it; it stays as the resume-mid-merge target until ``merge_by_term``
-resumes at bucket granularity (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc  # pa.compute is unset until this import
 
 from .rayenv import remote_args as _rargs
 import pyarrow.parquet as pq
 
 from .codec import encode_term_postings
-from .segment import TERMS_SCHEMA, PostingsReader, Segment, write_segment
-
-# ---------------------------------------------------------------------------
-# Path A: k-way segment merge tree
-# ---------------------------------------------------------------------------
-
-
-def merge_segments(seg_dirs: list[str], out_dir: str) -> dict:
-    """K-way merge N doc-disjoint segments into one (SegmentMerger.merge
-    order: norms first, then postings term-by-term).
-
-    Batched: all input term tables concatenate into ONE Arrow table sorted
-    by (term, doc_base), then the same `_merge_sorted_batch` kernel the
-    bucket merger uses decodes every row's postings in one vectorized pass
-    (gathered-VInt stream + cumsum(df) flat buffers) and emits contiguous
-    per-term groups — the MultiTermsEnum role without the ~90us/row heapq
-    over Python row dicts this path used before (round-2 perf lore)."""
-    t0 = time.perf_counter()
-    segs = sorted((Segment(d) for d in seg_dirs), key=lambda s: s.doc_base)
-    norm_ids = np.concatenate(
-        [np.arange(s.doc_base, s.doc_base + len(s._norms), dtype=np.int64) for s in segs]
-    )
-    norms = np.concatenate([s._norms for s in segs])
-
-    want = [
-        "term",
-        "df",
-        "ttf",
-        "singleton_doc",
-        "blob",
-        "pos_blob",
-        "off_blob",
-        "pay_blob",
-        "offsets",
-    ]
-    tables = []
-    for s in segs:
-        path = os.path.join(s.dir, "terms.parquet")
-        have = set(pq.read_schema(path).names)
-        t = pq.read_table(path, columns=[c for c in want if c in have])
-        t = t.append_column(
-            "doc_base", pa.array(np.full(t.num_rows, s.doc_base), type=pa.int64())
-        )
-        tables.append(t)
-    allt = pa.concat_tables(tables, promote_options="default")
-    allt = allt.append_column(
-        "salt", pa.array(np.zeros(allt.num_rows, dtype=np.int32), type=pa.int32())
-    )
-    allt = allt.sort_by(
-        [("term", "ascending"), ("doc_base", "ascending")]
-    ).combine_chunks()
-
-    class _ArrayNorms:
-        """norm_store shim over the concatenated per-segment norm arrays
-        (doc-disjoint contiguous ranges => searchsorted lookup)."""
-
-        @staticmethod
-        def norms_for(docs: np.ndarray) -> np.ndarray:
-            return norms[np.searchsorted(norm_ids, docs)]
-
-    cols: dict[str, list] = {f.name: [] for f in TERMS_SCHEMA}
-
-    def _emit(term, _salt, docs, freqs, nrm, pos_blob, off_blob, pay_blob):
-        _emit_from_arrays(cols, term, docs, freqs, nrm, pos_blob, off_blob, pay_blob)
-
-    if allt.num_rows:
-        _merge_sorted_batch(allt, _ArrayNorms(), _emit, group_salt=False)
-    meta = {
-        "kind": "merged",
-        "field": "body",
-        "doc_base": int(segs[0].doc_base),
-        "n_docs": int(sum(s.n_docs for s in segs)),
-        "sum_ttf": int(sum(s.sum_ttf for s in segs)),
-        "n_terms": len(cols["term"]),
-        "lineage": {"inputs": [s.dir for s in segs]},
-        "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
-    }
-    return write_segment(out_dir, pa.table(cols, schema=TERMS_SCHEMA), norm_ids, norms, meta)
+from .segment import TERMS_SCHEMA, PostingsReader
 
 
 def _concat_decoded(decoded):
@@ -232,107 +163,6 @@ def _emit_from_arrays(
         cols["imp_start"].append(tp.imp_start.tolist())
 
 
-def plan_merge_tree(rows: list[dict], fan_in: int = 8, target_segments: int = 1):
-    """Deterministic merge plan: group doc-adjacent segments, fan_in per
-    node, repeat per level until <= target_segments (TieredMergePolicy
-    role; deterministic => resumable)."""
-    rows = sorted(rows, key=lambda r: r["doc_base"])
-    levels = []
-    cur = rows
-    while len(cur) > target_segments:
-        groups = [cur[i : i + fan_in] for i in range(0, len(cur), fan_in)]
-        levels.append(groups)
-        cur = [
-            {
-                "seg_dir": None,  # filled at execution
-                "doc_base": g[0]["doc_base"],
-                "n_docs": sum(r["n_docs"] for r in g),
-                "sum_ttf": sum(r["sum_ttf"] for r in g),
-            }
-            for g in groups
-        ]
-    return levels
-
-
-def merge_tree(manifest: dict, index_dir: str, fan_in: int = 8, target_segments: int = 1) -> dict:
-    """Execute the merge tree with Ray Data (one task per merge node).
-    Idempotent: completed nodes are skipped via the atomic segment-dir
-    check. Returns + commits the merge manifest."""
-    import ray.data
-
-    from .checkpoint import commit_merge_manifest, load_merge_manifest
-
-    existing = load_merge_manifest(index_dir)
-    if existing is not None and existing.get("fan_in") == fan_in:
-        return existing
-
-    rows = [dict(r) for r in manifest["partitions"]]
-    level = 0
-    while len(rows) > target_segments:
-        groups = [rows[i : i + fan_in] for i in range(0, len(rows), fan_in)]
-        level += 1
-        specs = [
-            {
-                "out_dir": os.path.join(
-                    index_dir, "merged", f"L{level}", f"m{g[0]['doc_base']:012d}"
-                ),
-                "inputs": json.dumps([r["seg_dir"] for r in g]),
-            }
-            for g in groups
-        ]
-
-        def _run(batch: pa.Table) -> pa.Table:
-            out = []
-            for spec in batch.to_pylist():
-                meta = merge_segments(json.loads(spec["inputs"]), spec["out_dir"])
-                out.append(
-                    {
-                        "seg_dir": spec["out_dir"],
-                        "doc_base": meta["doc_base"],
-                        "n_docs": meta["n_docs"],
-                        "sum_ttf": meta["sum_ttf"],
-                        "n_terms": meta["n_terms"],
-                        "wall_ms": meta["wall_ms"],
-                    }
-                )
-            return pa.Table.from_pylist(out)
-
-        rows = (
-            ray.data.from_items(specs)
-            .map_batches(_run, batch_size=1, batch_format="pyarrow", **_rargs())
-            .take_all()
-        )
-        rows = sorted(rows, key=lambda r: r["doc_base"])
-
-    # extra indexed fields merge through the same tree into their own
-    # sub-index (SegmentMerger merges each field's postings+norms)
-    field_manifests: dict[str, dict] = {}
-    for fld, fm in (manifest.get("fields") or {}).items():
-        sub_dir = os.path.join(index_dir, "fields", fld)
-        os.makedirs(sub_dir, exist_ok=True)
-        field_manifests[fld] = merge_tree(
-            {
-                "partitions": fm["partitions"],
-                "doc_count": fm["doc_count"],
-                "sum_ttf": fm["sum_ttf"],
-            },
-            sub_dir,
-            fan_in=fan_in,
-            target_segments=target_segments,
-        )
-
-    out = {
-        "version": 1,
-        "kind": "merge-tree",
-        "fan_in": fan_in,
-        "segments": rows,
-        "fields": field_manifests,
-        "doc_count": manifest["doc_count"],
-        "sum_ttf": manifest["sum_ttf"],
-    }
-    return commit_merge_manifest(index_dir, out)
-
-
 # ---------------------------------------------------------------------------
 # Merged term shard files: lz4 Arrow IPC, memory-mapped on read
 # ---------------------------------------------------------------------------
@@ -380,7 +210,7 @@ def term_shard_dataset(paths: list[str], columns: list[str]):
 
 
 # ---------------------------------------------------------------------------
-# Path B: salted term-partitioned shuffle (north-rule merge)
+# Salted term-partitioned shuffle (north-rule merge)
 # ---------------------------------------------------------------------------
 
 def compute_heavy_terms(
@@ -409,7 +239,6 @@ def compute_heavy_terms(
     unsalted — acceptable because salting is a pure layout/skew decision
     with no effect on merged output. Returns {term: candidate df sum}
     for terms above the salting threshold."""
-    import pyarrow.compute as pc
     import ray
     import ray.data
 
@@ -603,7 +432,11 @@ def _run_table_cached(path: str) -> pa.Table:
     return tbl
 
 
-def _norm_store_for(key: str, shards: list[dict]) -> _NormStore:
+def _norm_store_for(shards: list[dict]) -> _NormStore:
+    """This worker's store for one norm-shard list, keyed by the shards'
+    (path, doc_lo, doc_hi): a rerun under a new norm-shard layout must
+    not read a store cached for the old one."""
+    key = tuple((s["path"], int(s["doc_lo"]), int(s["doc_hi"])) for s in shards)
     st = _NORM_STORES.get(key)
     if st is None:
         st = _NormStore(shards)
@@ -617,13 +450,15 @@ def _explode_chunk(
     rank_of_base: dict[int, int],
     n_salts: int,
     n_buckets: int,
+    done: frozenset[int],
 ):
     """Explode a chunk of partitions' term tables into PACKED per-bucket
     IPC fragments — a pure column transform (no postings decode): each
     blob travels opaque inside one Arrow-IPC fragment per (partition,
     bucket), so the exchange moves n_parts x n_buckets objects instead of
     one row per (term, partition) — same bytes, ~2 orders of magnitude
-    less per-row shuffle overhead. Heavy terms get salt =
+    less per-row shuffle overhead. Fragments of the ``done`` buckets
+    (adopted on resume) are dropped here, at the map. Heavy terms get salt =
     contiguous-partition-rank-range id (runs stay doc-ordered) and a
     per-(term, salt) bucket; light terms salt -1 and a per-term bucket.
     Bucket hashing is the vectorized FNV-1a (identical to the scalar
@@ -636,8 +471,6 @@ def _explode_chunk(
     sort-based all-to-all in between (measured: the Dataset groupby paid
     a superlinear per-block fixed cost that pinned explode parallelism
     to 16 blocks; raw routing removes the cliff entirely)."""
-    import pyarrow.compute as pc
-
     from .textops import fnv1a_extend_vec, fnv1a_vec
 
     heavy_arr = pa.array(sorted(heavy), type=pa.string())
@@ -694,11 +527,14 @@ def _explode_chunk(
         starts = np.concatenate([[0], brk]).astype(np.int64)
         ends = np.concatenate([brk, [n]]).astype(np.int64)
         for s_, e_ in zip(starts.tolist(), ends.tolist()):
+            b = int(b_sorted[s_])
+            if b in done:
+                continue
             frag = t.slice(s_, e_ - s_)
             sink = pa.BufferOutputStream()
             with pa.ipc.new_stream(sink, frag.schema) as w:
                 w.write_table(frag)
-            out[int(b_sorted[s_])].append(sink.getvalue().to_pybytes())
+            out[b].append(sink.getvalue().to_pybytes())
     # num_returns=1 expects the single value itself, not a 1-tuple
     return tuple(out) if n_buckets > 1 else out[0]
 
@@ -753,7 +589,7 @@ def _dict_write_range(dict_dir: str, heavy_terms: list[str], *arr_lists):
     if not arrs:
         return None
     col = pa.chunked_array(arrs, type=pa.string())
-    idx = pa.compute.sort_indices(col)
+    idx = pc.sort_indices(col)
     tbl = pa.table({"term": col.take(idx).combine_chunks()})
     path = os.path.join(dict_dir, f"dict-{_uuid.uuid4().hex[:12]}.parquet")
     pq.write_table(tbl, path + ".tmp")
@@ -892,7 +728,7 @@ def _merge_sorted_batch(
         if "offsets" in batch.column_names:
             la = batch.column("offsets").chunk(0)
             off_flat = la.flatten().to_numpy()
-            lens = pa.compute.list_value_length(la).to_numpy(zero_copy_only=False)
+            lens = pc.list_value_length(la).to_numpy(zero_copy_only=False)
             lens = np.nan_to_num(lens.astype(np.float64)).astype(np.int64)
             off_starts = np.concatenate(([0], np.cumsum(lens)))
         for r in blk_rows.tolist():
@@ -909,7 +745,7 @@ def _merge_sorted_batch(
     flat_norms = norm_store.norms_for(flat_docs)
 
     if n > 1:
-        neq = pa.compute.not_equal(
+        neq = pc.not_equal(
             terms_a.slice(1), terms_a.slice(0, n - 1)
         ).to_numpy(zero_copy_only=False)
         if group_salt:
@@ -1048,14 +884,18 @@ def merge_by_term(
     cached per worker — nothing whole-corpus is ever held on the driver or
     broadcast dense. Output under <index_dir>/merged/: term-range-sharded
     term files + norm shards + a sorted dictionary level (dict files).
+    A rerun after a crash adopts every finished bucket, and the committed
+    index holds only the files its manifest names (module docstring).
     Salt threshold defaults to 2% of doc_count (stop-word band, SURVEY §4)."""
     import ray
     import ray.data
 
-    from .checkpoint import commit_merge_manifest, load_merge_manifest
+    from .checkpoint import atomic_write_json, commit_merge_manifest, load_merge_manifest
 
+    merged_dir = os.path.join(index_dir, "merged")
     existing = load_merge_manifest(index_dir)
-    if existing is not None and existing.get("kind") == "merge-by-term":
+    if existing is not None:
+        _sweep_merged(merged_dir, existing)  # a crash may have cut the last sweep
         return existing
 
     t0 = time.perf_counter()
@@ -1067,14 +907,34 @@ def merge_by_term(
     seg_dirs = [r["seg_dir"] for r in parts]
     rank_of_base = {int(r["doc_base"]): i for i, r in enumerate(parts)}
 
+    # Bucket markers are adoptable only under the plan that wrote them. A
+    # different plan clears merged/ whole: write_norm_shards_async keeps
+    # any existing norms-{lo} file, whose doc range depends on
+    # parts_per_shard.
+    units_dir = os.path.join(merged_dir, "units")
+    plan = {
+        "partitions": [[r["seg_dir"], int(r["doc_base"])] for r in parts],
+        "salt_threshold": salt_threshold,
+        "n_salts": n_salts,
+        "n_buckets": n_buckets,
+        "parts_per_shard": parts_per_shard,
+    }
+    if _load_json(os.path.join(units_dir, "plan.json")) != plan:
+        if os.path.isdir(merged_dir):
+            shutil.rmtree(merged_dir)
+        os.makedirs(units_dir)
+        atomic_write_json(os.path.join(units_dir, "plan.json"), plan)
+
+    def _marker(bucket_id: int) -> str:
+        return os.path.join(units_dir, f"bucket-{bucket_id:03d}.json")
+
     # doc-range-sharded norms, written by raw Ray tasks that OVERLAP the
     # heavy-term pre-pass — no whole-corpus driver allocation, no dense
     # broadcast; mergers fetch only the shards their rows touch (cached
     # per worker process)
     t_s = time.perf_counter()
-    os.makedirs(os.path.join(index_dir, "merged"), exist_ok=True)
     norm_shards, norm_refs = write_norm_shards_async(
-        parts, os.path.join(index_dir, "merged"), parts_per_shard=parts_per_shard
+        parts, merged_dir, parts_per_shard=parts_per_shard
     )
 
     heavy = compute_heavy_terms(seg_dirs, salt_threshold)
@@ -1097,14 +957,15 @@ def merge_by_term(
     n_explode = min(len(seg_dirs), max(8, n_cpus * 2))
     seg_chunks = [list(c) for c in np.array_split(np.array(seg_dirs), n_explode) if len(c)]
 
-    shard_dir = os.path.join(index_dir, "merged", "terms")
-    heavy_dir = os.path.join(index_dir, "merged", "heavy_runs")
+    shard_dir = os.path.join(merged_dir, "terms")
+    heavy_dir = os.path.join(merged_dir, "heavy_runs")
     os.makedirs(shard_dir, exist_ok=True)
     os.makedirs(heavy_dir, exist_ok=True)
 
     def _merge_bucket(bucket_id: int, *frag_lists) -> list[dict]:
         """One shuffle bucket: merge every (term, salt) group in it, write
-        one final shard (+ one heavy-run file), return result rows.
+        one final shard (+ one heavy-run file), then record the result
+        rows in the bucket's done-marker and return them.
 
         Arrow-native hot path (see _merge_sorted_batch): unpack the IPC
         fragments, one sort, batched decode, contiguous group slices —
@@ -1113,13 +974,15 @@ def merge_by_term(
         import uuid as _uuid
 
         frags = [f for lst in frag_lists for f in lst]
+        out_rows: list[dict] = []
         if not frags:
-            return []
-        norm_store = _norm_store_for(index_dir, norm_shards)
+            atomic_write_json(_marker(bucket_id), {"rows": out_rows})
+            return out_rows
+        norm_store = _norm_store_for(norm_shards)
         batch = pa.concat_tables(
             pa.ipc.open_stream(f).read_all() for f in frags
         )
-        idx = pa.compute.sort_indices(
+        idx = pc.sort_indices(
             batch, sort_keys=[("term", "ascending"), ("salt", "ascending"), ("doc_base", "ascending")]
         )
         batch = batch.take(idx).combine_chunks()
@@ -1139,7 +1002,6 @@ def merge_by_term(
                 run_salts.append(salt_v)
 
         _merge_sorted_batch(batch, norm_store, _emit)
-        out_rows: list[dict] = []
         if run_cols["term"]:
             run_tbl = pa.table(run_cols, schema=TERMS_SCHEMA).append_column(
                 "salt", pa.array(run_salts, type=pa.int32())
@@ -1171,23 +1033,30 @@ def merge_by_term(
                     "bucket": bucket_id,
                 }
             )
+        atomic_write_json(_marker(bucket_id), {"rows": out_rows})
         return out_rows
 
     t_s = time.perf_counter()
-    _explode_remote = ray.remote(num_returns=n_buckets, **_rargs())(_explode_chunk)
-    per_task = [
-        _explode_remote.remote(c, heavy_ref, rank_of_base, n_salts, n_buckets)
-        for c in seg_chunks
-    ]
-    # num_returns=1 yields a bare ObjectRef (not a 1-list) — same n==1
-    # handling as the dict-level exchange below
-    slots = [[t] if n_buckets == 1 else list(t) for t in per_task]
-    _bucket_remote = ray.remote(**_rargs())(_merge_bucket)
-    result_refs = [
-        _bucket_remote.remote(b, *[s[b] for s in slots])
-        for b in range(n_buckets)
-    ]
-    results = [row for rows in ray.get(result_refs) for row in rows]
+    rows_of: dict[int, list[dict]] = {}
+    for b in range(n_buckets):  # resume: adopt every marked bucket as is
+        mk = _load_json(_marker(b))
+        if mk is not None:
+            rows_of[b] = mk["rows"]
+    todo = [b for b in range(n_buckets) if b not in rows_of]
+    if todo:
+        done = frozenset(rows_of)
+        _explode_remote = ray.remote(num_returns=n_buckets, **_rargs())(_explode_chunk)
+        per_task = [
+            _explode_remote.remote(c, heavy_ref, rank_of_base, n_salts, n_buckets, done)
+            for c in seg_chunks
+        ]
+        # num_returns=1 yields a bare ObjectRef (not a 1-list) — same n==1
+        # handling as the dict-level exchange below
+        slots = [[t] if n_buckets == 1 else list(t) for t in per_task]
+        _bucket_remote = ray.remote(**_rargs())(_merge_bucket)
+        result_refs = [_bucket_remote.remote(b, *[s[b] for s in slots]) for b in todo]
+        rows_of.update(zip(todo, ray.get(result_refs)))
+    results = [row for b in range(n_buckets) for row in rows_of[b]]
     stage_t["explode_group_write"] = round(time.perf_counter() - t_s, 3)
 
     shards = [
@@ -1209,7 +1078,7 @@ def merge_by_term(
     # the worst-scaling merge stage (~3-4s flat at sf0.1). Boundaries come
     # from ONE bucket's quantiles: hash-bucketing makes any single bucket
     # a uniform vocabulary sample.
-    import threading
+    from concurrent.futures import ThreadPoolExecutor
 
     dict_state: dict = {"rows": [], "sec": 0.0}
     light_pairs = [(s["path"], int(s["n_terms"])) for s in shards]  # snapshot:
@@ -1217,7 +1086,7 @@ def merge_by_term(
 
     def _run_dict_level():
         t_d = time.perf_counter()
-        dict_dir = os.path.join(index_dir, "merged", "dict")
+        dict_dir = os.path.join(merged_dir, "dict")
         os.makedirs(dict_dir, exist_ok=True)
         heavy_sorted = sorted(heavy)
         total_terms = sum(n for _, n in light_pairs) + len(heavy_sorted)
@@ -1286,8 +1155,9 @@ def merge_by_term(
         dict_state["rows"] = sorted(rows, key=lambda r: r["term_min"])
         dict_state["sec"] = round(time.perf_counter() - t_d, 3)
 
-    dict_thread = threading.Thread(target=_run_dict_level, daemon=True)
-    dict_thread.start()
+    dict_pool = ThreadPoolExecutor(max_workers=1)
+    dict_job = dict_pool.submit(_run_dict_level)
+    dict_pool.shutdown(wait=False)  # the submitted job still runs
 
     if heavy_run_files:
         # Final pass over the salted runs. A term's salted rows live in
@@ -1316,7 +1186,7 @@ def merge_by_term(
 
             from .textops import fnv1a
 
-            norm_store = _norm_store_for(index_dir, norm_shards)
+            norm_store = _norm_store_for(norm_shards)
             run_map = ray.get(run_map_ref)
             terms = sorted(term_list)
             files = sorted(
@@ -1331,13 +1201,13 @@ def merge_by_term(
             parts = []
             for fp in files:
                 t = _run_table_cached(fp)
-                t = t.filter(pa.compute.is_in(t.column("term"), term_arr))
+                t = t.filter(pc.is_in(t.column("term"), term_arr))
                 if t.num_rows:
                     parts.append(t)
             cols: dict[str, list] = {f.name: [] for f in TERMS_SCHEMA}
             if parts:
                 cat = pa.concat_tables(parts)
-                idx = pa.compute.sort_indices(
+                idx = pc.sort_indices(
                     cat,
                     sort_keys=[("term", "ascending"), ("salt", "ascending")],
                 )
@@ -1423,7 +1293,7 @@ def merge_by_term(
             [_bloom_remote.remote(c, m_bits) for c in path_chunks]
         ):
             np.bitwise_or(bits, part, out=bits)
-        bloom_path = os.path.join(index_dir, "merged", "bloom.bin")
+        bloom_path = os.path.join(merged_dir, "bloom.bin")
         bits.tofile(bloom_path + ".tmp")
         os.replace(bloom_path + ".tmp", bloom_path)
         bloom_meta = {"path": bloom_path, "m": m_bits, "k": 1, "hash": "fnv1a"}
@@ -1432,7 +1302,7 @@ def merge_by_term(
     stage_t["bloom_build"] = round(time.perf_counter() - t_s, 3)
 
     t_join = time.perf_counter()
-    dict_thread.join()
+    dict_job.result()  # re-raises a failed dict level: no index without one
     dict_rows = dict_state["rows"]
     # thread-wall includes CPU contention with the heavy pass it hides
     # behind; the EXPOSED cost is only the join wait after final_heavy
@@ -1479,7 +1349,36 @@ def merge_by_term(
         "sum_ttf": manifest["sum_ttf"],
         "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
     }
-    return commit_merge_manifest(index_dir, out)
+    commit_merge_manifest(index_dir, out)
+    _sweep_merged(merged_dir, out)
+    return out
+
+
+def _load_json(path: str):
+    """The JSON object at ``path``, or None if there is no file."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except FileNotFoundError:
+        return None
+
+
+def _sweep_merged(merged_dir: str, manifest: dict) -> None:
+    """Delete what only the merge itself reads once ``manifest`` has
+    committed: ``units/`` first (so a half-swept directory is never
+    adopted), ``heavy_runs/``, and every file under ``terms/`` and
+    ``dict/`` that the manifest does not name (orphans of a crashed run,
+    ``*.tmp`` included). Idempotent. Norm shards, the Bloom, and the
+    deletes/doc-values files added after commit stay."""
+    for sub in ("units", "heavy_runs"):
+        if os.path.isdir(os.path.join(merged_dir, sub)):
+            shutil.rmtree(os.path.join(merged_dir, sub))
+    named = {os.path.basename(r["path"]) for r in manifest["shards"] + manifest["dict_files"]}
+    for sub in ("terms", "dict"):
+        d = os.path.join(merged_dir, sub)
+        for name in os.listdir(d) if os.path.isdir(d) else ():
+            if name not in named:
+                os.remove(os.path.join(d, name))
 
 
 class _LoadedShard(NamedTuple):

@@ -107,6 +107,13 @@ def get_index(
     }
 
 
+def _searcher(sf_dir: str, **kw):
+    """``IndexSearcher(**kw)`` over the corpus's merged index."""
+    from .search import IndexSearcher
+
+    return IndexSearcher(get_index(sf_dir)["merge_manifest"], **kw)
+
+
 # ---------------------------------------------------------------------------
 # index-derived query entries (oracle-checked against raw documents.text)
 # ---------------------------------------------------------------------------
@@ -143,11 +150,7 @@ def bm25_title_topk(sf_dir: str) -> pa.Table:
     """Field-qualified BM25 search (title: clauses routed to the title
     field's postings/norms/stats; mixed clauses intersect on global
     docIDs): (query_id, rank, doc_id, score)."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     title_queries = [
         (0, "title:doc", 10),        # every title
         (1, "title:7", 10),          # one title's number token
@@ -270,11 +273,9 @@ def phrase_match_docs(sf_dir: str, phrase: str = "data join") -> pa.Table:
     (slop-0) matching over the merged index's prox streams (PhraseQuery /
     ExactPhraseMatcher role); oracle: a LIKE scan over the normalized token
     string in DuckDB."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher, _phrase_postings
+    from .search import _phrase_postings
 
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     terms = tuple(phrase.split())
     docs_all = []
     for seg in searcher.segments:
@@ -292,11 +293,7 @@ def leading_wildcard_docs(sf_dir: str, pattern: str = "*er") -> pa.Table:
     (Segment/MergedIndex.expand_suffix) instead of scanning + fnmatching
     the whole term dict, then unions the expanded terms' postings through
     the normal search path."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     docs, _scores = searcher.search(pattern, k=searcher.doc_count)
     return pa.table({"doc_id": pa.array(np.sort(docs), type=pa.int64())})
 
@@ -308,11 +305,9 @@ def phrase_slop_match_docs(
     moves — SloppyPhraseMatcher semantics (search/PhraseQuery.java:92,147):
     a doc matches iff some occurrence pair has offset-adjusted span
     <= slop. Oracle: a positions self-join in DuckDB."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher, _phrase_postings
+    from .search import _phrase_postings
 
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     terms = tuple(phrase.split())
     docs_all = []
     for seg in searcher.segments:
@@ -330,12 +325,10 @@ def multi_phrase_match_docs(
     UnionPostingsEnum role) and dictionary-expanded wildcard slots
     (queryparser/complexPhrase/ComplexPhraseQueryParser.java rewrite).
     Oracle: adjacent-position join with IN-list / LIKE slot predicates."""
-    from .checkpoint import load_merge_manifest
     from .queryparse import parse_query
-    from .search import IndexSearcher, _multi_phrase_postings, _phrase_postings
+    from .search import _multi_phrase_postings, _phrase_postings
 
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     q = searcher.rewrite(parse_query(query))
     docs_all = []
     for seg in searcher.segments:
@@ -353,14 +346,6 @@ def multi_phrase_match_docs(
         else np.empty(0, dtype=np.int64)
     )
     return pa.table({"doc_id": pa.array(out, type=pa.int64())})
-
-
-def _span_searcher(sf_dir: str):
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    return IndexSearcher(load_merge_manifest(idx["index_dir"]))
 
 
 def _span_match_table(searcher, q) -> pa.Table:
@@ -395,7 +380,7 @@ def span_near_match_docs(
     from .spans import SpanNear, SpanTerm
 
     q = SpanNear((SpanTerm(t1), SpanTerm(t2)), slop=slop, in_order=True)
-    return _span_match_table(_span_searcher(sf_dir), q)
+    return _span_match_table(_searcher(sf_dir), q)
 
 
 def span_near_wildcard_docs(
@@ -407,12 +392,9 @@ def span_near_wildcard_docs(
     rewrites against the dictionary into a SpanOrQuery of the matching
     terms, then participates in the positional near like any span.
     Oracle: positions self-join with the pattern as a LIKE prefix."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
     from .spans import SpanNear, SpanOr, SpanTerm
 
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     assert pattern.endswith("*") and "*" not in pattern[:-1]
     expanded = searcher.expand_prefix(pattern[:-1])
     if not expanded:
@@ -427,7 +409,7 @@ def span_near_wildcard_docs(
         slop=slop,
         in_order=True,
     )
-    return _span_match_table(_span_searcher(sf_dir), q)
+    return _span_match_table(_searcher(sf_dir), q)
 
 
 def span_unordered_match_docs(
@@ -440,7 +422,7 @@ def span_unordered_match_docs(
     from .spans import SpanNear, SpanTerm
 
     q = SpanNear((SpanTerm(t1), SpanTerm(t2)), slop=slop, in_order=False)
-    t = _span_match_table(_span_searcher(sf_dir), q)
+    t = _span_match_table(_searcher(sf_dir), q)
     return t.select(["doc_id"])
 
 
@@ -464,7 +446,7 @@ def span_containing_match_docs(
         SpanNear((SpanTerm(t1), SpanTerm(t2)), slop=slop, in_order=True),
         SpanTerm(little),
     )
-    return _span_match_table(_span_searcher(sf_dir), q)
+    return _span_match_table(_searcher(sf_dir), q)
 
 
 def span_within_match_docs(
@@ -486,7 +468,7 @@ def span_within_match_docs(
         SpanNear((SpanTerm(t1), SpanTerm(t2)), slop=slop, in_order=True),
         SpanTerm(little),
     )
-    return _span_match_table(_span_searcher(sf_dir), q)
+    return _span_match_table(_searcher(sf_dir), q)
 
 
 def span_or_near_match_docs(
@@ -506,7 +488,7 @@ def span_or_near_match_docs(
         slop=slop,
         in_order=True,
     )
-    return _span_match_table(_span_searcher(sf_dir), q)
+    return _span_match_table(_searcher(sf_dir), q)
 
 
 def span_first_match_docs(
@@ -518,7 +500,7 @@ def span_first_match_docs(
     from .spans import SpanTerm, span_first
 
     q = span_first(SpanTerm(term), end)
-    return _span_match_table(_span_searcher(sf_dir), q)
+    return _span_match_table(_searcher(sf_dir), q)
 
 
 def span_not_match_docs(
@@ -540,7 +522,7 @@ def span_not_match_docs(
         SpanNear((SpanTerm(t1), SpanTerm(t2)), slop=slop, in_order=True),
         SpanTerm(exclude),
     )
-    t = _span_match_table(_span_searcher(sf_dir), q)
+    t = _span_match_table(_searcher(sf_dir), q)
     return t.select(["doc_id"])
 
 
@@ -554,7 +536,7 @@ def span_near_topk(
     from .bm25 import make_phrase_scorer, topk_sort
     from .spans import SpanNear, SpanTerm, span_freqs, span_terms
 
-    searcher = _span_searcher(sf_dir)
+    searcher = _searcher(sf_dir)
     q = SpanNear((SpanTerm(t1), SpanTerm(t2)), slop=slop, in_order=True)
     params = make_phrase_scorer(
         [searcher.global_term_stats(t)[0] for t in span_terms(q)],
@@ -674,12 +656,11 @@ def function_score_topk(
     here the full match set is rescored then top-k'd (one extra
     partition-topk pass, no extra I/O)."""
     from .bm25 import topk_sort
-    from .checkpoint import load_merge_manifest
     from .docvalues import DocValuesReader
     from .search import IndexSearcher
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs, scores = searcher.search(query, k=searcher.doc_count)
     dv = DocValuesReader(idx["build_manifest"]["partitions"])
     vals = dv.values_for(docs, "n_chars").astype(np.float64)
@@ -703,7 +684,6 @@ def feature_field_topk(
     ``score_sigm`` report newLogQuery(w=1.5, a=1) and
     newSigmoidQuery(w=2, pivot=auto, a=0.6) for the same hits."""
     from .bm25 import topk_sort
-    from .checkpoint import load_merge_manifest
     from .feature import (
         FeatureReader,
         build_feature_sidecar,
@@ -724,7 +704,7 @@ def feature_field_topk(
         manifest = build_feature_sidecar(
             os.path.join(sf_dir, "documents.parquet"), feat_dir
         )
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs, scores = searcher.search(query, k=searcher.doc_count)
     rdr = FeatureReader(feat_dir, manifest)
     freq = rdr.freq_for(docs)
@@ -757,13 +737,7 @@ def lmdirichlet_topk(
     ln(mu/(dl+mu))) with p=(ttf+1)/(sttf+1), summed per doc in double then
     cast (the BooleanQuery order). Exact oracle: the whole chain replays
     in DuckDB doubles (libm ln matches bit-for-bit on this host)."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(
-        load_merge_manifest(idx["index_dir"]), similarity="lmdirichlet"
-    )
+    searcher = _searcher(sf_dir, similarity="lmdirichlet")
     docs, scores = searcher.search(query, k=k)
     return _hits_table(docs, scores)
 
@@ -771,13 +745,7 @@ def lmdirichlet_topk(
 def lmjelinek_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
     """Top-k under LMJelinekMercerSimilarity (lambda=0.1) — see
     bm25.make_lmjelinekmercer_scorer; per-doc double clause sum cast f32."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(
-        load_merge_manifest(idx["index_dir"]), similarity="lmjelinekmercer"
-    )
+    searcher = _searcher(sf_dir, similarity="lmjelinekmercer")
     docs, scores = searcher.search(query, k=k)
     return _hits_table(docs, scores)
 
@@ -788,11 +756,7 @@ def dfi_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
     observed freq exceeds the expected ((ttf+1)*dl)/(sttf+1), else 0;
     per-doc double clause sum cast f32. Exact oracle: the chain replays
     in DuckDB doubles (libm ln, ln(m+1)/ln(2) division)."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), similarity="dfi")
+    searcher = _searcher(sf_dir, similarity="dfi")
     docs, scores = searcher.search(query, k=k)
     return _hits_table(docs, scores)
 
@@ -802,11 +766,7 @@ def axiomatic_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Tab
     k=0.35): per-term (float)((f/((f+s) + (s*dl)/avgdl)) * ((N+1)/df)^k);
     per-doc double clause sum cast f32. Exact oracle: the chain replays
     in DuckDB doubles (libm pow matches numpy on this host)."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), similarity="axiomatic")
+    searcher = _searcher(sf_dir, similarity="axiomatic")
     docs, scores = searcher.search(query, k=k)
     return _hits_table(docs, scores)
 
@@ -816,11 +776,7 @@ def ib_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
     (float)(-ln(lam/(f*log2(1+avgdl/dl) + lam))) with the float lambda
     (df+1)/(N+1); per-doc double clause sum cast f32. Exact oracle:
     libm ln and the ln/ln(2) division replay in DuckDB doubles."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), similarity="ib")
+    searcher = _searcher(sf_dir, similarity="ib")
     docs, scores = searcher.search(query, k=k)
     return _hits_table(docs, scores)
 
@@ -830,11 +786,7 @@ def dfr_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Table:
     NormalizationH2 c=1): per-term (float)(A * (1 - 1/(1+tfn))) with
     A = log2(1 + (N+1)/(F+0.5)); per-doc double clause sum cast f32.
     Exact oracle: libm ln and the ln/ln(2) divisions replay in DuckDB."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), similarity="dfr")
+    searcher = _searcher(sf_dir, similarity="dfr")
     docs, scores = searcher.search(query, k=k)
     return _hits_table(docs, scores)
 
@@ -845,11 +797,7 @@ def multi_sim_topk(sf_dir: str, term: str = "data", k: int = 10) -> pa.Table:
     sum of the sub-similarity scores in construction order. Exact oracle:
     both sub-chains replay f32-op-exact in SQL and the float adds replay
     as CAST(double-add AS FLOAT)."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), similarity="multi")
+    searcher = _searcher(sf_dir, similarity="multi")
     docs, scores = searcher.search(term, k=k)
     return _hits_table(docs, scores)
 
@@ -860,14 +808,7 @@ def perfield_sim_topk(sf_dir: str, query: str = "title:doc data", k: int = 10) -
     clauses under BM25 — one query mixing both fields. Exact oracle:
     each field's clause chain replays with that field's collection
     stats; the doc score is the f64 clause sum cast f32."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(
-        load_merge_manifest(idx["index_dir"]),
-        similarity={"title": "classic", "": "bm25"},
-    )
+    searcher = _searcher(sf_dir, similarity={"title": "classic", "": "bm25"})
     docs, scores = searcher.search(query, k=k)
     return _hits_table(docs, scores)
 
@@ -880,11 +821,7 @@ def explain_scores(sf_dir: str, query: str = "data join", k: int = 3) -> pa.Tabl
     total (= the f64 clause-sum cast f32 search() produced — the
     explain/score identity Lucene's CheckHits asserts). Exact oracle:
     every component replays in SQL via the f32 BM25 chain."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     docs, scores = searcher.search(query, k=k)
     d_out: list[int] = []
     t_out: list[str] = []
@@ -927,11 +864,7 @@ def edismax_topk(
     combine under DisjunctionMaxQuery with the configured tie breaker).
     Exact oracle: every field clause's f32 BM25 chain + the dismax
     combine replay in SQL (boost = f32(boost * idf) weight order)."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     clauses: list[str] = []
     boosts: dict[str, float] = {}
     for w in user_query.split():
@@ -958,11 +891,7 @@ def blended_term_topk(
     TermStates.build sees the artificial frequencies exactly as the
     reference's adjusted contexts do. Exact oracle: the shared blended
     weight + the dismax combine's f32 op chain replay in SQL."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     stats = [searcher.global_term_stats(t) for t in terms]
     df_b = max(d for d, _ in stats)
     ttf_b = sum(t for _, t in stats)
@@ -975,13 +904,7 @@ def boolean_sim_topk(sf_dir: str, query: str = "data join merge", k: int = 10) -
     """Top-k under BooleanSimilarity (BooleanSimilarity.java:47-61):
     each matching clause scores its boost (1f), so a disjunction's score
     is the matching-clause count — doc-asc tie-break carries the ranking."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(
-        load_merge_manifest(idx["index_dir"]), similarity="boolean"
-    )
+    searcher = _searcher(sf_dir, similarity="boolean")
     docs, scores = searcher.search(query, k=k)
     return _hits_table(docs, scores)
 
@@ -1000,13 +923,12 @@ def distance_feature_topk(
     with the BM25 MUST query by the BooleanQuery double-sum. The factor
     rides the DV sidecar (doc-range-routed pruned reads)."""
     from .bm25 import topk_sort
-    from .checkpoint import load_merge_manifest
     from .docvalues import DocValuesReader
     from .feature import distance_feature_scores
     from .search import IndexSearcher
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs, scores = searcher.search(query, k=searcher.doc_count)
     dv = DocValuesReader(idx["build_manifest"]["partitions"])
     vals = dv.values_for(docs, "n_chars")
@@ -1033,12 +955,11 @@ def covering_query_topk(
     Per-clause hit streams come from the exhaustive plan's collector
     hook; the union/count/accumulate is one vectorized pass."""
     from .bm25 import topk_sort
-    from .checkpoint import load_merge_manifest
     from .docvalues import DocValuesReader
     from .search import IndexSearcher
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     cl_data: list[tuple[np.ndarray, np.ndarray]] = []
     for t in clauses:
         parts: list[tuple[np.ndarray, np.ndarray]] = []
@@ -1190,11 +1111,7 @@ def elevate_topk(
     excluded docs drop from the results, and the organic ranking follows
     below the pins. Emits (rank, doc_id, elevated); organic hits keep
     the BM25 collector order."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     drop = set(elevated) | set(excluded)
     d, _s = searcher.search(query, k=k + len(drop))
     organic = [int(x) for x in d.tolist() if int(x) not in drop]
@@ -1294,13 +1211,12 @@ def join_util_docs(
     over documents."""
     import pyarrow.compute as pc
 
-    from .checkpoint import load_merge_manifest
     from .docvalues import DocValuesReader, read_doc_values_dataset
     from .rayenv import remote_args as _rargs
     from .search import IndexSearcher
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     from_docs, _ = searcher.search(from_query, k=searcher.doc_count)
     dv = DocValuesReader(idx["build_manifest"]["partitions"])
     values = sorted(set(dv.values_for(from_docs, join_field).tolist()))
@@ -1339,13 +1255,12 @@ def join_util_topk(
     import pyarrow.compute as pc
 
     from .bm25 import topk_sort
-    from .checkpoint import load_merge_manifest
     from .docvalues import DocValuesReader, read_doc_values_dataset
     from .rayenv import remote_args as _rargs
     from .search import IndexSearcher
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     from_docs, from_scores = searcher.search(from_query, k=searcher.doc_count)
     dv = DocValuesReader(idx["build_manifest"]["partitions"])
     vals = dv.values_for(from_docs, join_field)
@@ -1400,22 +1315,14 @@ def bool_nested_match_docs(
     (search/BooleanQuery.java nested clause semantics). The default query is
     (data OR join) AND (hash OR merge) AND NOT dup; oracle: the same set
     algebra over token containment in DuckDB."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     docs, _scores = searcher.search(query, k=searcher.doc_count)
     return pa.table({"doc_id": pa.array(np.sort(docs), type=pa.int64())})
 
 
 def phrase_topk(sf_dir: str, phrase: str = "data join", k: int = 10) -> pa.Table:
     """BM25-scored phrase top-k (summed-idf weight x phrase frequency)."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     docs, scores = searcher.search(f'"{phrase}"', k)
     return _hits_table(docs, scores)
 
@@ -1426,12 +1333,11 @@ def bm25_snippets(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Tabl
     doc_id-pushdown fetch of the source rows and best-window snippets."""
     import ray.data
 
-    from .checkpoint import load_merge_manifest
     from .search import IndexSearcher
     from .textops import snippets_for_hits
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs, scores = searcher.search(query, k)
     hits = ray.data.from_items(
         [
@@ -1457,12 +1363,11 @@ def bm25_snippets_passages(
     passage math replays bit-exactly in the DuckDB oracle."""
     import pyarrow.dataset as pads
 
-    from .checkpoint import load_merge_manifest
     from .search import IndexSearcher
     from .textops import make_snippet_passages
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs, _scores = searcher.search(query, k)
     terms = [t for t in query.lower().split() if t.isalnum()]
     pages_dir = os.path.dirname(idx["index_dir"]) + "/pages"
@@ -1511,12 +1416,11 @@ def bm25_snippets_offsets(
     (start, end) spans."""
     import pyarrow.dataset as pads
 
-    from .checkpoint import load_merge_manifest
     from .search import IndexSearcher
     from .textops import make_snippet_offsets, offset_spans_for_doc
 
     idx = get_index(sf_dir, index_offsets=True)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs, scores = searcher.search(query, k)
     terms = [t for t in query.lower().split() if t.isalnum()]
     n_rows = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
@@ -1560,11 +1464,10 @@ def term_filter_sort_by_field(
     QueryComponent ids-then-fields shape)."""
     import pyarrow.dataset as pads
 
-    from .checkpoint import load_merge_manifest
     from .search import IndexSearcher
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs = np.concatenate([seg.postings(term)[0] for seg in searcher.segments])
     if len(docs) == 0:
         return pa.table(
@@ -1660,7 +1563,6 @@ def spell_collation(
     tries_per_term^n_terms combinations — bounded by parameters."""
     from itertools import product
 
-    from .checkpoint import load_merge_manifest
     from .search import IndexSearcher
     from .suggest import spell_suggest
 
@@ -1672,7 +1574,7 @@ def spell_collation(
     for w, s in zip(sugg["word"], sugg["suggestion"]):
         per_term[w].append(s)  # already rank-ordered
 
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     out: list[tuple[str, int]] = []
     for combo in product(*[per_term[w] for w in query]):
         hits = searcher.count(" ".join(f"+{t}" for t in combo))
@@ -1744,13 +1646,10 @@ def sorted_index_topk(
     n_chars (the sorted layout), a term filter's postings pushed into
     the part reads, scan stops when the next part's bound cannot beat
     the k-th hit. (rank, doc_id, n_chars)."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
     from .sortindex import build_sorted_layout, sorted_topk
 
-    idx = get_index(sf_dir)
     layout = build_sorted_layout(sf_dir, col="n_chars", n_parts=8)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     docs_all = [seg.postings(term)[0] for seg in searcher.segments]
     filt = np.sort(np.concatenate(docs_all)) if docs_all else np.empty(0, np.int64)
     out, _scanned = sorted_topk(layout, k, descending=descending, filter_docs=filt)
@@ -1772,7 +1671,7 @@ def _interval_match_table(
 ) -> pa.Table:
     from .intervals import doc_interval_counts
 
-    searcher = _span_searcher(sf_dir)
+    searcher = _searcher(sf_dir)
     docs_all, n_all = [], []
     for seg in searcher.segments:
         docs, counts = doc_interval_counts(seg, terms, ordered=ordered, **kw)
@@ -1843,7 +1742,7 @@ def common_terms_match_docs(sf_dir: str) -> pa.Table:
     non-empty low-freq group the hit set is exactly the docs containing
     ALL low-freq terms (the MUST sub-bool); high-freq terms only score.
     Oracle recomputes the df split in SQL."""
-    searcher = _span_searcher(sf_dir)
+    searcher = _searcher(sf_dir)
     ir = common_terms_query_ir(searcher, COMMON_TERMS)
     docs, _scores = searcher.search(ir, k=searcher.doc_count)
     return pa.table({"doc_id": pa.array(np.sort(docs), type=pa.int64())})
@@ -1852,7 +1751,7 @@ def common_terms_match_docs(sf_dir: str) -> pa.Table:
 def common_terms_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """BM25-scored CommonTermsQuery top-k (rows; ranking exercised by the
     nested-bool scorer equivalence tests)."""
-    searcher = _span_searcher(sf_dir)
+    searcher = _searcher(sf_dir)
     ir = common_terms_query_ir(searcher, COMMON_TERMS)
     docs, scores = searcher.search(ir, k)
     return _hits_table(docs, scores)
@@ -1863,10 +1762,7 @@ def index_stats(sf_dir: str) -> pa.Table:
     HighFreqTerms tooling): per indexed field — doc count, distinct term
     count (merged dict shards are term-disjoint, so their n_terms sum),
     total token count. Exact oracle recomputes all three from source."""
-    from .checkpoint import load_merge_manifest
-
-    idx = get_index(sf_dir)
-    mm = load_merge_manifest(idx["index_dir"])
+    mm = get_index(sf_dir)["merge_manifest"]
     n_terms = sum(int(s["n_terms"]) for s in mm["shards"])
     return pa.table(
         {
@@ -1930,11 +1826,7 @@ def omit_norms_topk(sf_dir: str, query: str = "data join", k: int = 10) -> pa.Ta
     as the long 1 — LeafSimScorer.java:47-54 — so every doc scores as
     length 1; tf still counts, length normalization vanishes). Exact
     oracle: the BM25 chain with the norm-cache entry for length 1."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]), omit_norms=True)
+    searcher = _searcher(sf_dir, omit_norms=True)
     docs, scores = searcher.search(query, k=k)
     return _hits_table(docs, scores)
 
@@ -1943,11 +1835,7 @@ def query_counts(sf_dir: str) -> pa.Table:
     """IndexSearcher.count over the reference query shapes (the exact
     hit-count API, Weight#count fast path for single terms): (query, n).
     Exact oracle recomputes each count from the raw text."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     queries = [
         "data",
         "data join",
@@ -2108,11 +1996,10 @@ def keyword_repeat_docs(
     stems ('data') index once (RemoveDuplicates). Oracle: raw token
     counts, with stem terms mapped back to the vocabulary words that
     stem to them."""
-    from .checkpoint import load_merge_manifest
     from .search import IndexSearcher
 
     idx = get_keyword_repeat_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     t_out: list[str] = []
     d_out: list[np.ndarray] = []
     f_out: list[np.ndarray] = []
@@ -2147,11 +2034,10 @@ def common_grams_docs(sf_dir: str, gram: str = "the_data") -> pa.Table:
     touching a common word is answered by ONE gram-term postings read
     instead of a positional phrase intersection. Oracle: the adjacent-
     positions self-join the gram materialized at index time."""
-    from .checkpoint import load_merge_manifest
     from .search import IndexSearcher
 
     idx = get_common_grams_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs_all, freqs_all = [], []
     for seg in searcher.segments:
         docs, freqs = seg.postings(gram)
@@ -2175,11 +2061,10 @@ def synonym_phrase_match_docs(sf_dir: str) -> pa.Table:
     that stacked tokens participate in phrases. Oracle: the b.p = a.p+1
     positions self-join ('quick' does not occur natively in the fixture
     vocabulary)."""
-    from .checkpoint import load_merge_manifest
     from .search import IndexSearcher, _phrase_postings
 
     idx = get_synonym_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs_all = []
     for seg in searcher.segments:
         docs, _f = _phrase_postings(seg, ("quick", "row"))
@@ -2219,12 +2104,11 @@ def stats_component_nchars(sf_dir: str, term: str = "data") -> pa.Table:
     min/max/sum/count): n_chars stats of the docs matching ``term``,
     served from the index postings + the DocValues sidecar (no row-store
     scan). Integer stats — exact oracle."""
-    from .checkpoint import load_merge_manifest
     from .docvalues import DocValuesReader
     from .search import IndexSearcher
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs_all = [seg.postings(term)[0] for seg in searcher.segments]
     docs = np.sort(np.concatenate(docs_all)) if docs_all else np.empty(0, np.int64)
     dv = DocValuesReader(idx["build_manifest"]["partitions"])
@@ -2304,7 +2188,6 @@ def mlt_like_text_topk(sf_dir: str, text: str | None = None, k: int = 10) -> pa.
     doc in the index): identical term selection + SHOULD search as the
     by-doc variant, with tf from the supplied text. Exact oracle: the
     literal text's token counts replay in SQL."""
-    from .checkpoint import load_merge_manifest
     from .mlt import select_like_terms
     from .search import IndexSearcher
 
@@ -2318,7 +2201,7 @@ def mlt_like_text_topk(sf_dir: str, text: str | None = None, k: int = 10) -> pa.
     )
     if not sel:
         return _hits_table([], [])
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs, scores = searcher.search(" ".join(term for term, _, _, _ in sel), k)
     return _hits_table(docs, scores)
 
@@ -2327,7 +2210,6 @@ def more_like_this_topk(sf_dir: str, doc_id: int = 7, k: int = 10) -> pa.Table:
     """Full MLT: selected terms searched as a SHOULD query through the
     normal BM25 path (MoreLikeThis.like -> createQuery -> search);
     (rank, doc_id, score) — the example doc naturally ranks first."""
-    from .checkpoint import load_merge_manifest
     from .mlt import select_like_terms
     from .search import IndexSearcher
 
@@ -2344,7 +2226,7 @@ def more_like_this_topk(sf_dir: str, doc_id: int = 7, k: int = 10) -> pa.Table:
     )
     if not sel:
         return _hits_table([], [])
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs, scores = searcher.search(" ".join(term for term, _, _, _ in sel), k)
     return _hits_table(docs, scores)
 
@@ -2374,12 +2256,11 @@ def prf_expand_topk(
     corpus scan."""
     import pyarrow.dataset as pads
 
-    from .checkpoint import load_merge_manifest
     from .mlt import select_like_terms
     from .search import IndexSearcher
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     d1, _ = searcher.search(query, fb_k)
 
     src = os.path.join(sf_dir, "documents.parquet")
@@ -2426,11 +2307,7 @@ def bm25_search_after_pages(
     mark. Ranks are absolute, so the chained pages must equal one big
     top-(page_k * n_pages); the oracle replays that as OFFSET pagination
     over the f32 score CTE."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     ranks: list[int] = []
     docs_out: list[int] = []
     scores_out: list[float] = []
@@ -2466,11 +2343,10 @@ def cursor_mark_sharded(
     page 2 with absolute ranks."""
     import ray.data
 
-    from .checkpoint import load_merge_manifest
     from .search import IndexSearcher, search_dataset_sharded
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     d1, s1 = searcher.search(query, k=page_k)
     if len(d1) < page_k:
         return pa.table(
@@ -2521,11 +2397,7 @@ def rerank_topk(
     first pass BM25 top-``window``, second pass re-scores that window
     with ``rerank_query``, combined = (float)((double)first +
     weight * (double)second) on matches, first unchanged otherwise."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     d1, s1 = searcher.search(query, k=window)
     d2, s2 = searcher.rescore(d1, s1, rerank_query, weight=weight, top_n=k)
     return pa.table(
@@ -2692,11 +2564,8 @@ def rrf_fusion_topk(
     import ray.data
 
     from . import ann
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
 
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     lex_docs, _ = searcher.search(query, n_each)
     lex_rank = {int(d): i + 1 for i, d in enumerate(lex_docs)}
 
@@ -2810,12 +2679,11 @@ def term_points_filter_docs(
     range clause restricts matches but contributes no score). The term
     funnel comes from the inverted index, the range set from the points
     leaves; intersection is the filter conjunction."""
-    from .checkpoint import load_merge_manifest
     from .points import range_docs
     from .search import IndexSearcher
 
     idx, pts = get_points(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs, _scores = searcher.search(term, k=searcher.doc_count)
     range_set = range_docs(pts, lo, hi).column("doc_id").to_numpy()
     both = np.intersect1d(np.asarray(docs, dtype=np.int64), range_set)
@@ -2848,13 +2716,12 @@ def index_or_dv_filter_docs(
     the points range and intersects (indexQuery path). Both paths
     return the identical doc set (asserted in tests), so the oracle is
     the same term + BETWEEN conjunction as term_points_filter_docs."""
-    from .checkpoint import load_merge_manifest
     from .docvalues import DocValuesReader
     from .points import range_docs, range_estimate
     from .search import IndexSearcher
 
     idx, pts = get_points(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     df, _ttf = searcher.global_term_stats(term)
     est = range_estimate(pts, lo, hi)
     docs, _scores = searcher.search(term, k=searcher.doc_count)
@@ -3085,12 +2952,11 @@ def sort_by_fields(sf_dir: str, term: str = "data", k: int = 20) -> pa.Table:
     ordered by (n_chars DESC, lang ASC, doc_id ASC) top ``k`` — both sort
     keys served from the DV sidecar (doc-range-routed pruned reads), the
     row store is never touched. Oracle: same ORDER BY over documents."""
-    from .checkpoint import load_merge_manifest
     from .docvalues import DocValuesReader
     from .search import IndexSearcher
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs_all = []
     for seg in searcher.segments:
         docs, _ = seg.postings(term)
@@ -3183,11 +3049,7 @@ def bm25_scores_exact(sf_dir: str, term: str = "data") -> pa.Table:
     rounding theorem: 53 >= 2*24 + 2 for +,-,*,/). k = doc_count is the
     GATE-scale full-set check by design; production search paths cap k
     (top-k collectors) — this entry exists to pin score identity."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     docs, scores = searcher.search(term, k=searcher.doc_count)
     return _hits_table(docs, scores)
 
@@ -3197,11 +3059,7 @@ def bm25_bool_scores_exact(sf_dir: str, query: str = "data merge") -> pa.Table:
     per-term float32 scores accumulate in a float64 then cast
     (DisjunctionSumScorer contract) — exact for two addends, so the SQL
     oracle replays the whole chain bit-for-bit."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     docs, scores = searcher.search(query, k=searcher.doc_count)
     return _hits_table(docs, scores)
 
@@ -3212,11 +3070,7 @@ def bm25_phrase_scores_exact(sf_dir: str, phrase: str = '"data join"') -> pa.Tab
     freq = the integer adjacency count — every op SQL-replayable, so the
     phrase SCORING chain (not just the match set) gets an independent
     bit-exact oracle."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     docs, scores = searcher.search(phrase, k=searcher.doc_count)
     return _hits_table(docs, scores)
 
@@ -3331,13 +3185,12 @@ def export_sorted_docs(sf_dir: str, term: str = "data") -> "ray.data.Dataset":
     import ray
     import ray.data
 
-    from .checkpoint import load_merge_manifest
     from .docvalues import read_doc_values_dataset
     from .rayenv import remote_args as _rargs
     from .search import IndexSearcher
 
     idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = IndexSearcher(idx["merge_manifest"])
     docs_all = [seg.postings(term)[0] for seg in searcher.segments]
     match = np.sort(np.concatenate(docs_all)) if docs_all else np.empty(0, dtype=np.int64)
     # the match set rides every task's closure — refuse rather than ship
@@ -3394,11 +3247,7 @@ def ltr_rerank_topk(
     the driver-side loop here is O(window), matching the existing
     QueryRescorer shape; the first pass is the searcher's normal
     distributed/driver path."""
-    from .checkpoint import load_merge_manifest
-    from .search import IndexSearcher
-
-    idx = get_index(sf_dir)
-    searcher = IndexSearcher(load_merge_manifest(idx["index_dir"]))
+    searcher = _searcher(sf_dir)
     d1, s1 = searcher.search(query, k=window)
     w0, w1, w2, w3 = (float(w) for w in weights)
     rows = []

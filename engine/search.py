@@ -206,10 +206,9 @@ class IndexSearcher:
                 from .merge import MergedIndex
 
                 return [MergedIndex(None, manifest=m)]
-            seg_rows = m.get("segments") or m["partitions"]
             return [
                 Segment(r["seg_dir"])
-                for r in sorted(seg_rows, key=lambda r: r["doc_base"])
+                for r in sorted(m["partitions"], key=lambda r: r["doc_base"])
             ]
 
         self.segments: list = _open(manifest)

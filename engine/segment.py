@@ -2,10 +2,10 @@
 
 A *segment* is the engine's analogue of a Lucene segment
 (index/SegmentInfo.java): an immutable, self-contained mini-index over a
-contiguous global docID range. SPIMI partition outputs and merge-tree
-outputs use the layout below. ``merge_by_term`` term shards
-(engine/merge.py) use the same ``TERMS_SCHEMA``, written as lz4 Arrow
-IPC files that the reader memory-maps:
+contiguous global docID range. SPIMI partition outputs use the layout
+below. ``merge_by_term`` term shards (engine/merge.py) use the same
+``TERMS_SCHEMA``, written as lz4 Arrow IPC files that the reader
+memory-maps:
 
     <dir>/terms.parquet   sorted term dictionary:
         term:string, df:int64, ttf:int64, singleton_doc:int64 (-1 unless
@@ -18,7 +18,7 @@ IPC files that the reader memory-maps:
     <dir>/norms.parquet   doc_id:int64, norm:uint8  (Lucene80NormsFormat
         analogue — 1 byte per doc for the indexed body field)
     <dir>/meta.json       doc_base, n_docs, sum_ttf, field, n_terms,
-        lineage {...}, wall_ms, kind ("partition" | "merged")
+        lineage {...}, wall_ms, kind ("partition")
 
 The term dictionary stays sorted; lookup is binary search over the term
 column (the role of the BlockTree FST prefix index,

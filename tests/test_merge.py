@@ -1,18 +1,17 @@
-"""Merge paths: k-way tree (Path A) and salted groupby-term shuffle (Path B)
-must preserve every posting and keep search rank-identical; resume reuses
-completed nodes."""
+"""merge_by_term, the salted groupby-term shuffle, must preserve every
+posting and keep search rank-identical; its dict level, Bloom sidecar and
+lazy norms are checked here. Resume at bucket granularity is in
+tests/test_resume.py."""
 
-import json
 import os
 
 import numpy as np
 import pytest
 
 from engine.build import invert_to_segment
-from engine.checkindex import check_segment
-from engine.checkpoint import finalize_build_manifest, load_merge_manifest
+from engine.checkpoint import finalize_build_manifest
 from engine.fixtures import make_pages
-from engine.merge import MergedIndex, merge_by_term, merge_segments, merge_tree, plan_merge_tree
+from engine.merge import MergedIndex, merge_by_term
 from engine.search import IndexSearcher
 from engine.segment import Segment
 
@@ -26,7 +25,7 @@ QUERIES = [
     "+t00000 +t00001",
     "tiekey",
     "s000300",
-    '"the00 the01"',  # phrase: prox streams must survive both merge paths
+    '"the00 the01"',  # phrase: prox streams must survive the merge
     '"t00000 t00001"',
 ]
 
@@ -49,67 +48,6 @@ def built(tmp_path_factory):
 
 def _all_postings(index_like, terms):
     return {t: tuple(map(tuple, map(np.ndarray.tolist, index_like.postings(t)))) for t in terms}
-
-
-def test_merge_segments_kway(built, tmp_path):
-    m = built["manifest"]
-    dirs = [r["seg_dir"] for r in m["partitions"][:3]]
-    out = str(tmp_path / "m0")
-    meta = merge_segments(dirs, out)
-    assert meta["n_docs"] == sum(r["n_docs"] for r in m["partitions"][:3])
-    seg = Segment(out)
-    check_segment(seg)
-    # postings equality vs inputs
-    segs = [Segment(d) for d in dirs]
-    for t in ["the00", "t00000", "tiekey"]:
-        exp_docs = np.concatenate([s.postings(t)[0] for s in segs])
-        exp_freqs = np.concatenate([s.postings(t)[1] for s in segs])
-        got_docs, got_freqs = seg.postings(t)
-        np.testing.assert_array_equal(got_docs, exp_docs)
-        np.testing.assert_array_equal(got_freqs, exp_freqs)
-
-
-def test_plan_merge_tree_deterministic(built):
-    rows = built["manifest"]["partitions"]
-    p1 = plan_merge_tree(rows, fan_in=3)
-    p2 = plan_merge_tree(rows, fan_in=3)
-    assert json.dumps(p1, default=str) == json.dumps(p2, default=str)
-    assert len(p1) == 2  # 8 -> 3 -> 1
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_merge_tree_and_rank_identity(built):
-    m = built["manifest"]
-    mm = merge_tree(m, built["root"], fan_in=3)
-    assert len(mm["segments"]) == 1
-    merged_seg = Segment(mm["segments"][0]["seg_dir"])
-    check_segment(merged_seg)
-    base = IndexSearcher(m, algorithm="taat")
-    merged = IndexSearcher(mm, algorithm="taat")
-    merged_wand = IndexSearcher(mm, algorithm="wand")
-    for q in QUERIES:
-        bd, bs = base.search(q, 20)
-        md, ms = merged.search(q, 20)
-        wd, ws = merged_wand.search(q, 20)
-        np.testing.assert_array_equal(md, bd, err_msg=q)
-        np.testing.assert_array_equal(ms, bs, err_msg=q)
-        np.testing.assert_array_equal(wd, bd, err_msg=q)
-        np.testing.assert_array_equal(ws, bs, err_msg=q)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_merge_tree_resume_reuses_nodes(built, tmp_path):
-    m = built["manifest"]
-    root = built["root"]
-    # pre-complete the first L1 node out-of-band; merge_tree must adopt it
-    g0 = [r["seg_dir"] for r in m["partitions"][:3]]
-    pre_dir = os.path.join(root, "merged", "L1", f"m{m['partitions'][0]['doc_base']:012d}")
-    pre_meta = merge_segments(g0, pre_dir)
-    mm = merge_tree(m, root, fan_in=3)  # may already be committed by prior test
-    # the committed manifest's level-1 node reused the pre-completed segment
-    with open(os.path.join(pre_dir, "meta.json")) as f:
-        assert json.load(f)["wall_ms"] == pre_meta["wall_ms"]
-    assert load_merge_manifest(root) == mm
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -277,6 +215,47 @@ def test_checkindex_validates_dict_level(built, tmp_path_factory):
     assert out["ok"] and out["n_terms"] == sum(s["n_terms"] for s in mm["shards"])
 
 
+def test_dict_write_range_in_fresh_process(tmp_path):
+    """A dict-range task may land on a fresh worker process that has
+    built no Arrow array from Python objects (so pyarrow.compute is not
+    imported yet) and receives its slices unpickled, with no heavy terms
+    in its range; it must still write its file."""
+    import pickle
+    import subprocess
+    import sys
+
+    import pyarrow as pa
+
+    slices = pickle.dumps([pa.array(["b", "a"])])
+    code = (
+        "import pickle; from engine.merge import _dict_write_range; "
+        f"r = _dict_write_range({str(tmp_path)!r}, [], pickle.loads({slices!r})); "
+        "print(r['n_terms'], r['term_min'], r['term_max'])"
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=repo, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["2", "a", "b"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_dict_level_failure_fails_the_merge(built, tmp_path, monkeypatch):
+    """The dict level runs in a background thread; its failure must fail
+    the merge, not commit an index without a dictionary level."""
+    import engine.merge as merge_mod
+    from engine.checkpoint import load_merge_manifest
+
+    def _fail(*_a):  # nested, so Ray ships it by value
+        raise RuntimeError("dict range write failed")
+
+    monkeypatch.setattr(merge_mod, "_dict_write_range", _fail)
+    root = str(tmp_path / "idx")
+    with pytest.raises(Exception, match="dict range write failed"):
+        merge_by_term(built["manifest"], root, salt_threshold=400, n_salts=4)
+    assert load_merge_manifest(root) is None
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_merged_index_norms_lazy(built, tmp_path_factory):
     """Opening a MergedIndex must read NO norm shard (doc bounds come from
@@ -332,14 +311,13 @@ def test_merged_index_norms_lazy(built, tmp_path_factory):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_offsets_survive_both_merge_paths(tmp_path_factory):
+def test_offsets_survive_merge_by_term(tmp_path_factory):
     """Offsets streams (..._AND_OFFSETS) must byte-concatenate correctly
-    through the k-way merge tree AND the salted groupby-term shuffle:
-    every merged (start, end) span still slices its term from the source
-    doc."""
+    through the salted groupby-term shuffle: every merged (start, end)
+    span still slices its term from the source doc."""
     import numpy as np
 
-    from engine.checkindex import check_merged_index, check_segment
+    from engine.checkindex import check_merged_index
 
     root = tmp_path_factory.mktemp("offmerge")
     pages = make_pages(400, seed=23)
@@ -374,13 +352,7 @@ def test_offsets_survive_both_merge_paths(tmp_path_factory):
                     assert low[a:b] == term, (term, int(d))
 
     probe = ["the00", "the19", "t00000", "tiekey"]
-    # Path A: k-way merge tree
-    out_a = str(root / "treeseg")
-    merge_segments([r["seg_dir"] for r in rows], out_a)
-    seg_a = Segment(out_a)
-    check_segment(seg_a)
-    check_spans(seg_a, probe)
-    # Path B: salted shuffle (the00 band genuinely salted)
+    # the00 band genuinely salted
     root_b = str(tmp_path_factory.mktemp("offmergeb"))
     merge_by_term(manifest, root_b, salt_threshold=150, n_salts=4)
     mi = MergedIndex(root_b)

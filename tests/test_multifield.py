@@ -156,24 +156,6 @@ def test_multifield_merge_and_sharded(mf_corpus, tmp_path_factory):
         )
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_multifield_merge_tree(mf_corpus, tmp_path_factory):
-    """Path-A merge tree must carry extra fields too (SegmentMerger merges
-    every field's postings/norms)."""
-    from engine.merge import merge_tree
-
-    root = str(tmp_path_factory.mktemp("mftree"))
-    mm = merge_tree(mf_corpus["manifest"], root, fan_in=2)
-    assert "title" in mm["fields"]
-    base = IndexSearcher(mf_corpus["manifest"], algorithm="taat")
-    merged = IndexSearcher(mm, algorithm="taat")
-    for q in ["title:alpha", "+shared +title:num0", "title:beta shared"]:
-        bd, bs = base.search(q, 20)
-        md, ms = merged.search(q, 20)
-        np.testing.assert_array_equal(md, bd, err_msg=q)
-        np.testing.assert_array_equal(ms, bs, err_msg=q)
-
-
 def test_field_qualified_multiterm_grammar(mf_corpus):
     """title:quer* / title:pa?t / title:x~1 / title:y^2 / title:"a b" /
     title:[a TO b] / title:/re/ — every multi-term clause type carries its

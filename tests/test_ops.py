@@ -514,13 +514,13 @@ def test_common_terms_query_split_and_equivalence():
     ceil(0.25 * maxDoc), hit set = all-low-terms docs, scoring equals
     the manually-built nested bool; all-high degrades to a conjunction."""
     from engine.pipelines import (
-        _span_searcher,
+        _searcher,
         common_terms_query_ir,
         common_terms_topk,
     )
     from engine.queryparse import BoolQuery
 
-    searcher = _span_searcher("/root/testdata/sf0.001")
+    searcher = _searcher("/root/testdata/sf0.001")
     ir = common_terms_query_ir(searcher, ("dup", "data", "join"))
     assert ir.sub_must[0].must == ("dup",)
     assert set(ir.sub_should[0].should) == {"data", "join"}

@@ -120,20 +120,6 @@ def test_payload_table_multi_segment(pay_idx):
     assert t0["pay_sum"].tolist() == [0] and t0["pay_cnt"].tolist() == [1]
 
 
-def test_payload_merge_tree_preserves_stream(pay_idx, tmp_path):
-    from engine.merge import merge_segments
-
-    root, rows = pay_idx
-    out_dir = str(tmp_path / "merged")
-    merge_segments([r["seg_dir"] for r in rows], out_dir)
-    seg = Segment(out_dir)
-    pl = seg.payloads("alpha")
-    assert [p.tolist() for p in pl] == [[4, 8], [0], [11, 21]]
-    t = payload_term_table([seg], "alpha").to_pandas()
-    assert t["doc_id"].tolist() == [0, 100]
-    assert t["pay_sum"].tolist() == [10, 30]
-
-
 def test_payload_checkindex(pay_idx):
     from engine.checkindex import check_segment
 

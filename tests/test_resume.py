@@ -1,21 +1,21 @@
-"""Checkpoint/resume: crash mid-merge and mid-build; completed nodes are
+"""Checkpoint/resume: crash mid-merge and mid-build; completed units are
 reused, re-runs converge to the same index (the pending_segments_N →
 segments_N two-phase-commit model, SURVEY §4)."""
 
 import json
 import os
-import shutil
 
 import numpy as np
 import pytest
 
 from engine.build import build_index, invert_to_segment
-from engine.checkindex import check_index, check_segment
-from engine.checkpoint import load_manifest, load_merge_manifest
+from engine.checkindex import check_index, check_merged_index
+from engine.checkpoint import finalize_build_manifest
 from engine.fixtures import make_pages, write_pages
-from engine.merge import merge_segments, merge_tree
+from engine.merge import MergedIndex, merge_by_term
 from engine.search import IndexSearcher
 from engine.segment import Segment
+from test_merge import QUERIES
 
 
 @pytest.fixture(scope="module")
@@ -40,40 +40,167 @@ def test_build_resume_skips_completed_partitions(built):
     check_index(m2)
 
 
+@pytest.fixture(scope="module")
+def salted(tmp_path_factory):
+    """8 partitions of 1200 docs whose the00..the19 stop band is salted at
+    ``salt_threshold=400``, plus a cache of clean merges by arguments."""
+    root = tmp_path_factory.mktemp("salted")
+    texts = make_pages(1200, seed=7).column("text").to_pylist()
+    rows = []
+    for lo in range(0, 1200, 150):
+        seg_dir = str(root / f"partitions/p{lo:012d}")
+        docs = np.arange(lo, lo + 150, dtype=np.int64)
+        meta = invert_to_segment(docs, texts[lo : lo + 150], seg_dir)
+        keep = ("doc_base", "n_docs", "sum_ttf", "n_terms")
+        rows.append({k: meta[k] for k in keep} | {"seg_dir": seg_dir})
+    manifest = finalize_build_manifest(str(root), rows)
+    terms = sorted({t for r in rows for t in Segment(r["seg_dir"])._terms})
+    return {"root": root, "manifest": manifest, "terms": terms, "clean": {}}
+
+
+def _clean_merge(salted, **kw) -> dict:
+    key = tuple(sorted(kw.items()))
+    if key not in salted["clean"]:
+        root = str(salted["root"] / f"clean-{len(salted['clean'])}")
+        salted["clean"][key] = merge_by_term(salted["manifest"], root, **kw)
+    return salted["clean"][key]
+
+
 @pytest.mark.usefixtures("ray_session")
-def test_merge_tree_resume_mid_merge(built):
-    index_dir = os.path.join(built["root"], "idx")
-    manifest = load_manifest(index_dir)
-    mm1 = merge_tree(manifest, index_dir, fan_in=2)
-    final_dir = mm1["segments"][0]["seg_dir"]
-    # crash simulation: final merge level + manifest destroyed, L1 intact
-    os.remove(os.path.join(index_dir, "merged", "manifest.json"))
-    shutil.rmtree(final_dir)
-    l1 = sorted(
-        d
-        for d in os.listdir(os.path.join(index_dir, "merged", "L1"))
-        if not d.startswith(".")
-    )
-    l1_meta_before = {
-        d: json.load(open(os.path.join(index_dir, "merged", "L1", d, "meta.json")))
-        for d in l1
+@pytest.mark.parametrize(
+    "crash", ["lost_buckets", "lost_heavy_shards", "unswept_commit", "new_plan"]
+)
+def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
+    """Crash points of merge_by_term, each simulated on the files of a
+    committed merge whose sweep did not run yet:
+
+    - lost_buckets: the manifest is lost, 5 buckets lose marker and files,
+      one more keeps its files but loses its marker, a stray ``*.tmp``;
+    - lost_heavy_shards: the manifest and the heavy shards are lost, every
+      bucket done (explode must not run);
+    - unswept_commit: the manifest committed but the sweep never ran;
+    - new_plan: the manifest is lost and the rerun changes
+      ``parts_per_shard`` and ``n_salts`` (merged/ starts over).
+
+    The rerun must leave adopted bucket files untouched, equal a clean
+    merge with its arguments term by term and query by query, and leave
+    only the files its manifest names."""
+    import engine.merge as merge_mod
+
+    m = salted["manifest"]
+    root = str(tmp_path / "idx")
+    merged = os.path.join(root, "merged")
+    units = os.path.join(merged, "units")
+    kw = {"salt_threshold": 400, "n_salts": 4}
+    with monkeypatch.context() as mp:
+        mp.setattr(merge_mod, "_sweep_merged", lambda *_a: None)
+        mm1 = merge_by_term(m, root, **kw)
+    rows_of = {}
+    for f in os.listdir(units):
+        if f.startswith("bucket-"):
+            with open(os.path.join(units, f)) as fh:
+                rows_of[int(f[len("bucket-") : -len(".json")])] = json.load(fh)["rows"]
+    assert sorted(rows_of) == list(range(128))
+    assert any(r["kind"] == "heavy_runs" for rows in rows_of.values() for r in rows)
+
+    lost: set[int] = set()
+    if crash != "unswept_commit":
+        os.remove(os.path.join(merged, "manifest.json"))
+    if crash == "lost_buckets":
+        busy = [b for b in sorted(rows_of) if rows_of[b]]
+        lost = set(busy[:6])
+        for b in busy[:5]:
+            for r in rows_of[b]:
+                os.remove(r["path"])
+        for b in lost:
+            os.remove(os.path.join(units, f"bucket-{b:03d}.json"))
+        with open(os.path.join(merged, "terms", "shard-0badc0ffee00.arrow.tmp"), "wb") as fh:
+            fh.write(b"partial")
+    elif crash == "lost_heavy_shards":
+        for s in mm1["shards"]:
+            if s["bucket"] < 0:
+                os.remove(s["path"])
+    elif crash == "new_plan":
+        kw = {"salt_threshold": 400, "n_salts": 2, "parts_per_shard": 2}
+    adopted = {}
+    if crash != "new_plan":
+        for b, rows in rows_of.items():
+            for r in rows:
+                if b not in lost and r["kind"] == "shard":
+                    with open(r["path"], "rb") as fh:
+                        adopted[r["path"]] = (fh.read(), os.stat(r["path"]).st_mtime_ns)
+
+    with monkeypatch.context() as mp:
+        if crash in ("lost_heavy_shards", "unswept_commit"):
+
+            def _no_explode(*_a):  # nested, so Ray ships it by value
+                raise AssertionError("explode ran although every bucket was done")
+
+            mp.setattr(merge_mod, "_explode_chunk", _no_explode)
+        mm2 = merge_by_term(m, root, **kw)
+
+    if crash == "unswept_commit":
+        assert mm2 == mm1
+    if crash == "new_plan":
+        assert len(mm2["norm_shards"]) == 4 and mm2["n_salts"] == 2
+    for p, (data, mtime) in adopted.items():
+        with open(p, "rb") as fh:
+            assert fh.read() == data, p
+        assert os.stat(p).st_mtime_ns == mtime, p
+    assert set(adopted) <= {s["path"] for s in mm2["shards"]}
+
+    ref = _clean_merge(salted, **kw)
+    got, exp = MergedIndex(root), MergedIndex(None, manifest=ref)
+    for t in salted["terms"]:
+        assert got.term_stats(t) == exp.term_stats(t), t
+        for a, b in zip(got.postings(t), exp.postings(t)):
+            np.testing.assert_array_equal(a, b, err_msg=t)
+        assert [p.tolist() for p in got.positions(t)] == [
+            p.tolist() for p in exp.positions(t)
+        ], t
+    docs = np.arange(m["doc_count"], dtype=np.int64)
+    np.testing.assert_array_equal(got.norm_of(docs), exp.norm_of(docs))
+    for algorithm in ("taat", "wand"):
+        s_got = IndexSearcher(mm2, algorithm=algorithm)
+        s_exp = IndexSearcher(ref, algorithm=algorithm)
+        for q in QUERIES:
+            gd, gs = s_got.search(q, 20)
+            ed, es = s_exp.search(q, 20)
+            np.testing.assert_array_equal(gd, ed, err_msg=q)
+            assert gs.dtype == es.dtype == np.float32, q
+            np.testing.assert_array_equal(gs.view(np.uint32), es.view(np.uint32), err_msg=q)
+
+    check_merged_index(MergedIndex(root))
+    assert not os.path.exists(units)
+    assert not os.path.exists(os.path.join(merged, "heavy_runs"))
+    on_disk = {
+        os.path.join(merged, sub, f)
+        for sub in ("terms", "dict")
+        for f in os.listdir(os.path.join(merged, sub))
     }
-    mm2 = merge_tree(manifest, index_dir, fan_in=2)
-    # L1 nodes reused byte-for-byte (same wall_ms), final level rebuilt
-    for d, meta in l1_meta_before.items():
-        now = json.load(open(os.path.join(index_dir, "merged", "L1", d, "meta.json")))
-        assert now == meta
-    assert mm2["segments"][0]["seg_dir"] == final_dir
-    assert mm2["doc_count"] == mm1["doc_count"]
-    check_segment(final_dir)
-    # the resumed index answers queries identically to the partition index
-    base = IndexSearcher(manifest, algorithm="taat")
-    merged = IndexSearcher(mm2, algorithm="taat")
-    for q in ["the00", "t00000 t00001", "tiekey"]:
-        bd, bs = base.search(q, 10)
-        md, ms = merged.search(q, 10)
-        np.testing.assert_array_equal(md, bd)
-        np.testing.assert_array_equal(ms, bs)
+    assert on_disk == {r["path"] for r in mm2["shards"] + mm2["dict_files"]}
+
+
+def test_norm_store_keyed_by_shard_list(tmp_path):
+    """A worker's norm store follows the shard list, not the index: after
+    a parts_per_shard change rewrites norms-000000000000.parquet over a
+    narrower doc range, the new list must read the new shards."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from engine.merge import _norm_store_for
+
+    def shard(lo, norms):
+        path = str(tmp_path / f"norms-{lo:012d}.parquet")
+        docs = np.arange(lo, lo + len(norms), dtype=np.int64)
+        pq.write_table(pa.table({"doc_id": docs, "norm": pa.array(norms, pa.uint8())}), path)
+        return {"doc_lo": lo, "doc_hi": lo + len(norms), "path": path}
+
+    docs = np.arange(4, dtype=np.int64)
+    wide = [shard(0, [1, 2, 3, 4])]
+    assert _norm_store_for(wide).norms_for(docs).tolist() == [1, 2, 3, 4]
+    narrow = [shard(0, [5, 6]), shard(2, [7, 8])]
+    assert _norm_store_for(narrow).norms_for(docs).tolist() == [5, 6, 7, 8]
 
 
 def test_retry_idempotence_under_concurrent_write(tmp_path):

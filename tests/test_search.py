@@ -265,30 +265,6 @@ def test_phrase_query_rank_identity(corpus, tmp_path_factory):
     assert len(gd) > 0
 
 
-def test_phrase_survives_merges(corpus, tmp_path_factory):
-    import os
-
-    from engine.merge import MergedIndex, merge_by_term, merge_segments
-
-    m = corpus["manifest"]
-    pages = make_pages(N_DOCS, seed=42)
-    texts = pages.column("text").to_pylist()
-    base = IndexSearcher(m, algorithm="taat")
-    # path A: k-way merged segment
-    out = str(tmp_path_factory.mktemp("pm") / "m0")
-    merge_segments([r["seg_dir"] for r in m["partitions"]], out)
-    from engine.segment import Segment
-
-    merged = IndexSearcher.from_segments(
-        [Segment(out)], corpus["doc_count"], corpus["sum_ttf"], algorithm="taat"
-    )
-    for phrase in ['"the00 the01"', '"t00000 t00001"']:
-        bd, bs = base.search(phrase, 10)
-        md, ms = merged.search(phrase, 10)
-        np.testing.assert_array_equal(md, bd, err_msg=phrase)
-        np.testing.assert_array_equal(ms, bs, err_msg=phrase)
-
-
 def test_synonym_query(corpus):
     s = IndexSearcher(corpus["manifest"], algorithm="taat")
     docs, scores = s.search("t00003|t00004", 10)
