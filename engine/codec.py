@@ -105,6 +105,21 @@ def read_vints(buf: bytes | memoryview, count: int, offset: int = 0) -> tuple[np
     if count == 0:
         return np.empty(0, dtype=np.uint64), offset
     raw = np.frombuffer(buf, dtype=np.uint8)
+    if count < 32:  # scalar path: ~15 numpy calls cost more for tiny reads
+        vals = []
+        x = shift = 0
+        pos = offset
+        for byte in raw[offset : offset + _MAX_VBYTES * count].tobytes():
+            pos += 1
+            x |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                vals.append(x & 0xFFFFFFFFFFFFFFFF)
+                if len(vals) == count:
+                    return np.array(vals, dtype=np.uint64), pos
+                x = shift = 0
+            else:
+                shift += 7
+        raise ValueError("truncated VInt stream")
     # terminators: bytes with high bit clear; the count-th terminator ends us
     region = raw[offset:]
     is_term = (region & 0x80) == 0

@@ -65,7 +65,7 @@ from .rayenv import remote_args as _rargs
 import pyarrow.parquet as pq
 
 from .codec import encode_term_postings
-from .segment import TERMS_SCHEMA, PostingsReader
+from .segment import TERMS_SCHEMA, PostingsReader, TermRows, binary_views
 
 
 def _concat_decoded(decoded):
@@ -602,16 +602,6 @@ def _dict_write_range(dict_dir: str, heavy_terms: list[str], *arr_lists):
     }
 
 
-def _binary_views(arr: pa.Array) -> tuple[np.ndarray, memoryview]:
-    """Zero-copy (offsets, data) views over a non-chunked binary array:
-    row i's bytes are data[offs[i]:offs[i+1]] — no per-row Python bytes
-    materialization (the .to_pylist() replacement for blob columns)."""
-    o = arr.offset
-    offs = np.frombuffer(arr.buffers()[1], dtype=np.int32)[o : o + len(arr) + 1]
-    buf = arr.buffers()[2]
-    return offs, memoryview(buf) if buf is not None else memoryview(b"")
-
-
 def _merge_sorted_batch(
     batch: pa.Table, norm_store: "_NormStore", emit, group_salt: bool = True
 ) -> None:
@@ -650,14 +640,14 @@ def _merge_sorted_batch(
     df = batch.column("df").to_numpy()
     ttf = batch.column("ttf").to_numpy()
     singleton = batch.column("singleton_doc").to_numpy()
-    b_off, b_data = _binary_views(batch.column("blob").chunk(0))
-    p_off, p_data = _binary_views(batch.column("pos_blob").chunk(0))
+    b_off, b_data = binary_views(batch.column("blob").chunk(0))
+    p_off, p_data = binary_views(batch.column("pos_blob").chunk(0))
     if "off_blob" in batch.column_names:
-        o_off, o_data = _binary_views(batch.column("off_blob").chunk(0))
+        o_off, o_data = binary_views(batch.column("off_blob").chunk(0))
     else:  # rows shipped without the offsets stream (offsets not indexed)
         o_off, o_data = np.zeros(n + 1, dtype=np.int32), memoryview(b"")
     if "pay_blob" in batch.column_names:
-        y_off, y_data = _binary_views(batch.column("pay_blob").chunk(0))
+        y_off, y_data = binary_views(batch.column("pay_blob").chunk(0))
     else:  # rows shipped without the payload stream (payloads not indexed)
         y_off, y_data = np.zeros(n + 1, dtype=np.int32), memoryview(b"")
     raw = (
@@ -1382,14 +1372,13 @@ def _sweep_merged(merged_dir: str, manifest: dict) -> None:
 
 
 class _LoadedShard(NamedTuple):
-    """One cached term shard: the Arrow table serves the lazy blob and
-    skip/impact reads; lookups and stats go through the term map and
-    numpy columns, with no bisect and no pyarrow scalars."""
+    """One cached term shard: lookups go through the term map, stats and
+    term rows through the table's numpy views, with no bisect, no
+    pyarrow scalars and no per-row copies; the views leave the cache with
+    the shard."""
 
-    tbl: pa.Table
     rows: dict[str, int]
-    df: np.ndarray
-    ttf: np.ndarray
+    cols: TermRows
 
 
 class MergedIndex(PostingsReader):
@@ -1400,7 +1389,7 @@ class MergedIndex(PostingsReader):
     file), heavy terms by binary search over the sorted, disjoint
     heavy-shard term ranges. Shards are lz4 Arrow IPC files opened through
     ``pa.memory_map`` and load lazily into an LRU of ``_SHARD_CACHE_MAX``
-    entries, each a term → row map plus numpy df/ttf columns — opening the
+    entries, each a term → row map plus ``TermRows`` numpy views — opening the
     index reads only the manifest, so searcher workers start in
     O(manifest), not O(#shards) (the BlockTree prefix-index role at file
     granularity). Dict files (prefix/range/fuzzy/suffix expansion) are
@@ -1485,12 +1474,7 @@ class MergedIndex(PostingsReader):
         """Read one term shard and build its term map (LRU-cached)."""
         tbl = read_term_shard(path)
         terms = tbl.column("term").to_pylist()
-        sh = _LoadedShard(
-            tbl,
-            dict(zip(terms, range(len(terms)))),
-            tbl.column("df").to_numpy(),
-            tbl.column("ttf").to_numpy(),
-        )
+        sh = _LoadedShard(dict(zip(terms, range(len(terms)))), TermRows(tbl))
         self._tables[path] = sh
         if len(self._tables) > self._SHARD_CACHE_MAX:
             self._tables.popitem(last=False)
@@ -1549,7 +1533,7 @@ class MergedIndex(PostingsReader):
 
     def _find(self, term: str):
         sh, i = self._lookup(term)
-        return (sh.tbl, i) if sh is not None else (None, -1)
+        return (sh.cols, i) if sh is not None else (None, -1)
 
     def _dict_ranges(self) -> list[tuple[str, str, str]]:
         """Sorted-dictionary level (the BlockTree .tim/.tip role —
@@ -1592,7 +1576,7 @@ class MergedIndex(PostingsReader):
         sh, i = self._lookup(term)
         if sh is None:
             return 0, 0
-        return int(sh.df[i]), int(sh.ttf[i])
+        return int(sh.cols.df[i]), int(sh.cols.ttf[i])
 
     def iter_terms(self):
         """Enumerate dictionary terms in sorted order from the dict files

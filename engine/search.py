@@ -37,7 +37,7 @@ from .rayenv import remote_args as _rargs
 
 from .bm25 import TermScorerParams, make_phrase_scorer, make_term_scorer, topk_sort
 from .queryparse import BoolQuery, parse_query
-from .segment import Segment
+from .segment import PostingsReader, Segment
 from .wand import (
     TOTAL_HITS_THRESHOLD,
     TermIterator,
@@ -193,7 +193,60 @@ class _OmitNormsReader:
         return np.full(len(np.asarray(doc_ids)), self._b1, dtype=np.uint8)
 
 
+_EMPTY_SCORES = np.empty(0, dtype=np.float32)
+_EMPTY_SCORES.flags.writeable = False
+
+
+class _TermWeight:
+    """One term's TermStates + Weight: global (df, ttf), the scorer params
+    (None when df == 0), the term's field and bare text and, when
+    memoized, each segment's scored postings (docs, read-only float32
+    scores) filled on first use. For an unboosted term these depend only
+    on the index and the similarity, never on the query."""
+
+    __slots__ = ("df", "ttf", "params", "field", "bare", "_hits")
+
+    def __init__(self, df, ttf, params, field, bare, memo: bool):
+        self.df, self.ttf, self.params = df, ttf, params
+        self.field, self.bare = field, bare
+        self._hits: dict | None = {} if memo else None
+
+    def hits(self, gi: int, seg) -> tuple[np.ndarray, np.ndarray]:
+        """(docs, float32 scores) on ``seg``, the field's segment at body
+        index ``gi``; scores are empty when the segment lacks the term."""
+        h = None if self._hits is None else self._hits.get(gi)
+        if h is None:
+            docs, freqs = seg.postings(self.bare)
+            scores = (
+                self.params.score(freqs, seg.norm_of(docs)) if len(docs) else _EMPTY_SCORES
+            )
+            h = (docs, scores)
+            if self._hits is not None:
+                scores.flags.writeable = False
+                self._hits[gi] = h
+        return h
+
+
 class IndexSearcher:
+    """Top-k search over an open index (the IndexSearcher role): global
+    collection + term stats, per-segment scoring, one (score desc, docID
+    asc) top-k.
+
+    Two per-searcher LRUs serve repeated work; both rely on the index
+    being immutable, so entries never invalidate, and callers must not
+    mutate the arrays they return:
+
+    - the filter-bitset cache (``_filter_bitset``, LRUQueryCache role):
+      one bool[span] per (segment, TermInSetQuery filter clause);
+    - the TermStates + Weight cache (``_weight``): per unboosted term and
+      scorer factory, its (df, ttf), scorer params and, per segment, its
+      scored postings (docs, read-only float32 scores), so a repeated term
+      costs one dict hit instead of stats + params + norm gather + scoring.
+      It holds at most ``PostingsReader._POSTINGS_CACHE_MAX`` terms and is
+      bypassed while ``stats_override`` is set, for boosted params and for
+      ``collector`` calls. Each query keeps its own accumulation order, so
+      results are bit-identical with or without it."""
+
     def __init__(
         self,
         manifest: dict,
@@ -263,6 +316,7 @@ class IndexSearcher:
         from collections import OrderedDict as _FOD
 
         self._filter_cache: "OrderedDict" = _FOD()
+        self._weights: "OrderedDict" = _FOD()
         self._deleted: np.ndarray | None = None
         dpath = manifest.get("deletes")
         if dpath:
@@ -353,6 +407,7 @@ class IndexSearcher:
         from collections import OrderedDict as _FOD
 
         obj._filter_cache = _FOD()
+        obj._weights = _FOD()
         return obj
 
     _FILTER_CACHE_MAX = 32  # entries; each is one bool byte/doc of one segment
@@ -397,7 +452,7 @@ class IndexSearcher:
         the TermStates.build stats pass. ``stats_override`` lets a
         shard-subset searcher score with true global stats injected by the
         fan-out (sharded search)."""
-        ov = getattr(self, "stats_override", None)
+        ov = self.stats_override
         if ov is not None and term in ov:
             return ov[term]
         fld, bare = self._split_field(term)
@@ -408,29 +463,58 @@ class IndexSearcher:
             ttf += t
         return df, ttf
 
+    def _weight(self, t: str, boost: float | None = None, memo: bool = True) -> _TermWeight:
+        """The TermStates + Weight of a (possibly field-qualified) term.
+        Unboosted weights come from the per-searcher LRU, keyed by the term
+        and the scorer factory of its field (``make_scorer`` may be
+        reassigned between requests); a boost, ``stats_override`` or
+        ``memo=False`` builds a fresh, unmemoized weight."""
+        fld, bare = self._split_field(t)
+        # per-field similarity (PerFieldSimilarityWrapper dispatch)
+        mk = (
+            self._sim_map.get(fld, self.make_scorer)
+            if self._sim_map is not None
+            else self.make_scorer
+        )
+        memo = memo and boost is None and self.stats_override is None
+        if memo:
+            key = (t, mk)
+            w = self._weights.get(key)
+            if w is not None:
+                self._weights.move_to_end(key)
+                return w
+        df, ttf = self.global_term_stats(t)
+        # per-field collection stats: avgdl comes from THIS field's
+        # sumTotalTermFreq (BM25Similarity.java:80-82 per-field);
+        # ttf feeds LM-family collection probabilities (LMSimilarity)
+        _segs, f_doc_count, f_sum_ttf = self.fields[fld]
+        b = np.float32(1.0 if boost is None else boost)  # BoostQuery wrap
+        params = mk(df, f_doc_count, f_sum_ttf, ttf=ttf, boost=b) if df > 0 else None
+        w = _TermWeight(df, ttf, params, fld, bare, memo)
+        if memo:
+            self._weights[key] = w
+            if len(self._weights) > PostingsReader._POSTINGS_CACHE_MAX:
+                self._weights.popitem(last=False)
+        return w
+
+    def _weights_for(
+        self,
+        terms: tuple[str, ...],
+        boosts: dict[str, float] | None = None,
+        memo: bool = True,
+    ) -> dict[str, _TermWeight]:
+        boosts = boosts or {}
+        return {t: self._weight(t, boosts.get(t), memo) for t in terms}
+
     def _params_for(
         self, terms: tuple[str, ...], boosts: dict[str, float] | None = None
     ) -> dict[str, TermScorerParams | None]:
-        out: dict[str, TermScorerParams | None] = {}
-        for t in terms:
-            df, ttf = self.global_term_stats(t)
-            fld, _bare = self._split_field(t)
-            _segs, f_doc_count, f_sum_ttf = self.fields[fld]
-            # per-field collection stats: avgdl comes from THIS field's
-            # sumTotalTermFreq (BM25Similarity.java:80-82 per-field);
-            # ttf feeds LM-family collection probabilities (LMSimilarity)
-            mk = (
-                self._sim_map.get(fld, self.make_scorer)
-                if self._sim_map is not None
-                else self.make_scorer
-            )
-            b = np.float32((boosts or {}).get(t, 1.0))  # BoostQuery wrap
-            out[t] = (
-                mk(df, f_doc_count, f_sum_ttf, ttf=ttf, boost=b)
-                if df > 0
-                else None
-            )
-        return out
+        return {t: w.params for t, w in self._weights_for(terms, boosts).items()}
+
+    def _scored(self, w: _TermWeight, gi: int, seg) -> tuple[np.ndarray, np.ndarray]:
+        """(docs, float32 scores) of a weight's term on body segment ``gi``,
+        routed to the term's field segment."""
+        return w.hits(gi, seg if w.field == "body" else self._field_seg(w.field, gi))
 
     # -- query entry -------------------------------------------------------
 
@@ -448,8 +532,8 @@ class IndexSearcher:
         Solr edismax qf shape (user term expanded per field with
         per-field weights, combined under dismax)."""
         q = parse_query(query) if isinstance(query, str) else query
-        params = self._params_for(q.should, boosts=boosts)
-        live = [t for t in q.should if params[t] is not None]
+        weights = self._weights_for(q.should, boosts=boosts)
+        live = [t for t in q.should if weights[t].params is not None]
         if not live or k <= 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
         tie = np.float32(tie_breaker)
@@ -461,12 +545,9 @@ class IndexSearcher:
             sm = np.zeros(span, dtype=np.float64)
             matched = np.zeros(span, dtype=bool)
             for t in live:
-                fld, bare = self._split_field(t)
-                fseg = seg if fld == "body" else self._field_seg(fld, gi)
-                docs, freqs = fseg.postings(bare)
+                docs, s = self._scored(weights[t], gi, seg)
                 if not len(docs):
                     continue
-                s = params[t].score(freqs, fseg.norm_of(docs))
                 loc = docs - lo
                 np.maximum.at(mx, loc, s)
                 sm[loc] += s.astype(np.float64)
@@ -971,11 +1052,15 @@ class IndexSearcher:
             # threshold must never be raised by a deleted doc, and the
             # liveDocs mask is applied before top-k on the TAAT funnel.
             algorithm = "taat"
-        # must_not params are never used for scoring, only to build iterators
-        params = self._params_for(tuple(q.must) + tuple(q.should) + tuple(q.must_not))
-        if any(params[t] is None for t in q.must):
+        # must_not params are never used for scoring, only to build
+        # iterators; a collector sees writable, unmemoized score arrays
+        weights = self._weights_for(
+            tuple(q.must) + tuple(q.should) + tuple(q.must_not),
+            memo=collector is None,
+        )
+        if any(weights[t].params is None for t in q.must):
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        live_should = tuple(t for t in q.should if params[t] is not None)
+        live_should = tuple(t for t in q.should if weights[t].params is not None)
         if (
             not q.must
             and not live_should
@@ -990,14 +1075,12 @@ class IndexSearcher:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
 
         if algorithm == "auto":
-            total_postings = sum(
-                self.global_term_stats(t)[0] for t in tuple(q.must) + live_should
-            )
+            total_postings = sum(weights[t].df for t in tuple(q.must) + live_should)
             algorithm = "wand" if total_postings > WAND_POSTINGS_CUTOVER else "taat"
 
         if algorithm == "taat":
-            return self._search_taat(q, live_should, params, k, deadline, collector)
-        return self._search_wand(q, live_should, params, k, threshold, deadline)
+            return self._search_taat(q, live_should, weights, k, deadline, collector)
+        return self._search_wand(q, live_should, weights, k, threshold, deadline)
 
     # -- exhaustive vectorized plan ----------------------------------------
 
@@ -1005,7 +1088,7 @@ class IndexSearcher:
         self,
         q: BoolQuery,
         live_should: tuple[str, ...],
-        params: dict[str, TermScorerParams | None],
+        weights: dict[str, _TermWeight],
         k: int,
         deadline: float | None = None,
         collector=None,
@@ -1049,14 +1132,11 @@ class IndexSearcher:
         ):
             # single-term fast path (the dominant query shape): postings →
             # score → top-k directly, no dense accumulator/scatter/gather
-            t = live_should[0]
-            fld_t, bare_t = self._split_field(t)
+            w = weights[live_should[0]]
             for gi, seg in enumerate(self.segments):
                 _check_deadline()
-                tseg = seg if fld_t == "body" else self._field_seg(fld_t, gi)
-                docs, freqs = tseg.postings(bare_t)
+                docs, sc_seg = self._scored(w, gi, seg)
                 if len(docs):
-                    sc_seg = params[t].score(freqs, tseg.norm_of(docs))
                     if collector is not None:
                         collector(docs, sc_seg)
                     all_docs.append(docs)
@@ -1164,16 +1244,13 @@ class IndexSearcher:
             # must_cnt exactly once — otherwise must_cnt==n_must never holds.
             for i, t in enumerate(tuple(q.must) + live_should):
                 is_must = i < n_must
-                fld_t, bare_t = self._split_field(t)
-                tseg = seg if fld_t == "body" else self._field_seg(fld_t, gi)
-                docs, freqs = tseg.postings(bare_t)
+                docs, s = self._scored(weights[t], gi, seg)
                 if len(docs) == 0:
                     if is_must:
                         must_cnt = None
                         break
                     continue
                 local = docs - lo
-                s = params[t].score(freqs, tseg.norm_of(docs))
                 acc[local] += s.astype(np.float64)
                 matched[local] = True
                 if is_must:
@@ -1260,8 +1337,8 @@ class IndexSearcher:
         must_ok: np.ndarray | None = None  # AND over required clauses
         should_cnt = np.zeros(span, dtype=np.int16) if q.min_should_match else None
 
-        params = self._params_for(tuple(q.must) + tuple(q.should))
-        if any(params[t] is None for t in q.must):
+        weights = self._weights_for(tuple(q.must) + tuple(q.should))
+        if any(weights[t].params is None for t in q.must):
             return np.zeros(span, dtype=bool), acc  # a required term is absent
 
         def _require(mask: np.ndarray) -> None:
@@ -1343,27 +1420,19 @@ class IndexSearcher:
             )
             _optional(local)
         for t in q.must:
-            fld_t, bare_t = self._split_field(t)
-            tseg = seg if fld_t == "body" else self._field_seg(fld_t, gi)
-            docs, freqs = tseg.postings(bare_t)
+            docs, s = self._scored(weights[t], gi, seg)
             m = np.zeros(span, dtype=bool)
             if len(docs):
                 local = docs - lo
-                acc[local] += params[t].score(freqs, tseg.norm_of(docs)).astype(
-                    np.float64
-                )
+                acc[local] += s.astype(np.float64)
                 m[local] = True
             _require(m)
-        live_should = tuple(t for t in q.should if params[t] is not None)
+        live_should = tuple(t for t in q.should if weights[t].params is not None)
         for t in live_should:
-            fld_t, bare_t = self._split_field(t)
-            tseg = seg if fld_t == "body" else self._field_seg(fld_t, gi)
-            docs, freqs = tseg.postings(bare_t)
+            docs, s = self._scored(weights[t], gi, seg)
             if len(docs):
                 local = docs - lo
-                acc[local] += params[t].score(freqs, tseg.norm_of(docs)).astype(
-                    np.float64
-                )
+                acc[local] += s.astype(np.float64)
                 _optional(local)
         for sub in q.sub_must:
             s_sel, s_acc = self._eval_node(sub, gi, seg)
@@ -1409,7 +1478,7 @@ class IndexSearcher:
         self,
         q: BoolQuery,
         live_should: tuple[str, ...],
-        params: dict[str, TermScorerParams | None],
+        weights: dict[str, _TermWeight],
         k: int,
         threshold: int,
         deadline: float | None = None,
@@ -1425,11 +1494,11 @@ class IndexSearcher:
             def iters(terms: tuple[str, ...]) -> list[TermIterator]:
                 out = []
                 for t in terms:
-                    fld, bare = self._split_field(t)
-                    fseg = seg if fld == "body" else self._field_seg(fld, gi)
-                    ti = fseg.term_info(bare)
+                    w = weights[t]
+                    fseg = seg if w.field == "body" else self._field_seg(w.field, gi)
+                    ti = fseg.term_info(w.bare)
                     if ti is not None:
-                        out.append(TermIterator(fseg, ti, params[t]))
+                        out.append(TermIterator(fseg, ti, w.params))
                 return out
 
             must_iters = iters(q.must)

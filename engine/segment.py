@@ -80,15 +80,93 @@ class TermInfo:
     df: int
     ttf: int
     singleton_doc: int
-    blob: bytes
+    blob: bytes | memoryview
     last_docs: np.ndarray
     offsets: np.ndarray
     imp_freq: np.ndarray
     imp_norm: np.ndarray
     imp_start: np.ndarray
-    pos_blob: bytes = b""
-    off_blob: bytes = b""
-    pay_blob: bytes = b""
+    pos_blob: bytes | memoryview = b""
+    off_blob: bytes | memoryview = b""
+    pay_blob: bytes | memoryview = b""
+
+
+_LIST_COLS = ("last_docs", "offsets", "imp_freq", "imp_norm", "imp_start")
+_BLOB_COLS = ("blob", "pos_blob", "off_blob", "pay_blob")
+
+
+def _offsets(arr: pa.Array) -> np.ndarray:
+    """Int32 offsets of a non-chunked binary or list array, zero-copy
+    (``arr.offsets.to_numpy()`` costs ~100x more)."""
+    o = arr.offset
+    return np.frombuffer(arr.buffers()[1], dtype=np.int32)[o : o + len(arr) + 1]
+
+
+def binary_views(arr: pa.Array) -> tuple[np.ndarray, memoryview]:
+    """Zero-copy (offsets, data) views over a non-chunked binary array:
+    row i's bytes are data[offs[i]:offs[i+1]] — no per-row Python bytes
+    materialization (the .to_pylist() replacement for blob columns)."""
+    buf = arr.buffers()[2]
+    return _offsets(arr), memoryview(buf) if buf is not None else memoryview(b"")
+
+
+def _one_chunk(col: pa.ChunkedArray) -> pa.Array:
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
+class TermRows:
+    """Numpy views over a loaded terms table (``TERMS_SCHEMA``), built
+    once per table: ``info(term, i)`` returns row i as a ``TermInfo`` of
+    int64 slices of the list columns' values and memoryview slices of the
+    blob columns' data, copying nothing per row (a row's ``to_pylist``
+    cost ~80 µs). Callers must not mutate the slices."""
+
+    def __init__(self, tbl: pa.Table):
+        self.df = _one_chunk(tbl.column("df")).to_numpy()
+        self.ttf = _one_chunk(tbl.column("ttf")).to_numpy()
+        self._singleton = _one_chunk(tbl.column("singleton_doc")).to_numpy()
+        self._lists = []
+        for c in _LIST_COLS:
+            a = _one_chunk(tbl.column(c))
+            self._lists.append((_offsets(a), a.values.to_numpy().astype(np.int64, copy=False)))
+        # (offsets, uint8 data) per blob column; None when the table
+        # predates the column. A null slot spans no bytes, so it reads
+        # as an empty blob.
+        names = set(tbl.schema.names)
+        self._blobs = []
+        for c in _BLOB_COLS:
+            if c not in names:
+                self._blobs.append(None)
+                continue
+            offs, data = binary_views(_one_chunk(tbl.column(c)))
+            self._blobs.append((offs, np.frombuffer(data, dtype=np.uint8)))
+
+    def _blob(self, j: int, i: int) -> bytes | memoryview:
+        col = self._blobs[j]
+        if col is None:
+            return b""
+        offs, data = col
+        return data[offs[i] : offs[i + 1]].data
+
+    def info(self, term: str, i: int) -> TermInfo:
+        last_docs, offsets, imp_freq, imp_norm, imp_start = (
+            vals[offs[i] : offs[i + 1]] for offs, vals in self._lists
+        )
+        return TermInfo(
+            term=term,
+            df=int(self.df[i]),
+            ttf=int(self.ttf[i]),
+            singleton_doc=int(self._singleton[i]),
+            blob=self._blob(0, i),
+            last_docs=last_docs,
+            offsets=offsets,
+            imp_freq=imp_freq,
+            imp_norm=imp_norm,
+            imp_start=imp_start,
+            pos_blob=self._blob(1, i),
+            off_blob=self._blob(2, i),
+            pay_blob=self._blob(3, i),
+        )
 
 
 def write_segment(
@@ -164,7 +242,7 @@ class PostingsReader:
     """Postings surface shared by a flushed ``Segment`` and a merged
     ``MergedIndex`` — the one leaf-reader both kinds of Lucene segment are
     read through. A subclass supplies how a term's row is found
-    (``_find(term)`` → (terms table, row) or (None, -1)), ``iter_terms()``
+    (``_find(term)`` → (``TermRows``, row) or (None, -1)), ``iter_terms()``
     in sorted order, ``term_stats`` and its norms; the row decode, the
     decoded-postings LRU, the prox/offset/payload streams and the
     reversed-dictionary suffix seek live here."""
@@ -180,25 +258,8 @@ class PostingsReader:
         return self.max_doc - self.doc_base
 
     def term_info(self, term: str) -> TermInfo | None:
-        tbl, i = self._find(term)
-        if tbl is None:
-            return None
-        row = tbl.slice(i, 1).to_pylist()[0]
-        return TermInfo(
-            term=row["term"],
-            df=row["df"],
-            ttf=row["ttf"],
-            singleton_doc=row["singleton_doc"],
-            blob=row["blob"] or b"",
-            last_docs=np.array(row["last_docs"], dtype=np.int64),
-            offsets=np.array(row["offsets"], dtype=np.int64),
-            imp_freq=np.array(row["imp_freq"], dtype=np.int64),
-            imp_norm=np.array(row["imp_norm"], dtype=np.int64),
-            imp_start=np.array(row["imp_start"], dtype=np.int64),
-            pos_blob=row.get("pos_blob") or b"",
-            off_blob=row.get("off_blob") or b"",
-            pay_blob=row.get("pay_blob") or b"",
-        )
+        rows, i = self._find(term)
+        return None if rows is None else rows.info(term, i)
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """Fully decoded (docs, freqs) for a term (TAAT/oracle/merge path).
@@ -290,8 +351,7 @@ class Segment(PostingsReader):
             self.meta = json.load(f)
         self._terms_tbl = pq.read_table(os.path.join(seg_dir, "terms.parquet"))
         self._terms: list[str] = self._terms_tbl.column("term").to_pylist()
-        self._df = self._terms_tbl.column("df").to_numpy()
-        self._ttf = self._terms_tbl.column("ttf").to_numpy()
+        self._rows = TermRows(self._terms_tbl)
         nt = pq.read_table(os.path.join(seg_dir, "norms.parquet"))
         doc_ids = nt.column("doc_id").to_numpy()
         self.doc_base = int(self.meta["doc_base"])
@@ -315,9 +375,9 @@ class Segment(PostingsReader):
             return i
         return -1
 
-    def _find(self, term: str) -> tuple[pa.Table | None, int]:
+    def _find(self, term: str) -> tuple[TermRows | None, int]:
         i = self.term_index(term)
-        return (self._terms_tbl, i) if i >= 0 else (None, -1)
+        return (self._rows, i) if i >= 0 else (None, -1)
 
     def iter_terms(self):
         yield from self._terms
@@ -333,7 +393,7 @@ class Segment(PostingsReader):
         i = self.term_index(term)
         if i < 0:
             return 0, 0
-        return int(self._df[i]), int(self._ttf[i])
+        return int(self._rows.df[i]), int(self._rows.ttf[i])
 
 
 class DictStatsReader:

@@ -2,6 +2,7 @@
 BasePostingsFormatTestCase randomized corpora)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from engine.codec import (
     pack_block,
     read_vints,
     unpack_block,
+    vint_byte_counts,
     write_vints,
 )
 
@@ -47,6 +49,44 @@ def test_vint_concat_streams():
     vb, off = read_vints(buf, 1, off)
     np.testing.assert_array_equal(va, a)
     np.testing.assert_array_equal(vb, b)
+
+
+@pytest.mark.parametrize("nbytes", range(1, 11))
+def test_read_vints_scalar_matches_vectorized(nbytes):
+    """Below 32 values ``read_vints`` decodes with a byte loop, from 32 on
+    vectorized: both give the same values and next offset, for values of
+    every encoded width, at a nonzero offset and across two concatenated
+    streams."""
+    rng = np.random.default_rng(nbytes)
+    lo = 0 if nbytes == 1 else 1 << (7 * (nbytes - 1))
+    hi = min(1 << (7 * nbytes), 1 << 64) - 1
+    vals = rng.integers(lo, hi, size=40, dtype=np.uint64, endpoint=True)
+    assert (vint_byte_counts(vals) == nbytes).all()
+    head = write_vints(np.array([3, 300], dtype=np.uint64))
+    buf = head + write_vints(vals[:20]) + write_vints(vals[20:])
+    full, end = read_vints(buf, 40, len(head))
+    np.testing.assert_array_equal(full, vals)
+    assert end == len(buf)
+    for n in (1, 2, 17, 31, 32, 33):
+        got, off = read_vints(buf, n, len(head))
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, vals[:n])
+        assert off == len(head) + n * nbytes
+    first, off = read_vints(buf, 20, len(head))
+    rest, off = read_vints(buf, 20, off)
+    np.testing.assert_array_equal(np.concatenate([first, rest]), vals)
+    assert off == len(buf)
+
+
+def test_read_vints_truncated_raises():
+    buf = write_vints(np.arange(1000, 1040, dtype=np.uint64))  # 2 bytes each
+    for n, cut in ((1, 1), (5, 9), (31, 61), (32, 63), (40, 79)):
+        with pytest.raises(ValueError, match="truncated VInt stream"):
+            read_vints(buf[:cut], n)
+    with pytest.raises(ValueError, match="truncated VInt stream"):
+        read_vints(buf, 1, len(buf))
+    with pytest.raises(ValueError, match="truncated VInt stream"):
+        read_vints(buf, 33, 40)
 
 
 # ---------------------------------------------------------------- FOR pack

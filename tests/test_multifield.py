@@ -120,6 +120,29 @@ def test_cross_field_boolean_and_wand_agree(mf_corpus):
     assert set(td.tolist()) == body_set & title_set
 
 
+@pytest.mark.parametrize("similarity", ["bm25", {"title": "lmdirichlet", "": "bm25"}])
+def test_weight_cache_field_qualified_terms(mf_corpus, similarity):
+    """The weight cache keys field-qualified terms apart from body terms
+    (same token, different stats and norms) and per-field similarities
+    apart: a warm searcher equals a new one bit-exactly, twice over."""
+    m = mf_corpus["manifest"]
+    queries = [
+        "title:shared shared", "shared title:shared", "title:shared",
+        "+title:alpha shared", "+shared +title:num0", "shared -title:alpha",
+        "(title:alpha shared) +w001", "title:beta title:beta w002",
+    ]
+    warm = IndexSearcher(m, similarity=similarity)
+    for q in queries + queries[::-1]:
+        got = warm.search(q, N_DOCS)
+        exp = IndexSearcher(m, similarity=similarity).search(q, N_DOCS)
+        np.testing.assert_array_equal(got[0], exp[0], err_msg=q)
+        np.testing.assert_array_equal(got[1].view(np.uint32), exp[1].view(np.uint32), err_msg=q)
+        assert len(got[0]) > 0, q
+    assert {("body", "shared"), ("title", "shared")} <= {
+        (w.field, w.bare) for w in warm._weights.values()
+    }
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_multifield_merge_and_sharded(mf_corpus, tmp_path_factory):
     import ray.data

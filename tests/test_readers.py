@@ -200,3 +200,44 @@ def test_merged_shards_ipc_eviction_and_bloom_skip(readers, monkeypatch):
     assert fresh.term_stats(absent) == (0, 0)
     assert fresh.term_info(absent) is None
     assert calls == []
+
+
+def _row_info(row: dict) -> tuple:
+    """A terms-table row as the per-row ``to_pylist`` copy decoded it."""
+    return (
+        row["term"], row["df"], row["ttf"], row["singleton_doc"], row["blob"] or b"",
+        *(row[c] for c in ("last_docs", "offsets", "imp_freq", "imp_norm", "imp_start")),
+        *(row.get(c) or b"" for c in ("pos_blob", "off_blob", "pay_blob")),
+    )
+
+
+def _view_info(ti) -> tuple:
+    for c in ("last_docs", "offsets", "imp_freq", "imp_norm", "imp_start"):
+        assert getattr(ti, c).dtype == np.int64, c
+    for c in ("df", "ttf", "singleton_doc"):
+        assert type(getattr(ti, c)) is int, c
+    return (
+        ti.term, ti.df, ti.ttf, ti.singleton_doc, bytes(ti.blob),
+        ti.last_docs.tolist(), ti.offsets.tolist(), ti.imp_freq.tolist(),
+        ti.imp_norm.tolist(), ti.imp_start.tolist(),
+        bytes(ti.pos_blob), bytes(ti.off_blob), bytes(ti.pay_blob),
+    )
+
+
+def test_term_info_views_equal_row_copies(readers):
+    """``term_info`` reads rows through per-table numpy views; every row of
+    every partition ``Segment`` and every ``MergedIndex`` shard equals its
+    ``slice(i, 1).to_pylist()`` copy field by field, side streams
+    included."""
+    stream, segs, _dicts, mi = readers
+    side = "off_blob" if stream == "offsets" else "pay_blob"
+    for seg in segs:
+        rows = seg._terms_tbl.to_pylist()
+        assert any(r["pos_blob"] and r[side] for r in rows)
+        for row in rows:
+            assert _view_info(seg.term_info(row["term"])) == _row_info(row), row["term"]
+    shards = set()
+    for path, row in mi.iter_term_rows():
+        shards.add(path)
+        assert _view_info(mi.term_info(row["term"])) == _row_info(row), row["term"]
+    assert len(shards) == len(mi.manifest["shards"])

@@ -633,9 +633,9 @@ def test_filter_clause_lru_cache(corpus):
 
             seg.postings = counting
         d2, s2 = s.search(q, corpus["doc_count"])
-        # the scoring term 'the00' still reads postings; the FILTER terms
-        # don't — so exactly one postings call per segment
-        assert calls["n"] == len(s.segments)
+        # the FILTER terms come from the bitset LRU and the scoring term
+        # 'the00' from the weight cache: no postings call at all
+        assert calls["n"] == 0
     finally:
         for seg in s.segments:
             seg.postings = orig[id(seg)]
@@ -940,7 +940,9 @@ def test_time_limiting_collector(corpus):
 
     # plant a deadline that expires after the first segment: monkeypatch
     # the segment's postings to burn time, then check partials are a
-    # prefix-of-segments result
+    # prefix-of-segments result. A new searcher, because a warm weight
+    # cache serves the scored postings without a postings call.
+    s = IndexSearcher(corpus["manifest"], algorithm="taat")
     seg1 = s.segments[1]
     orig = seg1.postings
 
@@ -1686,3 +1688,163 @@ def test_omit_norms(corpus):
     d2, sc2 = s2.search("t00005", 50)
     assert not np.array_equal(np.sort(sc), np.sort(sc2))
     assert s.count("t00005") == s2.count("t00005")
+
+
+# ---------------------------------------------------------------------------
+# TermStates + Weight cache: a warm searcher answers bit-exactly like a new
+# one, whatever the per-request state (similarity, stats_override, boosts)
+# ---------------------------------------------------------------------------
+
+CACHE_QUERIES = [
+    ("the00 the07 the19", 10),  # the perfbench classes on this vocabulary
+    ("the03 t00001 t00005 the11 t00020", 25),
+    ("t00000 AND the01", 10),
+    ("+the02 t00003", 10),
+    ("the04 -t00002", 10),
+    ("the05", 1000),
+    ("t00917", 10),
+    ("t01234 t00456", 10),
+    ("t00017 AND t00042", 10),
+    ("zq0001", 10),
+    ("the00 the00 t00001", 10),  # repeated term
+    ("+t00000 t00000", 10),  # +t t
+    ("-the00", 10),
+    ("t00001 -the00", 10),
+    ("+the00 +t00002 -t00001", 10),
+    ("(+the00 +t00001) the02", 10),  # nested clause tree
+    ("the06", 1000),
+    ("t00001 t00002 t00003 t00004 t00005 t00006", 1000),
+]
+
+
+def _assert_same(got, exp, msg=""):
+    msg = str(msg)
+    np.testing.assert_array_equal(got[0], exp[0], err_msg=msg)
+    assert got[1].dtype == exp[1].dtype == np.float32, msg
+    np.testing.assert_array_equal(got[1].view(np.uint32), exp[1].view(np.uint32), err_msg=msg)
+
+
+def _warm_equals_fresh(manifest, queries, rounds=2, **kw):
+    """Run every query ``rounds`` times (forward, then reversed) on one
+    searcher; each answer equals a new searcher's. Returns the warm one."""
+    warm = IndexSearcher(manifest, **kw)
+    for r in range(rounds):
+        for q, k in queries if r % 2 == 0 else queries[::-1]:
+            _assert_same(warm.search(q, k), IndexSearcher(manifest, **kw).search(q, k), q)
+    return warm
+
+
+@pytest.mark.parametrize("algorithm", ["auto", "wand"])
+def test_weight_cache_warm_equals_fresh(corpus, algorithm):
+    warm = _warm_equals_fresh(corpus["manifest"], CACHE_QUERIES, algorithm=algorithm)
+    assert len(warm._weights) > 0
+    for q, k in CACHE_QUERIES[:10]:
+        if "-" not in q and "(" not in q:
+            _assert_same(warm.search(q, k), _oracle_topk(corpus, q, k), q)
+
+
+@pytest.mark.parametrize("variant", ["deletes", "omit_norms"])
+def test_weight_cache_warm_equals_fresh_variants(corpus, tmp_path, variant):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    manifest, kw = dict(corpus["manifest"]), {}
+    if variant == "deletes":
+        path = str(tmp_path / "deletes.parquet")
+        dead = np.arange(0, corpus["doc_count"], 7, dtype=np.int64)
+        pq.write_table(pa.table({"doc_id": dead}), path)
+        manifest["deletes"] = path
+    else:
+        kw["omit_norms"] = True
+    warm = _warm_equals_fresh(manifest, CACHE_QUERIES, **kw)
+    if variant == "deletes":
+        d, _ = warm.search("the00", 1000)
+        assert len(d) and not np.isin(d, dead).any()
+
+
+def test_weight_cache_keyed_by_scorer_factory(corpus):
+    """``_shard_searcher`` reassigns ``make_scorer`` per request: a warm
+    searcher switched bm25 → lmdirichlet → bm25 → lmdirichlet answers
+    like a new searcher built with each similarity."""
+    from engine.bm25 import SIMILARITIES
+
+    m = corpus["manifest"]
+    s = IndexSearcher(m)
+    for sim in ("bm25", "lmdirichlet", "bm25", "lmdirichlet"):
+        s.make_scorer = SIMILARITIES[sim]
+        for q, k in CACHE_QUERIES:
+            _assert_same(s.search(q, k), IndexSearcher(m, similarity=sim).search(q, k), (sim, q))
+
+
+def test_weight_cache_bypassed_under_stats_override(corpus):
+    """Injected stats (sharded fan-out, BlendedTermQuery) never read or
+    fill the cache: setting, then clearing ``stats_override`` on a warm
+    searcher matches new searchers both times."""
+    m = corpus["manifest"]
+    terms = ("t00005", "t00012")
+    q = " ".join(terms)
+    s = IndexSearcher(m)
+    plain = s.search(q, 50), s.search_dismax(q, 50, tie_breaker=0.01)
+    stats = [s.global_term_stats(t) for t in terms]
+    blended = {t: (max(d for d, _ in stats), sum(t for _, t in stats)) for t in terms}
+
+    fresh = IndexSearcher(m)
+    fresh.stats_override = blended
+    want = fresh.search(q, 50), fresh.search_dismax(q, 50, tie_breaker=0.01)
+    assert not np.array_equal(want[0][1], plain[0][1])
+    s.stats_override = blended
+    for _ in range(2):
+        _assert_same(s.search(q, 50), want[0])
+        _assert_same(s.search_dismax(q, 50, tie_breaker=0.01), want[1])
+    s.stats_override = None
+    _assert_same(s.search(q, 50), plain[0])
+    _assert_same(s.search_dismax(q, 50, tie_breaker=0.01), plain[1])
+    _assert_same(s.search(q, 50), IndexSearcher(m).search(q, 50))
+
+
+def test_weight_cache_bypassed_for_boosts(corpus):
+    """Boosted clauses and dismax ``boosts`` score with their own weights
+    on a searcher whose cache holds the same terms unboosted."""
+    m = corpus["manifest"]
+    s = IndexSearcher(m)
+    for q, k in CACHE_QUERIES:
+        s.search(q, k)
+    s.search("t00005 t00012", 10)
+    for q in ("t00005^2.5", "t00005^2.5 t00012", "+t00012 t00005^0.5"):
+        _assert_same(s.search(q, 20), IndexSearcher(m).search(q, 20), q)
+    boosts = {"t00005": 3.0}
+    for _ in range(2):
+        _assert_same(
+            s.search_dismax("t00005 t00012", 20, tie_breaker=0.1, boosts=boosts),
+            IndexSearcher(m).search_dismax("t00005 t00012", 20, tie_breaker=0.1, boosts=boosts),
+        )
+        _assert_same(
+            s.search_dismax("t00005 t00012", 20, tie_breaker=0.1),
+            IndexSearcher(m).search_dismax("t00005 t00012", 20, tie_breaker=0.1),
+        )
+
+
+def test_weight_cache_bounded_and_read_only(corpus):
+    """The cache holds at most ``_POSTINGS_CACHE_MAX`` terms, its score
+    arrays are read-only, and a collector call neither reads nor fills
+    it (the collector gets writable arrays)."""
+    from engine.segment import PostingsReader
+
+    s = IndexSearcher(corpus["manifest"])
+    seen = []
+    s.search("t00001 t00002", 10, collector=lambda d, sc: seen.append(sc))
+    assert len(s._weights) == 0 and seen and all(sc.flags.writeable for sc in seen)
+    cap = PostingsReader._POSTINGS_CACHE_MAX
+    for i in range(cap + 40):
+        s.search(f"t{i:05d} the{i % 20:02d}", 10)
+        assert len(s._weights) <= cap
+    assert len(s._weights) == cap
+    n_arrays = 0
+    for w in s._weights.values():
+        for docs, sc in w._hits.values():
+            assert not sc.flags.writeable
+            n_arrays += len(sc) > 0
+            if len(sc):
+                with pytest.raises(ValueError):
+                    sc[0] = 0.0
+    assert n_arrays > cap
