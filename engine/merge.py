@@ -10,12 +10,14 @@ no Dataset all-to-all:
    re-shard the partition norms by doc range.
 2. *Map-side exchange.* Each explode task reads a chunk of partitions and
    returns ``num_returns=n_buckets`` objects, one per bucket
-   ``fnv1a(term) % n_buckets`` (heavy terms hash ``(term, salt)``, salts
-   being contiguous partition-rank ranges so runs stay doc-ordered). Each
-   bucket task depends on exactly its own slot of every explode task, so
-   the exchange is the object transfer itself. The bucket task merges and
-   re-encodes its terms in one sorted batch: light terms are final and
-   go to one shard file per bucket, heavy terms leave one salted run file.
+   ``fnv1a(term) % n_buckets`` (``n_buckets`` grows with the corpus's
+   token count, ``derive_n_buckets``; heavy terms hash ``(term, salt)``,
+   salts being contiguous partition-rank ranges so runs stay
+   doc-ordered). Each bucket task depends on exactly its own slot of
+   every explode task, so the exchange is the object transfer itself.
+   The bucket task merges and re-encodes its terms in one sorted batch:
+   light terms are final and go to one shard file per bucket, heavy terms
+   leave one salted run file.
 3. *Final heavy pass.* df-weighted contiguous chunks of heavy terms each
    read at most ``n_salts`` run files and write term-range-disjoint heavy
    shards.
@@ -27,18 +29,19 @@ no Dataset all-to-all:
    terms follows.
 
 *Resume.* The unit of work is the bucket task: once it has written its
-shard and its heavy-run file it records its result rows in
-``merged/units/bucket-NNN.json``. A rerun adopts every marked bucket
-untouched and explodes fragments only for the rest (no explode at all
-when every bucket is done); the final heavy pass, the dict level and the
-Bloom read the adopted outputs and simply rerun. ``merged/units/plan.json``
-names the plan (partitions, salting, bucket and norm-shard layout); a
-rerun under a different plan clears ``merged/`` first. File names stay
-write-once ``uuid`` names. After the manifest commits — and again on any
-call that finds it committed — a sweep deletes ``heavy_runs/``,
-``units/`` and every file under ``terms/`` and ``dict/`` the manifest does
-not name, so the committed index holds only the files its manifest names
-(``check_merged_index`` asserts it).
+shard and its heavy-run file it records its result rows, postings,
+output bytes and wall in ``merged/units/bucket-NNN.json`` (the merge
+manifest's ``buckets`` entry summarizes them). A rerun adopts every
+marked bucket untouched and explodes fragments only for the rest (no
+explode at all when every bucket is done); the final heavy pass, the dict
+level and the Bloom read the adopted outputs and simply rerun.
+``merged/units/plan.json`` names the plan (partitions, salting, bucket
+and norm-shard layout); a rerun under a different plan clears
+``merged/`` first. File names stay write-once ``uuid`` names. After the
+manifest commits — and again on any call that finds it committed — a
+sweep deletes ``heavy_runs/``, ``units/`` and every file under ``terms/``
+and ``dict/`` the manifest does not name, so the committed index holds
+only the files its manifest names (``check_merged_index`` asserts it).
 
 ``MergedIndex`` reads the result as one logical segment over the full doc
 range, through the same ``segment.PostingsReader`` surface as a flushed
@@ -852,12 +855,44 @@ def _bloom_partial(paths: list[str], m_bits: int) -> np.ndarray:
     return bits
 
 
+# Tokens one bucket task is sized for. A bucket task carries ~5 ms of
+# fixed cost (Ray timeline, 1 cpu), so a 4k-doc corpus (~873k tokens)
+# gets 14 buckets while the 200k-doc bench.py headline (~43.6M tokens)
+# keeps MAX_BUCKETS.
+BUCKET_TOKENS = 1 << 16
+MAX_BUCKETS = 128
+
+
+def derive_n_buckets(sum_ttf: int) -> int:
+    """Shuffle bucket count for a corpus of ``sum_ttf`` tokens:
+    ceil(sum_ttf / BUCKET_TOKENS) clamped to [1, MAX_BUCKETS]. It reads
+    only the build manifest, so the resume plan stays a pure function of
+    it."""
+    return min(MAX_BUCKETS, max(1, -(-int(sum_ttf) // BUCKET_TOKENS)))
+
+
+def _bucket_summary(units: list[dict]) -> dict:
+    """Skew summary of the bucket markers: count, wall p50/p99/max and
+    postings total/max/median."""
+    wall = np.array([u["wall_ms"] for u in units], dtype=np.float64)
+    post = np.array([u["postings"] for u in units], dtype=np.int64)
+    return {
+        "count": len(units),
+        "wall_ms_p50": round(float(np.percentile(wall, 50)), 3),
+        "wall_ms_p99": round(float(np.percentile(wall, 99)), 3),
+        "wall_ms_max": round(float(wall.max()), 3),
+        "postings": int(post.sum()),
+        "postings_max": int(post.max()),
+        "postings_median": float(np.median(post)),
+    }
+
+
 def merge_by_term(
     manifest: dict,
     index_dir: str,
     salt_threshold: int | None = None,
     n_salts: int = 8,
-    n_buckets: int = 128,
+    n_buckets: int | None = None,
     parts_per_shard: int = 8,
 ) -> dict:
     """North-rule merge: term-partitioned shuffle with explicit salting.
@@ -868,15 +903,23 @@ def merge_by_term(
     → each bucket task merges+re-encodes its terms (heavy terms appear as
     per-salt sub-groups that stay doc-ordered because salts are contiguous
     partition-rank ranges) → light terms are final after the single
-    shuffle; the stop-word-sized set of salted runs finishes through one
-    task per heavy term. Norms are doc-range-sharded by Ray tasks (1
-    byte/doc total) and mergers fetch only the shards their rows touch,
-    cached per worker — nothing whole-corpus is ever held on the driver or
-    broadcast dense. Output under <index_dir>/merged/: term-range-sharded
-    term files + norm shards + a sorted dictionary level (dict files).
-    A rerun after a crash adopts every finished bucket, and the committed
-    index holds only the files its manifest names (module docstring).
-    Salt threshold defaults to 2% of doc_count (stop-word band, SURVEY §4)."""
+    shuffle; the stop-word-sized set of salted runs finishes through
+    min(#heavy, max(8, 2·cpus)) df-weighted chunks of heavy terms. Norms
+    are doc-range-sharded by Ray tasks (1 byte/doc total) and mergers
+    fetch only the shards their rows touch, cached per worker — nothing
+    whole-corpus is ever held on the driver or broadcast dense. Output
+    under <index_dir>/merged/: term-range-sharded term files + norm
+    shards + a sorted dictionary level (dict files). A rerun after a
+    crash adopts every finished bucket, and the committed index holds
+    only the files its manifest names (module docstring).
+
+    The bucket count comes from the data: ``n_buckets=None`` (the
+    default) derives it from the manifest's ``sum_ttf``
+    (``derive_n_buckets``), for every field separately; an explicit
+    count applies to the body field only. Each bucket marker records the
+    bucket's postings, output bytes and wall; the merge manifest's
+    ``buckets`` entry summarizes them. Salt threshold defaults to 2% of doc_count
+    (stop-word band, SURVEY §4)."""
     import ray
     import ray.data
 
@@ -893,6 +936,8 @@ def merge_by_term(
     doc_count = int(manifest["doc_count"])
     if salt_threshold is None:
         salt_threshold = max(1000, doc_count // 50)
+    if n_buckets is None:
+        n_buckets = derive_n_buckets(manifest["sum_ttf"])
     parts = sorted(manifest["partitions"], key=lambda r: r["doc_base"])
     seg_dirs = [r["seg_dir"] for r in parts]
     rank_of_base = {int(r["doc_base"]): i for i, r in enumerate(parts)}
@@ -903,6 +948,7 @@ def merge_by_term(
     # parts_per_shard.
     units_dir = os.path.join(merged_dir, "units")
     plan = {
+        "version": 2,  # bucket markers carry postings, bytes and wall_ms
         "partitions": [[r["seg_dir"], int(r["doc_base"])] for r in parts],
         "salt_threshold": salt_threshold,
         "n_salts": n_salts,
@@ -952,10 +998,11 @@ def merge_by_term(
     os.makedirs(shard_dir, exist_ok=True)
     os.makedirs(heavy_dir, exist_ok=True)
 
-    def _merge_bucket(bucket_id: int, *frag_lists) -> list[dict]:
+    def _merge_bucket(bucket_id: int, *frag_lists) -> dict:
         """One shuffle bucket: merge every (term, salt) group in it, write
         one final shard (+ one heavy-run file), then record the result
-        rows in the bucket's done-marker and return them.
+        rows and the bucket's postings, output bytes and wall in its
+        done-marker and return that marker.
 
         Arrow-native hot path (see _merge_sorted_batch): unpack the IPC
         fragments, one sort, batched decode, contiguous group slices —
@@ -963,11 +1010,14 @@ def merge_by_term(
         dicts) was the single biggest line of the round-1 bench."""
         import uuid as _uuid
 
+        t_b = time.perf_counter()
         frags = [f for lst in frag_lists for f in lst]
         out_rows: list[dict] = []
+        marker = {"rows": out_rows, "postings": 0, "bytes": 0}
         if not frags:
-            atomic_write_json(_marker(bucket_id), {"rows": out_rows})
-            return out_rows
+            marker["wall_ms"] = round((time.perf_counter() - t_b) * 1000, 3)
+            atomic_write_json(_marker(bucket_id), marker)
+            return marker
         norm_store = _norm_store_for(norm_shards)
         batch = pa.concat_tables(
             pa.ipc.open_stream(f).read_all() for f in frags
@@ -1023,18 +1073,21 @@ def merge_by_term(
                     "bucket": bucket_id,
                 }
             )
-        atomic_write_json(_marker(bucket_id), {"rows": out_rows})
-        return out_rows
+        marker["postings"] = sum(final_cols["df"]) + sum(run_cols["df"])
+        marker["bytes"] = sum(os.path.getsize(r["path"]) for r in out_rows)
+        marker["wall_ms"] = round((time.perf_counter() - t_b) * 1000, 3)
+        atomic_write_json(_marker(bucket_id), marker)
+        return marker
 
     t_s = time.perf_counter()
-    rows_of: dict[int, list[dict]] = {}
+    unit_of: dict[int, dict] = {}
     for b in range(n_buckets):  # resume: adopt every marked bucket as is
         mk = _load_json(_marker(b))
         if mk is not None:
-            rows_of[b] = mk["rows"]
-    todo = [b for b in range(n_buckets) if b not in rows_of]
+            unit_of[b] = mk
+    todo = [b for b in range(n_buckets) if b not in unit_of]
     if todo:
-        done = frozenset(rows_of)
+        done = frozenset(unit_of)
         _explode_remote = ray.remote(num_returns=n_buckets, **_rargs())(_explode_chunk)
         per_task = [
             _explode_remote.remote(c, heavy_ref, rank_of_base, n_salts, n_buckets, done)
@@ -1045,8 +1098,8 @@ def merge_by_term(
         slots = [[t] if n_buckets == 1 else list(t) for t in per_task]
         _bucket_remote = ray.remote(**_rargs())(_merge_bucket)
         result_refs = [_bucket_remote.remote(b, *[s[b] for s in slots]) for b in todo]
-        rows_of.update(zip(todo, ray.get(result_refs)))
-    results = [row for b in range(n_buckets) for row in rows_of[b]]
+        unit_of.update(zip(todo, ray.get(result_refs)))
+    results = [row for b in range(n_buckets) for row in unit_of[b]["rows"]]
     stage_t["explode_group_write"] = round(time.perf_counter() - t_s, 3)
 
     shards = [
@@ -1316,7 +1369,7 @@ def merge_by_term(
             sub_dir,
             salt_threshold=salt_threshold,
             n_salts=n_salts,
-            n_buckets=n_buckets,
+            n_buckets=None,
         )
         stage_t[f"field_{fld}"] = round(time.perf_counter() - t_s, 3)
 
@@ -1328,6 +1381,7 @@ def merge_by_term(
         "salt_threshold": salt_threshold,
         "n_salts": n_salts,
         "n_buckets": n_buckets,
+        "buckets": _bucket_summary([unit_of[b] for b in range(n_buckets)]),
         "n_heavy_terms": len(heavy),
         "heavy_terms": sorted(heavy),
         "shards": sorted(shards, key=lambda s: s["term_min"]),

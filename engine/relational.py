@@ -75,33 +75,46 @@ def rollup_lineitem(sf_dir: str):
 
 
 def orders_per_nation(sf_dir: str):
-    """HashJoinStream analogue: orders ⋈ customer ⋈ nation with both
-    dimension sides broadcast (ray.put once), partial counts per batch,
-    tiny groupby-sum of partials."""
+    """HashJoinStream analogue: orders ⋈ customer ⋈ nation. One task
+    turns the customer blocks into two arrays sorted by custkey (custkey,
+    nationkey) that stay in the object store; each orders batch probes
+    them with np.searchsorted and maps nationkeys to names through the
+    25-row nation side, a closure constant. Partial counts per batch, tiny
+    groupby-sum of partials."""
     import ray
     from ray.data.aggregate import Sum
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    nation_of_cust = dict(
-        zip(
-            cust["c_custkey"].to_numpy(),
-            nation.set_index("n_nationkey")["n_name"].reindex(cust["c_nationkey"]).to_numpy(),
-        )
-    )
-    lookup_ref = ray.put(nation_of_cust)
+    def sorted_keys(*blocks: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        t = pa.concat_tables(blocks)
+        keys = t.column("c_custkey").to_numpy()
+        order = np.argsort(keys, kind="stable")
+        return keys[order], t.column("c_nationkey").to_numpy()[order]
 
-    orders = _read(sf_dir, "orders", ["o_custkey"])
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    lookup_ref = ray.remote(**_rargs())(sorted_keys).remote(*cust.to_arrow_refs())
+    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
+    name_of = nation.set_index("n_nationkey")["n_name"]
 
     def partial(batch: pa.Table) -> pa.Table:
-        lookup = ray.get(lookup_ref)
-        keys = batch.column("o_custkey").to_numpy()
-        names = pd.Series([lookup.get(int(k)) for k in keys], name="n_name")
-        g = names.groupby(names).size().rename("n_orders").reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        keys, nationkeys = ray.get(lookup_ref)
+        ok = batch.column("o_custkey").to_numpy()
+        i = np.searchsorted(keys, ok)
+        hit = i < len(keys)
+        hit[hit] = keys[i[hit]] == ok[hit]
+        # inner join: an order without a customer, or a customer whose
+        # nationkey is missing from nation (NaN), drops out of the count
+        names = pd.Series(name_of.reindex(nationkeys[i[hit]]).to_numpy())
+        g = names.value_counts()
+        return pa.table(
+            {
+                "n_name": pa.array(g.index.to_numpy(), pa.string()),
+                "n_orders": pa.array(g.to_numpy(), pa.int64()),
+            }
+        )
 
     return (
-        orders.map_batches(partial, batch_format="pyarrow", **_rargs())
+        _read(sf_dir, "orders", ["o_custkey"])
+        .map_batches(partial, batch_format="pyarrow", **_rargs())
         .groupby("n_name")
         .aggregate(Sum("n_orders", alias_name="n_orders"))
     )

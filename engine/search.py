@@ -30,6 +30,8 @@ per-process cached searcher plays that role. Both run ``_search_batch``.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pyarrow as pa
 
@@ -342,6 +344,25 @@ class IndexSearcher:
         dead = self._deleted[pos] == docs
         return docs[~dead], scores[~dead]
 
+    def _live_topk(
+        self, all_docs: list[np.ndarray], all_scores: list[np.ndarray], k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Top-k of per-segment (docs, scores) hit lists, deleted docs
+        dropped."""
+        if not all_docs:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
+        return topk_sort(*self._live(np.concatenate(all_docs), np.concatenate(all_scores)), k)
+
+    def _check_deadline(
+        self, deadline: float | None, all_docs: list, all_scores: list, k: int
+    ) -> None:
+        """TimeLimitingCollector.collect's timer check, at the segment
+        (leaf) granularity of the exhaustive plans: past ``deadline``
+        raise TimeLimitExceeded carrying the partial top-k collected in
+        time."""
+        if deadline is not None and time.perf_counter() > deadline:
+            raise TimeLimitExceeded(*self._live_topk(all_docs, all_scores, k))
+
     def _split_field(self, term: str) -> tuple[str, str]:
         """Route a possibly field-qualified term ('title:foo' from the
         query parser) to (field, bare_term); default field is body."""
@@ -560,9 +581,7 @@ class IndexSearcher:
                 )
                 all_docs.append(sel + lo)
                 all_scores.append(total.astype(np.float32))
-        if not all_docs:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        return topk_sort(*self._live(np.concatenate(all_docs), np.concatenate(all_scores)), k)
+        return self._live_topk(all_docs, all_scores, k)
 
     def search(
         self,
@@ -593,7 +612,7 @@ class IndexSearcher:
         deadline = (
             None
             if time_limit_ms is None
-            else __import__("time").perf_counter() + time_limit_ms / 1000.0
+            else time.perf_counter() + time_limit_ms / 1000.0
         )
         return self.execute(
             self.rewrite(q), k, threshold, algorithm, deadline, collector
@@ -757,12 +776,6 @@ class IndexSearcher:
                 parts_d.append(d)
                 parts_s.append(s)
 
-        if q.nested:
-            # the nested clause-tree plan has no collector hook but is
-            # already exhaustive: collect every match, then page
-            d, s = self._search_nested(q, self.doc_count)
-            m = (s < after_s) | ((s == after_s) & (d > after_d))
-            return topk_sort(d[m], s[m], k)
         self.execute(q, 1, collector=_page)
         if not parts_d:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
@@ -981,7 +994,7 @@ class IndexSearcher:
                 for seg in segs_w:
                     if fixed:
                         cand = seg.expand_prefix(fixed, 65536)
-                    elif tail and hasattr(seg, "expand_suffix"):
+                    elif tail:
                         cand = seg.expand_suffix(tail, 65536)
                     else:
                         cand = seg.expand_prefix("", 65536)
@@ -1033,7 +1046,7 @@ class IndexSearcher:
         if q.nested:
             # clause-tree plan: recursive per-segment dense evaluation
             # (nested scorers are exhaustive; WAND pruning stays flat-only)
-            return self._search_nested(q, k)
+            return self._search_nested(q, k, deadline, collector)
         algorithm = algorithm or self.algorithm
         if (
             q.match_all
@@ -1093,25 +1106,6 @@ class IndexSearcher:
         deadline: float | None = None,
         collector=None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        import time as _time
-
-        def _check_deadline() -> None:
-            # TimeLimitingCollector.collect's timer check, at the segment
-            # (leaf) granularity of this vectorized plan; the exception
-            # carries the partial top-k collected in time
-            if deadline is not None and _time.perf_counter() > deadline:
-                if all_docs:
-                    d, sc = topk_sort(
-                        *self._live(
-                            np.concatenate(all_docs), np.concatenate(all_scores)
-                        ),
-                        k,
-                    )
-                else:
-                    d = np.empty(0, dtype=np.int64)
-                    sc = np.empty(0, dtype=np.float32)
-                raise TimeLimitExceeded(d, sc)
-
         all_docs: list[np.ndarray] = []
         all_scores: list[np.ndarray] = []
         n_must = len(q.must)
@@ -1134,20 +1128,16 @@ class IndexSearcher:
             # score → top-k directly, no dense accumulator/scatter/gather
             w = weights[live_should[0]]
             for gi, seg in enumerate(self.segments):
-                _check_deadline()
+                self._check_deadline(deadline, all_docs, all_scores, k)
                 docs, sc_seg = self._scored(w, gi, seg)
                 if len(docs):
                     if collector is not None:
                         collector(docs, sc_seg)
                     all_docs.append(docs)
                     all_scores.append(sc_seg)
-            if not all_docs:
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-            return topk_sort(
-                *self._live(np.concatenate(all_docs), np.concatenate(all_scores)), k
-            )
+            return self._live_topk(all_docs, all_scores, k)
         for gi, seg in enumerate(self.segments):
-            _check_deadline()
+            self._check_deadline(deadline, all_docs, all_scores, k)
             lo = seg.doc_base
             span = seg.norm_span
             acc = np.zeros(span, dtype=np.float64)
@@ -1299,30 +1289,38 @@ class IndexSearcher:
                     collector(seg_docs, seg_scores)
                 all_docs.append(seg_docs)
                 all_scores.append(seg_scores)
-        if not all_docs:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        return topk_sort(*self._live(np.concatenate(all_docs), np.concatenate(all_scores)), k)
+        return self._live_topk(all_docs, all_scores, k)
 
     # -- nested clause-tree plan -------------------------------------------
 
-    def _search_nested(self, q: BoolQuery, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _search_nested(
+        self,
+        q: BoolQuery,
+        k: int,
+        deadline: float | None,
+        collector,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Clause-tree execution for queries with parenthesized sub-queries
         (after the flattening rewrite removed every inlinable group):
         evaluate each node recursively per segment into a dense match mask
         + float64 score accumulator, combining child masks with BooleanQuery
         clause semantics (search/BooleanQuery.java; Boolean2ScorerSupplier
-        nested-scorer composition)."""
+        nested-scorer composition). Exhaustive like the TAAT plan, with the
+        same per-segment deadline check and ``collector`` call."""
         all_docs: list[np.ndarray] = []
         all_scores: list[np.ndarray] = []
         for gi, seg in enumerate(self.segments):
+            self._check_deadline(deadline, all_docs, all_scores, k)
             sel, acc = self._eval_node(q, gi, seg)
             local = np.flatnonzero(sel)
             if len(local):
-                all_docs.append(local + seg.doc_base)
-                all_scores.append(acc[local].astype(np.float32))
-        if not all_docs:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        return topk_sort(*self._live(np.concatenate(all_docs), np.concatenate(all_scores)), k)
+                seg_docs = local + seg.doc_base
+                seg_scores = acc[local].astype(np.float32)
+                if collector is not None:
+                    collector(seg_docs, seg_scores)
+                all_docs.append(seg_docs)
+                all_scores.append(seg_scores)
+        return self._live_topk(all_docs, all_scores, k)
 
     def _eval_node(self, q: BoolQuery, gi, seg) -> tuple[np.ndarray, np.ndarray]:
         """One BooleanQuery node on one segment → (matched bool[span],
@@ -1483,11 +1481,9 @@ class IndexSearcher:
         threshold: int,
         deadline: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        import time as _time
-
         collector = TopKCollector(k, threshold)
         for gi, seg in enumerate(self.segments):  # docID order => shared bottom stays sound
-            if deadline is not None and _time.perf_counter() > deadline:
+            if deadline is not None and time.perf_counter() > deadline:
                 # TimeLimitingCollector role on the pruning plan: partial
                 # top-k of the segments finished in time
                 raise TimeLimitExceeded(*collector.results())
@@ -1952,8 +1948,6 @@ def _search_batch(
     int64, rank int32, doc_id int64, score float32, then ``partial`` bool
     when a time limit is set and ``latency_ms`` float64 when asked for) —
     the per-batch loop of both Ray search stages."""
-    import time
-
     qids = batch.column("query_id").to_pylist()
     queries = batch.column("query").to_pylist()
     ks = (

@@ -238,14 +238,45 @@ def _range_terms(terms: list[str], lo: str, hi: str, max_terms: int) -> list[str
     return terms[i : min(j, i + max_terms)]
 
 
-class PostingsReader:
+class SuffixSeek:
+    """``expand_suffix`` over a reader's sorted ``iter_terms()``: every
+    dictionary surface a query rewrite runs against (``PostingsReader``
+    and the stats-only ``DictStatsReader``) has it."""
+
+    def expand_suffix(self, suffix: str, max_terms: int = 1024) -> list[str]:
+        """Terms ENDING with ``suffix`` — the leading-wildcard seek of
+        Solr's ReversedWildcardFilterFactory (solr/analysis/
+        ReversedWildcardFilter.java: index reversed tokens so ``*foo``
+        becomes a prefix seek on ``oof``). The reversed dictionary is
+        derived lazily, once per open reader, from ``iter_terms()`` instead
+        of indexing a second postings field (scoring reuses forward
+        postings; only the TERM set is needed for MultiTermQuery rewrite);
+        at 10^9-term dictionaries it would be persisted at merge next to
+        the forward dict files. Result is forward-sorted."""
+        rev = getattr(self, "_rev_terms", None)
+        if rev is None:
+            rev = sorted((t[::-1], t) for t in self.iter_terms())
+            self._rev_terms = rev
+        rsuf = suffix[::-1]
+        i = bisect_left(rev, (rsuf,))
+        out: list[str] = []
+        while i < len(rev) and len(out) < max_terms:
+            rt, t = rev[i]
+            if not rt.startswith(rsuf):
+                break
+            out.append(t)
+            i += 1
+        return sorted(out)
+
+
+class PostingsReader(SuffixSeek):
     """Postings surface shared by a flushed ``Segment`` and a merged
     ``MergedIndex`` — the one leaf-reader both kinds of Lucene segment are
     read through. A subclass supplies how a term's row is found
     (``_find(term)`` → (``TermRows``, row) or (None, -1)), ``iter_terms()``
     in sorted order, ``term_stats`` and its norms; the row decode, the
-    decoded-postings LRU, the prox/offset/payload streams and the
-    reversed-dictionary suffix seek live here."""
+    decoded-postings LRU and the prox/offset/payload streams live here;
+    the reversed-dictionary suffix seek comes from ``SuffixSeek``."""
 
     _POSTINGS_CACHE_MAX = 128  # decoded terms kept per open reader
 
@@ -314,31 +345,6 @@ class PostingsReader:
 
         return self._occurrence_stream(term, "pay_blob", decode_payloads)
 
-    def expand_suffix(self, suffix: str, max_terms: int = 1024) -> list[str]:
-        """Terms ENDING with ``suffix`` — the leading-wildcard seek of
-        Solr's ReversedWildcardFilterFactory (solr/analysis/
-        ReversedWildcardFilter.java: index reversed tokens so ``*foo``
-        becomes a prefix seek on ``oof``). The reversed dictionary is
-        derived lazily, once per open reader, from ``iter_terms()`` instead
-        of indexing a second postings field (scoring reuses forward
-        postings; only the TERM set is needed for MultiTermQuery rewrite);
-        at 10^9-term dictionaries it would be persisted at merge next to
-        the forward dict files. Result is forward-sorted."""
-        rev = getattr(self, "_rev_terms", None)
-        if rev is None:
-            rev = sorted((t[::-1], t) for t in self.iter_terms())
-            self._rev_terms = rev
-        rsuf = suffix[::-1]
-        i = bisect_left(rev, (rsuf,))
-        out: list[str] = []
-        while i < len(rev) and len(out) < max_terms:
-            rt, t = rev[i]
-            if not rt.startswith(rsuf):
-                break
-            out.append(t)
-            i += 1
-        return sorted(out)
-
 
 class Segment(PostingsReader):
     """Open segment: term dictionary + norms + stats, loaded once and
@@ -396,7 +402,7 @@ class Segment(PostingsReader):
         return int(self._rows.df[i]), int(self._rows.ttf[i])
 
 
-class DictStatsReader:
+class DictStatsReader(SuffixSeek):
     """Dictionary-only view of ONE partition's term file: the stats pass
     (TermStates.build — search/TermQuery.java:194-206) and the multi-term
     rewrites need (term, df, ttf) and sorted-dictionary scans, never
@@ -404,7 +410,8 @@ class DictStatsReader:
     on first use — construction is free, so a fan-out closure can carry a
     list of these (really just paths) without shipping an index. Exposes
     the same dictionary surface as Segment (term_stats / expand_prefix /
-    expand_range / iter_terms) so IndexSearcher.rewrite works unchanged."""
+    expand_range / expand_suffix / iter_terms) so IndexSearcher.rewrite
+    works unchanged."""
 
     def __init__(self, terms_path: str):
         self.path = terms_path

@@ -66,6 +66,16 @@ def _clean_merge(salted, **kw) -> dict:
     return salted["clean"][key]
 
 
+def _markers(units: str) -> dict[int, dict]:
+    """Bucket id → its done-marker, for every marker under ``units``."""
+    out = {}
+    for f in os.listdir(units):
+        if f.startswith("bucket-"):
+            with open(os.path.join(units, f)) as fh:
+                out[int(f[len("bucket-") : -len(".json")])] = json.load(fh)
+    return out
+
+
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize(
     "crash", ["lost_buckets", "lost_heavy_shards", "unswept_commit", "new_plan"]
@@ -91,15 +101,12 @@ def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
     root = str(tmp_path / "idx")
     merged = os.path.join(root, "merged")
     units = os.path.join(merged, "units")
-    kw = {"salt_threshold": 400, "n_salts": 4}
+    # 128 buckets, not the derived count: the crash points need busy buckets
+    kw = {"salt_threshold": 400, "n_salts": 4, "n_buckets": 128}
     with monkeypatch.context() as mp:
         mp.setattr(merge_mod, "_sweep_merged", lambda *_a: None)
         mm1 = merge_by_term(m, root, **kw)
-    rows_of = {}
-    for f in os.listdir(units):
-        if f.startswith("bucket-"):
-            with open(os.path.join(units, f)) as fh:
-                rows_of[int(f[len("bucket-") : -len(".json")])] = json.load(fh)["rows"]
+    rows_of = {b: mk["rows"] for b, mk in _markers(units).items()}
     assert sorted(rows_of) == list(range(128))
     assert any(r["kind"] == "heavy_runs" for rows in rows_of.values() for r in rows)
 
@@ -121,7 +128,7 @@ def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
             if s["bucket"] < 0:
                 os.remove(s["path"])
     elif crash == "new_plan":
-        kw = {"salt_threshold": 400, "n_salts": 2, "parts_per_shard": 2}
+        kw = {"salt_threshold": 400, "n_salts": 2, "parts_per_shard": 2, "n_buckets": 128}
     adopted = {}
     if crash != "new_plan":
         for b, rows in rows_of.items():
@@ -179,6 +186,77 @@ def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
         for f in os.listdir(os.path.join(merged, sub))
     }
     assert on_disk == {r["path"] for r in mm2["shards"] + mm2["dict_files"]}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_derived_plan_rerun_adopts_every_bucket(salted, tmp_path, monkeypatch):
+    """Under the default (derived) bucket count the plan is a function of
+    the build manifest alone, so a rerun after a lost manifest adopts every
+    bucket, runs no explode and rewrites no shard. Each bucket marker
+    records postings, output bytes and wall; the per-bucket postings sum to
+    the index's postings total, and the manifest's ``buckets`` summary
+    agrees with the markers."""
+    import engine.merge as merge_mod
+
+    m = salted["manifest"]
+    root = str(tmp_path / "idx")
+    merged = os.path.join(root, "merged")
+    with monkeypatch.context() as mp:
+        mp.setattr(merge_mod, "_sweep_merged", lambda *_a: None)
+        mm1 = merge_by_term(m, root, salt_threshold=400, n_salts=4)
+    n = merge_mod.derive_n_buckets(m["sum_ttf"])
+    assert mm1["n_buckets"] == n and 1 < n < 128
+    markers = _markers(os.path.join(merged, "units"))
+    assert sorted(markers) == list(range(n))
+    for mk in markers.values():
+        assert mk["bytes"] == sum(os.path.getsize(r["path"]) for r in mk["rows"])
+        assert mk["postings"] >= 0 and mk["wall_ms"] >= 0
+    total = sum(int(row["df"]) for _, row in MergedIndex(None, manifest=mm1).iter_term_rows())
+    postings = [mk["postings"] for mk in markers.values()]
+    assert sum(postings) == total
+    summary = mm1["buckets"]
+    assert summary["count"] == n and summary["postings"] == total
+    assert summary["postings_max"] == max(postings)
+    assert summary["postings_median"] == float(np.median(postings))
+    walls = [mk["wall_ms"] for mk in markers.values()]
+    assert summary["wall_ms_max"] == max(walls)
+    assert summary["wall_ms_p50"] <= summary["wall_ms_p99"] <= summary["wall_ms_max"]
+
+    os.remove(os.path.join(merged, "manifest.json"))
+    stamps = {
+        r["path"]: os.stat(r["path"]).st_mtime_ns
+        for mk in markers.values()
+        for r in mk["rows"]
+    }
+    with monkeypatch.context() as mp:
+
+        def _no_explode(*_a):  # nested, so Ray ships it by value
+            raise AssertionError("explode ran although every bucket was done")
+
+        mp.setattr(merge_mod, "_explode_chunk", _no_explode)
+        mm2 = merge_by_term(m, root, salt_threshold=400, n_salts=4)
+    assert mm2["n_buckets"] == n and mm2["buckets"] == summary
+    light = {s["path"] for s in mm2["shards"] if s["bucket"] >= 0}
+    assert light == {s["path"] for s in mm1["shards"] if s["bucket"] >= 0}
+    for p in light:
+        assert os.stat(p).st_mtime_ns == stamps[p], p
+    check_merged_index(MergedIndex(root))
+
+
+def test_derive_n_buckets():
+    """The bucket count is ceil(sum_ttf / BUCKET_TOKENS) within
+    [1, MAX_BUCKETS]: at least 1 for an empty or tiny corpus, 14 at the
+    ~873k-token 4k-doc corpus and the 128 cap at the 200k-doc headline
+    corpus (~218 tokens/doc, ~43.6M tokens)."""
+    from engine.merge import MAX_BUCKETS, BUCKET_TOKENS, derive_n_buckets
+
+    assert MAX_BUCKETS == 128
+    assert derive_n_buckets(0) == derive_n_buckets(1) == 1
+    assert derive_n_buckets(BUCKET_TOKENS) == 1
+    assert derive_n_buckets(BUCKET_TOKENS + 1) == 2
+    assert derive_n_buckets(873_000) == 14
+    assert derive_n_buckets(200_000 * 218) == 128
+    assert derive_n_buckets(10**12) == 128
 
 
 def test_norm_store_keyed_by_shard_list(tmp_path):

@@ -2,6 +2,8 @@
 (the CheckHits pruned-vs-exhaustive model, test-framework/.../CheckHits.java),
 with dynamic pruning genuinely active (>1000-hit stop terms)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from engine.bm25 import brute_force_topk, make_term_scorer
 from engine.build import invert_to_segment
 from engine.checkpoint import finalize_build_manifest
 from engine.fixtures import make_pages
+from engine.queryparse import parse_query
 from engine.search import IndexSearcher
 from engine.wand import scale_max_score, scale_min_score, scaling_factor
 
@@ -916,63 +919,74 @@ def test_sweetspot_similarity_plateau(corpus):
     np.testing.assert_array_equal(scores, es)
 
 
+# A flat disjunction runs the exhaustive TAAT plan, the nested one the
+# clause-tree plan; both must honour the collector and the deadline.
+FLAT_Q = "the00 the19"
+NESTED_Q = "(+the00 +t00001) the02"
+
+
 def test_time_limiting_collector(corpus):
-    """TimeLimitingCollector role: an already-expired deadline raises
-    TimeLimitExceeded with empty partials; a generous limit returns the
-    full results; a deadline planted between segments carries partial
-    top-k from the finished segments only."""
+    """TimeLimitingCollector role, for a flat and a nested query: an
+    already-expired deadline raises TimeLimitExceeded with empty partials;
+    a generous limit returns the full results; a deadline planted between
+    segments carries partial top-k from the finished segments only."""
     import time
 
     import pytest as _pytest
 
     from engine.search import TimeLimitExceeded
 
-    s = IndexSearcher(corpus["manifest"], algorithm="taat")
-    full_d, full_s = s.search("the00 the19", corpus["doc_count"])
+    for q in (FLAT_Q, NESTED_Q):
+        s = IndexSearcher(corpus["manifest"], algorithm="taat")
+        full_d, full_s = s.search(q, corpus["doc_count"])
 
-    with _pytest.raises(TimeLimitExceeded) as ei:
-        s.search("the00 the19", 10, time_limit_ms=0.0)
-    assert len(ei.value.docs) == 0
+        with _pytest.raises(TimeLimitExceeded) as ei:
+            s.search(q, 10, time_limit_ms=0.0)
+        assert len(ei.value.docs) == 0, q
 
-    d2, s2 = s.search("the00 the19", corpus["doc_count"], time_limit_ms=60_000)
-    np.testing.assert_array_equal(d2, full_d)
-    np.testing.assert_array_equal(s2, full_s)
+        d2, s2 = s.search(q, corpus["doc_count"], time_limit_ms=60_000)
+        np.testing.assert_array_equal(d2, full_d)
+        np.testing.assert_array_equal(s2, full_s)
 
-    # plant a deadline that expires after the first segment: monkeypatch
-    # the segment's postings to burn time, then check partials are a
-    # prefix-of-segments result. A new searcher, because a warm weight
-    # cache serves the scored postings without a postings call.
-    s = IndexSearcher(corpus["manifest"], algorithm="taat")
-    seg1 = s.segments[1]
-    orig = seg1.postings
+        # plant a deadline that expires after the first segment:
+        # monkeypatch the segment's postings to burn time, then check
+        # partials are a prefix-of-segments result. A new searcher,
+        # because a warm weight cache serves the scored postings without
+        # a postings call.
+        s = IndexSearcher(corpus["manifest"], algorithm="taat")
+        seg1 = s.segments[1]
+        orig = seg1.postings
 
-    def slow(term):
-        time.sleep(0.05)
-        return orig(term)
+        def slow(term):
+            time.sleep(0.05)
+            return orig(term)
 
-    seg1.postings = slow
-    try:
-        with _pytest.raises(TimeLimitExceeded) as ei2:
-            s.search("the00 the19", corpus["doc_count"], time_limit_ms=25.0)
-    finally:
-        seg1.postings = orig
-    part = ei2.value
-    lim = s.segments[1].doc_base if len(s.segments) > 1 else 10**18
-    assert len(part.docs) > 0
-    assert (part.docs < s.segments[2].doc_base).all() if len(s.segments) > 2 else True
-    # every partial hit scores identically to the full run
-    full_map = dict(zip(full_d.tolist(), full_s.tolist()))
-    for d, sc in zip(part.docs.tolist(), part.scores.tolist()):
-        assert full_map[d] == sc
+        seg1.postings = slow
+        try:
+            with _pytest.raises(TimeLimitExceeded) as ei2:
+                s.search(q, corpus["doc_count"], time_limit_ms=25.0)
+        finally:
+            seg1.postings = orig
+        part = ei2.value
+        assert len(part.docs) > 0, q
+        assert (part.docs < s.segments[2].doc_base).all() if len(s.segments) > 2 else True
+        # every partial hit scores identically to the full run
+        full_map = dict(zip(full_d.tolist(), full_s.tolist()))
+        for d, sc in zip(part.docs.tolist(), part.scores.tolist()):
+            assert full_map[d] == sc
 
 
 def test_collector_extension_point(corpus):
     """Collector extension (search/Collector.java role, vectorized): a
     user collector sees EVERY hit of every segment before top-k — total
     observed hits equals the exhaustive match count, and observed scores
-    for the winners match the returned top-k bit-exactly."""
+    for the winners match the returned top-k bit-exactly. The nested
+    query's matches are (the00 ∩ t00001) ∪ the02."""
     s = IndexSearcher(corpus["manifest"], algorithm="taat")
     op = corpus["oracle_postings"]
+
+    def docs(t):
+        return set(op[t][0].tolist())
 
     seen: dict[int, float] = {}
 
@@ -980,15 +994,42 @@ def test_collector_extension_point(corpus):
         for d, sc in zip(docs.tolist(), scores.tolist()):
             seen[d] = sc
 
-    d, sc = s.search("the00 t00000", 10, collector=coll)
-    expected_matches = set(op["the00"][0].tolist()) | set(op["t00000"][0].tolist())
-    assert set(seen) == expected_matches
-    for dd, ss in zip(d.tolist(), sc.tolist()):
-        assert seen[dd] == ss
+    for q, expected_matches in (
+        ("the00 t00000", docs("the00") | docs("t00000")),
+        (NESTED_Q, (docs("the00") & docs("t00001")) | docs("the02")),
+    ):
+        seen.clear()
+        d, sc = s.search(q, 10, collector=coll)
+        assert set(seen) == expected_matches, q
+        for dd, ss in zip(d.tolist(), sc.tolist()):
+            assert seen[dd] == ss
     # single-term fast path also feeds the collector
     seen.clear()
     s.search("t00000", 5, collector=coll)
-    assert set(seen) == set(op["t00000"][0].tolist())
+    assert set(seen) == docs("t00000")
+
+
+def test_nested_query_rescore(corpus):
+    """``rescore`` with a nested rerank query combines its second-pass
+    scores into the first-pass window."""
+    from engine.bm25 import topk_sort
+
+    s = IndexSearcher(corpus["manifest"], algorithm="taat")
+    assert s.rewrite(parse_query(NESTED_Q)).nested
+    full_d, full_s = s.search(NESTED_Q, corpus["doc_count"])
+    full = dict(zip(full_d.tolist(), full_s.tolist()))
+
+    d1, s1 = s.search("the00 the07", 25)
+    w = 2.0
+    comb = s1.copy()
+    for i, doc in enumerate(d1.tolist()):
+        if doc in full:
+            comb[i] = np.float32(np.float64(s1[i]) + w * np.float64(np.float32(full[doc])))
+    assert (comb != s1).any(), "the rerank query must hit the window"
+    exp_d, exp_s = topk_sort(d1, comb, 10)
+    got_d, got_s = s.rescore(d1, s1, NESTED_Q, weight=w, top_n=10)
+    np.testing.assert_array_equal(got_d, exp_d)
+    np.testing.assert_array_equal(got_s, exp_s)
 
 
 def test_time_limit_wand_path(corpus):
@@ -1271,6 +1312,15 @@ def test_leading_wildcard_reversed_dictionary(corpus):
     # pattern with neither prefix nor suffix still works (full-scan path)
     d3, _ = s.search("*e05*", 10)
     assert len(d3) >= len(d1)
+    # the dictionary-only stats searcher of the shard fan-out rewrites a
+    # leading wildcard through the same suffix seek
+    from engine.segment import DictStatsReader
+
+    readers = [DictStatsReader(os.path.join(g.dir, "terms.parquet")) for g in s.segments]
+    stats = IndexSearcher.from_segments(readers, s.doc_count, s.sum_ttf)
+    for pat in ["*e05", "*01", "*e05*"]:
+        q = parse_query(pat)
+        assert stats.rewrite(q) == s.rewrite(q), pat
 
 
 def test_reverse_string_filter_goldens():
