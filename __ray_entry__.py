@@ -1825,7 +1825,7 @@ def oracle_sql() -> dict[str, str]:
     # accumulation semantics: per-term f32 scores summed LEFT-ASSOCIATIVELY
     # in a float64 accumulator in clause order (must terms first, then
     # should terms in query order; boosts before should — search.py
-    # _search_taat), cast to f32, collector tie-break (score desc, doc asc).
+    # _eval_node), cast to f32, collector tie-break (score desc, doc asc).
     # Missing clauses pad with +0.0 (exact for finite doubles).
     _scored_cte = f"""lt(b, lo) AS (VALUES {lt_values}),
             stats AS (

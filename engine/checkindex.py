@@ -175,15 +175,15 @@ def check_merged_index(mi) -> dict:
     # ranges that cover exactly the shard term set
     prev_max = None
     dict_terms: list[str] = []
-    for tmin, tmax, path in mi._dict_ranges():
+    for tmin, tmax, load_terms in mi.dict_ranges():
         assert tmin <= tmax, f"dict range inverted: {tmin}..{tmax}"
         if prev_max is not None:
             assert prev_max <= tmin, "dict ranges overlap"
         prev_max = tmax
-        terms = mi._dict_file_terms(path)
-        assert terms == sorted(terms), f"dict file unsorted: {path}"
+        terms = load_terms()
+        assert terms == sorted(terms), f"dict file unsorted: {tmin}..{tmax}"
         assert terms and terms[0] == tmin and terms[-1] == tmax, (
-            f"dict range metadata mismatch: {path}"
+            f"dict range metadata mismatch: {tmin}..{tmax}"
         )
         dict_terms.extend(terms)
     assert len(dict_terms) == len(set(dict_terms)), "duplicate dict terms"

@@ -1589,12 +1589,18 @@ class MergedIndex(PostingsReader):
         sh, i = self._lookup(term)
         return (sh.cols, i) if sh is not None else (None, -1)
 
-    def _dict_ranges(self) -> list[tuple[str, str, str]]:
+    def dict_ranges(self):
         """Sorted-dictionary level (the BlockTree .tim/.tip role —
-        codecs/blocktree/BlockTreeTermsWriter.java:200-217): term-range-
-        sorted single-column files written at merge time; [] when the
-        index holds no terms."""
-        return [(r["term_min"], r["term_max"], r["path"]) for r in self.manifest["dict_files"]]
+        codecs/blocktree/BlockTreeTermsWriter.java:200-217): one
+        (term_min, term_max, load_terms) per term-range-sorted
+        single-column dict file written at merge time; [] when the index
+        holds no terms."""
+        from functools import partial
+
+        return [
+            (r["term_min"], r["term_max"], partial(self._dict_file_terms, r["path"]))
+            for r in self.manifest["dict_files"]
+        ]
 
     def _dict_file_terms(self, path: str) -> list[str]:
         """The one dict-file loader: a dict file's sorted term column
@@ -1607,10 +1613,10 @@ class MergedIndex(PostingsReader):
         from bisect import bisect_left, bisect_right
 
         out: list[str] = []
-        for tmin, tmax, path in self._dict_ranges():
+        for tmin, tmax, load_terms in self.dict_ranges():
             if tmax < lo or tmin > hi:
                 continue
-            terms = self._dict_file_terms(path)
+            terms = load_terms()
             out.extend(terms[bisect_left(terms, lo) : bisect_right(terms, hi)])
         return out  # dict files are disjoint sorted ranges => already sorted
 
@@ -1636,8 +1642,8 @@ class MergedIndex(PostingsReader):
         """Enumerate dictionary terms in sorted order from the dict files
         — never touches postings blobs (fuzzy and suffix expansion go
         through this)."""
-        for _tmin, _tmax, p in self._dict_ranges():
-            yield from self._dict_file_terms(p)
+        for _tmin, _tmax, load_terms in self.dict_ranges():
+            yield from load_terms()
 
     def iter_term_rows(self):
         """(shard path, whole term row) for every term, shard by shard

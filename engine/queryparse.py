@@ -109,6 +109,24 @@ class BoolQuery:
     def nested(self) -> bool:
         return bool(self.sub_must or self.sub_should or self.sub_must_not)
 
+    @property
+    def terms_only(self) -> bool:
+        """Only plain term clauses (must/should/must_not) after rewrite: no
+        match-all, boosts, synonyms, phrases, sloppy or multi-phrases,
+        term-set filters, min-should-match or sub-queries — the shape the
+        pruning plan and the single-term fast path serve."""
+        return not (
+            self.match_all
+            or self.boosts
+            or self.synonyms
+            or self.phrases
+            or self.sloppy
+            or self.multi_phrases
+            or self.term_sets
+            or self.min_should_match
+            or self.nested
+        )
+
 
 def boolquery_from_dict(d: dict) -> BoolQuery:
     """Rebuild a BoolQuery (including nested sub-queries) from the plain

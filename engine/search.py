@@ -12,12 +12,16 @@ tie-break (TopDocs.java:68-118).
 
 Two physical plans per (query, segment) — the Boolean2ScorerSupplier role:
 
-- ``taat``: exhaustive vectorized term-at-a-time numpy scoring (decode all
-  postings, scatter-add float32 scores into a float64 accumulator). Exact,
-  no pruning, optimal for small segments (this sandbox's scale).
+- ``taat``: exhaustive vectorized term-at-a-time numpy scoring. One live
+  optional term goes postings → scores → top-k directly; every other
+  clause tree, flat or nested, runs through the one dense clause
+  evaluator ``_eval_node`` (scatter-add float32 clause scores into a
+  float64 accumulator, combine match masks). Exact, no pruning, optimal
+  for small segments.
 - ``wand``: document-at-a-time block-max WAND / block-max conjunction with
   dynamic pruning (engine/wand.py), optimal when postings ≫ k (the 100 TB
-  scale path).
+  scale path). It serves ``BoolQuery.terms_only`` queries with no
+  deletions, except a pure disjunction with must_not.
 
 Both are rank-identical by construction (same float32 score arithmetic;
 pruning is sound) and tested against each other (CheckHits model).
@@ -175,6 +179,15 @@ def _flatten_bool(q: BoolQuery) -> BoolQuery:
         sub_should=tuple(keep_should),
         sub_must_not=tuple(keep_not),
     )
+
+
+def _clause_terms(q: BoolQuery) -> tuple[str, ...]:
+    """Every term clause (must, should, must_not) of a clause tree, depth
+    first — the terms whose weights one query execution needs."""
+    out = tuple(q.must) + tuple(q.should) + tuple(q.must_not)
+    for sub in q.sub_must + q.sub_should + q.sub_must_not:
+        out += _clause_terms(sub)
+    return out
 
 
 class _OmitNormsReader:
@@ -624,9 +637,10 @@ class IndexSearcher:
         BM25Similarity.explainScore / BooleanWeight.explain): per
         matching clause the raw freq, SmallFloat-decoded docLen, weight
         and float32 clause score; ``value`` is the f64 clause-sum cast
-        f32 — bit-identical to what search() scores this doc. Flat
-        must/should/must_not queries (the TAAT plan's shape); a matching
-        MUST_NOT or a missing MUST clause yields match=False, value 0."""
+        f32 — bit-identical to what search() scores this doc. Explains
+        the must/should/must_not term clauses (the ``terms_only`` shape);
+        a matching MUST_NOT or a missing MUST clause yields match=False,
+        value 0."""
         from .smallfloat import LENGTH_TABLE
 
         q = self.rewrite(parse_query(query) if isinstance(query, str) else query)
@@ -708,16 +722,8 @@ class IndexSearcher:
         q = self.rewrite(parse_query(query) if isinstance(query, str) else query)
         if q.empty:
             return 0
-        flat_single_term = (
-            not q.nested
-            and len(q.should) == 1
-            and not (
-                q.must or q.must_not or q.phrases or q.sloppy or q.multi_phrases
-                or q.synonyms or q.boosts or q.min_should_match or q.term_sets
-                or q.match_all
-            )
-        )
-        if flat_single_term and self._deleted is None:
+        single_term = q.terms_only and len(q.should) == 1 and not (q.must or q.must_not)
+        if single_term and self._deleted is None:
             df, _ttf = self.global_term_stats(q.should[0])
             return int(df)
         docs, _scores = self.execute(q, k=max(1, self.doc_count))
@@ -1034,284 +1040,80 @@ class IndexSearcher:
         collector=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Run an already-rewritten BoolQuery — the Weight.scorer +
-        collect phase. Plan choice mirrors Boolean2ScorerSupplier.
+        collect phase. Plan choice mirrors Boolean2ScorerSupplier: a
+        ``terms_only`` query may take the pruning plan; on the exhaustive
+        plan one live optional term takes the postings fast path and every
+        other clause tree, flat or nested, the dense clause evaluator.
         ``deadline`` (perf_counter seconds) is enforced at segment
-        granularity on the exhaustive plans (TimeLimitingCollector
-        role). A ``collector`` forces the exhaustive plan (a pruning plan
-        cannot feed a see-every-hit callback)."""
-        if collector is not None:
-            algorithm = "taat"
+        granularity (TimeLimitingCollector role). A ``collector`` forces
+        the exhaustive plan (a pruning plan cannot feed a see-every-hit
+        callback) and gets writable, unmemoized score arrays."""
         if q.empty or k <= 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        if q.nested:
-            # clause-tree plan: recursive per-segment dense evaluation
-            # (nested scorers are exhaustive; WAND pruning stays flat-only)
-            return self._search_nested(q, k, deadline, collector)
-        algorithm = algorithm or self.algorithm
-        if (
-            q.match_all
-            or q.phrases
-            or q.sloppy
-            or q.multi_phrases
-            or q.synonyms
-            or q.boosts
-            or q.min_should_match
-            or q.term_sets
-            or self._deleted is not None
-        ):
-            # constant-score / positional / blended / boosted / msm /
-            # filter clauses: vectorized exhaustive plan only. Deletions
-            # also force TAAT: the WAND collector's bottom-score
-            # threshold must never be raised by a deleted doc, and the
-            # liveDocs mask is applied before top-k on the TAAT funnel.
-            algorithm = "taat"
-        # must_not params are never used for scoring, only to build
-        # iterators; a collector sees writable, unmemoized score arrays
-        weights = self._weights_for(
-            tuple(q.must) + tuple(q.should) + tuple(q.must_not),
-            memo=collector is None,
-        )
+        # must_not weights only build the pruning plan's exclusion iterators
+        weights = self._weights_for(_clause_terms(q), memo=collector is None)
+        if not q.terms_only:
+            return self._search_nested(q, weights, k, deadline, collector)
         if any(weights[t].params is None for t in q.must):
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
         live_should = tuple(t for t in q.should if weights[t].params is not None)
-        if (
-            not q.must
-            and not live_should
-            and not q.match_all
-            and not q.phrases
-            and not q.sloppy
-            and not q.multi_phrases
-            and not q.synonyms
-            and not q.boosts
-            and not q.term_sets
-        ):
+        if not q.must and not live_should:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-
-        if algorithm == "auto":
+        algorithm = algorithm or self.algorithm
+        if collector is not None or self._deleted is not None or (q.must_not and not q.must):
+            # Exhaustive only. Deletions: the WAND collector's bottom-score
+            # threshold must never be raised by a deleted doc, and the
+            # liveDocs mask is applied before top-k on the exhaustive
+            # funnel. A pure disjunction with must_not has no pruning
+            # ReqExclScorer here.
+            algorithm = "taat"
+        elif algorithm == "auto":
             total_postings = sum(weights[t].df for t in tuple(q.must) + live_should)
             algorithm = "wand" if total_postings > WAND_POSTINGS_CUTOVER else "taat"
+        if algorithm != "taat":
+            return self._search_wand(q, live_should, weights, k, threshold, deadline)
+        if not q.must and not q.must_not and len(live_should) == 1:
+            return self._search_term(weights[live_should[0]], k, deadline, collector)
+        return self._search_nested(q, weights, k, deadline, collector)
 
-        if algorithm == "taat":
-            return self._search_taat(q, live_should, weights, k, deadline, collector)
-        return self._search_wand(q, live_should, weights, k, threshold, deadline)
+    # -- exhaustive plan ---------------------------------------------------
 
-    # -- exhaustive vectorized plan ----------------------------------------
-
-    def _search_taat(
-        self,
-        q: BoolQuery,
-        live_should: tuple[str, ...],
-        weights: dict[str, _TermWeight],
-        k: int,
-        deadline: float | None = None,
-        collector=None,
+    def _search_term(
+        self, w: _TermWeight, k: int, deadline: float | None, collector
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Single-term fast path (the dominant query shape): postings →
+        score → top-k directly, no dense accumulator/scatter/gather."""
         all_docs: list[np.ndarray] = []
         all_scores: list[np.ndarray] = []
-        n_must = len(q.must)
-        if (
-            n_must == 0
-            and len(live_should) == 1
-            and not (
-                q.match_all
-                or q.boosts
-                or q.synonyms
-                or q.phrases
-                or q.sloppy
-                or q.multi_phrases
-                or q.must_not
-                or q.term_sets
-                or q.min_should_match
-            )
-        ):
-            # single-term fast path (the dominant query shape): postings →
-            # score → top-k directly, no dense accumulator/scatter/gather
-            w = weights[live_should[0]]
-            for gi, seg in enumerate(self.segments):
-                self._check_deadline(deadline, all_docs, all_scores, k)
-                docs, sc_seg = self._scored(w, gi, seg)
-                if len(docs):
-                    if collector is not None:
-                        collector(docs, sc_seg)
-                    all_docs.append(docs)
-                    all_scores.append(sc_seg)
-            return self._live_topk(all_docs, all_scores, k)
         for gi, seg in enumerate(self.segments):
             self._check_deadline(deadline, all_docs, all_scores, k)
-            lo = seg.doc_base
-            span = seg.norm_span
-            acc = np.zeros(span, dtype=np.float64)
-            must_cnt = np.zeros(span, dtype=np.int16) if n_must else None
-            matched = np.zeros(span, dtype=bool)
-            should_cnt = (
-                np.zeros(span, dtype=np.int16) if q.min_should_match else None
-            )
-            if q.match_all:
-                # MatchAllDocsQuery: constant score 1.0f for every doc
-                acc += 1.0
-                matched[:] = True
-            for t, bf in q.boosts:
-                df, _ = self.global_term_stats(t)
-                if df == 0:
-                    continue
-                fld_b, bare_b = self._split_field(t)
-                _fsegs, f_dc, f_st = self.fields[fld_b]
-                params_b = make_term_scorer(df, f_dc, f_st, boost=np.float32(bf))
-                bseg = seg if fld_b == "body" else self._field_seg(fld_b, gi)
-                docs, freqs = bseg.postings(bare_b)
-                if len(docs):
-                    sb = params_b.score(freqs, bseg.norm_of(docs))
-                    acc[docs - lo] += sb.astype(np.float64)
-                    matched[docs - lo] = True
-                    if should_cnt is not None:
-                        should_cnt[docs - lo] += 1
-            for group in q.synonyms:
-                # SynonymQuery semantics: df = max over terms, freq = sum of
-                # term freqs per doc (SynonymQuery.java blended stats)
-                dfs = [self.global_term_stats(t)[0] for t in group]
-                if max(dfs, default=0) == 0:
-                    continue
-                params_s = make_term_scorer(max(dfs), self.doc_count, self.sum_ttf)
-                freq_sum = np.zeros(span, dtype=np.int64)
-                any_hit = np.zeros(span, dtype=bool)
-                for t in group:
-                    docs, freqs = seg.postings(t)
-                    if len(docs):
-                        freq_sum[docs - lo] += freqs
-                        any_hit[docs - lo] = True
-                hit_local = np.flatnonzero(any_hit)
-                if len(hit_local):
-                    s = params_s.score(
-                        freq_sum[hit_local], seg.norm_of(hit_local + lo)
-                    )
-                    acc[hit_local] += s.astype(np.float64)
-                    matched[hit_local] = True
-                    if should_cnt is not None:
-                        should_cnt[hit_local] += 1
-            for phrase_t, slop in tuple((p, 0) for p in q.phrases) + tuple(q.sloppy):
-                pseg, bare_p, p_dc, p_st = self._phrase_ctx(gi, seg, phrase_t)
-                docs_p, freqs_p = _phrase_postings(pseg, bare_p, slop)
-                if len(docs_p) == 0:
-                    continue
-                params_p = make_phrase_scorer(
-                    [self.global_term_stats(t)[0] for t in phrase_t], p_dc, p_st
-                )
-                sp = params_p.score(freqs_p, pseg.norm_of(docs_p))
-                acc[docs_p - lo] += sp.astype(np.float64)
-                matched[docs_p - lo] = True
-                if should_cnt is not None:
-                    should_cnt[docs_p - lo] += 1
-            for slots, slop in q.multi_phrases:
-                # MultiPhraseQuery: per-slot union postings feed the same
-                # matcher; idf sums over ALL slot terms (the termStates[]
-                # array MultiPhraseQuery.java hands to the similarity)
-                mseg, bare_s, m_dc, m_st = self._multi_phrase_ctx(gi, seg, slots)
-                docs_m, freqs_m = _multi_phrase_postings(mseg, bare_s, slop)
-                if len(docs_m) == 0:
-                    continue
-                params_m = make_phrase_scorer(
-                    # df=0 alternatives are skipped, as the reference skips
-                    # zero-docFreq termStates when building the stats array
-                    [
-                        df
-                        for alts in slots
-                        for df in (
-                            self.global_term_stats(t)[0] for t in alts
-                        )
-                        if df > 0
-                    ],
-                    m_dc,
-                    m_st,
-                )
-                sm = params_m.score(freqs_m, mseg.norm_of(docs_m))
-                acc[docs_m - lo] += sm.astype(np.float64)
-                matched[docs_m - lo] = True
-                if should_cnt is not None:
-                    should_cnt[docs_m - lo] += 1
-            # Iterate must then should by POSITION (not `t in q.must`): a term
-            # present in both MUST and SHOULD (e.g. "+foo foo") scores twice
-            # (both clauses contribute, as in the WAND plan) but bumps
-            # must_cnt exactly once — otherwise must_cnt==n_must never holds.
-            for i, t in enumerate(tuple(q.must) + live_should):
-                is_must = i < n_must
-                docs, s = self._scored(weights[t], gi, seg)
-                if len(docs) == 0:
-                    if is_must:
-                        must_cnt = None
-                        break
-                    continue
-                local = docs - lo
-                acc[local] += s.astype(np.float64)
-                matched[local] = True
-                if is_must:
-                    must_cnt[local] += 1
-                elif should_cnt is not None:
-                    should_cnt[local] += 1
-            if n_must and must_cnt is None:
-                continue
-            if n_must:
-                sel = must_cnt == n_must
-            elif q.term_sets and not (
-                live_should
-                or q.match_all
-                or q.phrases
-                or q.sloppy
-                or q.multi_phrases
-                or q.synonyms
-                or q.boosts
-            ):
-                # filter-only query: every doc is a candidate at score 0
-                # (ConstantScore filter context, TermInSetQuery.java)
-                sel = np.ones(span, dtype=bool)
-            else:
-                sel = matched
-            for ts in q.term_sets:
-                # TermInSetQuery FILTER: require >= 1 term of the set,
-                # contribute no score; bitset served from the per-searcher
-                # LRU on repeats (LRUQueryCache role)
-                sel = sel & self._filter_bitset(gi, seg, ts)
-            if should_cnt is not None:
-                # minimumNumberShouldMatch (search/BooleanQuery.java:78,102):
-                # optional clauses that match count toward the minimum;
-                # synonym/phrase/boost groups count as SHOULD clauses too
-                sel = sel & (should_cnt >= q.min_should_match)
-            for t in q.must_not:
-                fld_n, bare_n = self._split_field(t)
-                nseg = seg if fld_n == "body" else self._field_seg(fld_n, gi)
-                docs, _ = nseg.postings(bare_n)
-                if len(docs):
-                    sel[docs - lo] = False
-            local_sel = np.flatnonzero(sel)
-            if len(local_sel):
-                seg_docs = local_sel + lo
-                seg_scores = acc[local_sel].astype(np.float32)
+            docs, sc_seg = self._scored(w, gi, seg)
+            if len(docs):
                 if collector is not None:
-                    collector(seg_docs, seg_scores)
-                all_docs.append(seg_docs)
-                all_scores.append(seg_scores)
+                    collector(docs, sc_seg)
+                all_docs.append(docs)
+                all_scores.append(sc_seg)
         return self._live_topk(all_docs, all_scores, k)
-
-    # -- nested clause-tree plan -------------------------------------------
 
     def _search_nested(
         self,
         q: BoolQuery,
+        weights: dict[str, _TermWeight],
         k: int,
         deadline: float | None,
         collector,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Clause-tree execution for queries with parenthesized sub-queries
-        (after the flattening rewrite removed every inlinable group):
-        evaluate each node recursively per segment into a dense match mask
-        + float64 score accumulator, combining child masks with BooleanQuery
-        clause semantics (search/BooleanQuery.java; Boolean2ScorerSupplier
-        nested-scorer composition). Exhaustive like the TAAT plan, with the
-        same per-segment deadline check and ``collector`` call."""
+        """Clause-tree execution, flat or nested (after the flattening
+        rewrite removed every inlinable group): evaluate the tree per
+        segment into a dense match mask + float64 score accumulator
+        (``_eval_node``), check the deadline before each segment and hand
+        each segment's hits to ``collector``. ``weights`` holds every term
+        clause of the tree (``_clause_terms``)."""
         all_docs: list[np.ndarray] = []
         all_scores: list[np.ndarray] = []
         for gi, seg in enumerate(self.segments):
             self._check_deadline(deadline, all_docs, all_scores, k)
-            sel, acc = self._eval_node(q, gi, seg)
+            sel, acc = self._eval_node(q, weights, gi, seg)
             local = np.flatnonzero(sel)
             if len(local):
                 seg_docs = local + seg.doc_base
@@ -1322,10 +1124,17 @@ class IndexSearcher:
                 all_scores.append(seg_scores)
         return self._live_topk(all_docs, all_scores, k)
 
-    def _eval_node(self, q: BoolQuery, gi, seg) -> tuple[np.ndarray, np.ndarray]:
+    def _eval_node(
+        self, q: BoolQuery, weights: dict[str, _TermWeight], gi, seg
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One BooleanQuery node on one segment → (matched bool[span],
-        score float64[span]). A sub-query is ONE clause of its parent: its
-        node score is finished to float32 before being added to the parent
+        score float64[span]) — the one dense evaluator of boolean clauses
+        (search/BooleanQuery.java clause semantics; Boolean2ScorerSupplier
+        scorer composition). Clause scores add in a fixed order: match-all,
+        boosts, synonyms, phrases, multi-phrases, must terms, live should
+        terms, must sub-queries, should sub-queries; that order defines the
+        float32 result. A sub-query is ONE clause of its parent: its node
+        score is finished to float32 before being added to the parent
         accumulator (each Scorer.score() returns a float; the parent's
         double accumulator sums those floats — BooleanScorer semantics)."""
         lo = seg.doc_base
@@ -1335,7 +1144,6 @@ class IndexSearcher:
         must_ok: np.ndarray | None = None  # AND over required clauses
         should_cnt = np.zeros(span, dtype=np.int16) if q.min_should_match else None
 
-        weights = self._weights_for(tuple(q.must) + tuple(q.should))
         if any(weights[t].params is None for t in q.must):
             return np.zeros(span, dtype=bool), acc  # a required term is absent
 
@@ -1346,9 +1154,12 @@ class IndexSearcher:
         def _optional(local: np.ndarray) -> None:
             opt[local] = True
             if should_cnt is not None:
+                # minimumNumberShouldMatch (search/BooleanQuery.java:78,102):
+                # synonym/phrase/boost groups count as optional clauses too
                 should_cnt[local] += 1
 
         if q.match_all:
+            # MatchAllDocsQuery: constant score 1.0f for every doc
             acc += 1.0
             opt[:] = True
         for t, bf in q.boosts:
@@ -1367,6 +1178,8 @@ class IndexSearcher:
                 )
                 _optional(local)
         for group in q.synonyms:
+            # SynonymQuery semantics: df = max over terms, freq = sum of
+            # term freqs per doc (SynonymQuery.java blended stats)
             dfs = [self.global_term_stats(t)[0] for t in group]
             if max(dfs, default=0) == 0:
                 continue
@@ -1398,6 +1211,11 @@ class IndexSearcher:
             )
             _optional(local)
         for slots, slop in q.multi_phrases:
+            # MultiPhraseQuery: per-slot union postings feed the same
+            # matcher; idf sums over ALL slot terms (the termStates[] array
+            # MultiPhraseQuery.java hands to the similarity), skipping
+            # df=0 alternatives as the reference skips zero-docFreq
+            # termStates
             mseg, bare_s, m_dc, m_st = self._multi_phrase_ctx(gi, seg, slots)
             docs_m, freqs_m = _multi_phrase_postings(mseg, bare_s, slop)
             if len(docs_m) == 0:
@@ -1417,13 +1235,16 @@ class IndexSearcher:
                 np.float64
             )
             _optional(local)
+        # must then should by POSITION: a term in both (e.g. "+foo foo")
+        # scores twice, once per clause, as in the WAND plan
         for t in q.must:
             docs, s = self._scored(weights[t], gi, seg)
+            if not len(docs):
+                return np.zeros(span, dtype=bool), acc  # absent in this segment
             m = np.zeros(span, dtype=bool)
-            if len(docs):
-                local = docs - lo
-                acc[local] += s.astype(np.float64)
-                m[local] = True
+            local = docs - lo
+            acc[local] += s.astype(np.float64)
+            m[local] = True
             _require(m)
         live_should = tuple(t for t in q.should if weights[t].params is not None)
         for t in live_should:
@@ -1433,11 +1254,11 @@ class IndexSearcher:
                 acc[local] += s.astype(np.float64)
                 _optional(local)
         for sub in q.sub_must:
-            s_sel, s_acc = self._eval_node(sub, gi, seg)
+            s_sel, s_acc = self._eval_node(sub, weights, gi, seg)
             acc[s_sel] += s_acc[s_sel].astype(np.float32).astype(np.float64)
             _require(s_sel)
         for sub in q.sub_should:
-            s_sel, s_acc = self._eval_node(sub, gi, seg)
+            s_sel, s_acc = self._eval_node(sub, weights, gi, seg)
             acc[s_sel] += s_acc[s_sel].astype(np.float32).astype(np.float64)
             _optional(np.flatnonzero(s_sel))
         if must_ok is not None:
@@ -1452,10 +1273,14 @@ class IndexSearcher:
             or q.boosts
             or q.sub_should
         ):
-            sel = np.ones(span, dtype=bool)  # filter-only: constant-score
+            # filter-only query: every doc is a candidate at score 0
+            # (ConstantScore filter context, TermInSetQuery.java)
+            sel = np.ones(span, dtype=bool)
         else:
-            sel = opt.copy()
+            sel = opt
         for ts in q.term_sets:
+            # TermInSetQuery FILTER: require >= 1 term of the set, no
+            # score; bitset served from the per-searcher LRU on repeats
             sel = sel & self._filter_bitset(gi, seg, ts)
         if should_cnt is not None:
             sel = sel & (should_cnt >= q.min_should_match)
@@ -1466,7 +1291,7 @@ class IndexSearcher:
             if len(docs):
                 sel[docs - lo] = False
         for sub in q.sub_must_not:
-            s_sel, _ = self._eval_node(sub, gi, seg)
+            s_sel, _ = self._eval_node(sub, weights, gi, seg)
             sel = sel & ~s_sel
         return sel, acc
 
@@ -1498,7 +1323,7 @@ class IndexSearcher:
                 return out
 
             must_iters = iters(q.must)
-            if q.must and len(must_iters) < len(q.must):
+            if len(must_iters) < len(q.must):
                 continue  # a required term has no postings in this segment
             if q.must:
                 conjunction_topk(
@@ -1510,42 +1335,8 @@ class IndexSearcher:
                     collector=collector,
                 )
             else:
-                sh = iters(live_should)
-                ex = iters(q.must_not)
-                if ex:
-                    # disjunction with must_not (ReqExclScorer analogue):
-                    # exhaustive doc-order evaluation, no pruning (rare path)
-                    self._wand_with_excludes(sh, ex, collector)
-                else:
-                    wand_or_topk(sh, k, threshold, collector=collector)
+                wand_or_topk(iters(live_should), k, threshold, collector=collector)
         return collector.results()
-
-    @staticmethod
-    def _wand_with_excludes(
-        shoulds: list[TermIterator], excludes: list[TermIterator], collector: TopKCollector
-    ) -> None:
-        """Doc-order disjunction with must_not exclusion (ReqExclScorer
-        analogue); pruning disabled for simplicity on this rare path."""
-        from .wand import NO_MORE_DOCS, _combined_score, setup_scaling
-
-        setup_scaling(shoulds)
-        for it in shoulds + excludes:
-            it.start()
-        active = [it for it in shoulds if it.doc != NO_MORE_DOCS]
-        while active:
-            doc = min(it.doc for it in active)
-            matching = [it for it in active if it.doc == doc]
-            skip = False
-            for ex in excludes:
-                if ex.doc < doc:
-                    ex.advance(doc)
-                if ex.doc == doc:
-                    skip = True
-            if not skip:
-                collector.collect(doc, _combined_score(matching))
-            for it in matching:
-                it.next()
-            active = [it for it in active if it.doc != NO_MORE_DOCS]
 
 
 def _edit_distance_le(a: str, b: str, k: int) -> bool:
@@ -1639,38 +1430,30 @@ def _lev_range_lower_bound(base: str, tmin: str, tmax: str) -> int:
     return min(prev)
 
 
-# instrumentation for the shard-prune tests (files read / files total of
-# the last dictionary-level fuzzy expansion)
+# instrumentation for the shard-prune tests (dictionary ranges read / in
+# total in the last fuzzy expansion; one range per dict file when merged)
 FUZZY_DICT_STATS = {"files_read": 0, "files_total": 0}
 
 
 def _fuzzy_expand(seg, base: str, max_ed: int, max_terms: int) -> list[str]:
-    """Terms within edit distance of ``base`` (exact term first). On a
-    merged index with a sorted dictionary level, only dict files whose
-    term-range Levenshtein lower bound is <= max_ed are read (the
-    automaton-intersect seek at file granularity); within a file the
-    length band |len(t) - len(base)| <= max_ed prunes vectorized-cheap
-    before the banded DP."""
+    """Terms within edit distance of ``base`` (exact term first). Only
+    dictionary ranges whose term-range Levenshtein lower bound is <=
+    max_ed are read (the automaton-intersect seek at dict-file granularity
+    on a merged index; a whole-dictionary reader is one range); within a
+    range the banded DP early-aborts."""
     out = []
-    if hasattr(seg, "_dict_ranges"):
-        ranges = seg._dict_ranges()
-        FUZZY_DICT_STATS["files_total"] = len(ranges)
-        FUZZY_DICT_STATS["files_read"] = 0
-        for tmin, tmax, path in ranges:  # sorted disjoint ranges
-            if _lev_range_lower_bound(base, tmin, tmax) > max_ed:
-                continue
-            FUZZY_DICT_STATS["files_read"] += 1
-            for t in seg._dict_file_terms(path):
-                if _edit_distance_le(base, t, max_ed):
-                    out.append(t)
-                    if len(out) >= max_terms:
-                        return out
-        return out
-    for t in seg.iter_terms():
-        if _edit_distance_le(base, t, max_ed):
-            out.append(t)
-            if len(out) >= max_terms:
-                break
+    ranges = seg.dict_ranges()
+    FUZZY_DICT_STATS["files_total"] = len(ranges)
+    FUZZY_DICT_STATS["files_read"] = 0
+    for tmin, tmax, load_terms in ranges:  # sorted disjoint ranges
+        if _lev_range_lower_bound(base, tmin, tmax) > max_ed:
+            continue
+        FUZZY_DICT_STATS["files_read"] += 1
+        for t in load_terms():
+            if _edit_distance_le(base, t, max_ed):
+                out.append(t)
+                if len(out) >= max_terms:
+                    return out
     return out
 
 

@@ -39,6 +39,7 @@ import time
 import uuid
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,9 +240,18 @@ def _range_terms(terms: list[str], lo: str, hi: str, max_terms: int) -> list[str
 
 
 class SuffixSeek:
-    """``expand_suffix`` over a reader's sorted ``iter_terms()``: every
-    dictionary surface a query rewrite runs against (``PostingsReader``
-    and the stats-only ``DictStatsReader``) has it."""
+    """``dict_ranges`` and ``expand_suffix`` over a reader's sorted
+    ``iter_terms()``: every dictionary surface a query rewrite runs
+    against (``PostingsReader`` and the stats-only ``DictStatsReader``)
+    has them."""
+
+    def dict_ranges(self) -> list[tuple[str, str, Callable[[], Iterable[str]]]]:
+        """The sorted dictionary as disjoint (term_min, term_max,
+        load_terms) ranges in term order; ``load_terms()`` yields that
+        range's terms, sorted. A whole-dictionary reader is one range
+        spanning every string; ``MergedIndex`` has one per dict file, so a
+        range-bounded seek (fuzzy) reads only the files it admits."""
+        return [("", chr(0x10FFFF), self.iter_terms)]
 
     def expand_suffix(self, suffix: str, max_terms: int = 1024) -> list[str]:
         """Terms ENDING with ``suffix`` — the leading-wildcard seek of

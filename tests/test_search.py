@@ -706,6 +706,12 @@ NESTED_QUERIES = [
     "(+t00000 +t00001) t00002",            # conjunction group as SHOULD
     "(t00000 OR zzznomatch) AND the00",    # dead branch in the group
     "(zzznomatch OR zzzother) AND the00",  # group matches nothing
+    # flat shapes run through the same clause evaluator
+    "the00 t00001 -t00002",                # disjunction with must_not
+    "+t00000 t00001",                      # must + should
+    "+t00000 +the00 -t00003",              # conjunction with must_not
+    "+t00000 t00000",                      # one term as MUST and SHOULD
+    "t00000 t00017 t09999",                # disjunction, one term absent
 ]
 
 
