@@ -116,24 +116,25 @@ def check_merged_index(mi) -> dict:
     """CheckIndex over a merge-by-term output (engine/merge.MergedIndex):
     per-shard term order, df/ttf/postings consistency, doc-range bounds,
     norms coverage, global stat sums. It also proves the reader's
-    single-shard lookup sound: heavy-shard term ranges are pairwise
-    disjoint, and every term resolves through ``_shard_path_of`` to the
-    file that holds it. And it checks for dead bytes: ``terms/`` and
-    ``dict/`` hold only files the manifest names, and the merge's own
-    ``heavy_runs/`` and ``units/`` are gone."""
-    named = [r["path"] for r in mi.manifest["shards"] + mi.manifest["dict_files"]]
+    single-shard lookup sound: light-shard term ranges are pairwise
+    disjoint, and so are heavy-shard ones, and every term resolves through
+    ``_shard_path_of`` to the file that holds it. ``dict_ranges()`` must be
+    sorted, disjoint and cover exactly the shard term set. And it checks
+    for dead bytes: ``terms/`` holds only files the manifest names, and
+    the merge's own ``heavy_runs/`` and ``units/`` are gone."""
+    named = [r["path"] for r in mi.manifest["shards"]]
     if named:
         merged_dir = os.path.dirname(os.path.dirname(named[0]))
         for sub in ("heavy_runs", "units"):
             assert not os.path.exists(os.path.join(merged_dir, sub)), f"{sub}/ left after commit"
         names = {os.path.basename(p) for p in named}
-        for sub in ("terms", "dict"):
-            for f in os.listdir(os.path.join(merged_dir, sub)):
-                assert not f.endswith(".tmp"), f"{sub}/{f}: temporary file left"
-                assert f in names, f"{sub}/{f}: not named by the manifest"
-    ranges = sorted(mi._heavy_ranges)
-    for (lo_a, hi_a, _), (lo_b, _, _) in zip(ranges, ranges[1:]):
-        assert hi_a < lo_b, f"heavy ranges overlap: {lo_a}..{hi_a} / {lo_b}"
+        for f in os.listdir(os.path.join(merged_dir, "terms")):
+            assert not f.endswith(".tmp"), f"terms/{f}: temporary file left"
+            assert f in names, f"terms/{f}: not named by the manifest"
+    for kind, ranges in (("light", mi._light_ranges), ("heavy", mi._heavy_ranges)):
+        ranges = sorted(ranges)
+        for (lo_a, hi_a, _), (lo_b, _, _) in zip(ranges, ranges[1:]):
+            assert hi_a < lo_b, f"{kind} ranges overlap: {lo_a}..{hi_a} / {lo_b}"
     n_terms = 0
     sum_ttf = 0
     doc_lo, doc_hi = mi.doc_base, mi.doc_base + mi.norm_span
@@ -171,17 +172,17 @@ def check_merged_index(mi) -> dict:
         sum_ttf += ttf
     assert sum_ttf == mi.sum_ttf, f"sum_ttf {mi.sum_ttf} != postings total {sum_ttf}"
 
-    # sorted dictionary level (BlockTree .tim/.tip role): disjoint sorted
-    # ranges that cover exactly the shard term set
+    # sorted dictionary (BlockTree .tim/.tip role): disjoint sorted ranges
+    # that cover exactly the shard term set
     prev_max = None
     dict_terms: list[str] = []
     for tmin, tmax, load_terms in mi.dict_ranges():
         assert tmin <= tmax, f"dict range inverted: {tmin}..{tmax}"
         if prev_max is not None:
-            assert prev_max <= tmin, "dict ranges overlap"
+            assert prev_max < tmin, "dict ranges overlap"
         prev_max = tmax
         terms = load_terms()
-        assert terms == sorted(terms), f"dict file unsorted: {tmin}..{tmax}"
+        assert terms == sorted(terms), f"dict range unsorted: {tmin}..{tmax}"
         assert terms and terms[0] == tmin and terms[-1] == tmax, (
             f"dict range metadata mismatch: {tmin}..{tmax}"
         )

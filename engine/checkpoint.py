@@ -12,7 +12,7 @@ the missing units: partition outputs are keyed by doc_base, and each
 ``merge_by_term`` bucket task leaves a done-marker under ``merged/units/``
 that a rerun of the same plan adopts (the north rule's "resume
 mid-merge"). Once the merge manifest commits, the merge sweeps its
-markers, its heavy runs and every term/dict file the manifest does not
+markers, its heavy runs and every term file the manifest does not
 name (engine/merge.py).
 """
 

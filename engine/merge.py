@@ -6,42 +6,45 @@ no Dataset all-to-all:
 
 1. *Heavy pre-pass.* Pruned (term, df) reads with a pigeonhole filter
    find the terms whose global df reaches ``salt_threshold`` (the
-   stop-word band, SURVEY §4): the *heavy* terms. In parallel, tasks
-   re-shard the partition norms by doc range.
+   stop-word band, SURVEY §4): the *heavy* terms. The same reads take a
+   df-weighted term sample of every partition, whose quantiles are the
+   ``n_buckets - 1`` term-range boundaries of the light buckets. In
+   parallel, tasks re-shard the partition norms by doc range.
 2. *Map-side exchange.* Each explode task reads a chunk of partitions and
    returns ``num_returns=n_buckets`` objects, one per bucket
-   ``fnv1a(term) % n_buckets`` (``n_buckets`` grows with the corpus's
-   token count, ``derive_n_buckets``; heavy terms hash ``(term, salt)``,
-   salts being contiguous partition-rank ranges so runs stay
-   doc-ordered). Each bucket task depends on exactly its own slot of
-   every explode task, so the exchange is the object transfer itself.
-   The bucket task merges and re-encodes its terms in one sorted batch:
-   light terms are final and go to one shard file per bucket, heavy terms
-   leave one salted run file.
+   (``n_buckets`` grows with the corpus's token count,
+   ``derive_n_buckets``). A light term goes to its term-range bucket,
+   ``searchsorted(boundaries, term, side="right")``; a heavy term hashes
+   ``fnv1a(term, salt) % n_buckets``, salts being contiguous
+   partition-rank ranges so runs stay doc-ordered. Each bucket task
+   depends on exactly its own slot of every explode task, so the
+   exchange is the object transfer itself. The bucket task merges and
+   re-encodes its terms in one sorted batch: light terms are final and go
+   to one shard file per bucket, heavy terms leave one salted run file.
+   The light shards hold sorted, disjoint term ranges, so they and their
+   manifest ``term_min``/``term_max`` are the sorted dictionary (the
+   BlockTree .tim/.tip role) that serves prefix/range/fuzzy/suffix
+   expansion.
 3. *Final heavy pass.* df-weighted contiguous chunks of heavy terms each
    read at most ``n_salts`` run files and write term-range-disjoint heavy
-   shards.
-4. *Dict level*, overlapped with step 3 in a background thread: a second
-   raw-task range exchange (boundaries are term quantiles of a few light
-   buckets — any hash bucket is a uniform vocabulary sample) writes disjoint,
-   sorted, term-only dict files, the BlockTree .tim/.tip role that serves
-   prefix/range/fuzzy/suffix expansion. A Bloom sidecar over all shard
-   terms follows.
+   shards. A Bloom sidecar over all shard terms follows.
 
 *Resume.* The unit of work is the bucket task: once it has written its
 shard and its heavy-run file it records its result rows, postings,
 output bytes and wall in ``merged/units/bucket-NNN.json`` (the merge
 manifest's ``buckets`` entry summarizes them). A rerun adopts every
 marked bucket untouched and explodes fragments only for the rest (no
-explode at all when every bucket is done); the final heavy pass, the dict
-level and the Bloom read the adopted outputs and simply rerun.
+explode at all when every bucket is done); the final heavy pass and the
+Bloom read the adopted outputs and simply rerun. The range boundaries
+are a pure function of the partition files and ``n_buckets``, so a rerun
+routes every term to the bucket it had.
 ``merged/units/plan.json`` names the plan (partitions, salting, bucket
 and norm-shard layout); a rerun under a different plan clears
 ``merged/`` first. File names stay write-once ``uuid`` names. After the
 manifest commits — and again on any call that finds it committed — a
 sweep deletes ``heavy_runs/``, ``units/`` and every file under ``terms/``
-and ``dict/`` the manifest does not name, so the committed index holds
-only the files its manifest names (``check_merged_index`` asserts it).
+the manifest does not name, so the committed index holds only the files
+its manifest names (``check_merged_index`` asserts it).
 
 ``MergedIndex`` reads the result as one logical segment over the full doc
 range, through the same ``segment.PostingsReader`` surface as a flushed
@@ -49,7 +52,7 @@ range, through the same ``segment.PostingsReader`` surface as a flushed
 are lz4-compressed Arrow IPC files, written by ``write_term_shard`` and
 memory-mapped by ``read_term_shard`` (the store/MMapDirectory.java role);
 every reader of a shard path goes through that function or
-``term_shard_dataset``. Dict files, norm shards and heavy runs are Parquet.
+``term_shard_dataset``. Norm shards and heavy runs are Parquet.
 """
 
 from __future__ import annotations
@@ -216,18 +219,28 @@ def term_shard_dataset(paths: list[str], columns: list[str]):
 # Salted term-partitioned shuffle (north-rule merge)
 # ---------------------------------------------------------------------------
 
-def compute_heavy_terms(
-    seg_dirs: list[str], salt_threshold: int, max_driver_rows: int = 2_000_000
-) -> dict[str, int]:
-    """Heavy-term pre-pass — the driver never holds the (term, df)
-    projection of the whole dictionary, only the stop-word-sized survivor
-    set of one distributed filter pass.
+# Term samples per light bucket, over all partitions, behind the range
+# boundaries: the quantile error of the bucket postings shrinks with it.
+SAMPLES_PER_BUCKET = 64
 
-    Candidates: pruned-column read of (term, df), map-side filter
-    df >= ceil(T / n_parts). By pigeonhole, any term with global df >= T
-    has at least one partition row above that floor, so the survivors are a
-    guaranteed superset of the heavy set — and only a stop-word-sized set
-    of rows (<= n_parts x |stop words|) ever leaves the map tasks.
+
+def compute_heavy_terms(
+    seg_dirs: list[str],
+    salt_threshold: int,
+    max_driver_rows: int = 2_000_000,
+    n_buckets: int = 1,
+) -> tuple[dict[str, int], list[str]]:
+    """Heavy-term pre-pass and light-bucket boundaries, from one pruned
+    (term, df) read of every partition — the driver never holds the
+    (term, df) projection of the whole dictionary, only the
+    stop-word-sized survivor set of one distributed filter pass and a
+    term sample of ``SAMPLES_PER_BUCKET`` terms per bucket.
+
+    Candidates: map-side filter df >= floor = ceil(T / n_parts). By
+    pigeonhole, any term with global df >= T has at least one partition
+    row above that floor, so the survivors are a guaranteed superset of
+    the heavy set — and only a stop-word-sized set of rows
+    (<= n_parts x |stop words|) ever leaves the map tasks.
 
     The tail: survivors group-sum by term and threshold at T. Up to
     ``max_driver_rows`` survivors that is a single pyarrow group-sum on
@@ -240,52 +253,80 @@ def compute_heavy_terms(
     n_parts x (floor-1) < T, so every term with global df >= 2T is
     guaranteed salted and only the borderline [T, 2T) band can stay
     unsalted — acceptable because salting is a pure layout/skew decision
-    with no effect on merged output. Returns {term: candidate df sum}
-    for terms above the salting threshold."""
+    with no effect on merged output.
+
+    Boundaries: each partition file gives ceil(SAMPLES_PER_BUCKET x
+    n_buckets / n_parts) terms at evenly spaced points of its cumulative
+    min(df, floor), each weighted by the file's total of that weight; the
+    driver drops the heavy terms (they never enter a light bucket) and
+    cuts the (term, weight)-sorted rest at ``n_buckets - 1`` weight
+    quantiles. Weights make the buckets even in postings, not in terms
+    (term order follows df rank on a Zipf vocabulary), and the cap at
+    ``floor`` keeps the borderline band that stays unsalted from
+    claiming whole buckets. The result depends only on the partition
+    files and ``n_buckets``, never on the task split.
+
+    Returns ({term: candidate df sum} for terms above the salting
+    threshold, the sorted ``n_buckets - 1`` boundaries)."""
     import ray
     import ray.data
 
     term_files = [os.path.join(d, "terms.parquet") for d in seg_dirs]
     floor = -(-salt_threshold // max(1, len(seg_dirs)))  # ceil(T / n_parts)
+    n_samp = -(-SAMPLES_PER_BUCKET * n_buckets // max(1, len(seg_dirs))) if n_buckets > 1 else 0
 
     # Raw Ray tasks, not a Dataset read: the partials are stop-band-sized
     # and the files tiny, so Dataset fixed costs (read planning +
     # materialize) dominated this stage (~1.5-2 s of a 2.8 s stage at
-    # sf0.1/32cpu). Each task returns (row_count, partial table) so the
-    # driver can pick the small-path concat vs the distributed tail
-    # WITHOUT fetching the tables first.
-    @ray.remote(num_returns=2, **_rargs())
-    def _cand_task(files: list[str]) -> tuple[int, pa.Table]:
-        tables = []
+    # sf0.1/32cpu). Each task returns (row_count, partial table, sample)
+    # so the driver can pick the small-path concat vs the distributed
+    # tail WITHOUT fetching the tables first.
+    @ray.remote(num_returns=3, **_rargs())
+    def _cand_task(files: list[str]) -> tuple[int, pa.Table, pa.Table]:
+        tables, samples = [], []
         for f in files:
             t = pq.read_table(f, columns=["term", "df"])
+            if n_samp and t.num_rows:
+                cw = np.cumsum(np.minimum(t.column("df").to_numpy(), floor))
+                pts = (np.arange(n_samp) * 2 + 1) * int(cw[-1]) // (2 * n_samp)
+                idx = np.searchsorted(cw, pts, side="right")
+                samples.append(
+                    pa.table(
+                        {
+                            "term": t.column("term").take(pa.array(idx)),
+                            "w": pa.array(np.full(n_samp, int(cw[-1])), pa.int64()),
+                        }
+                    )
+                )
             hit = t.filter(pc.greater_equal(t.column("df"), floor))
             if hit.num_rows:
                 tables.append(hit)
+        samp = pa.concat_tables(samples) if samples else pa.table(
+            {"term": pa.array([], pa.string()), "w": pa.array([], pa.int64())}
+        )
         if not tables:
             empty = pa.table(
                 {"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())}
             )
-            return 0, empty
+            return 0, empty, samp
         cat = pa.concat_tables(tables)
         # map-side combiner: duplicate terms across this task's files
         # collapse before anything leaves the task
         agg = cat.group_by("term").aggregate([("df", "sum")])
         agg = agg.rename_columns(["term", "df"])
-        return agg.num_rows, agg
+        return agg.num_rows, agg, samp
 
     n_tasks = min(len(term_files), max(8, int(ray.cluster_resources().get("CPU", 8)) * 2))
     chunk = -(-len(term_files) // n_tasks)
-    pairs = [
+    triples = [
         _cand_task.remote(term_files[i : i + chunk])
         for i in range(0, len(term_files), chunk)
     ]
-    count_refs = [p[0] for p in pairs]
-    table_refs = [p[1] for p in pairs]
-    n_cand = int(sum(ray.get(count_refs)))
+    n_cand = int(sum(ray.get([t[0] for t in triples])))
+    table_refs = [t[1] for t in triples]
     if n_cand == 0:
-        return {}
-    if n_cand > max_driver_rows:
+        heavy = {}
+    elif n_cand > max_driver_rows:
         cand = ray.data.from_arrow_refs(table_refs)
         # distributed tail: Dataset groupby-sum, threshold applied in the
         # reduce tasks — the driver sees only the heavy set
@@ -297,18 +338,31 @@ def compute_heavy_terms(
             return b.filter(pc.greater_equal(b.column("df_sum"), salt_threshold))
 
         rows = agg_ds.map_batches(_thresh, batch_format="pyarrow", **_rargs()).take_all()
-        return {r["term"]: int(r["df_sum"]) for r in rows}
-    tbls = [t for t in ray.get(table_refs) if t.num_rows]
-    tbl = pa.concat_tables(tbls)
-    agg = tbl.group_by("term").aggregate([("df", "sum")])
-    mask = pc.greater_equal(agg.column("df_sum"), salt_threshold)
-    hv = agg.filter(mask)
-    return dict(
-        zip(
-            hv.column("term").to_pylist(),
-            (int(x) for x in hv.column("df_sum").to_pylist()),
+        heavy = {r["term"]: int(r["df_sum"]) for r in rows}
+    else:
+        tbls = [t for t in ray.get(table_refs) if t.num_rows]
+        tbl = pa.concat_tables(tbls)
+        agg = tbl.group_by("term").aggregate([("df", "sum")])
+        mask = pc.greater_equal(agg.column("df_sum"), salt_threshold)
+        hv = agg.filter(mask)
+        heavy = dict(
+            zip(
+                hv.column("term").to_pylist(),
+                (int(x) for x in hv.column("df_sum").to_pylist()),
+            )
         )
-    )
+    boundaries: list[str] = []
+    if n_samp:
+        samp = pa.concat_tables(ray.get([t[2] for t in triples]))
+        # heavy terms never enter a light bucket
+        samp = samp.filter(pc.invert(pc.is_in(samp.column("term"), pa.array(list(heavy), pa.string()))))
+        samp = samp.take(pc.sort_indices(samp, sort_keys=[("term", "ascending"), ("w", "ascending")]))
+        cw = np.cumsum(samp.column("w").to_numpy())
+        if len(cw):
+            # the first term whose cumulative weight reaches i/n_buckets
+            cut = np.searchsorted(cw * n_buckets, np.arange(1, n_buckets) * cw[-1], side="left")
+            boundaries = samp.column("term").take(pa.array(cut)).to_pylist()
+    return heavy, boundaries
 
 
 def write_norm_shards_async(
@@ -453,6 +507,7 @@ def _explode_chunk(
     rank_of_base: dict[int, int],
     n_salts: int,
     n_buckets: int,
+    boundaries: list[str],
     done: frozenset[int],
 ):
     """Explode a chunk of partitions' term tables into PACKED per-bucket
@@ -462,14 +517,14 @@ def _explode_chunk(
     one row per (term, partition) — same bytes, ~2 orders of magnitude
     less per-row shuffle overhead. Fragments of the ``done`` buckets
     (adopted on resume) are dropped here, at the map. Heavy terms get salt =
-    contiguous-partition-rank-range id (runs stay doc-ordered) and a
-    per-(term, salt) bucket; light terms salt -1 and a per-term bucket.
-    Bucket hashing is the vectorized FNV-1a (identical to the scalar
-    fnv1a the searcher uses for shard routing).
+    contiguous-partition-rank-range id (runs stay doc-ordered) and the
+    bucket fnv1a(term, salt) % n_buckets (the vectorized FNV-1a, identical
+    to the scalar fnv1a the final heavy pass routes by); light terms salt
+    -1 and their term-range bucket, the number of ``boundaries`` <= term.
 
     Returns a TUPLE of n_buckets lists of frag bytes: run under
     ``ray.remote(num_returns=n_buckets)`` this is a map-side-partitioned
-    hash shuffle — each downstream bucket-merge task depends on exactly
+    shuffle — each downstream bucket-merge task depends on exactly
     its own return slot of every explode task, with no Dataset
     sort-based all-to-all in between (measured: the Dataset groupby paid
     a superlinear per-block fixed cost that pinned explode parallelism
@@ -477,6 +532,7 @@ def _explode_chunk(
     from .textops import fnv1a_extend_vec, fnv1a_vec
 
     heavy_arr = pa.array(sorted(heavy), type=pa.string())
+    bnd = np.array(boundaries, dtype=object)
     chunk = max(1, (len(rank_of_base) + n_salts - 1) // n_salts)
     out: list[list[bytes]] = [[] for _ in range(n_buckets)]
     for seg_dir in seg_dirs_chunk:
@@ -513,11 +569,14 @@ def _explode_chunk(
             )
         else:
             is_heavy = np.zeros(n, dtype=bool)
-        h = fnv1a_vec(term_col)
-        h_salted = fnv1a_extend_vec(h, f"\x00{salt_val}".encode())
-        buckets = np.where(
-            is_heavy, h_salted % np.uint64(n_buckets), h % np.uint64(n_buckets)
+        buckets = np.searchsorted(
+            bnd, term_col.to_numpy(zero_copy_only=False), side="right"
         ).astype(np.int64)
+        hv = np.flatnonzero(is_heavy)
+        if len(hv):
+            h = fnv1a_vec(term_col.take(pa.array(hv)))
+            h_salted = fnv1a_extend_vec(h, f"\x00{salt_val}".encode())
+            buckets[hv] = (h_salted % np.uint64(n_buckets)).astype(np.int64)
         salts = np.where(is_heavy, salt_val, -1).astype(np.int32)
         t = t.append_column("salt", pa.array(salts, type=pa.int32()))
         t = t.append_column(
@@ -540,69 +599,6 @@ def _explode_chunk(
             out[b].append(sink.getvalue().to_pybytes())
     # num_returns=1 expects the single value itself, not a 1-tuple
     return tuple(out) if n_buckets > 1 else out[0]
-
-
-def _dict_explode_chunk(
-    paths: list[str], boundaries: list[str], n_ranges: int
-):
-    """Range-split a chunk of light shards' term columns for the sorted
-    dictionary level. Each shard's term column is ALREADY sorted (the
-    bucket merger writes term-sorted shards), so the split is one
-    searchsorted against the range boundaries + zero-copy slices — no
-    sort anywhere. Run under ``ray.remote(num_returns=n_ranges)`` this is
-    the same map-side-partitioned exchange as the postings shuffle: each
-    dict writer depends on exactly its own slot of every explode task."""
-    out: list[list[pa.Array]] = [[] for _ in range(n_ranges)]
-    bnd = np.array(boundaries, dtype=object)
-    for p in paths:
-        col = read_term_shard(p, ["term"]).column("term").combine_chunks()
-        if isinstance(col, pa.ChunkedArray):  # pyarrow<8 returns ChunkedArray
-            col = col.chunk(0) if col.num_chunks else pa.array([], pa.string())
-        n = len(col)
-        if not n:
-            continue
-        if len(bnd):
-            cuts = np.searchsorted(
-                col.to_numpy(zero_copy_only=False), bnd, side="left"
-            )
-        else:
-            cuts = np.array([], dtype=np.int64)
-        starts = np.concatenate([[0], cuts]).astype(np.int64)
-        ends = np.concatenate([cuts, [n]]).astype(np.int64)
-        for r, (s_, e_) in enumerate(zip(starts.tolist(), ends.tolist())):
-            if e_ > s_:
-                # compact: a pickled Arrow SLICE ships the whole parent
-                # buffer (measured: 50-row slice of a 100k-row column
-                # pickles at full size), which would amplify the exchange
-                # by up to n_ranges x; concat_arrays re-buffers (~2 us)
-                out[r].append(pa.concat_arrays([col.slice(s_, e_ - s_)]))
-    return tuple(out) if n_ranges > 1 else out[0]
-
-
-def _dict_write_range(dict_dir: str, heavy_terms: list[str], *arr_lists):
-    """Merge one dictionary range: concat the (sorted, disjoint-by-value)
-    slices from every explode task plus the heavy terms falling in this
-    range, sort the ~range-sized result, write one dict parquet. Returns
-    the manifest row, or None for an empty range."""
-    import uuid as _uuid
-
-    arrs = [a for lst in arr_lists for a in lst if len(a)]
-    if heavy_terms:
-        arrs.append(pa.array(heavy_terms, type=pa.string()))
-    if not arrs:
-        return None
-    col = pa.chunked_array(arrs, type=pa.string())
-    idx = pc.sort_indices(col)
-    tbl = pa.table({"term": col.take(idx).combine_chunks()})
-    path = os.path.join(dict_dir, f"dict-{_uuid.uuid4().hex[:12]}.parquet")
-    pq.write_table(tbl, path + ".tmp")
-    os.replace(path + ".tmp", path)
-    return {
-        "term_min": tbl.column("term")[0].as_py(),
-        "term_max": tbl.column("term")[-1].as_py(),
-        "path": path,
-        "n_terms": tbl.num_rows,
-    }
 
 
 def _merge_sorted_batch(
@@ -855,6 +851,10 @@ def _bloom_partial(paths: list[str], m_bits: int) -> np.ndarray:
     return bits
 
 
+# Layout version of the merge manifest: 2 = light buckets are term
+# ranges, no dict files (1 hashed them and kept a dict level).
+MERGE_VERSION = 2
+
 # Tokens one bucket task is sized for. A bucket task carries ~5 ms of
 # fixed cost (Ray timeline, 1 cpu), so a 4k-doc corpus (~873k tokens)
 # gets 14 buckets while the 200k-doc bench.py headline (~43.6M tokens)
@@ -898,8 +898,9 @@ def merge_by_term(
     """North-rule merge: term-partitioned shuffle with explicit salting.
 
     explode partitions (pure column transform) → raw-task exchange to
-    bucket = hash(term [, salt]) — an explicit partitioned shuffle with B
-    buckets so per-group scheduling overhead is O(B), not O(#terms) —
+    bucket = term range for a light term, hash(term, salt) for a heavy
+    one — an explicit partitioned shuffle with B buckets so per-group
+    scheduling overhead is O(B), not O(#terms) —
     → each bucket task merges+re-encodes its terms (heavy terms appear as
     per-salt sub-groups that stay doc-ordered because salts are contiguous
     partition-rank ranges) → light terms are final after the single
@@ -908,8 +909,9 @@ def merge_by_term(
     are doc-range-sharded by Ray tasks (1 byte/doc total) and mergers
     fetch only the shards their rows touch, cached per worker — nothing
     whole-corpus is ever held on the driver or broadcast dense. Output
-    under <index_dir>/merged/: term-range-sharded term files + norm
-    shards + a sorted dictionary level (dict files). A rerun after a
+    under <index_dir>/merged/: term-range-sharded term files (the light
+    shards in term order are the sorted dictionary) + norm shards + a
+    Bloom sidecar. A rerun after a
     crash adopts every finished bucket, and the committed index holds
     only the files its manifest names (module docstring).
 
@@ -927,9 +929,10 @@ def merge_by_term(
 
     merged_dir = os.path.join(index_dir, "merged")
     existing = load_merge_manifest(index_dir)
-    if existing is not None:
+    if existing is not None and existing.get("version") == MERGE_VERSION:
         _sweep_merged(merged_dir, existing)  # a crash may have cut the last sweep
         return existing
+    # an older layout falls through: its plan differs, so merged/ is redone
 
     t0 = time.perf_counter()
     stage_t: dict[str, float] = {}
@@ -948,7 +951,7 @@ def merge_by_term(
     # parts_per_shard.
     units_dir = os.path.join(merged_dir, "units")
     plan = {
-        "version": 2,  # bucket markers carry postings, bytes and wall_ms
+        "version": 3,  # light buckets are term ranges
         "partitions": [[r["seg_dir"], int(r["doc_base"])] for r in parts],
         "salt_threshold": salt_threshold,
         "n_salts": n_salts,
@@ -973,7 +976,7 @@ def merge_by_term(
         parts, merged_dir, parts_per_shard=parts_per_shard
     )
 
-    heavy = compute_heavy_terms(seg_dirs, salt_threshold)
+    heavy, boundaries = compute_heavy_terms(seg_dirs, salt_threshold, n_buckets=n_buckets)
     stage_t["heavy_prepass"] = round(time.perf_counter() - t_s, 3)
     heavy_ref = ray.put(heavy)  # broadcast once
 
@@ -981,7 +984,7 @@ def merge_by_term(
     ray.get(norm_refs)  # norm shards must exist before merge tasks read them
     stage_t["norm_shards"] = round(time.perf_counter() - t_s, 3)
 
-    # Raw-task map-side hash shuffle (no Dataset sort-based all-to-all):
+    # Raw-task map-side shuffle (no Dataset sort-based all-to-all):
     # explode tasks return num_returns=n_buckets per-bucket frag lists,
     # and each bucket-merge task depends on exactly its own slot of every
     # explode task's return — the exchange is the object transfer itself.
@@ -1090,11 +1093,10 @@ def merge_by_term(
         done = frozenset(unit_of)
         _explode_remote = ray.remote(num_returns=n_buckets, **_rargs())(_explode_chunk)
         per_task = [
-            _explode_remote.remote(c, heavy_ref, rank_of_base, n_salts, n_buckets, done)
+            _explode_remote.remote(c, heavy_ref, rank_of_base, n_salts, n_buckets, boundaries, done)
             for c in seg_chunks
         ]
-        # num_returns=1 yields a bare ObjectRef (not a 1-list) — same n==1
-        # handling as the dict-level exchange below
+        # num_returns=1 yields a bare ObjectRef (not a 1-list)
         slots = [[t] if n_buckets == 1 else list(t) for t in per_task]
         _bucket_remote = ray.remote(**_rargs())(_merge_bucket)
         result_refs = [_bucket_remote.remote(b, *[s[b] for s in slots]) for b in todo]
@@ -1108,99 +1110,6 @@ def merge_by_term(
         if r.get("kind") == "shard"
     ]
     heavy_run_files = [r["path"] for r in results if r.get("kind") == "heavy_runs"]
-
-    # Sorted dictionary level (the BlockTree .tim/.tip role), OVERLAPPED
-    # with the heavy pass: its input is the light shards' term columns plus
-    # the heavy-term set — which the prepass already knows exactly (every
-    # salted term lands in a heavy shard) — so it runs in a background
-    # thread while the heavy runs finalize. No distributed sort: every
-    # light shard's term column is already sorted and the buckets are
-    # term-DISJOINT, so a raw-task range exchange (searchsorted splits →
-    # num_returns slots → per-range concat+sort of ~range-sized lists)
-    # replaces the Dataset sort("term") whose all-to-all fixed cost was
-    # the worst-scaling merge stage (~3-4s flat at sf0.1). Boundaries come
-    # from ONE bucket's quantiles: hash-bucketing makes any single bucket
-    # a uniform vocabulary sample.
-    from concurrent.futures import ThreadPoolExecutor
-
-    dict_state: dict = {"rows": [], "sec": 0.0}
-    light_pairs = [(s["path"], int(s["n_terms"])) for s in shards]  # snapshot:
-    # the main thread extends `shards` with heavy shards after the pass below
-
-    def _run_dict_level():
-        t_d = time.perf_counter()
-        dict_dir = os.path.join(merged_dir, "dict")
-        os.makedirs(dict_dir, exist_ok=True)
-        heavy_sorted = sorted(heavy)
-        total_terms = sum(n for _, n in light_pairs) + len(heavy_sorted)
-        if not total_terms:
-            return
-        # ~512 terms/file at small vocab keeps file-level prefix pruning
-        # sharp (fuzzy/prefix seeks skip whole files); the 256-file cap
-        # bounds manifest size and task count at 10^9-term scale, where
-        # within-file row groups carry the finer granularity.
-        n_ranges = 1 if total_terms < 64 else min(256, -(-total_terms // 512))
-
-        # boundary sample: quantiles over a few buckets' terms (hash
-        # bucketing makes each bucket a uniform vocabulary sample)
-        bnd: list[str] = []
-        if n_ranges > 1:
-            if light_pairs:
-                samp_paths = [
-                    p for p, _ in sorted(light_pairs, key=lambda s: -s[1])[:8]
-                ]
-                samp = sorted(
-                    t
-                    for p in samp_paths
-                    for t in read_term_shard(p, ["term"]).column("term").to_pylist()
-                )
-                ns = len(samp)
-                if ns:
-                    bnd = sorted(
-                        {samp[min(ns - 1, (i * ns) // n_ranges)]
-                         for i in range(1, n_ranges)}
-                    )
-            elif heavy_sorted:
-                nh = len(heavy_sorted)
-                bnd = sorted(
-                    {heavy_sorted[min(nh - 1, (i * nh) // n_ranges)]
-                     for i in range(1, n_ranges)}
-                )
-        n_ranges = len(bnd) + 1
-
-        slots: list = []
-        if light_pairs:
-            n_cpus = int(ray.cluster_resources().get("CPU", 8))
-            paths = [p for p, _ in light_pairs]
-            chunks = [
-                list(c)
-                for c in np.array_split(np.array(paths), min(len(paths), n_cpus))
-                if len(c)
-            ]
-            _explode = ray.remote(**_rargs())(_dict_explode_chunk).options(
-                num_returns=n_ranges
-            )
-            tasks = [_explode.remote(c, bnd, n_ranges) for c in chunks]
-            slots = [[t] if n_ranges == 1 else list(t) for t in tasks]
-
-        from bisect import bisect_right
-
-        heavy_by_range: list[list[str]] = [[] for _ in range(n_ranges)]
-        for t in heavy_sorted:
-            heavy_by_range[bisect_right(bnd, t)].append(t)
-
-        _write = ray.remote(**_rargs())(_dict_write_range)
-        row_refs = [
-            _write.remote(dict_dir, heavy_by_range[r], *[s[r] for s in slots])
-            for r in range(n_ranges)
-        ]
-        rows = [r for r in ray.get(row_refs) if r is not None]
-        dict_state["rows"] = sorted(rows, key=lambda r: r["term_min"])
-        dict_state["sec"] = round(time.perf_counter() - t_d, 3)
-
-    dict_pool = ThreadPoolExecutor(max_workers=1)
-    dict_job = dict_pool.submit(_run_dict_level)
-    dict_pool.shutdown(wait=False)  # the submitted job still runs
 
     if heavy_run_files:
         # Final pass over the salted runs. A term's salted rows live in
@@ -1344,14 +1253,6 @@ def merge_by_term(
         bloom_meta = None
     stage_t["bloom_build"] = round(time.perf_counter() - t_s, 3)
 
-    t_join = time.perf_counter()
-    dict_job.result()  # re-raises a failed dict level: no index without one
-    dict_rows = dict_state["rows"]
-    # thread-wall includes CPU contention with the heavy pass it hides
-    # behind; the EXPOSED cost is only the join wait after final_heavy
-    stage_t["dict_level_overlapped"] = dict_state["sec"]
-    stage_t["dict_level_exposed"] = round(time.perf_counter() - t_join, 3)
-
     # extra indexed fields (title, ...) merge through the SAME salted
     # groupby-term path into their own sub-index; the resulting manifests
     # are inlined so a searcher opens every field from one manifest
@@ -1374,7 +1275,7 @@ def merge_by_term(
         stage_t[f"field_{fld}"] = round(time.perf_counter() - t_s, 3)
 
     out = {
-        "version": 1,
+        "version": MERGE_VERSION,
         "kind": "merge-by-term",
         "fields": field_manifests,
         "stage_sec": stage_t,
@@ -1387,7 +1288,6 @@ def merge_by_term(
         "shards": sorted(shards, key=lambda s: s["term_min"]),
         "norm_files": [s["path"] for s in norm_shards],
         "norm_shards": norm_shards,
-        "dict_files": dict_rows,
         "bloom": bloom_meta,
         "doc_count": manifest["doc_count"],
         "sum_ttf": manifest["sum_ttf"],
@@ -1410,19 +1310,18 @@ def _load_json(path: str):
 def _sweep_merged(merged_dir: str, manifest: dict) -> None:
     """Delete what only the merge itself reads once ``manifest`` has
     committed: ``units/`` first (so a half-swept directory is never
-    adopted), ``heavy_runs/``, and every file under ``terms/`` and
-    ``dict/`` that the manifest does not name (orphans of a crashed run,
-    ``*.tmp`` included). Idempotent. Norm shards, the Bloom, and the
+    adopted), ``heavy_runs/``, and every file under ``terms/`` that the
+    manifest does not name (orphans of a crashed run, ``*.tmp``
+    included). Idempotent. Norm shards, the Bloom, and the
     deletes/doc-values files added after commit stay."""
     for sub in ("units", "heavy_runs"):
         if os.path.isdir(os.path.join(merged_dir, sub)):
             shutil.rmtree(os.path.join(merged_dir, sub))
-    named = {os.path.basename(r["path"]) for r in manifest["shards"] + manifest["dict_files"]}
-    for sub in ("terms", "dict"):
-        d = os.path.join(merged_dir, sub)
-        for name in os.listdir(d) if os.path.isdir(d) else ():
-            if name not in named:
-                os.remove(os.path.join(d, name))
+    named = {os.path.basename(r["path"]) for r in manifest["shards"]}
+    d = os.path.join(merged_dir, "terms")
+    for name in os.listdir(d) if os.path.isdir(d) else ():
+        if name not in named:
+            os.remove(os.path.join(d, name))
 
 
 class _LoadedShard(NamedTuple):
@@ -1438,16 +1337,18 @@ class _LoadedShard(NamedTuple):
 class MergedIndex(PostingsReader):
     """Segment-compatible reader over a merge-by-term output.
 
-    One logical segment spanning all docs: light terms are addressed by
-    shuffle bucket (bucket = fnv1a(term) % n_buckets → exactly one shard
-    file), heavy terms by binary search over the sorted, disjoint
-    heavy-shard term ranges. Shards are lz4 Arrow IPC files opened through
-    ``pa.memory_map`` and load lazily into an LRU of ``_SHARD_CACHE_MAX``
-    entries, each a term → row map plus ``TermRows`` numpy views — opening the
-    index reads only the manifest, so searcher workers start in
-    O(manifest), not O(#shards) (the BlockTree prefix-index role at file
-    granularity). Dict files (prefix/range/fuzzy/suffix expansion) are
-    read through ``_dict_file_terms`` alone."""
+    One logical segment spanning all docs: a term is addressed by binary
+    search over the manifest's sorted, disjoint shard term ranges — the
+    heavy shards' if the term is heavy, else the light shards' (the
+    BlockTree prefix-index role at file granularity). Shards are lz4 Arrow
+    IPC files opened through ``pa.memory_map`` and load lazily into an LRU
+    of ``_SHARD_CACHE_MAX`` entries, each a term → row map plus
+    ``TermRows`` numpy views — opening the index reads only the manifest,
+    so searcher workers start in O(manifest), not O(#shards). The light
+    shards in term order, with the heavy terms merged in, are the sorted
+    dictionary that prefix/range/fuzzy/suffix expansion reads
+    (``dict_ranges``). A manifest of another layout version raises
+    ``ValueError``."""
 
     _SHARD_CACHE_MAX = 64
 
@@ -1460,17 +1361,21 @@ class MergedIndex(PostingsReader):
         m = manifest or load_merge_manifest(index_dir)
         if m is None or m.get("kind") != "merge-by-term":
             raise FileNotFoundError(f"no merge-by-term manifest under {index_dir}")
+        if m.get("version") != MERGE_VERSION:
+            where = index_dir or os.path.dirname(os.path.dirname(m["norm_shards"][0]["path"]))
+            raise ValueError(
+                f"{where}: merge manifest version {m.get('version')!r}, this reader "
+                f"reads version {MERGE_VERSION}; rerun merge_by_term to rebuild merged/"
+            )
         self.manifest = m
         self.dir = os.path.join(index_dir, "merged") if index_dir else "<merged>"
-        self.n_buckets = int(m.get("n_buckets", 0))
-        self._light_by_bucket: dict[int, str] = {}
-        self._heavy_ranges: list[tuple[str, str, str]] = []  # (min, max, path)
+        # (term_min, term_max, path), sorted and disjoint per kind
+        self._light_ranges: list[tuple[str, str, str]] = []
+        self._heavy_ranges: list[tuple[str, str, str]] = []
         for s in m["shards"]:
-            b = int(s.get("bucket", -1))
-            if b >= 0:
-                self._light_by_bucket[b] = s["path"]
-            else:
-                self._heavy_ranges.append((s["term_min"], s["term_max"], s["path"]))
+            kind = self._light_ranges if int(s["bucket"]) >= 0 else self._heavy_ranges
+            kind.append((s["term_min"], s["term_max"], s["path"]))
+        self._light_ranges.sort()
         self._heavy_ranges.sort()
         self._heavy_set = set(m.get("heavy_terms", []))
         self._tables: OrderedDict[str, _LoadedShard] = OrderedDict()
@@ -1535,21 +1440,17 @@ class MergedIndex(PostingsReader):
         return sh
 
     def _shard_path_of(self, term: str) -> str | None:
-        """The one shard file that can hold ``term``: its heavy range if
-        the term is heavy, else its hash bucket."""
-        if term in self._heavy_set:
-            from bisect import bisect_right
+        """The one shard file that can hold ``term``: the heavy range if
+        the term is heavy, else the light range holding it; None outside
+        every range."""
+        from bisect import bisect_right
 
-            i = bisect_right(self._heavy_ranges, (term, chr(0x10FFFF), "")) - 1
-            if 0 <= i < len(self._heavy_ranges):
-                lo, hi, path = self._heavy_ranges[i]
-                if lo <= term <= hi:
-                    return path
-            return None
-        if self.n_buckets:
-            from .textops import fnv1a
-
-            return self._light_by_bucket.get(fnv1a(term) % self.n_buckets)
+        ranges = self._heavy_ranges if term in self._heavy_set else self._light_ranges
+        i = bisect_right(ranges, (term, chr(0x10FFFF), "")) - 1
+        if i >= 0:
+            lo, hi, path = ranges[i]
+            if lo <= term <= hi:
+                return path
         return None
 
     def _bloom_definite_miss(self, term: str) -> bool:
@@ -1568,8 +1469,8 @@ class MergedIndex(PostingsReader):
 
     def _lookup(self, term: str) -> tuple[_LoadedShard | None, int]:
         """(loaded shard, row) of ``term``, or (None, -1). Only the target
-        shard is searched: heavy ranges are disjoint and a light term
-        lives only in its bucket (``check_merged_index`` asserts both).
+        shard is searched: heavy ranges are disjoint and so are light
+        ranges (``check_merged_index`` asserts both).
         The Bloom sidecar is consulted only when that shard is not cached,
         because a cached shard's term map answers a miss exactly."""
         path = self._shard_path_of(term)
@@ -1592,24 +1493,39 @@ class MergedIndex(PostingsReader):
     def dict_ranges(self):
         """Sorted-dictionary level (the BlockTree .tim/.tip role —
         codecs/blocktree/BlockTreeTermsWriter.java:200-217): one
-        (term_min, term_max, load_terms) per term-range-sorted
-        single-column dict file written at merge time; [] when the index
-        holds no terms."""
+        (term_min, term_max, load_terms) per light shard in term order.
+        Each heavy term joins the range of the last light shard whose
+        ``term_min`` it reaches, or the first range if it sorts below
+        them all, so the ranges stay sorted, disjoint and complete; []
+        when the index holds no terms."""
+        from bisect import bisect_right
         from functools import partial
 
+        light = self._light_ranges
+        mins = [lo for lo, _, _ in light]
+        heavy: list[list[str]] = [[] for _ in range(max(1, len(light)))]
+        for t in sorted(self._heavy_set):
+            heavy[max(0, bisect_right(mins, t) - 1)].append(t)
+        if not light:
+            h = heavy[0]
+            return [(h[0], h[-1], h.copy)] if h else []
         return [
-            (r["term_min"], r["term_max"], partial(self._dict_file_terms, r["path"]))
-            for r in self.manifest["dict_files"]
+            (min([lo] + h[:1]), max([hi] + h[-1:]), partial(self._range_terms, path, h))
+            for (lo, hi, path), h in zip(light, heavy)
         ]
 
-    def _dict_file_terms(self, path: str) -> list[str]:
-        """The one dict-file loader: a dict file's sorted term column
-        (pruned single-column read, never postings)."""
-        return pq.read_table(path, columns=["term"]).column("term").to_pylist()
+    @staticmethod
+    def _range_terms(path: str, heavy: list[str]) -> list[str]:
+        """One dictionary range's sorted terms: the light shard's term
+        column (a term-only read, never postings) with ``heavy`` merged
+        in."""
+        terms = read_term_shard(path, ["term"]).column("term").to_pylist()
+        return sorted(terms + heavy) if heavy else terms
 
     def _dict_terms_overlapping(self, lo: str, hi: str) -> list[str]:
-        """All dictionary terms in [lo, hi], touching only the dict files
-        whose [term_min, term_max] overlaps — O(matching files) I/O."""
+        """All dictionary terms in [lo, hi], touching only the dictionary
+        ranges whose [term_min, term_max] overlaps — O(matching shards)
+        I/O."""
         from bisect import bisect_left, bisect_right
 
         out: list[str] = []
@@ -1618,11 +1534,11 @@ class MergedIndex(PostingsReader):
                 continue
             terms = load_terms()
             out.extend(terms[bisect_left(terms, lo) : bisect_right(terms, hi)])
-        return out  # dict files are disjoint sorted ranges => already sorted
+        return out  # disjoint sorted ranges => already sorted
 
     def expand_prefix(self, prefix: str, max_terms: int = 1024) -> list[str]:
         """Terms starting with ``prefix``, lexicographic, capped; reads only
-        the overlapping dict files. The cap keeps the lexicographically-
+        the overlapping dictionary ranges. The cap keeps the lexicographically-
         first terms."""
         hit = self._dict_terms_overlapping(prefix, prefix + chr(0x10FFFF))
         return [t for t in hit if t.startswith(prefix)][:max_terms]
@@ -1639,8 +1555,8 @@ class MergedIndex(PostingsReader):
         return int(sh.cols.df[i]), int(sh.cols.ttf[i])
 
     def iter_terms(self):
-        """Enumerate dictionary terms in sorted order from the dict files
-        — never touches postings blobs (fuzzy and suffix expansion go
+        """Enumerate dictionary terms in sorted order, range by range —
+        never touches postings blobs (fuzzy and suffix expansion go
         through this)."""
         for _tmin, _tmax, load_terms in self.dict_ranges():
             yield from load_terms()
@@ -1648,9 +1564,6 @@ class MergedIndex(PostingsReader):
     def iter_term_rows(self):
         """(shard path, whole term row) for every term, shard by shard
         (CheckIndex input)."""
-        paths = sorted(
-            {p for _, _, p in self._heavy_ranges} | set(self._light_by_bucket.values())
-        )
-        for p in paths:
+        for p in sorted(p for _, _, p in self._light_ranges + self._heavy_ranges):
             for row in read_term_shard(p).to_pylist():
                 yield p, row

@@ -57,9 +57,10 @@ REFERENCE_QUERIES: list[tuple[int, str, int]] = [
 
 def _cache_dir(sf_dir: str, n_rows: int, variant: str = "") -> str:
     tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    # -mf6: -mf5 (multi-field + off_blob + pay_blob + docvalues sidecar
-    # + pages n_chars) with merged term shards as lz4 Arrow IPC files
-    return os.path.join(CACHE_ROOT, f"{tag}-{n_rows}-mf6{variant}")
+    # -mf7: -mf6 (multi-field + off_blob + pay_blob + docvalues sidecar
+    # + pages n_chars, merged term shards as lz4 Arrow IPC files) with
+    # term-range light shards in place of hash buckets and dict files
+    return os.path.join(CACHE_ROOT, f"{tag}-{n_rows}-mf7{variant}")
 
 
 def get_index(

@@ -637,28 +637,31 @@ class IndexSearcher:
         BM25Similarity.explainScore / BooleanWeight.explain): per
         matching clause the raw freq, SmallFloat-decoded docLen, weight
         and float32 clause score; ``value`` is the f64 clause-sum cast
-        f32 — bit-identical to what search() scores this doc. Explains
-        the must/should/must_not term clauses (the ``terms_only`` shape);
-        a matching MUST_NOT or a missing MUST clause yields match=False,
-        value 0."""
+        f32 — bit-identical to what search() scores this doc (the CheckHits
+        explain-vs-score invariant, CheckHits.java:725). Explains the
+        phrase clauses (exact and sloppy, optional as in ``_eval_node``)
+        and the must/should/must_not term clauses, in the evaluator's
+        order; a matching MUST_NOT or a missing MUST clause yields
+        match=False, value 0."""
         from .smallfloat import LENGTH_TABLE
 
         q = self.rewrite(parse_query(query) if isinstance(query, str) else query)
         doc = int(doc_id)
+        gi = next(
+            (i for i, seg in enumerate(self.segments) if seg.doc_base <= doc < seg.max_doc), None
+        )
 
-        def _doc_freq(t: str) -> tuple[int, int, object]:
-            """(freq, norm_byte, field_seg) of ``doc`` for term t."""
+        def _doc_freq(t: str) -> tuple[int, int]:
+            """(freq, norm_byte) of ``doc`` for term t."""
+            if gi is None:
+                return 0, 0
             fld, bare = self._split_field(t)
-            for gi, seg in enumerate(self.segments):
-                if not (seg.doc_base <= doc < seg.max_doc):
-                    continue
-                fseg = seg if fld == "body" else self._field_seg(fld, gi)
-                docs, freqs = fseg.postings(bare)
-                i = np.searchsorted(docs, doc)
-                if i < len(docs) and docs[i] == doc:
-                    return int(freqs[i]), int(fseg.norm_of(np.array([doc]))[0]), fseg
-                return 0, 0, fseg
-            return 0, 0, None
+            fseg = self.segments[gi] if fld == "body" else self._field_seg(fld, gi)
+            docs, freqs = fseg.postings(bare)
+            i = np.searchsorted(docs, doc)
+            if i < len(docs) and docs[i] == doc:
+                return int(freqs[i]), int(fseg.norm_of(np.array([doc]))[0])
+            return 0, 0
 
         params = self._params_for(tuple(q.must) + tuple(q.should) + tuple(q.must_not))
         for t in q.must_not:
@@ -671,12 +674,34 @@ class IndexSearcher:
                 }
         details: list[dict] = []
         acc = 0.0
+        phrases = tuple((p, 0) for p in q.phrases) + tuple(q.sloppy)
+        for phrase, slop in phrases if gi is not None else ():
+            pseg, bare_p, p_dc, p_st = self._phrase_ctx(gi, self.segments[gi], phrase)
+            docs_p, freqs_p = _phrase_postings(pseg, bare_p, slop)
+            i = int(np.searchsorted(docs_p, doc))
+            if i >= len(docs_p) or docs_p[i] != doc:
+                continue
+            p = make_phrase_scorer([self.global_term_stats(t)[0] for t in phrase], p_dc, p_st)
+            nb = int(pseg.norm_of(np.array([doc]))[0])
+            s = p.score(freqs_p[i : i + 1], np.array([nb], dtype=np.uint8))[0]
+            details.append(
+                {
+                    "match": True,
+                    "value": np.float32(s),
+                    "description": f'weight("{" ".join(phrase)}"~{slop} in {doc})',
+                    "term": " ".join(phrase),
+                    "freq": freqs_p[i].item(),
+                    "doc_len": int(LENGTH_TABLE[nb]),
+                    "weight": np.float32(p.weight),
+                }
+            )
+            acc += float(np.float32(s))
         must_missing = False
         for t in tuple(q.must) + tuple(q.should):
             p = params[t]
             freq = 0
             if p is not None:
-                freq, nb, _fseg = _doc_freq(t)
+                freq, nb = _doc_freq(t)
             if freq == 0:
                 if t in q.must:
                     must_missing = True
@@ -1050,7 +1075,8 @@ class IndexSearcher:
         callback) and gets writable, unmemoized score arrays."""
         if q.empty or k <= 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        # must_not weights only build the pruning plan's exclusion iterators
+        # must_not weights build the pruning plan's exclusion iterators and
+        # serve the dense plan's exclusions from their memoized postings
         weights = self._weights_for(_clause_terms(q), memo=collector is None)
         if not q.terms_only:
             return self._search_nested(q, weights, k, deadline, collector)
@@ -1285,11 +1311,8 @@ class IndexSearcher:
         if should_cnt is not None:
             sel = sel & (should_cnt >= q.min_should_match)
         for t in q.must_not:
-            fld_n, bare_n = self._split_field(t)
-            nseg = seg if fld_n == "body" else self._field_seg(fld_n, gi)
-            docs, _ = nseg.postings(bare_n)
-            if len(docs):
-                sel[docs - lo] = False
+            if weights[t].params is not None:  # df 0: nothing to exclude
+                sel[self._scored(weights[t], gi, seg)[0] - lo] = False
         for sub in q.sub_must_not:
             s_sel, _ = self._eval_node(sub, weights, gi, seg)
             sel = sel & ~s_sel
@@ -1431,15 +1454,17 @@ def _lev_range_lower_bound(base: str, tmin: str, tmax: str) -> int:
 
 
 # instrumentation for the shard-prune tests (dictionary ranges read / in
-# total in the last fuzzy expansion; one range per dict file when merged)
+# total in the last fuzzy expansion; one range per light term shard when
+# merged)
 FUZZY_DICT_STATS = {"files_read": 0, "files_total": 0}
 
 
 def _fuzzy_expand(seg, base: str, max_ed: int, max_terms: int) -> list[str]:
     """Terms within edit distance of ``base`` (exact term first). Only
     dictionary ranges whose term-range Levenshtein lower bound is <=
-    max_ed are read (the automaton-intersect seek at dict-file granularity
-    on a merged index; a whole-dictionary reader is one range); within a
+    max_ed are read (the automaton-intersect seek at term-shard
+    granularity on a merged index; a whole-dictionary reader is one
+    range); within a
     range the banded DP early-aborts."""
     out = []
     ranges = seg.dict_ranges()
@@ -1455,79 +1480,6 @@ def _fuzzy_expand(seg, base: str, max_ed: int, max_terms: int) -> list[str]:
                 if len(out) >= max_terms:
                     return out
     return out
-
-
-def explain(searcher: IndexSearcher, query: str, doc_id: int) -> dict:
-    """Weight.explain analogue: per-clause score breakdown for one doc;
-    the clause sum (float64 → float32) must equal Scorer.score — the
-    CheckHits explain-vs-score invariant (CheckHits.java:725)."""
-    from .bm25 import idf as _idf
-
-    q = parse_query(query)
-    gi, seg = next(
-        (i, s)
-        for i, s in enumerate(searcher.segments)
-        if s.doc_base <= doc_id < s.doc_base + s.norm_span
-    )
-    norm = int(seg.norm_of(np.array([doc_id]))[0])
-    clauses = []
-    acc = 0.0
-    for t in tuple(q.must) + tuple(q.should):
-        df, _ = searcher.global_term_stats(t)
-        if df == 0:
-            continue
-        fld, bare = searcher._split_field(t)
-        fseg = seg if fld == "body" else searcher._field_seg(fld, gi)
-        docs, freqs = fseg.postings(bare)
-        i = int(np.searchsorted(docs, doc_id))
-        if i >= len(docs) or docs[i] != doc_id:
-            continue
-        _fsegs, f_dc, f_st = searcher.fields[fld]
-        f_norm = int(fseg.norm_of(np.array([doc_id]))[0])
-        params = make_term_scorer(df, f_dc, f_st)
-        s = float(
-            params.score(freqs[i : i + 1], np.array([f_norm], dtype=np.uint8))[0]
-        )
-        clauses.append(
-            {
-                "type": "term",
-                "term": t,
-                "freq": int(freqs[i]),
-                "norm": f_norm,
-                "doc_freq": df,
-                "idf": float(_idf(df, f_dc)),
-                "score": s,
-            }
-        )
-        acc += s
-    for phrase in q.phrases:
-        pseg, bare_p, p_dc, p_st = searcher._phrase_ctx(gi, seg, phrase)
-        docs_p, freqs_p = _phrase_postings(pseg, bare_p)
-        i = int(np.searchsorted(docs_p, doc_id))
-        if i < len(docs_p) and docs_p[i] == doc_id:
-            params = make_phrase_scorer(
-                [searcher.global_term_stats(t)[0] for t in phrase], p_dc, p_st
-            )
-            p_norm = int(pseg.norm_of(np.array([doc_id]))[0])
-            s = float(
-                params.score(freqs_p[i : i + 1], np.array([p_norm], dtype=np.uint8))[0]
-            )
-            clauses.append(
-                {
-                    "type": "phrase",
-                    "term": " ".join(phrase),
-                    "freq": int(freqs_p[i]),
-                    "norm": norm,
-                    "score": s,
-                }
-            )
-            acc += s
-    return {
-        "doc_id": doc_id,
-        "score": float(np.float32(acc)),
-        "norm": norm,
-        "clauses": clauses,
-    }
 
 
 def _phrase_postings(

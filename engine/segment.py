@@ -107,39 +107,52 @@ def binary_views(arr: pa.Array) -> tuple[np.ndarray, memoryview]:
     """Zero-copy (offsets, data) views over a non-chunked binary array:
     row i's bytes are data[offs[i]:offs[i+1]] — no per-row Python bytes
     materialization (the .to_pylist() replacement for blob columns)."""
-    buf = arr.buffers()[2]
-    return _offsets(arr), memoryview(buf) if buf is not None else memoryview(b"")
+    _, offs, buf = arr.buffers()  # one call: each costs ~2 µs
+    o = arr.offset
+    return (
+        np.frombuffer(offs, dtype=np.int32)[o : o + len(arr) + 1],
+        memoryview(buf) if buf is not None else memoryview(b""),
+    )
 
 
-def _one_chunk(col: pa.ChunkedArray) -> pa.Array:
-    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+def _one_batch(tbl: pa.Table) -> pa.RecordBatch:
+    """The table as one record batch: no copy for a single-batch table
+    (a merged term shard always is one), a concatenation otherwise."""
+    batches = tbl.to_batches()
+    if len(batches) != 1:
+        batches = tbl.combine_chunks().to_batches() or [
+            pa.RecordBatch.from_pylist([], schema=tbl.schema)
+        ]
+    return batches[0]
 
 
 class TermRows:
     """Numpy views over a loaded terms table (``TERMS_SCHEMA``), built
-    once per table: ``info(term, i)`` returns row i as a ``TermInfo`` of
-    int64 slices of the list columns' values and memoryview slices of the
-    blob columns' data, copying nothing per row (a row's ``to_pylist``
-    cost ~80 µs). Callers must not mutate the slices."""
+    once per table from its single record batch: ``info(term, i)`` returns
+    row i as a ``TermInfo`` of int64 slices of the list columns' values
+    and memoryview slices of the blob columns' data, copying nothing per
+    row (a row's ``to_pylist`` cost ~80 µs). Callers must not mutate the
+    slices."""
 
     def __init__(self, tbl: pa.Table):
-        self.df = _one_chunk(tbl.column("df")).to_numpy()
-        self.ttf = _one_chunk(tbl.column("ttf")).to_numpy()
-        self._singleton = _one_chunk(tbl.column("singleton_doc")).to_numpy()
+        b = _one_batch(tbl)
+        cols = dict(zip(b.schema.names, b.columns))
+        self.df = cols["df"].to_numpy()
+        self.ttf = cols["ttf"].to_numpy()
+        self._singleton = cols["singleton_doc"].to_numpy()
         self._lists = []
         for c in _LIST_COLS:
-            a = _one_chunk(tbl.column(c))
+            a = cols[c]
             self._lists.append((_offsets(a), a.values.to_numpy().astype(np.int64, copy=False)))
         # (offsets, uint8 data) per blob column; None when the table
         # predates the column. A null slot spans no bytes, so it reads
         # as an empty blob.
-        names = set(tbl.schema.names)
         self._blobs = []
         for c in _BLOB_COLS:
-            if c not in names:
+            if c not in cols:
                 self._blobs.append(None)
                 continue
-            offs, data = binary_views(_one_chunk(tbl.column(c)))
+            offs, data = binary_views(cols[c])
             self._blobs.append((offs, np.frombuffer(data, dtype=np.uint8)))
 
     def _blob(self, j: int, i: int) -> bytes | memoryview:
@@ -249,8 +262,9 @@ class SuffixSeek:
         """The sorted dictionary as disjoint (term_min, term_max,
         load_terms) ranges in term order; ``load_terms()`` yields that
         range's terms, sorted. A whole-dictionary reader is one range
-        spanning every string; ``MergedIndex`` has one per dict file, so a
-        range-bounded seek (fuzzy) reads only the files it admits."""
+        spanning every string; ``MergedIndex`` has one per light term
+        shard, so a range-bounded seek (fuzzy) reads only the shards it
+        admits."""
         return [("", chr(0x10FFFF), self.iter_terms)]
 
     def expand_suffix(self, suffix: str, max_terms: int = 1024) -> list[str]:
@@ -262,7 +276,7 @@ class SuffixSeek:
         of indexing a second postings field (scoring reuses forward
         postings; only the TERM set is needed for MultiTermQuery rewrite);
         at 10^9-term dictionaries it would be persisted at merge next to
-        the forward dict files. Result is forward-sorted."""
+        the forward term shards. Result is forward-sorted."""
         rev = getattr(self, "_rev_terms", None)
         if rev is None:
             rev = sorted((t[::-1], t) for t in self.iter_terms())

@@ -1,6 +1,6 @@
 """merge_by_term, the salted groupby-term shuffle, must preserve every
-posting and keep search rank-identical; its dict level, Bloom sidecar and
-lazy norms are checked here. Resume at bucket granularity is in
+posting and keep search rank-identical; its term-range dictionary, Bloom
+sidecar and lazy norms are checked here. Resume at bucket granularity is in
 tests/test_resume.py."""
 
 import os
@@ -59,6 +59,9 @@ def test_merge_by_term_salted(built, tmp_path_factory):
     assert mm["kind"] == "merge-by-term"
     assert mm["n_heavy_terms"] >= 15  # the00..the19 band
     assert any("shard-heavy" in s["path"] for s in mm["shards"])
+    # df-weighted range boundaries keep the buckets even in postings; a
+    # cut by term count leaves them ~3x apart on this Zipf vocabulary
+    assert mm["buckets"]["postings_max"] / mm["buckets"]["postings_median"] <= 1.5
     mi = MergedIndex(root)
     # every posting preserved for light, salted and singleton terms
     segs = [Segment(r["seg_dir"]) for r in m["partitions"]]
@@ -87,6 +90,14 @@ def test_merge_by_term_salted(built, tmp_path_factory):
         np.testing.assert_array_equal(ws, bs, err_msg=q)
     # resume: second call returns the committed manifest untouched
     assert merge_by_term(m, root) == mm
+    # a committed manifest of an older layout is merged again, not adopted
+    from engine.checkindex import check_merged_index
+    from engine.checkpoint import commit_merge_manifest
+
+    commit_merge_manifest(root, dict(mm, version=1))
+    redone = merge_by_term(m, root, salt_threshold=400, n_salts=4)
+    assert redone["version"] == mm["version"] and redone["shards"] != mm["shards"]
+    check_merged_index(MergedIndex(root))
 
 
 def test_concat_decoded_reorders_positions():
@@ -121,23 +132,24 @@ def test_concat_decoded_reorders_positions():
 
 @pytest.mark.usefixtures("ray_session")
 def test_sorted_dictionary_level(built, tmp_path_factory):
-    """The merged index's dict level (BlockTreeTermsWriter.java:200-217
-    role): disjoint sorted term-range files; prefix/range/fuzzy expansion
-    reads ONLY overlapping dict files, and the cap keeps the
-    lexicographically-first terms deterministically."""
+    """The merged index's dictionary (BlockTreeTermsWriter.java:200-217
+    role) is its light shards in term order, heavy terms merged in:
+    disjoint sorted ranges; prefix/range/fuzzy expansion reads ONLY
+    overlapping shards, and the cap keeps the lexicographically-first
+    terms deterministically."""
     m = built["manifest"]
     root = str(tmp_path_factory.mktemp("dictlvl"))
     mm = merge_by_term(m, root, salt_threshold=400, n_salts=4)
-    assert mm["dict_files"], "dict level missing from manifest"
-    # disjoint + sorted ranges covering every term exactly once
-    ranges = [(r["term_min"], r["term_max"]) for r in mm["dict_files"]]
-    assert ranges == sorted(ranges)
-    for (_, hi_a), (lo_b, _) in zip(ranges, ranges[1:]):
-        assert hi_a <= lo_b
-    assert sum(r["n_terms"] for r in mm["dict_files"]) == sum(
-        s["n_terms"] for s in mm["shards"]
-    )
     mi = MergedIndex(root)
+    ranges = mi.dict_ranges()
+    light = [s for s in mm["shards"] if s["bucket"] >= 0]
+    assert len(ranges) == len(light) > 1, "fixture needs several light shards"
+    # disjoint + sorted ranges covering every term exactly once
+    bounds = [(lo, hi) for lo, hi, _ in ranges]
+    assert bounds == sorted(bounds)
+    for (_, hi_a), (lo_b, _) in zip(bounds, bounds[1:]):
+        assert hi_a < lo_b
+    assert sum(len(load()) for _, _, load in ranges) == sum(s["n_terms"] for s in mm["shards"])
     segs = [Segment(r["seg_dir"]) for r in m["partitions"]]
     all_terms = sorted({t for s in segs for t in s._terms})
 
@@ -150,53 +162,47 @@ def test_sorted_dictionary_level(built, tmp_path_factory):
     assert mi.expand_range(lo, hi, 1024) == exp_r
     assert mi.expand_range(lo, hi, 5) == exp_r[:5]
 
-    # pruned I/O: only dict files overlapping the prefix interval are read
+    # pruned I/O: only shards whose range overlaps the prefix interval are read
     import engine.merge as merge_mod
 
     reads = []
-    orig = merge_mod.pq.read_table
+    orig = merge_mod.read_term_shard
 
     def counting_read(path, *a, **kw):
         reads.append(str(path))
         return orig(path, *a, **kw)
 
-    merge_mod.pq.read_table = counting_read
+    merge_mod.read_term_shard = counting_read
     try:
         mi2 = MergedIndex(root)
         reads.clear()
         mi2.expand_prefix("the0", 1024)
     finally:
-        merge_mod.pq.read_table = orig
+        merge_mod.read_term_shard = orig
     overlapping = [
-        r["path"]
-        for r in mm["dict_files"]
-        if not (r["term_max"] < "the0" or r["term_min"] > "the0" + chr(0x10FFFF))
+        s["path"]
+        for (tmin, tmax, _), s in zip(ranges, sorted(light, key=lambda s: s["term_min"]))
+        if not (tmax < "the0" or tmin > "the0" + chr(0x10FFFF))
     ]
-    assert set(reads) <= set(overlapping)
-    assert len(reads) < len(mm["dict_files"]) or len(mm["dict_files"]) == 1
+    assert reads and set(reads) <= set(overlapping)
+    assert len(reads) < len(light)
 
-    # fuzzy expansion enumerates via pruned dict reads and matches a scan
+    # fuzzy expansion enumerates via pruned range reads and matches a scan
     from engine.search import FUZZY_DICT_STATS, _fuzzy_expand
 
     got = _fuzzy_expand(mi, "the00", 1, 50)
     exp_f = [t for t in all_terms if _ed_le(t, "the00", 1)][:50]
     assert sorted(got) == sorted(exp_f)
-    # automaton-style shard seek: only dict files whose term-range
+    # automaton-style shard seek: only ranges whose term-range
     # Levenshtein lower bound admits a match are read (FuzzyQuery.java:247
     # / LevenshteinAutomata.java:33 at file granularity)
-    if len(mm["dict_files"]) > 1:
-        assert 0 < FUZZY_DICT_STATS["files_read"] < FUZZY_DICT_STATS["files_total"]
-    # the range bound is admissible: every skipped file truly has no match
+    assert 0 < FUZZY_DICT_STATS["files_read"] < FUZZY_DICT_STATS["files_total"]
+    # the range bound is admissible: every skipped range truly has no match
     from engine.search import _lev_range_lower_bound
 
-    for r in mm["dict_files"]:
-        if _lev_range_lower_bound("the00", r["term_min"], r["term_max"]) > 1:
-            import pyarrow.parquet as _pq
-
-            terms_in = (
-                _pq.read_table(r["path"], columns=["term"]).column("term").to_pylist()
-            )
-            assert not any(_ed_le(t, "the00", 1) for t in terms_in)
+    for tmin, tmax, load_terms in ranges:
+        if _lev_range_lower_bound("the00", tmin, tmax) > 1:
+            assert not any(_ed_le(t, "the00", 1) for t in load_terms())
 
 
 def _ed_le(a, b, k):
@@ -213,47 +219,6 @@ def test_checkindex_validates_dict_level(built, tmp_path_factory):
     mm = merge_by_term(built["manifest"], root, salt_threshold=400, n_salts=4)
     out = check_merged_index(MergedIndex(root))
     assert out["ok"] and out["n_terms"] == sum(s["n_terms"] for s in mm["shards"])
-
-
-def test_dict_write_range_in_fresh_process(tmp_path):
-    """A dict-range task may land on a fresh worker process that has
-    built no Arrow array from Python objects (so pyarrow.compute is not
-    imported yet) and receives its slices unpickled, with no heavy terms
-    in its range; it must still write its file."""
-    import pickle
-    import subprocess
-    import sys
-
-    import pyarrow as pa
-
-    slices = pickle.dumps([pa.array(["b", "a"])])
-    code = (
-        "import pickle; from engine.merge import _dict_write_range; "
-        f"r = _dict_write_range({str(tmp_path)!r}, [], pickle.loads({slices!r})); "
-        "print(r['n_terms'], r['term_min'], r['term_max'])"
-    )
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", code], cwd=repo, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["2", "a", "b"]
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_dict_level_failure_fails_the_merge(built, tmp_path, monkeypatch):
-    """The dict level runs in a background thread; its failure must fail
-    the merge, not commit an index without a dictionary level."""
-    import engine.merge as merge_mod
-    from engine.checkpoint import load_merge_manifest
-
-    def _fail(*_a):  # nested, so Ray ships it by value
-        raise RuntimeError("dict range write failed")
-
-    monkeypatch.setattr(merge_mod, "_dict_write_range", _fail)
-    root = str(tmp_path / "idx")
-    with pytest.raises(Exception, match="dict range write failed"):
-        merge_by_term(built["manifest"], root, salt_threshold=400, n_salts=4)
-    assert load_merge_manifest(root) is None
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -404,10 +369,11 @@ def test_compute_heavy_terms_distributed_tail(built):
     from engine.merge import compute_heavy_terms
 
     dirs = [r["seg_dir"] for r in built["manifest"]["partitions"]]
-    local = compute_heavy_terms(dirs, salt_threshold=400)
-    dist = compute_heavy_terms(dirs, salt_threshold=400, max_driver_rows=1)
-    assert local == dist
+    local, bnd = compute_heavy_terms(dirs, salt_threshold=400, n_buckets=4)
+    dist, bnd_d = compute_heavy_terms(dirs, salt_threshold=400, max_driver_rows=1, n_buckets=4)
+    assert local == dist and bnd == bnd_d
     assert len(local) >= 15  # the00..the19 stop band
+    assert len(bnd) == 3 and bnd == sorted(bnd)
 
 
 def test_bloom_sidecar(built, tmp_path_factory):

@@ -151,12 +151,19 @@ def _info_fields(ti):
 def test_merged_shards_ipc_eviction_and_bloom_skip(readers, monkeypatch):
     """Merged term shards are memory-mapped lz4 Arrow IPC files; the
     per-shard term map answers identically under constant eviction; a
-    miss on a cached shard never consults the Bloom sidecar."""
+    miss on a cached shard never consults the Bloom sidecar; a manifest
+    of another layout version is refused, naming the index."""
+    import re
+
     from engine.merge import read_term_shard
     from engine.segment import TERMS_SCHEMA
 
     _, _, _, mi = readers
     mm = mi.manifest
+    index_dir = os.path.dirname(os.path.dirname(mm["norm_shards"][0]["path"]))
+    for version in (1, None, mm["version"] + 1):
+        with pytest.raises(ValueError, match=re.escape(index_dir) + ".*merge manifest version"):
+            MergedIndex(None, manifest=dict(mm, version=version))
     assert any(int(s["bucket"]) < 0 for s in mm["shards"]), "fixture needs heavy shards"
     for s in mm["shards"]:
         with open(s["path"], "rb") as f:
@@ -176,22 +183,18 @@ def test_merged_shards_ipc_eviction_and_bloom_skip(readers, monkeypatch):
         assert len(tiny._tables) <= 1
     assert sum(full.term_stats(t)[0] > 0 for t in terms) == len(terms) - 20
 
-    # (c) absent term whose bucket shard is cached: no Bloom probe
+    # (c) absent term whose light shard is cached: no Bloom probe. The
+    # absent terms sort just past a shard's first term, inside its range.
     fresh = MergedIndex(None, manifest=mm)
     calls = []
     orig = fresh._bloom_definite_miss
     monkeypatch.setattr(
         fresh, "_bloom_definite_miss", lambda term: calls.append(term) or orig(term)
     )
-    present = next(t for t in mi.iter_terms() if t not in mi._heavy_set)
-    path = fresh._shard_path_of(present)
-    absent = next(
-        t for t in (f"zz-miss-{i}" for i in range(10_000)) if fresh._shard_path_of(t) == path
-    )
-    uncached = next(
-        t for t in (f"zz-cold-{i}" for i in range(10_000))
-        if fresh._shard_path_of(t) not in (None, path)
-    )
+    (present, _, path), (cold, _, _) = [r for r in fresh._light_ranges if r[0] < r[1]][:2]
+    absent, uncached = present + "\x00miss", cold + "\x00cold"
+    assert fresh._shard_path_of(absent) == path
+    assert fresh._shard_path_of(uncached) not in (None, path)
     assert fresh.term_stats(uncached) == (0, 0)
     assert calls == [uncached]  # an uncached target shard consults the Bloom
     assert fresh.term_stats(present)[0] > 0

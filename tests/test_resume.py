@@ -180,12 +180,8 @@ def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
     check_merged_index(MergedIndex(root))
     assert not os.path.exists(units)
     assert not os.path.exists(os.path.join(merged, "heavy_runs"))
-    on_disk = {
-        os.path.join(merged, sub, f)
-        for sub in ("terms", "dict")
-        for f in os.listdir(os.path.join(merged, sub))
-    }
-    assert on_disk == {r["path"] for r in mm2["shards"] + mm2["dict_files"]}
+    on_disk = {os.path.join(merged, "terms", f) for f in os.listdir(os.path.join(merged, "terms"))}
+    assert on_disk == {r["path"] for r in mm2["shards"]}
 
 
 @pytest.mark.usefixtures("ray_session")

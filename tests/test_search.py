@@ -293,15 +293,17 @@ def test_synonym_query(corpus):
 
 
 def test_explain_matches_score(corpus):
-    from engine.search import explain
-
     s = IndexSearcher(corpus["manifest"], algorithm="taat")
     for q in ["t00000 t00001", "the00", '"the00 the01" t00002']:
         docs, scores = s.search(q, 5)
         for d, sc in zip(docs.tolist()[:3], scores.tolist()[:3]):
-            ex = explain(s, q, d)
-            assert ex["score"] == np.float32(sc), (q, d, ex)
-            assert len(ex["clauses"]) >= 1
+            ex = s.explain(q, d)
+            assert ex["value"] == np.float32(sc), (q, d, ex)
+            assert len(ex["details"]) >= 1
+    # the phrase clause is explained, not just its terms
+    q = '"the00 the01" t00002'
+    ex = s.explain(q, int(s.search(q, 1)[0][0]))
+    assert any(det["term"] == "the00 the01" for det in ex["details"]), ex
 
 
 def test_range_wildcard_boost_queries(corpus):
