@@ -83,10 +83,9 @@ def main(argv: list[str] | None = None) -> int:
             for rank, (d, sc) in enumerate(zip(docs.tolist(), scores.tolist())):
                 print(f"{rank}\t{d}\t{sc:.7g}")
         elif args.cmd == "check":
-            from .checkindex import check_merged_index
-            from .merge import MergedIndex
+            from .checkindex import check_index_dir
 
-            out = check_merged_index(MergedIndex(args.index))
+            out = check_index_dir(args.index)
             print(json.dumps(out))
             return 0 if out.get("ok") else 1
     finally:

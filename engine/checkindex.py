@@ -112,7 +112,7 @@ def check_index(manifest: dict) -> dict:
     return {"segments": results, "ok": True}
 
 
-def check_merged_index(mi) -> dict:
+def check_merged_index(mi, owned_partitions: list[str] | None = None) -> dict:
     """CheckIndex over a merge-by-term output (engine/merge.MergedIndex):
     per-shard term order, df/ttf/postings consistency, doc-range bounds,
     norms coverage, global stat sums. It also proves the reader's
@@ -120,8 +120,14 @@ def check_merged_index(mi) -> dict:
     disjoint, and so are heavy-shard ones, and every term resolves through
     ``_shard_path_of`` to the file that holds it. ``dict_ranges()`` must be
     sorted, disjoint and cover exactly the shard term set. And it checks
-    for dead bytes: ``terms/`` holds only files the manifest names, and
-    the merge's own ``heavy_runs/`` and ``units/`` are gone."""
+    for dead bytes: ``terms/`` holds only files the manifest names, the
+    merge's own ``heavy_runs/`` and ``units/`` are gone, and each dir of
+    ``owned_partitions`` (the partitions the merge owns,
+    ``merge.owned_partitions``) holds nothing but ``meta.json`` and
+    ``docvalues.parquet``."""
+    for d in owned_partitions or ():
+        left = set(os.listdir(d)) - {"meta.json", "docvalues.parquet"}
+        assert not left, f"{d}: {sorted(left)} left after commit"
     named = [r["path"] for r in mi.manifest["shards"]]
     if named:
         merged_dir = os.path.dirname(os.path.dirname(named[0]))
@@ -192,3 +198,20 @@ def check_merged_index(mi) -> dict:
         f"dict/shard term set mismatch: {len(dict_terms)} dict vs {len(seen)} shard"
     )
     return {"n_terms": n_terms, "n_docs": mi.n_docs, "ok": True}
+
+
+def check_index_dir(index_dir: str) -> dict:
+    """``check_merged_index`` over every field of the built and merged
+    index under ``index_dir`` (the ``get_index`` and ``python -m engine
+    build`` layout), each field with the partitions its merge owns."""
+    from .checkpoint import load_manifest, load_merge_manifest
+    from .merge import MergedIndex, owned_partitions
+
+    bm, mm = load_manifest(index_dir), load_merge_manifest(index_dir)
+    out = check_merged_index(MergedIndex(index_dir), owned_partitions(bm, index_dir))
+    for fld, fm in (mm.get("fields") or {}).items():
+        check_merged_index(
+            MergedIndex(None, manifest=fm),
+            owned_partitions(bm["fields"][fld], os.path.join(index_dir, "fields", fld)),
+        )
+    return out

@@ -40,11 +40,22 @@ are a pure function of the partition files and ``n_buckets``, so a rerun
 routes every term to the bucket it had.
 ``merged/units/plan.json`` names the plan (partitions, salting, bucket
 and norm-shard layout); a rerun under a different plan clears
-``merged/`` first. File names stay write-once ``uuid`` names. After the
-manifest commits — and again on any call that finds it committed — a
-sweep deletes ``heavy_runs/``, ``units/`` and every file under ``terms/``
-the manifest does not name, so the committed index holds only the files
-its manifest names (``check_merged_index`` asserts it).
+``merged/`` first, after checking that every partition still has its
+postings files (a ``FileNotFoundError`` otherwise, with ``merged/``
+untouched). File names stay write-once ``uuid`` names.
+
+*Sweep.* After the manifest commits — and again on any call that finds it
+committed — a sweep deletes ``heavy_runs/``, ``units/``, every file under
+``terms/`` the manifest does not name, and ``terms.parquet`` /
+``norms.parquet`` of every partition dir that lies under the merge's own
+``index_dir`` (the IndexFileDeleter rule: files no commit point
+references go, and only inside the merge's own directory; an extra
+field's merge owns ``fields/<field>/partitions``). The committed index
+then holds one copy of the postings, and only the files its manifest
+names (``check_merged_index`` asserts both). Partition ``meta.json``
+(build resume, lineage) and ``docvalues.parquet`` stay. A later merge
+under another plan or layout version cannot reread swept partitions and
+raises instead; the index is rebuilt from its source.
 
 ``MergedIndex`` reads the result as one logical segment over the full doc
 range, through the same ``segment.PostingsReader`` surface as a flushed
@@ -71,7 +82,7 @@ from .rayenv import remote_args as _rargs
 import pyarrow.parquet as pq
 
 from .codec import encode_term_postings
-from .segment import TERMS_SCHEMA, PostingsReader, TermRows, binary_views
+from .segment import POSTINGS_FILES, TERMS_SCHEMA, PostingsReader, TermRows, binary_views
 
 
 def _concat_decoded(decoded):
@@ -913,7 +924,9 @@ def merge_by_term(
     shards in term order are the sorted dictionary) + norm shards + a
     Bloom sidecar. A rerun after a
     crash adopts every finished bucket, and the committed index holds
-    only the files its manifest names (module docstring).
+    only the files its manifest names and the only copy of the postings:
+    the partitions under ``index_dir`` lose their term and norm files
+    (module docstring, *Sweep*).
 
     The bucket count comes from the data: ``n_buckets=None`` (the
     default) derives it from the manifest's ``sum_ttf``
@@ -930,9 +943,19 @@ def merge_by_term(
     merged_dir = os.path.join(index_dir, "merged")
     existing = load_merge_manifest(index_dir)
     if existing is not None and existing.get("version") == MERGE_VERSION:
-        _sweep_merged(merged_dir, existing)  # a crash may have cut the last sweep
+        _sweep_merged(index_dir, existing, manifest)  # a crash may have cut the last sweep
         return existing
-    # an older layout falls through: its plan differs, so merged/ is redone
+    # an older layout falls through: its plan differs, so merged/ is redone,
+    # which needs every partition's postings (a committed merge deleted
+    # the ones it owned); nothing is cleared unless they are all there
+    for r in sorted(manifest["partitions"], key=lambda r: r["doc_base"]):
+        for name in POSTINGS_FILES:
+            path = os.path.join(r["seg_dir"], name)
+            if not os.path.exists(path):
+                raise FileNotFoundError(
+                    f"{index_dir}: cannot merge, {path} is missing (a committed merge "
+                    "deletes the partition postings it owns; rebuild the index)"
+                )
 
     t0 = time.perf_counter()
     stage_t: dict[str, float] = {}
@@ -1294,7 +1317,7 @@ def merge_by_term(
         "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
     }
     commit_merge_manifest(index_dir, out)
-    _sweep_merged(merged_dir, out)
+    _sweep_merged(index_dir, out, manifest)
     return out
 
 
@@ -1307,13 +1330,30 @@ def _load_json(path: str):
         return None
 
 
-def _sweep_merged(merged_dir: str, manifest: dict) -> None:
+def owned_partitions(build_manifest: dict, index_dir: str) -> list[str]:
+    """The partition dirs of ``build_manifest`` that lie under
+    ``index_dir``, in doc order: the ones whose postings files a merge
+    into ``index_dir`` deletes once it commits. Extra fields are left to
+    their own merges (``fields/<field>/``)."""
+    root = os.path.realpath(index_dir)
+    return [
+        r["seg_dir"]
+        for r in sorted(build_manifest["partitions"], key=lambda r: r["doc_base"])
+        if os.path.commonpath([root, os.path.realpath(r["seg_dir"])]) == root
+    ]
+
+
+def _sweep_merged(index_dir: str, manifest: dict, build_manifest: dict) -> None:
     """Delete what only the merge itself reads once ``manifest`` has
     committed: ``units/`` first (so a half-swept directory is never
-    adopted), ``heavy_runs/``, and every file under ``terms/`` that the
+    adopted), ``heavy_runs/``, every file under ``terms/`` that the
     manifest does not name (orphans of a crashed run, ``*.tmp``
-    included). Idempotent. Norm shards, the Bloom, and the
-    deletes/doc-values files added after commit stay."""
+    included), then ``terms.parquet`` and ``norms.parquet`` of every
+    partition the merge owns (``owned_partitions``). Idempotent, so a
+    call that finds the manifest committed finishes a cut sweep. Norm
+    shards, the Bloom, the deletes/doc-values files added after commit
+    and each partition's ``meta.json`` and ``docvalues.parquet`` stay."""
+    merged_dir = os.path.join(index_dir, "merged")
     for sub in ("units", "heavy_runs"):
         if os.path.isdir(os.path.join(merged_dir, sub)):
             shutil.rmtree(os.path.join(merged_dir, sub))
@@ -1322,6 +1362,12 @@ def _sweep_merged(merged_dir: str, manifest: dict) -> None:
     for name in os.listdir(d) if os.path.isdir(d) else ():
         if name not in named:
             os.remove(os.path.join(d, name))
+    for seg_dir in owned_partitions(build_manifest, index_dir):
+        for name in POSTINGS_FILES:
+            try:
+                os.remove(os.path.join(seg_dir, name))
+            except FileNotFoundError:
+                pass
 
 
 class _LoadedShard(NamedTuple):
@@ -1567,3 +1613,53 @@ class MergedIndex(PostingsReader):
         for p in sorted(p for _, _, p in self._light_ranges + self._heavy_ranges):
             for row in read_term_shard(p).to_pylist():
                 yield p, row
+
+
+class DocRangeView:
+    """Docs [doc_base, max_doc) of a ``MergedIndex``: one shard of the
+    doc-sharded search (``search.search_dataset_sharded``). Postings and
+    the per-posting position, offset and payload lists are the index's,
+    cut to the range with ``np.searchsorted``, so every view of an index
+    shares its shard, postings and norm caches. ``norm_of``,
+    ``term_stats`` (global df/ttf) and ``term_info`` are the index's own.
+    ``term_info`` is the whole index's row; its callers read only its
+    presence and stream flags, and shard searches run the exhaustive plan,
+    which reads no block or impact data, so a view serves none that is
+    not restricted to its range."""
+
+    def __init__(self, index: MergedIndex, lo: int, hi: int):
+        self.index = index
+        self.doc_base, self.max_doc = int(lo), int(hi)
+        self.norm_of = index.norm_of
+        self.term_stats = index.term_stats
+        self.term_info = index.term_info
+
+    @property
+    def norm_span(self) -> int:
+        return self.max_doc - self.doc_base
+
+    def _cut(self, term: str) -> slice:
+        """The index range of ``term``'s postings that falls in the view."""
+        docs = self.index.postings(term)[0]
+        i, j = np.searchsorted(docs, (self.doc_base, self.max_doc))
+        return slice(int(i), int(j))
+
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        s = self._cut(term)
+        docs, freqs = self.index.postings(term)
+        return docs[s], freqs[s]
+
+    def positions(self, term: str) -> list[np.ndarray] | None:
+        pos = self.index.positions(term)
+        return None if pos is None else pos[self._cut(term)]
+
+    def offsets(self, term: str) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
+        off = self.index.offsets(term)
+        if off is None:
+            return None
+        s = self._cut(term)
+        return off[0][s], off[1][s]
+
+    def payloads(self, term: str) -> list[np.ndarray] | None:
+        pay = self.index.payloads(term)
+        return None if pay is None else pay[self._cut(term)]

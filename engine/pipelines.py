@@ -57,10 +57,11 @@ REFERENCE_QUERIES: list[tuple[int, str, int]] = [
 
 def _cache_dir(sf_dir: str, n_rows: int, variant: str = "") -> str:
     tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    # -mf7: -mf6 (multi-field + off_blob + pay_blob + docvalues sidecar
-    # + pages n_chars, merged term shards as lz4 Arrow IPC files) with
-    # term-range light shards in place of hash buckets and dict files
-    return os.path.join(CACHE_ROOT, f"{tag}-{n_rows}-mf7{variant}")
+    # -mf8: -mf7 (multi-field + off_blob + pay_blob + docvalues sidecar
+    # + pages n_chars, merged term shards as lz4 Arrow IPC files,
+    # term-range light shards) with each partition's terms and norms
+    # files deleted once the merge commits
+    return os.path.join(CACHE_ROOT, f"{tag}-{n_rows}-mf8{variant}")
 
 
 def get_index(
@@ -1810,7 +1811,7 @@ def lmdirichlet_topk_sharded(sf_dir: str, k: int = 10) -> pa.Table:
     idx = get_index(sf_dir)
     qds = ray.data.from_items([{"query_id": 0, "query": "data join", "k": k}])
     out = search_dataset_sharded(
-        qds, idx["build_manifest"], n_shards=3, similarity="lmdirichlet"
+        qds, idx["merge_manifest"], n_shards=3, similarity="lmdirichlet"
     ).to_pandas()
     out = out.sort_values("rank")
     return pa.table(
@@ -2282,8 +2283,8 @@ def prf_expand_topk(
 
 
 def bm25_topk_sharded(sf_dir: str, n_shards: int = 3) -> pa.Table:
-    """The doc-sharded scatter/gather search path (SURVEY §3.2) over the
-    partition index: must produce the same hits as the single-searcher
+    """The doc-sharded scatter/gather search path (SURVEY §3.2) over
+    doc-range shards of the merged index: must produce the same hits as the single-searcher
     plan for plain boolean queries (TopDocs-merge exactness)."""
     import ray.data
 
@@ -2295,7 +2296,7 @@ def bm25_topk_sharded(sf_dir: str, n_shards: int = 3) -> pa.Table:
     queries = ray.data.from_items(
         [{"query_id": q, "query": s, "k": k} for q, s, k in REFERENCE_QUERIES]
     )
-    return search_dataset_sharded(queries, idx["build_manifest"], n_shards=n_shards)
+    return search_dataset_sharded(queries, idx["merge_manifest"], n_shards=n_shards)
 
 
 def bm25_search_after_pages(
@@ -2369,7 +2370,7 @@ def cursor_mark_sharded(
         ]
     )
     res = search_dataset_sharded(
-        queries, idx["build_manifest"], n_shards=n_shards
+        queries, idx["merge_manifest"], n_shards=n_shards
     ).to_arrow_refs()
     import ray as _ray
 

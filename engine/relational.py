@@ -30,13 +30,13 @@ from .rayenv import remote_args as _rargs
 import pyarrow.compute as pc
 
 
-def _read(sf_dir: str, table: str, columns: list[str] | None = None):
+def _read(sf_dir: str, table: str, columns: list[str] | None = None, **kwargs):
     from .rayenv import read_parquet_clean
 
     # metadata-stripped read: pandas-written testdata schemas are
     # unhashable and spam ray.data's schema-dedup warning (rayenv)
     return read_parquet_clean(
-        os.path.join(sf_dir, f"{table}.parquet"), columns=columns
+        os.path.join(sf_dir, f"{table}.parquet"), columns=columns, **kwargs
     )
 
 
@@ -168,25 +168,30 @@ def events_timeseries(sf_dir: str):
 
 def orders_semi_join(sf_dir: str, nation_name: str = "NATION_7"):
     """Semi-join via broadcast key set (JoinUtil.createJoinQuery shape):
-    orders whose customer is in the given nation."""
+    orders whose customer is in the given nation. The read tasks filter
+    customer by nation; one task collects the matching custkeys as a
+    sorted int64 array that stays in the object store, and each orders
+    batch tests membership with ``pc.is_in``."""
     import ray
 
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     nk = nation.loc[nation["n_name"] == nation_name, "n_nationkey"]
-    if len(nk) == 0:
-        keys: set[int] = set()
-    else:
-        cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
-        keys = set(cust.loc[cust["c_nationkey"] == int(nk.iloc[0]), "c_custkey"].tolist())
-    keys_ref = ray.put(keys)
 
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    def sorted_keys(*blocks: pa.Table) -> np.ndarray:
+        keys = [np.empty(0, np.int64)] + [b.column("c_custkey").to_numpy() for b in blocks]
+        return np.unique(np.concatenate(keys))
+
+    # the nation filter runs in the read tasks' parquet scan
+    in_nation = pc.field("c_nationkey").isin(nk.tolist())
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"], filter=in_nation)
+    keys_ref = ray.remote(**_rargs())(sorted_keys).remote(*cust.to_arrow_refs())
 
     def filt(batch: pa.Table) -> pa.Table:
-        ks = ray.get(keys_ref)
-        mask = pa.array([int(c) in ks for c in batch.column("o_custkey").to_pylist()])
+        keys = pa.array(ray.get(keys_ref), pa.int64())
+        mask = pc.is_in(batch.column("o_custkey"), value_set=keys)
         return batch.filter(mask).select(["o_orderkey", "o_custkey"])
 
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     return orders.map_batches(filt, batch_format="pyarrow", **_rargs())
 
 
@@ -238,56 +243,49 @@ def lineitem_revenue_expr(sf_dir: str):
 def customer_orders_left_outer(sf_dir: str):
     """LeftOuterJoinStream analogue (solr/solrj/.../io/stream/
     LeftOuterJoinStream.java:35): every customer with their order count,
-    customers without orders kept at 0. Distributed shape: the big side
-    pre-aggregates per key inside map_batches, then a tag-union groupby
-    merges both sides — no broadcast of either table, one shuffle keyed by
-    custkey."""
-    from ray.data.aggregate import Max, Sum
+    customers without orders kept at 0. No shuffle: one task sorts the
+    custkeys (the customer blocks stay in the object store), one task per
+    orders block counts its orders per customer with a sorted-key probe
+    and ``np.bincount``, one task sums those counts, and one pass over the
+    customer blocks attaches them — an order whose custkey has no
+    customer matches no row, as LEFT semantics ask."""
+    import ray
+    import ray.data
 
-    cust = _read(sf_dir, "customer", ["c_custkey"])
-    orders = _read(sf_dir, "orders", ["o_custkey"])
+    remote = ray.remote(**_rargs())
 
-    def cust_side(batch: pa.Table) -> pa.Table:
-        k = batch.column("c_custkey")
-        n = batch.num_rows
-        return pa.table(
-            {
-                "c_custkey": k,
-                "n_orders": pa.array(np.zeros(n, dtype=np.int64)),
-                "is_left": pa.array(np.ones(n, dtype=np.int64)),
-            }
-        )
+    def sorted_keys(*blocks: pa.Table) -> np.ndarray:
+        keys = [np.empty(0, np.int64)] + [b.column("c_custkey").to_numpy() for b in blocks]
+        return np.sort(np.concatenate(keys))
 
-    def order_side(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("o_custkey", as_index=False).size()
-        return pa.table(
-            {
-                "c_custkey": pa.array(g["o_custkey"].to_numpy()),
-                "n_orders": pa.array(g["size"].to_numpy().astype(np.int64)),
-                "is_left": pa.array(np.zeros(len(g), dtype=np.int64)),
-            }
-        )
+    def count_block(keys: np.ndarray, block: pa.Table) -> np.ndarray:
+        ok = block.column("o_custkey").to_numpy()
+        i = np.searchsorted(keys, ok)
+        hit = i < len(keys)
+        hit[hit] = keys[i[hit]] == ok[hit]
+        return np.bincount(i[hit], minlength=len(keys))
 
-    tagged = cust.map_batches(cust_side, batch_format="pyarrow", **_rargs()).union(
-        orders.map_batches(order_side, batch_format="pyarrow", **_rargs())
-    )
-    agg = tagged.groupby("c_custkey").aggregate(
-        Sum("n_orders", alias_name="n_orders"), Max("is_left", alias_name="is_left")
+    def total(*counts: np.ndarray) -> np.ndarray:
+        return np.sum(counts, axis=0, dtype=np.int64)
+
+    cust_refs = _read(sf_dir, "customer", ["c_custkey"]).to_arrow_refs()
+    keys_ref = remote(sorted_keys).remote(*cust_refs)
+    counts_ref = remote(total).remote(
+        *[
+            remote(count_block).remote(keys_ref, o)
+            for o in _read(sf_dir, "orders", ["o_custkey"]).to_arrow_refs()
+        ]
     )
 
-    def finish(batch: pa.Table) -> pa.Table:
-        # LEFT semantics: keep only keys present on the left side (an
-        # order with a dangling custkey would otherwise leak through)
-        t = batch.filter(pc.equal(batch.column("is_left"), 1))
-        return pa.table(
-            {
-                "c_custkey": t.column("c_custkey"),
-                "n_orders": pc.cast(t.column("n_orders"), pa.int64()),
-            }
-        )
+    def attach(batch: pa.Table) -> pa.Table:
+        keys, counts = ray.get(keys_ref), ray.get(counts_ref)
+        ck = batch.column("c_custkey")
+        n = counts[np.searchsorted(keys, ck.to_numpy())]
+        return pa.table({"c_custkey": ck, "n_orders": pa.array(n, pa.int64())})
 
-    return agg.map_batches(finish, batch_format="pyarrow", **_rargs())
+    return ray.data.from_arrow_refs(cust_refs).map_batches(
+        attach, batch_format="pyarrow", **_rargs()
+    )
 
 
 def _tag_union_keys(sf_dir: str, spec_a, spec_b):

@@ -437,7 +437,7 @@ class IndexSearcher:
 
         obj.make_scorer = SIMILARITIES["bm25"]
         obj._sim_map = None
-        obj._deleted = None  # shard-subset searchers carry no liveDocs
+        obj._deleted = None  # no liveDocs unless the caller sets them
         from collections import OrderedDict as _FOD
 
         obj._filter_cache = _FOD()
@@ -1833,9 +1833,10 @@ def merge_topk(
 # ---------------------------------------------------------------------------
 # Doc-sharded distributed search (SURVEY §3.2 scatter/gather):
 # (query × shard) fan-out → shard-local top-k in a cached-shard task pool →
-# groupby(query_id) TopDocs-merge reduce. This is the multi-node layout:
-# each worker holds only its shard set, global stats come from the build
-# manifest + a per-term stats sum gathered per query.
+# groupby(query_id) TopDocs-merge reduce. Each shard is a contiguous doc
+# range of the merged index (``merge.DocRangeView``); global stats and
+# every multi-term rewrite come from the merged dictionary in the
+# fan-out, and ship with each (query, shard) plan.
 # ---------------------------------------------------------------------------
 
 _PROCESS_SHARDS: dict = {}
@@ -1843,94 +1844,74 @@ _PROCESS_STATS: dict = {}
 
 
 def _stats_searcher(manifest_ref) -> IndexSearcher:
-    """Per-process DICTIONARY-ONLY searcher for the fan-out's rewrite +
-    stats pass: one lazy pruned-column DictStatsReader per partition
-    (term/df/ttf, never postings blobs), so neither the driver nor the
-    fan-out closure ever holds an open index — the closure carries only
-    the manifest ObjectRef. Norms and postings are untouched; execute()
-    on this searcher would find no postings and must never be called."""
+    """Per-process ``IndexSearcher`` over the merge manifest, opened once
+    per worker process from the manifest ObjectRef (keyed by its hex):
+    the fan-out's rewrite + stats pass reads global df/ttf and every
+    rewrite expansion straight from its merged dictionary, and its
+    ``MergedIndex`` of each field is the one every shard view of this
+    process reads. Opening reads only the manifest, so neither the
+    calling process nor the fan-out closure ever holds an open index."""
     import ray
-
-    from .segment import DictStatsReader
 
     key = manifest_ref.hex()
     s = _PROCESS_STATS.get(key)
     if s is None:
-        import os
-
-        manifest = ray.get(manifest_ref)
-
-        def _readers(rows):
-            return [
-                DictStatsReader(os.path.join(r["seg_dir"], "terms.parquet"))
-                for r in sorted(rows, key=lambda r: r["doc_base"])
-            ]
-
-        fields = {
-            fld: (_readers(fm["partitions"]), int(fm["doc_count"]), int(fm["sum_ttf"]))
-            for fld, fm in (manifest.get("fields") or {}).items()
-        }
-        s = IndexSearcher.from_segments(
-            _readers(manifest["partitions"]),
-            int(manifest["doc_count"]),
-            int(manifest["sum_ttf"]),
-            fields=fields,
-        )
-        _PROCESS_STATS[key] = s
+        s = _PROCESS_STATS[key] = IndexSearcher(ray.get(manifest_ref))
     return s
 
 
 def _shard_searcher(manifest_ref, shard_id: int, n_shards: int) -> IndexSearcher:
-    """Per-process cache of shard-local searchers: each shard = a subset of
-    partition segments, opened once per worker (stats still global).
+    """Per-process cache of shard-local searchers: shard ``shard_id`` is
+    the ``shard_id``-th of ``n_shards`` equal cuts of the merged index's
+    doc range [doc_base, max_doc), the same range for every field, read
+    through ``DocRangeView``s of the process's one ``MergedIndex`` per
+    field (``_stats_searcher``). Stats stay global, and deleted docs
+    are masked as in the single searcher.
 
     Keyed by the ObjectRef HEX (+ the shard split), never id(): id() is a
     reusable memory address, so a later ray.put ref can collide with a
     freed earlier one and silently serve a stale searcher for a different
     index (observed as an order-dependent sharded-vs-single mismatch in
     long sessions)."""
-    import ray
+    from .merge import DocRangeView
 
     key = (manifest_ref.hex(), shard_id, n_shards)
     s = _PROCESS_SHARDS.get(key)
     if s is None:
-        manifest = ray.get(manifest_ref)
-        rows = sorted(manifest["partitions"], key=lambda r: r["doc_base"])
-        segs = [
-            Segment(r["seg_dir"])
-            for i, r in enumerate(rows)
-            if i % n_shards == shard_id
-        ]
-        fields = {}
-        for fld, fm in (manifest.get("fields") or {}).items():
-            frows = sorted(fm["partitions"], key=lambda r: r["doc_base"])
-            fsegs = [
-                Segment(r["seg_dir"])
-                for i, r in enumerate(frows)
-                if i % n_shards == shard_id
-            ]
-            fields[fld] = (fsegs, int(fm["doc_count"]), int(fm["sum_ttf"]))
+        full = _stats_searcher(manifest_ref)
+        body = full.segments[0]
+        span = body.max_doc - body.doc_base
+        lo = body.doc_base + span * shard_id // n_shards
+        hi = body.doc_base + span * (shard_id + 1) // n_shards
+        views = {
+            fld: ([DocRangeView(segs[0], lo, hi)], dc, st)
+            for fld, (segs, dc, st) in full.fields.items()
+        }
         s = IndexSearcher.from_segments(
-            segs, int(manifest["doc_count"]), int(manifest["sum_ttf"]), fields=fields
+            views["body"][0], full.doc_count, full.sum_ttf, fields=views
         )
+        s._deleted = full._deleted  # the manifest's liveDocs, global doc ids
         _PROCESS_SHARDS[key] = s
     return s
 
 
 def search_dataset_sharded(
     queries_ds, manifest: dict, n_shards: int = 4, batch_size: int = 32,
-    algorithm: str | None = None, similarity: str = "bm25",
+    similarity: str = "bm25",
 ):
-    """queries (query_id, query[, k]) → exact global top-k hits.
+    """queries (query_id, query[, k]) → exact global top-k hits over a
+    merge manifest (a build manifest raises ``ValueError``: merge first).
 
-    The fan-out REWRITES each query once against the full dictionary
+    The fan-out REWRITES each query once against the merged dictionary
     (prefix/range/wildcard/fuzzy → flat SHOULD clauses) and collects global
     (df, ttf) for every term the rewritten query touches — incl. phrase,
     synonym and boost terms — the TermStates.build stats pass. Shard tasks
-    execute the flat plan through the normal planner (TAAT/WAND auto) with
-    the global stats injected via ``stats_override``, so shard-local scores
-    are globally comparable for ALL clause types and the reduce is a pure
-    TopDocs merge on (score desc, docID asc)."""
+    run the plan exhaustively (``algorithm="taat"``) over their doc range
+    with the global stats injected via ``stats_override``, so shard-local
+    scores are globally comparable for ALL clause types and the reduce is
+    a pure TopDocs merge on (score desc, docID asc)."""
+    if manifest.get("kind") != "merge-by-term":
+        raise ValueError("merge first")
     import pandas as pd
     import ray
 
@@ -1939,8 +1920,8 @@ def search_dataset_sharded(
     def fanout(batch: pa.Table) -> pa.Table:
         from dataclasses import asdict
 
-        # dictionary-only stats searcher, built once per worker process
-        # from the manifest ref — the closure ships NO index state
+        # merged-index searcher, opened once per worker process from the
+        # manifest ref — the closure ships NO index state
         full = _stats_searcher(manifest_ref)
         rows = []
         for r in batch.to_pylist():
@@ -1995,7 +1976,7 @@ def search_dataset_sharded(
                         int(r["k"]),
                     )
                 else:
-                    docs, scores = s.execute(q, int(r["k"]), algorithm=algorithm)
+                    docs, scores = s.execute(q, int(r["k"]), algorithm="taat")
             finally:
                 s.stats_override = None
             out["query_id"].extend([r["query_id"]] * len(docs))

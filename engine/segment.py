@@ -20,6 +20,15 @@ memory-maps:
     <dir>/meta.json       doc_base, n_docs, sum_ttf, field, n_terms,
         lineage {...}, wall_ms, kind ("partition")
 
+A partition's ``terms.parquet`` and ``norms.parquet`` are merge input:
+once ``merge_by_term`` commits a merge over partitions that lie under its
+own index dir, it deletes those two files (the IndexFileDeleter role) and
+the merged index is the only copy of the postings. ``meta.json`` (build
+resume and lineage) and ``docvalues.parquet`` (facets, points, geo,
+joins) stay. A ``Segment`` is therefore opened only on unmerged
+partitions: a build manifest before its merge, NRT tail segments and
+indexes that are never merged.
+
 The term dictionary stays sorted; lookup is binary search over the term
 column (the role of the BlockTree FST prefix index,
 codecs/blocktree/BlockTreeTermsWriter.java:200-217 — at 100 TB scale the
@@ -73,6 +82,11 @@ TERMS_SCHEMA = pa.schema(
         ("pay_blob", pa.binary()),
     ]
 )
+
+
+# the partition files merge_by_term reads, and deletes once its merge of
+# the partition commits
+POSTINGS_FILES = ("terms.parquet", "norms.parquet")
 
 
 @dataclass
@@ -231,76 +245,14 @@ def write_segment(
         return json.load(f)
 
 
-def _prefix_terms(terms: list[str], prefix: str, max_terms: int) -> list[str]:
-    """Sorted-dictionary range scan [prefix, prefix+MAX) — the PrefixQuery
-    TermsEnum seek (BlockTree intersect role); keeps the first terms."""
-    i = bisect_left(terms, prefix)
-    out: list[str] = []
-    while i < len(terms) and len(out) < max_terms:
-        t = terms[i]
-        if not t.startswith(prefix):
-            break
-        out.append(t)
-        i += 1
-    return out
-
-
-def _range_terms(terms: list[str], lo: str, hi: str, max_terms: int) -> list[str]:
-    """Inclusive sorted-dictionary range scan (TermRangeQuery role)."""
-    i = bisect_left(terms, lo)
-    j = bisect_right(terms, hi)
-    return terms[i : min(j, i + max_terms)]
-
-
-class SuffixSeek:
-    """``dict_ranges`` and ``expand_suffix`` over a reader's sorted
-    ``iter_terms()``: every dictionary surface a query rewrite runs
-    against (``PostingsReader`` and the stats-only ``DictStatsReader``)
-    has them."""
-
-    def dict_ranges(self) -> list[tuple[str, str, Callable[[], Iterable[str]]]]:
-        """The sorted dictionary as disjoint (term_min, term_max,
-        load_terms) ranges in term order; ``load_terms()`` yields that
-        range's terms, sorted. A whole-dictionary reader is one range
-        spanning every string; ``MergedIndex`` has one per light term
-        shard, so a range-bounded seek (fuzzy) reads only the shards it
-        admits."""
-        return [("", chr(0x10FFFF), self.iter_terms)]
-
-    def expand_suffix(self, suffix: str, max_terms: int = 1024) -> list[str]:
-        """Terms ENDING with ``suffix`` — the leading-wildcard seek of
-        Solr's ReversedWildcardFilterFactory (solr/analysis/
-        ReversedWildcardFilter.java: index reversed tokens so ``*foo``
-        becomes a prefix seek on ``oof``). The reversed dictionary is
-        derived lazily, once per open reader, from ``iter_terms()`` instead
-        of indexing a second postings field (scoring reuses forward
-        postings; only the TERM set is needed for MultiTermQuery rewrite);
-        at 10^9-term dictionaries it would be persisted at merge next to
-        the forward term shards. Result is forward-sorted."""
-        rev = getattr(self, "_rev_terms", None)
-        if rev is None:
-            rev = sorted((t[::-1], t) for t in self.iter_terms())
-            self._rev_terms = rev
-        rsuf = suffix[::-1]
-        i = bisect_left(rev, (rsuf,))
-        out: list[str] = []
-        while i < len(rev) and len(out) < max_terms:
-            rt, t = rev[i]
-            if not rt.startswith(rsuf):
-                break
-            out.append(t)
-            i += 1
-        return sorted(out)
-
-
-class PostingsReader(SuffixSeek):
+class PostingsReader:
     """Postings surface shared by a flushed ``Segment`` and a merged
     ``MergedIndex`` — the one leaf-reader both kinds of Lucene segment are
     read through. A subclass supplies how a term's row is found
     (``_find(term)`` → (``TermRows``, row) or (None, -1)), ``iter_terms()``
     in sorted order, ``term_stats`` and its norms; the row decode, the
-    decoded-postings LRU and the prox/offset/payload streams live here;
-    the reversed-dictionary suffix seek comes from ``SuffixSeek``."""
+    decoded-postings LRU, the prox/offset/payload streams, the dictionary
+    ranges and the reversed-dictionary suffix seek live here."""
 
     _POSTINGS_CACHE_MAX = 128  # decoded terms kept per open reader
 
@@ -370,6 +322,41 @@ class PostingsReader(SuffixSeek):
         return self._occurrence_stream(term, "pay_blob", decode_payloads)
 
 
+    def dict_ranges(self) -> list[tuple[str, str, Callable[[], Iterable[str]]]]:
+        """The sorted dictionary as disjoint (term_min, term_max,
+        load_terms) ranges in term order; ``load_terms()`` yields that
+        range's terms, sorted. A whole-dictionary reader is one range
+        spanning every string; ``MergedIndex`` has one per light term
+        shard, so a range-bounded seek (fuzzy) reads only the shards it
+        admits."""
+        return [("", chr(0x10FFFF), self.iter_terms)]
+
+    def expand_suffix(self, suffix: str, max_terms: int = 1024) -> list[str]:
+        """Terms ENDING with ``suffix`` — the leading-wildcard seek of
+        Solr's ReversedWildcardFilterFactory (solr/analysis/
+        ReversedWildcardFilter.java: index reversed tokens so ``*foo``
+        becomes a prefix seek on ``oof``). The reversed dictionary is
+        derived lazily, once per open reader, from ``iter_terms()`` instead
+        of indexing a second postings field (scoring reuses forward
+        postings; only the TERM set is needed for MultiTermQuery rewrite);
+        at 10^9-term dictionaries it would be persisted at merge next to
+        the forward term shards. Result is forward-sorted."""
+        rev = getattr(self, "_rev_terms", None)
+        if rev is None:
+            rev = sorted((t[::-1], t) for t in self.iter_terms())
+            self._rev_terms = rev
+        rsuf = suffix[::-1]
+        i = bisect_left(rev, (rsuf,))
+        out: list[str] = []
+        while i < len(rev) and len(out) < max_terms:
+            rt, t = rev[i]
+            if not rt.startswith(rsuf):
+                break
+            out.append(t)
+            i += 1
+        return sorted(out)
+
+
 class Segment(PostingsReader):
     """Open segment: term dictionary + norms + stats, loaded once and
     queried many times (the open-IndexReader-leaf analogue)."""
@@ -413,10 +400,22 @@ class Segment(PostingsReader):
         yield from self._terms
 
     def expand_prefix(self, prefix: str, max_terms: int = 1024) -> list[str]:
-        return _prefix_terms(self._terms, prefix, max_terms)
+        """Sorted-dictionary range scan [prefix, prefix+MAX) — the
+        PrefixQuery TermsEnum seek (BlockTree intersect role); keeps the
+        first terms."""
+        i = bisect_left(self._terms, prefix)
+        out: list[str] = []
+        for t in self._terms[i : i + max_terms]:
+            if not t.startswith(prefix):
+                break
+            out.append(t)
+        return out
 
     def expand_range(self, lo: str, hi: str, max_terms: int = 1024) -> list[str]:
-        return _range_terms(self._terms, lo, hi, max_terms)
+        """Inclusive sorted-dictionary range scan (TermRangeQuery role)."""
+        i = bisect_left(self._terms, lo)
+        j = bisect_right(self._terms, hi)
+        return self._terms[i : min(j, i + max_terms)]
 
     def term_stats(self, term: str) -> tuple[int, int]:
         """(docFreq, totalTermFreq) — 0,0 if absent (TermStates.build role)."""
@@ -424,52 +423,6 @@ class Segment(PostingsReader):
         if i < 0:
             return 0, 0
         return int(self._rows.df[i]), int(self._rows.ttf[i])
-
-
-class DictStatsReader(SuffixSeek):
-    """Dictionary-only view of ONE partition's term file: the stats pass
-    (TermStates.build — search/TermQuery.java:194-206) and the multi-term
-    rewrites need (term, df, ttf) and sorted-dictionary scans, never
-    postings. Loads those three columns LAZILY with a pruned parquet read
-    on first use — construction is free, so a fan-out closure can carry a
-    list of these (really just paths) without shipping an index. Exposes
-    the same dictionary surface as Segment (term_stats / expand_prefix /
-    expand_range / expand_suffix / iter_terms) so IndexSearcher.rewrite
-    works unchanged."""
-
-    def __init__(self, terms_path: str):
-        self.path = terms_path
-        self._loaded: tuple[list[str], np.ndarray, np.ndarray] | None = None
-
-    def _load(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        if self._loaded is None:
-            tbl = pq.read_table(self.path, columns=["term", "df", "ttf"])
-            self._loaded = (
-                tbl.column("term").to_pylist(),
-                tbl.column("df").to_numpy(),
-                tbl.column("ttf").to_numpy(),
-            )
-        return self._loaded
-
-    @property
-    def _terms(self) -> list[str]:
-        return self._load()[0]
-
-    def iter_terms(self):
-        yield from self._terms
-
-    def term_stats(self, term: str) -> tuple[int, int]:
-        terms, df, ttf = self._load()
-        i = bisect_left(terms, term)
-        if i < len(terms) and terms[i] == term:
-            return int(df[i]), int(ttf[i])
-        return 0, 0
-
-    def expand_prefix(self, prefix: str, max_terms: int = 1024) -> list[str]:
-        return _prefix_terms(self._terms, prefix, max_terms)
-
-    def expand_range(self, lo: str, hi: str, max_terms: int = 1024) -> list[str]:
-        return _range_terms(self._terms, lo, hi, max_terms)
 
 
 def make_terms_table(rows: dict[str, list]) -> pa.Table:

@@ -1,9 +1,10 @@
 """merge_by_term, the salted groupby-term shuffle, must preserve every
 posting and keep search rank-identical; its term-range dictionary, Bloom
-sidecar and lazy norms are checked here. Resume at bucket granularity is in
-tests/test_resume.py."""
+sidecar, lazy norms and the post-commit sweep of the partitions it owns are
+checked here. Resume at bucket granularity is in tests/test_resume.py."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from engine.build import invert_to_segment
 from engine.checkpoint import finalize_build_manifest
 from engine.fixtures import make_pages
-from engine.merge import MergedIndex, merge_by_term
+from engine.merge import MergedIndex, merge_by_term, owned_partitions
 from engine.search import IndexSearcher
 from engine.segment import Segment
 
@@ -46,6 +47,16 @@ def built(tmp_path_factory):
     return {"root": str(root), "manifest": manifest}
 
 
+def _file_stats(seg_dirs) -> dict:
+    """(size, mtime_ns) of every file under ``seg_dirs``."""
+    out = {}
+    for d in seg_dirs:
+        for f in os.listdir(d):
+            st = os.stat(os.path.join(d, f))
+            out[os.path.join(d, f)] = (st.st_size, st.st_mtime_ns)
+    return out
+
+
 def _all_postings(index_like, terms):
     return {t: tuple(map(tuple, map(np.ndarray.tolist, index_like.postings(t)))) for t in terms}
 
@@ -54,6 +65,7 @@ def _all_postings(index_like, terms):
 def test_merge_by_term_salted(built, tmp_path_factory):
     m = built["manifest"]
     root = str(tmp_path_factory.mktemp("bt"))
+    sources = _file_stats(r["seg_dir"] for r in m["partitions"])
     # low threshold so the stop band (df 60-95% of 1200) is genuinely salted
     mm = merge_by_term(m, root, salt_threshold=400, n_salts=4)
     assert mm["kind"] == "merge-by-term"
@@ -97,7 +109,11 @@ def test_merge_by_term_salted(built, tmp_path_factory):
     commit_merge_manifest(root, dict(mm, version=1))
     redone = merge_by_term(m, root, salt_threshold=400, n_salts=4)
     assert redone["version"] == mm["version"] and redone["shards"] != mm["shards"]
-    check_merged_index(MergedIndex(root))
+    # the partitions live outside root: the merges own none of them, and
+    # their files are untouched
+    assert owned_partitions(m, root) == []
+    check_merged_index(MergedIndex(root), owned_partitions(m, root))
+    assert _file_stats(r["seg_dir"] for r in m["partitions"]) == sources
 
 
 def test_concat_decoded_reorders_positions():
@@ -217,7 +233,7 @@ def test_checkindex_validates_dict_level(built, tmp_path_factory):
 
     root = str(tmp_path_factory.mktemp("cidict"))
     mm = merge_by_term(built["manifest"], root, salt_threshold=400, n_salts=4)
-    out = check_merged_index(MergedIndex(root))
+    out = check_merged_index(MergedIndex(root), owned_partitions(built["manifest"], root))
     assert out["ok"] and out["n_terms"] == sum(s["n_terms"] for s in mm["shards"])
 
 
@@ -321,7 +337,7 @@ def test_offsets_survive_merge_by_term(tmp_path_factory):
     root_b = str(tmp_path_factory.mktemp("offmergeb"))
     merge_by_term(manifest, root_b, salt_threshold=150, n_salts=4)
     mi = MergedIndex(root_b)
-    check_merged_index(mi)
+    check_merged_index(mi, owned_partitions(manifest, root_b))
     check_spans(mi, probe)
 
 
@@ -409,3 +425,77 @@ def test_bloom_sidecar(built, tmp_path_factory):
         df = sum(s.term_stats(t)[0] for s in segs)
         ttf = sum(s.term_stats(t)[1] for s in segs)
         assert mi.term_stats(t) == (df, ttf), t
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_merge_sweeps_the_partitions_it_owns(tmp_path, monkeypatch):
+    """A merge into the root its partitions live in deletes each
+    partition's terms and norms files once its manifest commits; meta.json
+    and docvalues.parquet stay.
+
+    - A crash between the commit and the partition sweep (here the sweep
+      raises, then a cut sweep leaves one file gone): the rerun returns the
+      committed manifest and finishes the sweep, and the merged index
+      answers as the partitions did.
+    - A committed manifest of an older version over swept partitions:
+      merging again raises a FileNotFoundError naming the index dir and the
+      first missing file, and merged/ stays byte for byte."""
+    import pyarrow as pa
+
+    import engine.merge as merge_mod
+    from engine.checkindex import check_merged_index
+    from engine.checkpoint import commit_merge_manifest, load_merge_manifest
+
+    root = str(tmp_path / "idx")
+    texts = make_pages(600, seed=19).column("text").to_pylist()
+    rows = []
+    for lo in range(0, 600, 200):
+        seg_dir = os.path.join(root, "partitions", f"p{lo:012d}")
+        docs = np.arange(lo, lo + 200, dtype=np.int64)
+        dv = pa.table({"doc_id": docs, "n": docs * 2})
+        meta = invert_to_segment(docs, texts[lo : lo + 200], seg_dir, doc_values=dv)
+        keep = ("doc_base", "n_docs", "sum_ttf", "n_terms")
+        rows.append({k: meta[k] for k in keep} | {"seg_dir": seg_dir})
+    m = finalize_build_manifest(root, rows)
+    owned = owned_partitions(m, root)
+    assert owned == [r["seg_dir"] for r in rows]
+
+    def _crash(*_a):
+        raise RuntimeError("crash between commit and sweep")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(merge_mod, "_sweep_merged", _crash)
+        with pytest.raises(RuntimeError, match="between commit and sweep"):
+            merge_by_term(m, root, salt_threshold=150, n_salts=4)
+    committed = load_merge_manifest(root)
+    assert committed is not None
+    base = IndexSearcher(m, algorithm="taat")
+    expected = {q: base.search(q, 20) for q in QUERIES}
+    os.remove(os.path.join(owned[1], "norms.parquet"))  # a sweep cut midway
+
+    assert merge_by_term(m, root, salt_threshold=150, n_salts=4) == committed
+    check_merged_index(MergedIndex(root), owned)
+    for d in owned:
+        assert sorted(os.listdir(d)) == ["docvalues.parquet", "meta.json"], d
+    merged = IndexSearcher(committed, algorithm="taat")
+    for q, (bd, bs) in expected.items():
+        md, ms = merged.search(q, 20)
+        np.testing.assert_array_equal(md, bd, err_msg=q)
+        np.testing.assert_array_equal(ms.view(np.uint32), bs.view(np.uint32), err_msg=q)
+
+    commit_merge_manifest(root, dict(committed, version=1))
+    merged_dir = os.path.join(root, "merged")
+
+    def _tree() -> dict:
+        out = {}
+        for d, _, files in os.walk(merged_dir):
+            for f in files:
+                with open(os.path.join(d, f), "rb") as fh:
+                    out[os.path.join(d, f)] = fh.read()
+        return out
+
+    before = _tree()
+    missing = os.path.join(owned[0], "terms.parquet")
+    with pytest.raises(FileNotFoundError, match=re.escape(root) + ".*" + re.escape(missing)):
+        merge_by_term(m, root, salt_threshold=150, n_salts=4)
+    assert _tree() == before

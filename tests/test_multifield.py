@@ -166,7 +166,7 @@ def test_multifield_merge_and_sharded(mf_corpus, tmp_path_factory):
         [{"query_id": i, "query": q, "k": 15} for i, q in enumerate(queries)]
     )
     res = (
-        search_dataset_sharded(qds, mf_corpus["manifest"], n_shards=2)
+        search_dataset_sharded(qds, mm, n_shards=2)
         .to_pandas()
         .sort_values(["query_id", "rank"])
     )

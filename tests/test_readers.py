@@ -1,10 +1,11 @@
-"""The three dictionary/postings readers agree on one corpus.
+"""The postings readers agree on one corpus.
 
-A flushed partition ``Segment``, its dictionary-only ``DictStatsReader``
-and the ``MergedIndex`` that ``merge_by_term`` writes over the same
-partitions must answer every reader call identically: the merged answer
-equals the partition answers concatenated in doc order (postings and the
-per-occurrence streams) or unioned (dictionary scans)."""
+A flushed partition ``Segment``, the ``MergedIndex`` that ``merge_by_term``
+writes over the same partitions, and the merged index's ``DocRangeView``
+over each partition's doc range must answer every reader call identically:
+the merged answer equals the partition answers concatenated in doc order
+(postings and the per-occurrence streams) or unioned (dictionary scans),
+and each view equals its partition (stats stay global)."""
 
 import os
 
@@ -14,8 +15,8 @@ import pytest
 from engine.build import invert_to_segment
 from engine.checkpoint import finalize_build_manifest
 from engine.fixtures import make_pages
-from engine.merge import MergedIndex, merge_by_term
-from engine.segment import DictStatsReader, Segment
+from engine.merge import DocRangeView, MergedIndex, merge_by_term
+from engine.segment import Segment
 
 N_DOCS = 600
 N_PARTS = 4
@@ -35,9 +36,10 @@ def _payload_text(text: str, di: int) -> str:
 
 @pytest.fixture(scope="module", params=["offsets", "payloads"])
 def readers(request, tmp_path_factory, ray_session):
-    """(partition Segments, their DictStatsReaders, MergedIndex) over one
-    positions corpus carrying offsets or payloads (the two side streams
-    cannot be indexed together)."""
+    """(partition Segments, the MergedIndex's views of their doc ranges,
+    MergedIndex) over one positions corpus carrying offsets or payloads
+    (the two side streams cannot be indexed together). The merge goes to a
+    root of its own, so the partitions keep their postings."""
     root = tmp_path_factory.mktemp(f"readers-{request.param}")
     texts = make_pages(N_DOCS, seed=31).column("text").to_pylist()
     kw = {"index_offsets": True}
@@ -59,8 +61,8 @@ def readers(request, tmp_path_factory, ray_session):
     # heavy path, so both MergedIndex lookups (bucket, heavy range) run
     merge_by_term(manifest, str(root / "merged-index"), salt_threshold=100, n_salts=4)
     segs = [Segment(r["seg_dir"]) for r in sorted(rows, key=lambda r: r["doc_base"])]
-    dicts = [DictStatsReader(os.path.join(s.dir, "terms.parquet")) for s in segs]
-    return request.param, segs, dicts, MergedIndex(str(root / "merged-index"))
+    mi = MergedIndex(str(root / "merged-index"))
+    return request.param, segs, [DocRangeView(mi, s.doc_base, s.max_doc) for s in segs], mi
 
 
 def _sample_terms(segs, mi) -> list[str]:
@@ -81,8 +83,14 @@ def _concat_lists(parts):
     return None if not present else [a.tolist() for p in present for a in p]
 
 
+def _lists(per_posting) -> list:
+    """Per-posting arrays as lists; a stream a reader lacks reads [] (a
+    view of a range without the term cuts an empty list)."""
+    return [a.tolist() for a in per_posting or ()]
+
+
 def test_readers_agree(readers):
-    stream, segs, dicts, mi = readers
+    stream, segs, views, mi = readers
     terms = _sample_terms(segs, mi)
     for term in terms:
         part_stats = [s.term_stats(term) for s in segs]
@@ -90,8 +98,20 @@ def test_readers_agree(readers):
             sum(df for df, _ in part_stats),
             sum(ttf for _, ttf in part_stats),
         ), term
-        for s, d in zip(segs, dicts):
-            assert d.term_stats(term) == s.term_stats(term), term
+        for s, v in zip(segs, views):
+            assert v.term_stats(term) == mi.term_stats(term), term
+            for a, b in zip(v.postings(term), s.postings(term)):
+                assert a.dtype == b.dtype == np.int64, term
+                np.testing.assert_array_equal(a, b, err_msg=term)
+            assert _lists(v.positions(term)) == _lists(s.positions(term)), term
+            v_off, s_off = v.offsets(term) or ((), ()), s.offsets(term) or ((), ())
+            for side in (0, 1):
+                assert _lists(v_off[side]) == _lists(s_off[side]), term
+            assert _lists(v.payloads(term)) == _lists(s.payloads(term)), term
+            np.testing.assert_array_equal(
+                v.norm_of(np.arange(s.doc_base, s.max_doc)),
+                s.norm_of(np.arange(s.doc_base, s.max_doc)),
+            )
 
         docs, freqs = mi.postings(term)
         exp_docs = np.concatenate([s.postings(term)[0] for s in segs])
@@ -122,13 +142,9 @@ def test_readers_agree(readers):
     for prefix, cap in PREFIXES:
         union = {t for s in segs for t in s.expand_prefix(prefix, cap)}
         assert mi.expand_prefix(prefix, cap) == sorted(union)[:cap], prefix
-        for s, d in zip(segs, dicts):
-            assert d.expand_prefix(prefix, cap) == s.expand_prefix(prefix, cap), prefix
     for lo, hi, cap in RANGES:
         union = {t for s in segs for t in s.expand_range(lo, hi, cap)}
         assert mi.expand_range(lo, hi, cap) == sorted(union)[:cap], (lo, hi)
-        for s, d in zip(segs, dicts):
-            assert d.expand_range(lo, hi, cap) == s.expand_range(lo, hi, cap), (lo, hi)
     for suffix, cap in SUFFIXES:
         # the cap keeps the first terms in REVERSED order, then forward-sorts
         union = {t for s in segs for t in s.expand_suffix(suffix, cap)}
@@ -137,8 +153,6 @@ def test_readers_agree(readers):
         assert all(t.endswith(suffix) for t in exp)
 
     assert list(mi.iter_terms()) == sorted({t for s in segs for t in s.iter_terms()})
-    for s, d in zip(segs, dicts):
-        assert list(d.iter_terms()) == list(s.iter_terms())
 
 
 def _info_fields(ti):
@@ -232,7 +246,7 @@ def test_term_info_views_equal_row_copies(readers):
     every partition ``Segment`` and every ``MergedIndex`` shard equals its
     ``slice(i, 1).to_pylist()`` copy field by field, side streams
     included."""
-    stream, segs, _dicts, mi = readers
+    stream, segs, _views, mi = readers
     side = "off_blob" if stream == "offsets" else "pay_blob"
     for seg in segs:
         rows = seg._terms_tbl.to_pylist()

@@ -2,8 +2,6 @@
 (the CheckHits pruned-vs-exhaustive model, test-framework/.../CheckHits.java),
 with dynamic pruning genuinely active (>1000-hit stop terms)."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -777,8 +775,16 @@ def test_nested_group_same_as_flat_when_equivalent(corpus):
         np.testing.assert_array_equal(gs, fs, err_msg=grouped)
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_nested_boolean_sharded_matches_single(corpus):
+@pytest.fixture(scope="module")
+def merged(corpus, ray_session, tmp_path_factory) -> dict:
+    """The corpus merged into a root of its own, so its partitions keep
+    their postings for the build-manifest searchers of this module."""
+    from engine.merge import merge_by_term
+
+    return merge_by_term(corpus["manifest"], str(tmp_path_factory.mktemp("searchmerged")))
+
+
+def test_nested_boolean_sharded_matches_single(corpus, merged):
     """Nested clause trees must survive the shard fan-out: plans ship as
     nested dicts, shards rebuild the tree and score with injected global
     stats."""
@@ -790,9 +796,7 @@ def test_nested_boolean_sharded_matches_single(corpus):
         {"query_id": i, "query": qs, "k": 20} for i, qs in enumerate(NESTED_QUERIES)
     ]
     res = (
-        search_dataset_sharded(
-            ray.data.from_items(queries), corpus["manifest"], n_shards=3
-        )
+        search_dataset_sharded(ray.data.from_items(queries), merged, n_shards=3)
         .to_pandas()
         .sort_values(["query_id", "rank"])
     )
@@ -1293,7 +1297,7 @@ def test_elevate_topk_pinning():
     assert out["doc_id"].tolist()[2:] == organic
 
 
-def test_leading_wildcard_reversed_dictionary(corpus):
+def test_leading_wildcard_reversed_dictionary(corpus, merged):
     """*suffix routes through expand_suffix (reversed-dictionary seek,
     Solr ReversedWildcardFilterFactory role) and must equal both the
     explicit disjunction and a full-scan fnmatch rewrite."""
@@ -1320,15 +1324,17 @@ def test_leading_wildcard_reversed_dictionary(corpus):
     # pattern with neither prefix nor suffix still works (full-scan path)
     d3, _ = s.search("*e05*", 10)
     assert len(d3) >= len(d1)
-    # the dictionary-only stats searcher of the shard fan-out rewrites a
-    # leading wildcard through the same suffix seek
-    from engine.segment import DictStatsReader
+    # the shard fan-out's stats searcher, over the merged dictionary,
+    # rewrites a leading wildcard to the same clauses, in dictionary order
+    # (a searcher over partitions appends each partition's new terms in
+    # turn)
+    from dataclasses import replace
 
-    readers = [DictStatsReader(os.path.join(g.dir, "terms.parquet")) for g in s.segments]
-    stats = IndexSearcher.from_segments(readers, s.doc_count, s.sum_ttf)
+    stats = IndexSearcher(merged)
     for pat in ["*e05", "*01", "*e05*"]:
         q = parse_query(pat)
-        assert stats.rewrite(q) == s.rewrite(q), pat
+        by_parts = s.rewrite(q)
+        assert stats.rewrite(q) == replace(by_parts, should=tuple(sorted(by_parts.should))), pat
 
 
 def test_reverse_string_filter_goldens():

@@ -1,8 +1,17 @@
 """Doc-sharded scatter/gather search must be rank-identical to the
-single-searcher answer (TopDocs.merge exactness with global stats)."""
+single-searcher answer (TopDocs.merge exactness with global stats). The
+shards are doc ranges of the merged index; each test merges its partitions
+into a root of its own (so they keep their postings) and compares with
+``IndexSearcher`` over the build manifest."""
 
 import numpy as np
 import pytest
+
+
+def _merged(manifest, tmp_path_factory) -> dict:
+    from engine.merge import merge_by_term
+
+    return merge_by_term(manifest, str(tmp_path_factory.mktemp("merged")))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -36,7 +45,9 @@ def test_sharded_search_rank_identity(tmp_path_factory):
         {"query_id": 4, "query": "tiekey", "k": 10},
     ]
     res = (
-        search_dataset_sharded(ray.data.from_items(queries), manifest, n_shards=3)
+        search_dataset_sharded(
+            ray.data.from_items(queries), _merged(manifest, tmp_path_factory), n_shards=3
+        )
         .to_pandas()
         .sort_values(["query_id", "rank"])
     )
@@ -104,7 +115,9 @@ def test_sharded_rich_clauses_match_single(tmp_path_factory):
         {"query_id": 7, "query": "[t00000 TO t00004]", "k": 10},  # term range
     ]
     res = (
-        search_dataset_sharded(ray.data.from_items(queries), manifest, n_shards=3)
+        search_dataset_sharded(
+            ray.data.from_items(queries), _merged(manifest, tmp_path_factory), n_shards=3
+        )
         .to_pandas()
         .sort_values(["query_id", "rank"])
     )
@@ -124,8 +137,7 @@ def test_fanout_builds_no_driver_index(tmp_path_factory):
     """The scatter/gather fan-out must not open the index on the driver or
     ship one in its closure: constructing the sharded Dataset may not
     instantiate a single Segment or IndexSearcher(manifest) in this
-    process (the stats pass runs in workers over pruned dictionary-only
-    column reads — DictStatsReader)."""
+    process (the stats pass runs in workers over the merged dictionary)."""
     import ray.data
 
     import engine.search as search_mod
@@ -148,6 +160,7 @@ def test_fanout_builds_no_driver_index(tmp_path_factory):
             | {"seg_dir": seg_dir}
         )
     manifest = finalize_build_manifest(str(root), rows)
+    mm = _merged(manifest, tmp_path_factory)
 
     opened = []
     orig_init = segment_mod.Segment.__init__
@@ -162,15 +175,13 @@ def test_fanout_builds_no_driver_index(tmp_path_factory):
             {"query_id": 0, "query": "the00 t0000*", "k": 10},
             {"query_id": 1, "query": "t00000~1", "k": 10},
         ]
-        ds = search_dataset_sharded(
-            ray.data.from_items(queries), manifest, n_shards=2
-        )
+        ds = search_dataset_sharded(ray.data.from_items(queries), mm, n_shards=2)
         assert opened == [], "driver opened Segments while building the fan-out"
         res = ds.to_pandas().sort_values(["query_id", "rank"])
         # during execution the driver may legitimately host a Ray worker
         # task (shard searchers open their OWN shard subset there) — the
         # regression under test is the fan-out/stats pass, which must
-        # never construct a Segment in any process (DictStatsReader only)
+        # never construct a Segment in any process (merged index only)
         import engine.search as search_mod_check
 
         assert not search_mod_check._PROCESS_STATS or all(
@@ -190,6 +201,7 @@ def test_fanout_builds_no_driver_index(tmp_path_factory):
         )
 
 
+@pytest.mark.usefixtures("ray_session")
 def test_sharded_cursor_mark_paging(tmp_path_factory):
     """Solr cursorMark over the scatter/gather path: shipping the page-1
     mark to every shard and TopDocs-merging the shard pages equals the
@@ -235,7 +247,9 @@ def test_sharded_cursor_mark_paging(tmp_path_factory):
             }
         )
     res = (
-        search_dataset_sharded(ray.data.from_items(queries), manifest, n_shards=3)
+        search_dataset_sharded(
+            ray.data.from_items(queries), _merged(manifest, tmp_path_factory), n_shards=3
+        )
         .to_pandas()
         .sort_values(["query_id", "rank"])
     )
@@ -256,22 +270,27 @@ def test_sharded_cursor_mark_paging(tmp_path_factory):
 def test_sharded_similarity_plug():
     """The sharded fan-out under a non-BM25 similarity equals the single
     searcher bit-for-bit (global-stats weights commute with sharding),
-    and the default stays BM25."""
+    and the default stays BM25. The entries' shared index it runs on
+    holds one copy of the postings: every merged field checks out and its
+    partitions keep only meta.json and docvalues.parquet."""
     import numpy as np
     import ray.data
 
+    from engine.checkindex import check_index_dir
     from engine.checkpoint import load_merge_manifest
     from engine.pipelines import get_index
     from engine.search import IndexSearcher, search_dataset_sharded
 
     sf = "/root/testdata/sf0.01"
     idx = get_index(sf)
+    assert check_index_dir(idx["index_dir"])["ok"]
+    assert "title" in idx["merge_manifest"]["fields"]
     s = IndexSearcher(load_merge_manifest(idx["index_dir"]), similarity="lmdirichlet")
     d_ref, sc_ref = s.search("data join", 10)
     qds = ray.data.from_items([{"query_id": 0, "query": "data join", "k": 10}])
     out = (
         search_dataset_sharded(
-            qds, idx["build_manifest"], n_shards=3, similarity="lmdirichlet"
+            qds, idx["merge_manifest"], n_shards=3, similarity="lmdirichlet"
         )
         .to_pandas()
         .sort_values("rank")
@@ -280,3 +299,60 @@ def test_sharded_similarity_plug():
     np.testing.assert_array_equal(
         out["score"].to_numpy().astype(np.float32), sc_ref
     )
+
+
+def test_sharded_search_needs_a_merge_manifest():
+    """Shards are doc ranges of the merged index: a build manifest, whose
+    partitions lose their postings once the merge commits, is refused
+    before any work starts."""
+    from engine.search import search_dataset_sharded
+
+    build = {"partitions": [], "doc_count": 0, "sum_ttf": 0}
+    with pytest.raises(ValueError, match="merge first"):
+        search_dataset_sharded(None, build)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_sharded_search_masks_deleted_docs(tmp_path):
+    """Deletions live in the merge manifest: the shards mask them as the
+    single searcher over the same manifest does, hits and scores alike."""
+    import os
+
+    import ray.data
+
+    from engine.build import invert_to_segment
+    from engine.checkpoint import finalize_build_manifest, load_merge_manifest
+    from engine.deletes import delete_by_term
+    from engine.fixtures import make_pages
+    from engine.merge import merge_by_term
+    from engine.search import IndexSearcher, search_dataset_sharded
+
+    root = str(tmp_path / "idx")
+    texts = make_pages(300, seed=3).column("text").to_pylist()
+    rows = []
+    for lo in (0, 150):
+        seg_dir = os.path.join(root, "partitions", f"p{lo:012d}")
+        docs = np.arange(lo, lo + 150, dtype=np.int64)
+        meta = invert_to_segment(docs, texts[lo : lo + 150], seg_dir)
+        keep = ("doc_base", "n_docs", "sum_ttf", "n_terms")
+        rows.append({k: meta[k] for k in keep} | {"seg_dir": seg_dir})
+    merge_by_term(finalize_build_manifest(root, rows), root)
+    assert delete_by_term(root, "t00001") > 0
+    mm = load_merge_manifest(root)
+    base = IndexSearcher(mm, algorithm="taat")
+    queries = [
+        {"query_id": 0, "query": "the00", "k": 20},
+        {"query_id": 1, "query": "t00000 t00002", "k": 20},
+    ]
+    res = (
+        search_dataset_sharded(ray.data.from_items(queries), mm, n_shards=2)
+        .to_pandas()
+        .sort_values(["query_id", "rank"])
+    )
+    for q in queries:
+        bd, bs = base.search(q["query"], q["k"])
+        sub = res[res["query_id"] == q["query_id"]]
+        np.testing.assert_array_equal(sub["doc_id"].to_numpy(), bd, err_msg=q["query"])
+        np.testing.assert_array_equal(
+            sub["score"].to_numpy().astype(np.float32), bs, err_msg=q["query"]
+        )

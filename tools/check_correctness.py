@@ -1,8 +1,9 @@
 """Local stand-in for the driver's correctness gate: run every queries()
 entry at a given sf_dir, compare against oracle_sql() via DuckDB
-(row-count + schema + order-insensitive value comparison).
+(row-count + schema + order-insensitive value comparison); a full run
+then checks the entries' shared index with ``check_index_dir``.
 
-Usage: python tools/check_correctness.py [sf_dir]
+Usage: python tools/check_correctness.py [sf_dir] [entry,entry,...]
 """
 
 from __future__ import annotations
@@ -102,6 +103,18 @@ def main():
             except AssertionError as e:
                 print(f"FAIL  {name}: value mismatch: {str(e)[:300]}")
             n_fail += 1
+    # on a full run, the entries' shared index: merged, swept (one copy of
+    # the postings) and structurally sound
+    from engine.checkindex import check_index_dir
+    from engine.pipelines import get_index
+
+    try:
+        if only is None:
+            check_index_dir(get_index(sf_dir)["index_dir"])
+            print("PASS  index layout: check_index_dir")
+    except AssertionError as e:
+        print(f"FAIL  index layout: {e}")
+        n_fail += 1
     print(f"\n{n_pass} exact-pass, {n_rowsonly} rows-only, {n_fail} fail")
     ray.shutdown()
     sys.exit(1 if n_fail else 0)
