@@ -22,7 +22,9 @@ retries — which is what makes rank tie-breaks and resume deterministic.
 Inversion is fully vectorized per batch: Arrow dictionary_encode interns
 term bytes (the BytesRefHash role), ``np.unique`` over a (term, doc) key
 produces the per-term (doc, freq) runs (the FreqProxTermsWriter role), and
-the per-term numpy codec (engine/codec.py) writes FOR/VInt blocks.
+one batched ``codec.encode_terms`` call writes every term's FOR/VInt
+blocks, skip data and exact per-block impact frontiers — the same encoder
+the merge uses.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .rayenv import remote_args as _rargs
 import pyarrow.compute as pc
 
 from .analyze import DEFAULT_ANALYZER, Analyzer, compute_norms
-from .codec import encode_term_postings
+from .codec import encode_terms
 from .extract import extract_batch
 from .segment import TERMS_SCHEMA, write_segment
 
@@ -114,20 +116,11 @@ def invert_to_segment(
 
     # --- vectorized inversion (TermsHash + FreqProx analogue) -------------
     # Arrow dictionary_encode interns term bytes; np.unique over a
-    # (term, doc) key yields per-term (doc, freq) runs; stats and the
-    # VInt tail encoding for light terms (df < 128 — the vast majority
-    # under a Zipf vocabulary) are computed with reduceat/cumsum over the
-    # whole partition at once. Only terms with full 128-blocks go through
-    # the per-term block encoder. Light terms carry a single dominating
-    # (maxFreq, minNorm) impact pair — a sound (coarser) upper bound; the
-    # exact competitive frontier is kept for multi-block terms where
-    # block-max pruning matters (CompetitiveImpactAccumulator role).
-    from .codec import (
-        BLOCK_SIZE,
-        encode_positions,
-        vint_byte_counts,
-        write_vints,
-    )
+    # (term, doc) key yields per-term (doc, freq) runs; codec.encode_terms
+    # encodes every term's postings, skip and exact impact data in array
+    # passes over the whole partition (CompetitiveImpactAccumulator role
+    # per block); the prox/offset/payload streams are one VInt pass each.
+    from .codec import vint_byte_counts, write_vints
 
     cols: dict[str, list] = {k.name: [] for k in TERMS_SCHEMA}
     if flat:
@@ -159,32 +152,7 @@ def invert_to_segment(
         docs_g = doc_ids[pair_doc]
         norms_pp = norms[pair_doc]
 
-        # doc deltas with implicit prev = -1 at each term start
-        deltas = np.empty(len(docs_g), dtype=np.uint64)
-        deltas[1:] = (docs_g[1:] - docs_g[:-1]).astype(np.uint64)
-        deltas[starts] = (docs_g[starts] + 1).astype(np.uint64)
-        combined = (deltas << np.uint64(1)) | (pair_freq == 1).astype(np.uint64)
-
         ttf = np.add.reduceat(pair_freq, starts)
-        max_freq = np.maximum.reduceat(pair_freq, starts)
-        min_norm = np.minimum.reduceat(norms_pp, starts)
-        last_doc = docs_g[ends - 1]
-        first_doc = docs_g[starts]
-
-        light = (counts >= 2) & (counts < BLOCK_SIZE)
-        heavy = counts >= BLOCK_SIZE
-        single = counts == 1
-
-        # one batched VInt pass for every light term's tail stream
-        d_nbytes = vint_byte_counts(combined)
-        f_mask = pair_freq != 1
-        f_nbytes = np.where(f_mask, vint_byte_counts(pair_freq.astype(np.uint64)), 0)
-        d_stream = write_vints(combined)
-        f_stream = write_vints(pair_freq[f_mask].astype(np.uint64))
-        d_off = np.concatenate(([0], np.cumsum(d_nbytes)))
-        f_off_pp = np.concatenate(([0], np.cumsum(f_nbytes)))
-        d_mv = memoryview(d_stream)
-        f_mv = memoryview(f_stream)
 
         # positions: one batched VInt pass over the whole prox stream,
         # per-term blobs = byte slices at term token boundaries
@@ -252,93 +220,10 @@ def invert_to_segment(
         else:
             pay_col = _bin_col(_empty_bounds, b"")
 
-        # --- vectorized terms-table assembly (round 5): the per-term
-        # Python loop only touches heavy terms (full block codec) and the
-        # light blob copies; every other column builds array-wise.
-        # Singletons — the bulk of a Zipf vocabulary — cost zero per-term
-        # Python.
-        heavy_idx = np.flatnonzero(heavy)
-        tps = [
-            encode_term_postings(
-                docs_g[int(starts[r]) : int(ends[r])],
-                pair_freq[int(starts[r]) : int(ends[r])],
-                norms_pp[int(starts[r]) : int(ends[r])],
-            )
-            for r in heavy_idx.tolist()
-        ]
-
-        # blob column: per-term byte lengths -> one output buffer
-        blob_len = np.where(
-            light,
-            (d_off[ends] - d_off[starts]) + (f_off_pp[ends] - f_off_pp[starts]),
-            0,
-        ).astype(np.int64)
-        for j, r in enumerate(heavy_idx.tolist()):
-            blob_len[r] = len(tps[j].blob)
-        blob_bounds = np.concatenate(([0], np.cumsum(blob_len)))
-        blob_buf = bytearray(int(blob_bounds[-1]))
-        bb_mv = memoryview(blob_buf)
-        for r in np.flatnonzero(light).tolist():
-            s, e = int(starts[r]), int(ends[r])
-            o = int(blob_bounds[r])
-            dn = int(d_off[e] - d_off[s])
-            bb_mv[o : o + dn] = d_mv[d_off[s] : d_off[e]]
-            bb_mv[o + dn : int(blob_bounds[r + 1])] = f_mv[f_off_pp[s] : f_off_pp[e]]
-        for j, r in enumerate(heavy_idx.tolist()):
-            bb_mv[int(blob_bounds[r]) : int(blob_bounds[r + 1])] = tps[j].blob
-
-        def _list_col(
-            nonheavy_len: np.ndarray,
-            fill,
-            heavy_vals: list[np.ndarray],
-        ) -> pa.Array:
-            """List column with per-term scalar fills for non-heavy terms
-            (``fill`` = array of per-term values, or a constant pair for
-            length-2 columns) and explicit heavy arrays."""
-            lens = nonheavy_len.copy()
-            for j, r in enumerate(heavy_idx.tolist()):
-                lens[r] = len(heavy_vals[j])
-            offs = np.concatenate(([0], np.cumsum(lens)))
-            vals = np.zeros(int(offs[-1]), dtype=np.int64)
-            nh = ~heavy
-            if isinstance(fill, tuple):  # constant (a, b) for length-2 rows
-                vals[offs[:-1][nh]] = fill[0]
-                vals[offs[:-1][nh] + 1] = fill[1]
-            else:
-                put = nh & (nonheavy_len > 0)
-                vals[offs[:-1][put]] = fill[put]
-            for j, r in enumerate(heavy_idx.tolist()):
-                vals[int(offs[r]) : int(offs[r + 1])] = heavy_vals[j]
-            return pa.ListArray.from_arrays(
-                pa.array(offs.astype(np.int32)), pa.array(vals, type=pa.int64())
-            )
-
-        ones = np.ones(n_terms, dtype=np.int64)
-        twos = np.full(n_terms, 2, dtype=np.int64)
+        # the postings columns: one batched encode of every term
         cols = {
             "term": enc.dictionary.take(pa.array(sort_idx)),
-            "df": pa.array(counts, type=pa.int64()),
-            "ttf": pa.array(ttf.astype(np.int64), type=pa.int64()),
-            "singleton_doc": pa.array(
-                np.where(single, first_doc, -1).astype(np.int64), type=pa.int64()
-            ),
-            "blob": _bin_col(blob_bounds, bytes(blob_buf)),
-            # df=1 terms have last_doc == first_doc, so last_doc fills all
-            "last_docs": _list_col(
-                ones, last_doc.astype(np.int64), [t.block_last_doc for t in tps]
-            ),
-            "offsets": _list_col(
-                np.where(single, 0, 1).astype(np.int64),
-                np.zeros(n_terms, dtype=np.int64),
-                [t.block_offset for t in tps],
-            ),
-            "imp_freq": _list_col(
-                ones, max_freq.astype(np.int64), [t.imp_freq for t in tps]
-            ),
-            "imp_norm": _list_col(
-                ones, min_norm.astype(np.int64), [t.imp_norm for t in tps]
-            ),
-            "imp_start": _list_col(twos, (0, 1), [t.imp_start for t in tps]),
+            **encode_terms(docs_g, pair_freq, norms_pp, starts, ends),
             "pos_blob": pos_col,
             "off_blob": off_col,
             "pay_blob": pay_col,

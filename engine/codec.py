@@ -37,6 +37,11 @@ Skip/impact data is stored as plain arrays in the term table (not a byte
 format): per block (incl. the tail as a final short block) the last docID,
 the blob byte offset, and the competitive (freq, norm) pareto frontier that
 bounds block-max BM25 scores.
+
+``encode_terms`` is the engine's one postings encoder: it writes this
+layout for every term of a partition (the inverter) or of a merge bucket
+in array passes. ``encode_term_postings`` encodes one term and is the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 
 BLOCK_SIZE = 128  # ForUtil.java:39
 
@@ -311,6 +317,200 @@ def encode_term_postings(
         imp_norm=np.concatenate(imp_n) if imp_n else np.empty(0, dtype=np.uint8),
         imp_start=starts,
     )
+
+
+def _excl_cumsum(x: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum (start offset of each run of length ``x``)."""
+    out = np.zeros(len(x), dtype=np.int64)
+    np.cumsum(x[:-1], out=out[1:])
+    return out
+
+
+def _bit_length(v: np.ndarray) -> np.ndarray:
+    """Bits needed per value, at least 1 (``_width_of`` per element)."""
+    return np.maximum(64 - _clz64(np.asarray(v, dtype=np.uint64)), 1)
+
+
+def _pack_rows(vals: np.ndarray, width: int) -> np.ndarray:
+    """``pack_block`` of every row of a (n, BLOCK_SIZE) matrix at once:
+    (n, 16 * width) bytes."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    bits = ((vals.astype(np.uint64)[:, :, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bits.reshape(len(vals), BLOCK_SIZE * width), axis=1)
+
+
+def _list_array(offsets: np.ndarray, values: np.ndarray) -> pa.Array:
+    return pa.ListArray.from_arrays(
+        pa.array(offsets.astype(np.int32)), pa.array(values.astype(np.int64), type=pa.int64())
+    )
+
+
+def encode_terms(
+    docs: np.ndarray,
+    freqs: np.ndarray,
+    norms: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+) -> dict[str, pa.Array]:
+    """Encode many terms at once: term i's postings are
+    ``docs/freqs/norms[starts[i]:ends[i]]`` (docs ascending, df >= 1, at
+    least one term).
+    Returns the postings columns of ``segment.TERMS_SCHEMA`` (``df``,
+    ``ttf``, ``singleton_doc``, ``blob``, ``last_docs``, ``offsets``,
+    ``imp_freq``, ``imp_norm``, ``imp_start``), one row per term, each row
+    equal to ``encode_term_postings`` of that term (df >= 2) or to the
+    singleton pulse (df == 1: no blob, no block offsets).
+
+    Array passes over all terms, no per-term Python: one sort of a
+    (block, norm, -freq) key gives every block's exact impact frontier; full
+    blocks are FOR-packed in one pass per bit width; every VInt (the tail
+    ``delta << 1 | freq == 1`` and freq streams, and the all-equal freq
+    values of full blocks) comes from one ``write_vints`` pass scattered
+    to its place in the blob buffer."""
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    df = ends - starts
+    n_terms = len(df)
+    assert n_terms and int(df.min()) >= 1, "at least one term, each with a posting"
+    total = int(df.sum())
+    contiguous = starts[0] == 0 and ends[-1] == len(docs) and np.array_equal(starts[1:], ends[:-1])
+    t0 = _excl_cumsum(df)
+    if contiguous:
+        docs = np.asarray(docs, dtype=np.int64)
+        freqs = np.asarray(freqs, dtype=np.int64)
+        norms = np.asarray(norms, dtype=np.int64)
+    else:  # gather the selected ranges into one term-ordered run
+        idx = np.repeat(starts - t0, df) + np.arange(total, dtype=np.int64)
+        docs = np.asarray(docs, dtype=np.int64)[idx]
+        freqs = np.asarray(freqs, dtype=np.int64)[idx]
+        norms = np.asarray(norms, dtype=np.int64)[idx]
+    term_of = np.repeat(np.arange(n_terms, dtype=np.int64), df)
+    pos_in = np.arange(total, dtype=np.int64) - t0[term_of]
+    multi = df >= 2
+
+    # blocks: ceil(df / 128) per term, the last one the (short) tail
+    nblk = (df + BLOCK_SIZE - 1) // BLOCK_SIZE
+    blk_base = _excl_cumsum(nblk)
+    n_blk = int(nblk.sum())
+    blk_term = np.repeat(np.arange(n_terms, dtype=np.int64), nblk)
+    blk_first = t0[blk_term] + (np.arange(n_blk, dtype=np.int64) - blk_base[blk_term]) * BLOCK_SIZE
+    blk_len = np.minimum(BLOCK_SIZE, (t0 + df)[blk_term] - blk_first)
+    blk_of_post = blk_base[term_of] + pos_in // BLOCK_SIZE
+    last_docs = docs[blk_first + blk_len - 1]
+
+    # exact impact frontier of every block (impact_frontier, batched): one
+    # sort of a (block, norm byte, -freq) key packed into an int64 (~10x a
+    # three-key lexsort) gives the max-freq pair per (block, norm), kept if
+    # its freq beats every lower-norm freq of the block; the running max
+    # restarts per block because each block's keys lie above every
+    # earlier block's
+    fbits = int(freqs.max()).bit_length()
+    assert n_blk.bit_length() + 8 + fbits <= 63, "impact sort key overflows int64"
+    fmask = (1 << fbits) - 1
+    skey = np.sort((blk_of_post << (8 + fbits)) | (norms << fbits) | (fmask - freqs))
+    first = np.ones(total, dtype=bool)
+    first[1:] = (skey[1:] >> fbits) != (skey[:-1] >> fbits)
+    skey = skey[first]
+    b_u, n_u, f_u = skey >> (8 + fbits), (skey >> fbits) & 0xFF, fmask - (skey & fmask)
+    key = (b_u << fbits) | f_u
+    keep = np.ones(len(key), dtype=bool)
+    keep[1:] = key[1:] > np.maximum.accumulate(key)[:-1]
+    imp_freq, imp_norm = f_u[keep], n_u[keep]
+    fc = np.bincount(b_u[keep], minlength=n_blk)  # frontier size per block
+    fc_base = _excl_cumsum(fc)
+    term_fc_base = fc_base[blk_base]
+    imp_start = np.empty(n_blk + n_terms, dtype=np.int64)
+    imp_start[np.arange(n_blk) + blk_term] = fc_base - term_fc_base[blk_term]
+    imp_start[blk_base + nblk + np.arange(n_terms)] = np.diff(np.append(term_fc_base, len(imp_freq)))
+
+    # doc deltas vs the previous doc, implicit previous -1 per term
+    deltas = np.empty(total, dtype=np.uint64)
+    deltas[1:] = (docs[1:] - docs[:-1]).astype(np.uint64)
+    deltas[t0] = (docs[t0] + 1).astype(np.uint64)
+
+    # full blocks: doc token + packed deltas (token 0: all deltas 1), freq
+    # token + packed freqs (token 0: all freqs equal, one VInt follows)
+    fb = np.flatnonzero(blk_len == BLOCK_SIZE)
+    grid = blk_first[fb][:, None] + np.arange(BLOCK_SIZE)
+    dd, ff = deltas[grid], freqs[grid]
+    wd = np.where((dd == 1).all(axis=1), 0, _bit_length(dd.max(axis=1, initial=0)))
+    f_eq = (ff == ff[:, :1]).all(axis=1)
+    wf = np.where(f_eq, 0, _bit_length(ff.max(axis=1, initial=0)))
+
+    # tail blocks of df >= 2 terms: combined stream then the freq != 1
+    # stream; VInt values laid out one run per tail block, then the
+    # all-equal freq values of the full blocks
+    tb = np.flatnonzero((blk_len < BLOCK_SIZE) & multi[blk_term])
+    in_tail = np.zeros(n_blk, dtype=bool)
+    in_tail[tb] = True
+    tp = np.flatnonzero(in_tail[blk_of_post])
+    tail_rank = np.cumsum(in_tail) - 1  # block -> index among tail blocks
+    tk = tail_rank[blk_of_post[tp]]
+    is_rest = freqs[tp] != 1
+    n_c = blk_len[tb]
+    n_r = np.bincount(tk[is_rest], minlength=len(tb))
+    run_start = _excl_cumsum(n_c + n_r)
+    n_tail_vals = int((n_c + n_r).sum())
+    vals = np.empty(n_tail_vals + int(f_eq.sum()), dtype=np.uint64)
+    vals[run_start[tk] + (tp - blk_first[tb][tk])] = (deltas[tp] << np.uint64(1)) | (
+        ~is_rest
+    ).astype(np.uint64)
+    rk = tk[is_rest]
+    vals[run_start[rk] + n_c[rk] + np.arange(len(rk)) - _excl_cumsum(n_r)[rk]] = freqs[tp][is_rest].astype(np.uint64)
+    vals[n_tail_vals:] = ff[f_eq, 0].astype(np.uint64)
+    nb = vint_byte_counts(vals)
+    src_off = _excl_cumsum(nb)
+    nb_cs = np.concatenate(([0], np.cumsum(nb)))
+
+    # block byte lengths -> every block's place in one blob buffer (terms
+    # are concatenated in order; a singleton's block has no bytes)
+    blk_bytes = np.zeros(n_blk, dtype=np.int64)
+    eq_bytes = np.zeros(len(fb), dtype=np.int64)
+    eq_bytes[f_eq] = nb[n_tail_vals:]
+    blk_bytes[fb] = 2 + 16 * wd + np.where(f_eq, eq_bytes, 16 * wf)
+    blk_bytes[tb] = nb_cs[run_start + n_c + n_r] - nb_cs[run_start]
+    blk_off = _excl_cumsum(blk_bytes)
+    buf_len = int(blk_off[-1] + blk_bytes[-1])
+    assert buf_len <= 0x7FFFFFFF, "blob column > 2 GiB"
+    out = np.zeros(buf_len, dtype=np.uint8)
+    p_doc = blk_off[fb]
+    p_freq = p_doc + 1 + 16 * wd
+    out[p_doc] = wd
+    out[p_freq] = wf
+    for w in np.unique(wd[wd > 0]).tolist():
+        sel = np.flatnonzero(wd == w)
+        out[(p_doc[sel] + 1)[:, None] + np.arange(16 * w)] = _pack_rows(dd[sel], w)
+    for w in np.unique(wf[wf > 0]).tolist():
+        sel = np.flatnonzero(wf == w)
+        out[(p_freq[sel] + 1)[:, None] + np.arange(16 * w)] = _pack_rows(ff[sel], w)
+    if len(vals):
+        dest = np.empty(len(vals), dtype=np.int64)
+        run_of_val = np.repeat(np.arange(len(tb)), n_c + n_r)
+        dest[:n_tail_vals] = blk_off[tb][run_of_val] + src_off[:n_tail_vals] - src_off[run_start][run_of_val]
+        dest[n_tail_vals:] = p_freq[f_eq] + 1
+        out[np.repeat(dest - src_off, nb) + np.arange(int(nb.sum()))] = np.frombuffer(
+            write_vints(vals), dtype=np.uint8
+        )
+
+    term_bytes_base = blk_off[blk_base]
+    blob_offs = np.append(term_bytes_base, buf_len).astype(np.int32)
+    ob = np.flatnonzero(multi[blk_term])  # singletons carry no block offsets
+    return {
+        "df": pa.array(df, type=pa.int64()),
+        "ttf": pa.array(np.add.reduceat(freqs, t0), type=pa.int64()),
+        "singleton_doc": pa.array(np.where(multi, -1, docs[t0]), type=pa.int64()),
+        "blob": pa.Array.from_buffers(
+            pa.binary(), n_terms, [None, pa.py_buffer(blob_offs), pa.py_buffer(out)]
+        ),
+        "last_docs": _list_array(np.append(blk_base, n_blk), last_docs),
+        "offsets": _list_array(
+            np.append(_excl_cumsum(np.where(multi, nblk, 0)), len(ob)),
+            blk_off[ob] - term_bytes_base[blk_term[ob]],
+        ),
+        "imp_freq": _list_array(np.append(term_fc_base, len(imp_freq)), imp_freq),
+        "imp_norm": _list_array(np.append(term_fc_base, len(imp_norm)), imp_norm),
+        "imp_start": _list_array(np.append(blk_base + np.arange(n_terms), n_blk + n_terms), imp_start),
+    }
 
 
 def decode_term_postings(blob: bytes | memoryview, df: int) -> tuple[np.ndarray, np.ndarray]:

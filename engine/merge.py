@@ -18,9 +18,11 @@ no Dataset all-to-all:
    ``fnv1a(term, salt) % n_buckets``, salts being contiguous
    partition-rank ranges so runs stay doc-ordered. Each bucket task
    depends on exactly its own slot of every explode task, so the
-   exchange is the object transfer itself. The bucket task merges and
-   re-encodes its terms in one sorted batch: light terms are final and go
-   to one shard file per bucket, heavy terms leave one salted run file.
+   exchange is the object transfer itself. The bucket task merges its
+   terms in one sorted batch and re-encodes them with one
+   ``codec.encode_terms`` call per output (the encoder the inverter
+   uses, so the engine has one): light terms are final and go to one
+   shard file per bucket, heavy terms leave one salted run file.
    The light shards hold sorted, disjoint term ranges, so they and their
    manifest ``term_min``/``term_max`` are the sorted dictionary (the
    BlockTree .tim/.tip role) that serves prefix/range/fuzzy/suffix
@@ -31,8 +33,9 @@ no Dataset all-to-all:
 
 *Resume.* The unit of work is the bucket task: once it has written its
 shard and its heavy-run file it records its result rows, postings,
-output bytes and wall in ``merged/units/bucket-NNN.json`` (the merge
-manifest's ``buckets`` entry summarizes them). A rerun adopts every
+terms (light rows plus run rows), output bytes and wall in
+``merged/units/bucket-NNN.json`` (the merge manifest's ``buckets`` entry
+summarizes them). A rerun adopts every
 marked bucket untouched and explodes fragments only for the rest (no
 explode at all when every bucket is done); the final heavy pass and the
 Bloom read the adopted outputs and simply rerun. The range boundaries
@@ -81,7 +84,7 @@ import pyarrow.compute as pc  # pa.compute is unset until this import
 from .rayenv import remote_args as _rargs
 import pyarrow.parquet as pq
 
-from .codec import encode_term_postings
+from .codec import encode_terms
 from .segment import POSTINGS_FILES, TERMS_SCHEMA, PostingsReader, TermRows, binary_views
 
 
@@ -141,43 +144,6 @@ def _concat_decoded(decoded):
     off_blob = b"".join(d[4] for d in decoded) if has_off else b""
     pay_blob = b"".join(d[5] for d in decoded) if has_pay else b""
     return docs, freqs, norms, pos_blob, off_blob, pay_blob
-
-
-def _emit_from_arrays(
-    cols: dict[str, list],
-    term: str,
-    docs,
-    freqs,
-    norms,
-    pos_blob: bytes = b"",
-    off_blob: bytes = b"",
-    pay_blob: bytes = b"",
-) -> None:
-    """Append one TERMS_SCHEMA row built from raw postings arrays."""
-    df = len(docs)
-    cols["term"].append(term)
-    cols["df"].append(df)
-    cols["ttf"].append(int(freqs.sum()))
-    cols["pos_blob"].append(pos_blob)
-    cols["off_blob"].append(off_blob)
-    cols["pay_blob"].append(pay_blob)
-    if df == 1:
-        cols["singleton_doc"].append(int(docs[0]))
-        cols["blob"].append(b"")
-        cols["last_docs"].append([int(docs[0])])
-        cols["offsets"].append([])
-        cols["imp_freq"].append([int(freqs[0])])
-        cols["imp_norm"].append([int(norms[0])])
-        cols["imp_start"].append([0, 1])
-    else:
-        tp = encode_term_postings(docs, freqs, norms)
-        cols["singleton_doc"].append(-1)
-        cols["blob"].append(tp.blob)
-        cols["last_docs"].append(tp.block_last_doc.tolist())
-        cols["offsets"].append(tp.block_offset.tolist())
-        cols["imp_freq"].append(tp.imp_freq.tolist())
-        cols["imp_norm"].append(tp.imp_norm.tolist())
-        cols["imp_start"].append(tp.imp_start.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +578,69 @@ def _explode_chunk(
     return tuple(out) if n_buckets > 1 else out[0]
 
 
+class _Groups(NamedTuple):
+    """The (term, salt) groups of one merged sorted batch: group i's
+    merged postings are ``docs/freqs/norms[starts[i]:ends[i]]``, doc
+    ordered; ``side`` holds its ``pos_blob``, ``off_blob`` and
+    ``pay_blob``, one binary array each, one value per group."""
+
+    terms: pa.Array
+    salts: np.ndarray
+    docs: np.ndarray
+    freqs: np.ndarray
+    norms: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    side: dict[str, pa.Array]
+
+    def table(self, sel: np.ndarray | None = None) -> pa.Table:
+        """``TERMS_SCHEMA`` rows of the groups ``sel`` (a boolean mask;
+        every group if None), encoded in one ``encode_terms`` call."""
+        idx = np.arange(len(self.starts)) if sel is None else np.flatnonzero(sel)
+        take = pa.array(idx, type=pa.int64())
+        cols = encode_terms(self.docs, self.freqs, self.norms, self.starts[idx], self.ends[idx])
+        return pa.table(
+            {
+                "term": self.terms.take(take),
+                **cols,
+                **{k: v.take(take) for k, v in self.side.items()},
+            },
+            schema=TERMS_SCHEMA,
+        )
+
+
+_SIDE_STREAMS = ("pos_blob", "off_blob", "pay_blob")
+
+
+def _group_bytes(batch: pa.Table, name: str, g_starts: np.ndarray, g_ends: np.ndarray) -> pa.Array:
+    """Per group, its rows' ``name`` streams joined: rows of a group are
+    contiguous and doc-ordered, so that is one byte range of the column,
+    taken without a copy. A group any of whose rows lacks the stream (or
+    a batch without the column) gets b"", as the stream then does not
+    cover every posting."""
+    n_groups = len(g_starts)
+    if name not in batch.column_names:
+        return pa.array([b""] * n_groups, type=pa.binary())
+    arr = batch.column(name).chunk(0)
+    offs, _ = binary_views(arr)
+    missing = np.concatenate(([0], np.cumsum(offs[1:] <= offs[:-1])))
+    has = missing[g_ends] == missing[g_starts]
+    data = arr.buffers()[2] or pa.py_buffer(b"")
+    bounds = np.ascontiguousarray(offs[np.append(g_starts, g_ends[-1])], dtype=np.int32)
+    out = pa.Array.from_buffers(pa.binary(), n_groups, [None, pa.py_buffer(bounds), data])
+    if not has.all():
+        out = pc.if_else(pa.array(has), out, pa.scalar(b"", type=pa.binary()))
+    return out
+
+
 def _merge_sorted_batch(
-    batch: pa.Table, norm_store: "_NormStore", emit, group_salt: bool = True
-) -> None:
+    batch: pa.Table, norm_store: "_NormStore", group_salt: bool = True
+) -> _Groups | None:
     """Decode + merge a (term, salt, doc_base)-sorted single-chunk batch of
-    shuffle rows, calling ``emit(term, salt, docs, freqs, norms, pos_blob)``
-    once per (term, salt) group in sorted order. ``group_salt=False``
-    groups by term ONLY (rows still salt-sorted within a term) — the final
-    heavy pass merges a term's salted runs into one group this way.
+    shuffle rows into its (term, salt) groups, in sorted order, or None
+    for an empty batch. ``group_salt=False`` groups by term ONLY (rows
+    still salt-sorted within a term) — the final heavy pass merges a
+    term's salted runs into one group this way.
 
     Vectorized three-class decode (the batched-VInt lesson from the
     inverter — per-row Python loops cost ~90us/row, this path ~2us):
@@ -631,10 +652,12 @@ def _merge_sorted_batch(
     - block rows (df>=128, the stop band): per-row decode.
 
     Per-row segments land in one flat postings buffer at cumsum(df)
-    offsets, so each group's merged postings are a CONTIGUOUS slice — no
-    per-group concatenation. Rows are doc-ordered within a group (sorted
-    by doc_base, partitions doc-disjoint); a violated group falls back to
-    an argsort repair."""
+    offsets, so each group's merged postings are a CONTIGUOUS slice, and
+    so are its position, offset and payload bytes (``_group_bytes``);
+    group bounds come from array comparisons, with no per-group Python.
+    Rows are doc-ordered within a group (sorted by doc_base, partitions
+    doc-disjoint); a violated group is repaired through
+    ``_concat_decoded``."""
     from .codec import (
         BLOCK_SIZE,
         decode_term_postings,
@@ -644,22 +667,13 @@ def _merge_sorted_batch(
 
     n = batch.num_rows
     if n == 0:
-        return
+        return None
     terms_a = batch.column("term").chunk(0)
     salt = batch.column("salt").to_numpy()
     df = batch.column("df").to_numpy()
     ttf = batch.column("ttf").to_numpy()
     singleton = batch.column("singleton_doc").to_numpy()
     b_off, b_data = binary_views(batch.column("blob").chunk(0))
-    p_off, p_data = binary_views(batch.column("pos_blob").chunk(0))
-    if "off_blob" in batch.column_names:
-        o_off, o_data = binary_views(batch.column("off_blob").chunk(0))
-    else:  # rows shipped without the offsets stream (offsets not indexed)
-        o_off, o_data = np.zeros(n + 1, dtype=np.int32), memoryview(b"")
-    if "pay_blob" in batch.column_names:
-        y_off, y_data = binary_views(batch.column("pay_blob").chunk(0))
-    else:  # rows shipped without the payload stream (payloads not indexed)
-        y_off, y_data = np.zeros(n + 1, dtype=np.int32), memoryview(b"")
     raw = (
         np.frombuffer(b_data, dtype=np.uint8)
         if len(b_data)
@@ -755,67 +769,53 @@ def _merge_sorted_batch(
         brk = np.empty(0, dtype=np.int64)
     g_starts = np.concatenate([[0], brk]).astype(np.int64)
     g_ends = np.concatenate([brk, [n]]).astype(np.int64)
-    any_pos = len(p_data) > 0
-    any_off = len(o_data) > 0
-    any_pay = len(y_data) > 0
+    p_lo, p_hi = out_start[g_starts], out_end[g_ends - 1]
+    side = {name: _group_bytes(batch, name, g_starts, g_ends) for name in _SIDE_STREAMS}
 
-    for rs, re_ in zip(g_starts.tolist(), g_ends.tolist()):
-        lo_p, hi_p = int(out_start[rs]), int(out_end[re_ - 1])
-        docs = flat_docs[lo_p:hi_p]
-        freqs = flat_freqs[lo_p:hi_p]
-        norms = flat_norms[lo_p:hi_p]
-        has_pos = any_pos and bool(
-            (p_off[rs + 1 : re_ + 1] > p_off[rs:re_]).all()
-        )
-        has_off = any_off and bool(
-            (o_off[rs + 1 : re_ + 1] > o_off[rs:re_]).all()
-        )
-        has_pay = any_pay and bool(
-            (y_off[rs + 1 : re_ + 1] > y_off[rs:re_]).all()
-        )
-        if len(docs) > 1 and not bool((np.diff(docs) > 0).all()):
-            # out-of-order runs (shouldn't happen with doc-disjoint
-            # partitions): repair through the per-run slow path
+    # postings whose doc does not exceed the previous one inside a group
+    # (shouldn't happen with doc-disjoint partitions): repair those groups
+    # through the per-run slow path
+    unordered = np.flatnonzero(flat_docs[1:] <= flat_docs[:-1]) + 1
+    unordered = unordered[~np.isin(unordered, p_lo)]
+    if len(unordered):
+        bad = np.unique(np.searchsorted(p_lo, unordered, side="right") - 1).tolist()
+        views = {name: binary_views(batch.column(name).chunk(0)) for name in _SIDE_STREAMS if name in batch.column_names}
+        lists = {name: arr.to_pylist() for name, arr in side.items()}
+        for g in bad:
+            rows = range(int(g_starts[g]), int(g_ends[g]))
+            streams = []
+            for name in _SIDE_STREAMS:
+                if not lists[name][g]:
+                    streams.append([b""] * len(rows))
+                    continue
+                off, data = views[name]
+                streams.append([bytes(data[off[r] : off[r + 1]]) for r in rows])
             decoded = [
                 (
                     flat_docs[out_start[r] : out_end[r]],
                     flat_freqs[out_start[r] : out_end[r]],
                     flat_norms[out_start[r] : out_end[r]],
-                    p_data[p_off[r] : p_off[r + 1]] if has_pos else b"",
-                    o_data[o_off[r] : o_off[r + 1]] if has_off else b"",
-                    y_data[y_off[r] : y_off[r + 1]] if has_pay else b"",
+                    *(st[i] for st in streams),
                 )
-                for r in range(rs, re_)
+                for i, r in enumerate(rows)
             ]
-            docs, freqs, norms, pos_blob, off_blob, pay_blob = _concat_decoded(
-                decoded
-            )
-        else:
-            pos_blob = (
-                b"".join(p_data[p_off[r] : p_off[r + 1]] for r in range(rs, re_))
-                if has_pos
-                else b""
-            )
-            off_blob = (
-                b"".join(o_data[o_off[r] : o_off[r + 1]] for r in range(rs, re_))
-                if has_off
-                else b""
-            )
-            pay_blob = (
-                b"".join(y_data[y_off[r] : y_off[r + 1]] for r in range(rs, re_))
-                if has_pay
-                else b""
-            )
-        emit(
-            terms_a[rs].as_py(),
-            int(salt[rs]),
-            docs,
-            freqs,
-            norms,
-            pos_blob,
-            off_blob,
-            pay_blob,
-        )
+            docs, freqs, norms, *blobs = _concat_decoded(decoded)
+            lo, hi = int(p_lo[g]), int(p_hi[g])
+            flat_docs[lo:hi], flat_freqs[lo:hi], flat_norms[lo:hi] = docs, freqs, norms
+            for name, blob in zip(_SIDE_STREAMS, blobs):
+                lists[name][g] = blob
+        side = {name: pa.array(v, type=pa.binary()) for name, v in lists.items()}
+
+    return _Groups(
+        terms=terms_a.take(pa.array(g_starts)),
+        salts=salt[g_starts],
+        docs=flat_docs,
+        freqs=flat_freqs,
+        norms=flat_norms,
+        starts=p_lo,
+        ends=p_hi,
+        side=side,
+    )
 
 
 def _fmix64(h):
@@ -883,10 +883,11 @@ def derive_n_buckets(sum_ttf: int) -> int:
 
 
 def _bucket_summary(units: list[dict]) -> dict:
-    """Skew summary of the bucket markers: count, wall p50/p99/max and
-    postings total/max/median."""
+    """Skew summary of the bucket markers: count, wall p50/p99/max,
+    postings total/max/median and terms (rows written) max/median."""
     wall = np.array([u["wall_ms"] for u in units], dtype=np.float64)
     post = np.array([u["postings"] for u in units], dtype=np.int64)
+    terms = np.array([u["terms"] for u in units], dtype=np.int64)
     return {
         "count": len(units),
         "wall_ms_p50": round(float(np.percentile(wall, 50)), 3),
@@ -895,6 +896,8 @@ def _bucket_summary(units: list[dict]) -> dict:
         "postings": int(post.sum()),
         "postings_max": int(post.max()),
         "postings_median": float(np.median(post)),
+        "terms_max": int(terms.max()),
+        "terms_median": float(np.median(terms)),
     }
 
 
@@ -912,9 +915,10 @@ def merge_by_term(
     bucket = term range for a light term, hash(term, salt) for a heavy
     one — an explicit partitioned shuffle with B buckets so per-group
     scheduling overhead is O(B), not O(#terms) —
-    → each bucket task merges+re-encodes its terms (heavy terms appear as
-    per-salt sub-groups that stay doc-ordered because salts are contiguous
-    partition-rank ranges) → light terms are final after the single
+    → each bucket task merges its terms and re-encodes them in array
+    passes, with no per-term Python (``codec.encode_terms``; heavy terms
+    appear as per-salt sub-groups that stay doc-ordered because salts
+    are contiguous partition-rank ranges) → light terms are final after the single
     shuffle; the stop-word-sized set of salted runs finishes through
     min(#heavy, max(8, 2·cpus)) df-weighted chunks of heavy terms. Norms
     are doc-range-sharded by Ray tasks (1 byte/doc total) and mergers
@@ -932,7 +936,7 @@ def merge_by_term(
     default) derives it from the manifest's ``sum_ttf``
     (``derive_n_buckets``), for every field separately; an explicit
     count applies to the body field only. Each bucket marker records the
-    bucket's postings, output bytes and wall; the merge manifest's
+    bucket's postings, terms, output bytes and wall; the merge manifest's
     ``buckets`` entry summarizes them. Salt threshold defaults to 2% of doc_count
     (stop-word band, SURVEY §4)."""
     import ray
@@ -974,7 +978,7 @@ def merge_by_term(
     # parts_per_shard.
     units_dir = os.path.join(merged_dir, "units")
     plan = {
-        "version": 3,  # light buckets are term ranges
+        "version": 4,  # light buckets are term ranges; markers count terms
         "partitions": [[r["seg_dir"], int(r["doc_base"])] for r in parts],
         "salt_threshold": salt_threshold,
         "n_salts": n_salts,
@@ -1027,19 +1031,20 @@ def merge_by_term(
     def _merge_bucket(bucket_id: int, *frag_lists) -> dict:
         """One shuffle bucket: merge every (term, salt) group in it, write
         one final shard (+ one heavy-run file), then record the result
-        rows and the bucket's postings, output bytes and wall in its
-        done-marker and return that marker.
+        rows and the bucket's postings, terms, output bytes and wall in
+        its done-marker and return that marker.
 
-        Arrow-native hot path (see _merge_sorted_batch): unpack the IPC
-        fragments, one sort, batched decode, contiguous group slices —
-        the whole-bucket .to_pylist() (every postings blob to Python
-        dicts) was the single biggest line of the round-1 bench."""
+        Arrow-native hot path: unpack the IPC fragments, one sort, one
+        batched decode into contiguous groups (_merge_sorted_batch), one
+        batched encode per output table (_Groups.table) — per-term
+        Python (the round-1 .to_pylist(), then a per-group encode call)
+        set the bucket wall by its term count."""
         import uuid as _uuid
 
         t_b = time.perf_counter()
         frags = [f for lst in frag_lists for f in lst]
         out_rows: list[dict] = []
-        marker = {"rows": out_rows, "postings": 0, "bytes": 0}
+        marker = {"rows": out_rows, "postings": 0, "terms": 0, "bytes": 0}
         if not frags:
             marker["wall_ms"] = round((time.perf_counter() - t_b) * 1000, 3)
             atomic_write_json(_marker(bucket_id), marker)
@@ -1052,25 +1057,11 @@ def merge_by_term(
             batch, sort_keys=[("term", "ascending"), ("salt", "ascending"), ("doc_base", "ascending")]
         )
         batch = batch.take(idx).combine_chunks()
-        final_cols: dict[str, list] = {f.name: [] for f in TERMS_SCHEMA}
-        run_cols: dict[str, list] = {f.name: [] for f in TERMS_SCHEMA}
-        run_salts: list[int] = []
-
-        def _emit(term, salt_v, docs, freqs, norms, pos_blob, off_blob, pay_blob):
-            if salt_v < 0:  # light term: final after this single shuffle
-                _emit_from_arrays(
-                    final_cols, term, docs, freqs, norms, pos_blob, off_blob, pay_blob
-                )
-            else:  # salted run of a heavy term
-                _emit_from_arrays(
-                    run_cols, term, docs, freqs, norms, pos_blob, off_blob, pay_blob
-                )
-                run_salts.append(salt_v)
-
-        _merge_sorted_batch(batch, norm_store, _emit)
-        if run_cols["term"]:
-            run_tbl = pa.table(run_cols, schema=TERMS_SCHEMA).append_column(
-                "salt", pa.array(run_salts, type=pa.int32())
+        groups = _merge_sorted_batch(batch, norm_store)
+        light = groups.salts < 0  # light terms are final after this shuffle
+        if not light.all():  # salted runs of heavy terms
+            run_tbl = groups.table(~light).append_column(
+                "salt", pa.array(groups.salts[~light], type=pa.int32())
             )
             hpath = os.path.join(heavy_dir, f"run-{_uuid.uuid4().hex[:12]}.parquet")
             pq.write_table(run_tbl, hpath + ".tmp")
@@ -1085,8 +1076,8 @@ def merge_by_term(
                     "bucket": bucket_id,
                 }
             )
-        if final_cols["term"]:
-            tbl = pa.table(final_cols, schema=TERMS_SCHEMA)
+        if light.any():
+            tbl = groups.table(light)
             path = os.path.join(shard_dir, f"shard-{_uuid.uuid4().hex[:12]}.arrow")
             write_term_shard(tbl, path)
             out_rows.append(
@@ -1099,7 +1090,8 @@ def merge_by_term(
                     "bucket": bucket_id,
                 }
             )
-        marker["postings"] = sum(final_cols["df"]) + sum(run_cols["df"])
+        marker["postings"] = len(groups.docs)
+        marker["terms"] = len(groups.salts)
         marker["bytes"] = sum(os.path.getsize(r["path"]) for r in out_rows)
         marker["wall_ms"] = round((time.perf_counter() - t_b) * 1000, 3)
         atomic_write_json(_marker(bucket_id), marker)
@@ -1151,10 +1143,9 @@ def merge_by_term(
             """Finalize one batch of heavy terms: gather their salted runs
             (each term's runs live in exactly the n_salts bucket files
             hash(term, salt) % B), then ONE sorted-batch merge over the
-            concatenated run rows — the same batched three-class decode as
-            the bucket merger (_merge_sorted_batch, term-only groups, runs
-            salt-ordered = doc-ordered), replacing the per-row to_pylist +
-            per-term Python concat of round 2. Run tables cache per worker
+            concatenated run rows — the same batched three-class decode and
+            batched encode as the bucket merger (_merge_sorted_batch,
+            term-only groups, runs salt-ordered = doc-ordered). Run tables cache per worker
             process (LRU) so overlapping tasks re-read a file at most once
             per worker."""
             import uuid as _uuid
@@ -1179,33 +1170,24 @@ def merge_by_term(
                 t = t.filter(pc.is_in(t.column("term"), term_arr))
                 if t.num_rows:
                     parts.append(t)
-            cols: dict[str, list] = {f.name: [] for f in TERMS_SCHEMA}
-            if parts:
-                cat = pa.concat_tables(parts)
-                idx = pc.sort_indices(
-                    cat,
-                    sort_keys=[("term", "ascending"), ("salt", "ascending")],
-                )
-                cat = cat.take(idx).combine_chunks()
-
-                def _emit(term, _salt_v, docs, freqs, norms, pos_blob, off_blob, pay_blob):
-                    _emit_from_arrays(
-                        cols, term, docs, freqs, norms, pos_blob, off_blob, pay_blob
-                    )
-
-                _merge_sorted_batch(cat, norm_store, _emit, group_salt=False)
-            terms = cols["term"]  # terms actually present in the runs
-            if not terms:
+            if not parts:
                 return []
-            tbl = pa.table(cols, schema=TERMS_SCHEMA)
+            cat = pa.concat_tables(parts)
+            idx = pc.sort_indices(
+                cat,
+                sort_keys=[("term", "ascending"), ("salt", "ascending")],
+            )
+            cat = cat.take(idx).combine_chunks()
+            tbl = _merge_sorted_batch(cat, norm_store, group_salt=False).table()
+            terms = tbl.column("term")  # terms actually present in the runs
             path = os.path.join(shard_dir, f"shard-heavy-{_uuid.uuid4().hex[:12]}.arrow")
             write_term_shard(tbl, path)
             return [
                 {
                     "kind": "shard",
                     "path": path,
-                    "term_min": terms[0],
-                    "term_max": terms[-1],
+                    "term_min": terms[0].as_py(),
+                    "term_max": terms[-1].as_py(),
                     "n_terms": len(terms),
                     "bucket": -1,
                 }

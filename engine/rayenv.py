@@ -1,10 +1,14 @@
 """Worker-environment plumbing.
 
-Ray workers inherit only the driver's CWD on sys.path, so UDFs that
-reference ``engine`` fail to unpickle when the driver was started outside
-the repo. Every engine stage therefore passes ``**remote_args()`` to
-map_batches / map_groups / @ray.remote: a PYTHONPATH runtime_env that makes
-the package importable in every worker regardless of driver CWD.
+Ray puts the driver's working directory and script directory on every
+worker's sys.path (the job config's ``py_driver_sys_path``), so a driver
+started from the repository needs nothing more: ``remote_args()`` then
+gives engine tasks the default runtime_env, and they run in Ray's default
+worker pool beside Ray Data's own tasks. A driver started elsewhere would
+leave ``engine`` unimportable in workers; for it ``remote_args()`` adds a
+PYTHONPATH runtime_env, which Ray serves from a worker pool of its own.
+Every engine stage passes ``**remote_args()`` to map_batches /
+map_groups / @ray.remote.
 """
 
 from __future__ import annotations
@@ -14,7 +18,27 @@ import os
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _job_sys_path() -> list[str]:
+    """The paths Ray adds to every worker's sys.path for the current job
+    (its job config's ``py_driver_sys_path``); [] outside a Ray session.
+    Read from the live session on every call: each session has its own."""
+    import ray
+
+    if not ray.is_initialized():
+        return []
+    from ray._private.worker import global_worker
+
+    return list(global_worker.core_worker.get_job_config().py_driver_sys_path)
+
+
 def remote_args() -> dict:
+    """Ray remote options for an engine task: the default runtime_env when
+    the repository is already on the job's worker path (``{}`` rather
+    than no options: ``ray.remote()`` rejects an empty call), else a
+    PYTHONPATH env that makes ``engine`` importable in every worker."""
+    repo = os.path.realpath(REPO_DIR)
+    if any(os.path.realpath(p) == repo for p in _job_sys_path()):
+        return {"runtime_env": {}}
     return {"runtime_env": {"env_vars": {"PYTHONPATH": REPO_DIR}}}
 
 

@@ -35,6 +35,7 @@ per-process cached searcher plays that role. Both run ``_search_batch``.
 from __future__ import annotations
 
 import time
+from itertools import islice
 
 import numpy as np
 import pyarrow as pa
@@ -866,7 +867,11 @@ class IndexSearcher:
         simplifications (single-clause inlining, nested-disjunction
         flattening — search/BooleanQuery.java rewrite). The result is a
         clause tree whose every node is dictionary-free, executable by any
-        searcher (incl. shard-subset searchers)."""
+        searcher (incl. shard-subset searchers). Prefix, wildcard, range
+        and regexp expansions sort the matches of every segment before the
+        cap, so their clause order is a function of the dictionary alone,
+        not of how the index is segmented (fuzzy expansion keeps its
+        per-segment cap of 50)."""
         from dataclasses import replace
 
         if q.nested:
@@ -973,6 +978,7 @@ class IndexSearcher:
                 except _re.error:
                     continue
                 prefixes = _regexp_literal_prefixes(bare_p)
+                hits: set[str] = set()
                 for seg in segs_p:
                     if prefixes:
                         # char-class-aware prefix seek: the union of the
@@ -987,12 +993,8 @@ class IndexSearcher:
                         )
                     else:
                         cand = seg.iter_terms()
-                    for t in cand:
-                        if rx.fullmatch(t) and qual(t) not in seen_r:
-                            seen_r.add(qual(t))
-                            extra_r.append(qual(t))
-                            if len(extra_r) >= 1024:
-                                break
+                    hits.update(_first_matches(cand, rx.fullmatch, 1024 + len(seen_r)))
+                _add_capped(extra_r, seen_r, map(qual, sorted(hits)))
             q = replace(q, should=tuple(extra_r), regexps=())
         if q.ranges or q.wildcards:
             # MultiTermQuery scoring rewrite: expand against the dictionary
@@ -1003,12 +1005,13 @@ class IndexSearcher:
             for lo_t, hi_t in q.ranges:
                 bare_lo, segs_r, qual = _route(lo_t)
                 bare_hi = self._split_field(hi_t)[1]
+                hits = set()
                 for seg in segs_r:
-                    for t in seg.expand_range(bare_lo, bare_hi, 1024):
-                        t = qual(t)
-                        if t not in seen:
-                            seen.add(t)
-                            extra.append(t)
+                    hits.update(seg.expand_range(bare_lo, bare_hi, 1024))
+                for t in map(qual, sorted(hits)[:1024]):
+                    if t not in seen:
+                        seen.add(t)
+                        extra.append(t)
             for pat in q.wildcards:
                 # scan from the fixed prefix of the pattern (BlockTree
                 # intersect role); bounded like maxClauseCount. A LEADING
@@ -1022,6 +1025,7 @@ class IndexSearcher:
                 bare_w, segs_w, qual = _route(pat)
                 fixed = bare_w.split("*", 1)[0].split("?", 1)[0]
                 tail = _rsplit.split(r"[*?]", bare_w)[-1]
+                hits = set()
                 for seg in segs_w:
                     if fixed:
                         cand = seg.expand_prefix(fixed, 65536)
@@ -1029,12 +1033,10 @@ class IndexSearcher:
                         cand = seg.expand_suffix(tail, 65536)
                     else:
                         cand = seg.expand_prefix("", 65536)
-                    for t in cand:
-                        if fnmatch.fnmatchcase(t, bare_w) and qual(t) not in seen:
-                            seen.add(qual(t))
-                            extra.append(qual(t))
-                            if len(extra) >= 1024:
-                                break
+                    hits.update(
+                        _first_matches(cand, lambda t: fnmatch.fnmatchcase(t, bare_w), 1024 + len(seen))
+                    )
+                _add_capped(extra, seen, map(qual, sorted(hits)))
             q = replace(q, should=tuple(extra), ranges=(), wildcards=())
         if q.prefixes:
             # PrefixQuery scoring rewrite: expand against the sorted term
@@ -1394,6 +1396,24 @@ class TimeLimitExceeded(Exception):
         super().__init__("query time limit exceeded")
         self.docs = docs
         self.scores = scores
+
+
+def _first_matches(cand, match, cap: int) -> list[str]:
+    """The first ``cap`` terms of the sorted ``cand`` that ``match``
+    accepts: enough of one segment's matches for a rewrite that sorts the
+    matches of every segment before it caps them."""
+    return list(islice(filter(match, cand), cap))
+
+
+def _add_capped(clauses: list[str], seen: set[str], terms) -> None:
+    """Append each of ``terms`` not in ``seen`` to ``clauses``, stopping
+    at 1024 clauses (the maxClauseCount role)."""
+    for t in terms:
+        if t not in seen:
+            seen.add(t)
+            clauses.append(t)
+            if len(clauses) >= 1024:
+                break
 
 
 def _regexp_literal_prefixes(pat: str, cap: int = 16) -> list[str]:

@@ -83,6 +83,25 @@ def test_invert_heavy_term_blocks(tmp_path):
     check_segment(seg)
 
 
+def test_partition_rows_are_canonical(tmp_path):
+    """Every row of a partition's terms table equals the per-term reference
+    encoding of its decoded postings and norms: singletons, light terms
+    (which carry their exact per-block impact frontier) and terms with
+    full 128-doc blocks."""
+    import pyarrow.parquet as pq
+
+    from test_codec import assert_rows_canonical
+
+    seg_dir = str(tmp_path / "p0")
+    texts = make_pages(600, seed=3).column("text").to_pylist()
+    invert_to_segment(np.arange(1000, 1600, dtype=np.int64), texts, seg_dir)
+    rows = pq.read_table(os.path.join(seg_dir, "terms.parquet")).to_pylist()
+    dfs = [r["df"] for r in rows]
+    assert min(dfs) == 1 and max(dfs) > 2 * 128 and any(1 < d < 128 for d in dfs)
+    assert any(len(r["imp_freq"]) > 1 and r["df"] < 128 for r in rows)  # frontiers, not one pair
+    assert assert_rows_canonical(rows, Segment(seg_dir).norm_of) == len(rows)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_build_index_ray_pipeline(tmp_path):
     pages = pages_from_documents(SF_DIR)

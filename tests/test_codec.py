@@ -11,6 +11,7 @@ from engine.codec import (
     decode_block,
     decode_term_postings,
     encode_term_postings,
+    encode_terms,
     impact_frontier,
     merge_frontiers,
     pack_block,
@@ -160,6 +161,53 @@ def test_merge_frontiers():
 # ---------------------------------------------------------------- postings
 
 
+def expected_row(docs, freqs, norms) -> dict:
+    """One term's postings columns by the per-term reference: the
+    singleton pulse for df 1 (no blob, no block offsets), else
+    ``encode_term_postings``."""
+    docs, freqs = np.asarray(docs, dtype=np.int64), np.asarray(freqs, dtype=np.int64)
+    row = {"df": len(docs), "ttf": int(freqs.sum())}
+    if len(docs) == 1:
+        return row | {
+            "singleton_doc": int(docs[0]),
+            "blob": b"",
+            "last_docs": [int(docs[0])],
+            "offsets": [],
+            "imp_freq": [int(freqs[0])],
+            "imp_norm": [int(norms[0])],
+            "imp_start": [0, 1],
+        }
+    tp = encode_term_postings(docs, freqs, norms)
+    return row | {
+        "singleton_doc": -1,
+        "blob": tp.blob,
+        "last_docs": tp.block_last_doc.tolist(),
+        "offsets": tp.block_offset.tolist(),
+        "imp_freq": tp.imp_freq.tolist(),
+        "imp_norm": tp.imp_norm.astype(np.int64).tolist(),
+        "imp_start": tp.imp_start.tolist(),
+    }
+
+
+def row_postings(row: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(docs, freqs) of a TERMS_SCHEMA row."""
+    if row["df"] == 1:
+        return np.array([row["singleton_doc"]]), np.array([row["ttf"]])
+    return decode_term_postings(row["blob"], row["df"])
+
+
+def assert_rows_canonical(rows, norm_of) -> int:
+    """Every row's postings columns equal the per-term reference encoding
+    of its decoded postings with ``norm_of(docs)``; returns the row count."""
+    n = 0
+    for row in rows:
+        docs, freqs = row_postings(row)
+        exp = expected_row(docs, freqs, norm_of(docs))
+        assert {k: row[k] for k in exp} == exp, row["term"]
+        n += 1
+    return n
+
+
 def _random_postings(rng, df, max_doc=None, max_freq=2**17):
     max_doc = max_doc or df * 50
     docs = np.sort(rng.choice(max_doc, size=df, replace=False)).astype(np.int64)
@@ -299,3 +347,59 @@ def test_offsets_concat_is_valid_stream():
     got_s, got_e = decode_offsets(b1 + b2, np.concatenate([f1, f2]))
     assert [s.tolist() for s in got_s] == [[3, 10], [0], [5, 9, 20]]
     assert [e.tolist() for e in got_e] == [[7, 14], [4], [8, 12, 26]]
+
+
+_TERM_DFS = st.one_of(
+    st.sampled_from([1, 2, 127, 128, 129, 256, 1000]), st.integers(min_value=1, max_value=300)
+)
+
+
+@st.composite
+def _term_group(draw):
+    """One term's postings: random docs and freqs (up to 2**17, deltas of
+    up to 4 VInt bytes), adjacent docs with every freq 1 (the all-ones
+    delta and all-equal freq tokens), or wide gaps with one repeated freq."""
+    df = draw(_TERM_DFS)
+    kind = draw(st.sampled_from(["random", "dense", "equal"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    start = draw(st.integers(min_value=0, max_value=10**12))
+    if kind == "dense":
+        docs = start + np.arange(df)
+        freqs = np.ones(df, dtype=np.int64)
+    else:
+        docs = start + np.cumsum(rng.integers(1, 1 << 24, size=df)) - 1
+        if kind == "equal":
+            freqs = np.full(df, int(rng.integers(1, 2**17, endpoint=True)))
+        else:
+            freqs = np.where(rng.random(df) < 0.5, 1, rng.integers(1, 2**17, size=df, endpoint=True))
+    norms = rng.integers(0, 256, size=df).astype(np.uint8)
+    gap = draw(st.integers(min_value=0, max_value=3))
+    return docs.astype(np.int64), freqs.astype(np.int64), norms, gap
+
+
+@given(st.lists(_term_group(), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_encode_terms_equals_per_term_reference(groups):
+    """The batched encoder gives, group by group, the per-term reference:
+    the same blob bytes, skip arrays and exact impact frontiers, with the
+    singleton rule for df 1; terms may sit between unused postings."""
+    d, f, n, starts, ends = [], [], [], [], []
+    pos = 0
+    for docs, freqs, norms, gap in groups:
+        d.append(np.full(gap, 7))  # postings outside every term
+        f.append(np.full(gap, 9))
+        n.append(np.zeros(gap, dtype=np.uint8))
+        pos += gap
+        starts.append(pos)
+        d.append(docs)
+        f.append(freqs)
+        n.append(norms)
+        pos += len(docs)
+        ends.append(pos)
+    cols = encode_terms(
+        np.concatenate(d), np.concatenate(f), np.concatenate(n), np.array(starts), np.array(ends)
+    )
+    got = [dict(zip(cols, vals)) for vals in zip(*(c.to_pylist() for c in cols.values()))]
+    assert len(got) == len(groups)
+    for row, (docs, freqs, norms, _gap) in zip(got, groups):
+        assert row == expected_row(docs, freqs, norms)

@@ -116,6 +116,103 @@ def test_merge_by_term_salted(built, tmp_path_factory):
     assert _file_stats(r["seg_dir"] for r in m["partitions"]) == sources
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_merged_rows_are_canonical_and_markers_count_terms(built, tmp_path_factory, monkeypatch):
+    """Every row of every merged shard, and of every salted run, equals the
+    per-term reference encoding of its decoded postings and norms; the
+    bucket markers' term counts add up to the light shards' terms plus
+    the run rows (the post-commit sweep is disabled to keep the markers
+    and runs)."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    import engine.merge as merge_mod
+    from test_codec import assert_rows_canonical
+
+    monkeypatch.setattr(merge_mod, "_sweep_merged", lambda *_a: None)
+    root = str(tmp_path_factory.mktemp("canon"))
+    mm = merge_by_term(built["manifest"], root, salt_threshold=400, n_salts=4)
+    mi = MergedIndex(root)
+    rows = [row for _p, row in mi.iter_term_rows()]
+    assert assert_rows_canonical(rows, mi.norm_of) == sum(s["n_terms"] for s in mm["shards"])
+    units = os.path.join(root, "merged", "units")
+    markers = [
+        json.load(open(os.path.join(units, f))) for f in sorted(os.listdir(units)) if f.startswith("bucket-")
+    ]
+    assert len(markers) == mm["n_buckets"]
+    runs = [r["path"] for mk in markers for r in mk["rows"] if r["kind"] == "heavy_runs"]
+    assert runs
+    run_rows = [row for p in runs for row in pq.read_table(p).to_pylist()]
+    assert_rows_canonical(run_rows, mi.norm_of)
+    light_terms = sum(s["n_terms"] for s in mm["shards"] if s["bucket"] >= 0)
+    assert sum(mk["terms"] for mk in markers) == light_terms + len(run_rows)
+    assert mm["buckets"]["terms_max"] == max(mk["terms"] for mk in markers)
+    assert mm["buckets"]["terms_median"] == float(np.median([mk["terms"] for mk in markers]))
+
+
+def test_merge_sorted_batch_groups():
+    """``_merge_sorted_batch`` over hand-made shuffle rows: a well-ordered
+    group joins its rows' streams as they are; a group whose rows
+    interleave in doc order is repaired (postings and positions
+    re-sorted); a group with a row lacking positions gets none; each
+    group's encoded row equals the per-term reference."""
+    import pyarrow as pa
+
+    from engine.codec import decode_positions, encode_positions, encode_terms
+    from engine.merge import _merge_sorted_batch
+    from engine.segment import TERMS_SCHEMA
+    from test_codec import expected_row
+
+    # (term, salt, doc_base, docs, freqs, positions per posting or None)
+    spec = [
+        ("a", -1, 0, [5, 20], [2, 1], [[1, 4], [0]]),
+        ("a", -1, 10, [10], [3], [[2, 5, 9]]),
+        ("b", -1, 0, [1, 2, 3], [1, 1, 2], [[0], [3], [1, 2]]),
+        ("b", -1, 10, [11], [1], [[4]]),
+        ("c", -1, 0, [6], [1], [[7]]),
+        ("c", -1, 10, [12, 13], [1, 1], None),
+    ]
+    docs = np.concatenate([r[3] for r in spec])
+    freqs = np.concatenate([r[4] for r in spec])
+    lens = np.array([len(r[3]) for r in spec])
+    cols = encode_terms(docs, freqs, docs % 7, np.cumsum(lens) - lens, np.cumsum(lens))
+    pos = [
+        encode_positions(np.concatenate([np.array(p) for p in r[5]]), np.array(r[4])) if r[5] else b""
+        for r in spec
+    ]
+    batch = pa.table(
+        {
+            "term": [r[0] for r in spec],
+            **{k: cols[k] for k in ("df", "ttf", "singleton_doc", "blob", "offsets")},
+            "pos_blob": pa.array(pos, type=pa.binary()),
+            "salt": pa.array([r[1] for r in spec], type=pa.int32()),
+            "doc_base": [r[2] for r in spec],
+        }
+    )
+
+    class _Norms:
+        def norms_for(self, d):
+            return (d % 7).astype(np.uint8)
+
+    g = _merge_sorted_batch(batch, _Norms())
+    tbl = g.table()
+    assert tbl.schema == TERMS_SCHEMA
+    got = {r["term"]: r for r in tbl.to_pylist()}
+    assert list(got) == ["a", "b", "c"]
+    merged = {"a": ([5, 10, 20], [2, 3, 1]), "b": ([1, 2, 3, 11], [1, 1, 2, 1]), "c": ([6, 12, 13], [1, 1, 1])}
+    for t, (d, f) in merged.items():
+        d, f = np.array(d), np.array(f)
+        exp = expected_row(d, f, (d % 7).astype(np.uint8))
+        assert {k: got[t][k] for k in exp} == exp, t
+    assert [p.tolist() for p in decode_positions(got["a"]["pos_blob"], np.array([2, 3, 1]))] == [
+        [1, 4], [2, 5, 9], [0]
+    ]
+    assert got["b"]["pos_blob"] == pos[2] + pos[3]
+    assert got["c"]["pos_blob"] == b""
+    assert (got["a"]["off_blob"], got["a"]["pay_blob"]) == (b"", b"")
+
+
 def test_concat_decoded_reorders_positions():
     # interleaved (non-contiguous) runs force the decode+reorder path for
     # the prox stream; result must equal a straight re-encode

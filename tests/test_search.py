@@ -1325,16 +1325,35 @@ def test_leading_wildcard_reversed_dictionary(corpus, merged):
     d3, _ = s.search("*e05*", 10)
     assert len(d3) >= len(d1)
     # the shard fan-out's stats searcher, over the merged dictionary,
-    # rewrites a leading wildcard to the same clauses, in dictionary order
-    # (a searcher over partitions appends each partition's new terms in
-    # turn)
-    from dataclasses import replace
-
+    # rewrites a leading wildcard to the same clauses in the same order
     stats = IndexSearcher(merged)
     for pat in ["*e05", "*01", "*e05*"]:
         q = parse_query(pat)
-        by_parts = s.rewrite(q)
-        assert stats.rewrite(q) == replace(by_parts, should=tuple(sorted(by_parts.should))), pat
+        assert stats.rewrite(q) == s.rewrite(q), pat
+
+
+@pytest.mark.parametrize(
+    "pat",
+    ["*01", "[t00010 TO t00020]", "/t0001[0-9]/", "[t01480 TO t01490]", "/t0148[0-9]/"],
+)
+def test_rewrite_clause_order_ignores_segmentation(corpus, merged, pat):
+    """Wildcard, range and regexp expansions sort the matches of every
+    segment before they cap them, so a searcher over the 4 partitions and
+    one over the merged index rewrite to the same should tuple, and the
+    float64 accumulation over it gives bit-identical float32 scores.
+    (t01486 first occurs after the first partition, so the last two
+    patterns match terms that partitions list in different orders.)"""
+    parts = IndexSearcher(corpus["manifest"], algorithm="taat")
+    whole = IndexSearcher(merged, algorithm="taat")
+    q = parse_query(pat)
+    by_parts, by_whole = parts.rewrite(q), whole.rewrite(q)
+    assert len(by_parts.should) > 1
+    assert by_parts.should == by_whole.should == tuple(sorted(by_whole.should))
+    d1, s1 = parts.search(pat, 50)
+    d2, s2 = whole.search(pat, 50)
+    np.testing.assert_array_equal(d1, d2)
+    assert s1.dtype == s2.dtype == np.float32
+    np.testing.assert_array_equal(s1.view(np.uint32), s2.view(np.uint32))
 
 
 def test_reverse_string_filter_goldens():
