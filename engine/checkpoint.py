@@ -89,10 +89,6 @@ def finalize_build_manifest(index_dir: str, rows: list[dict]) -> dict:
     return manifest
 
 
-def segment_dirs(manifest: dict) -> list[str]:
-    return [r["seg_dir"] for r in manifest["partitions"]]
-
-
 def load_merge_manifest(index_dir: str) -> dict | None:
     p = os.path.join(index_dir, "merged", MANIFEST_NAME)
     if os.path.exists(p):

@@ -40,8 +40,15 @@ bounds block-max BM25 scores.
 
 ``encode_terms`` is the engine's one postings encoder: it writes this
 layout for every term of a partition (the inverter) or of a merge bucket
-in array passes. ``encode_term_postings`` encodes one term and is the
-reference it is tested against.
+in array passes. ``decode_terms``, its inverse, is the merge's one
+decoder: every row of a merge batch in array passes, so no other module
+parses the blob. A reader decodes one term at a time:
+``PostingsReader.postings`` through ``decode_term_postings_indexed``
+(cheaper than ``decode_terms`` on one short row), WAND block skipping
+one block through ``decode_block``. ``encode_term_postings`` and
+``decode_term_postings`` encode and decode one term block by block; they
+are the per-term references the batched paths are tested against, and
+``checkindex`` decodes through the latter.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+from numpy.lib.stride_tricks import sliding_window_view
 
 BLOCK_SIZE = 128  # ForUtil.java:39
 
@@ -214,13 +222,6 @@ def impact_frontier(freqs: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, n
         runmax = np.maximum.accumulate(f_u)
         keep[1:] = f_u[1:] > runmax[:-1]
     return f_u[keep].astype(np.int64), n_u[keep].astype(np.uint8)
-
-
-def merge_frontiers(
-    f1: np.ndarray, n1: np.ndarray, f2: np.ndarray, n2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Union two frontiers into one (used by upper skip levels / merges)."""
-    return impact_frontier(np.concatenate([f1, f2]), np.concatenate([n1, n2]))
 
 
 # ---------------------------------------------------------------------------
@@ -593,59 +594,25 @@ def decode_block(
 def decode_term_postings_indexed(
     blob: bytes | memoryview, df: int, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized whole-term decode using the per-block offset array from
-    the skip data: blocks are grouped by bit width and unpacked in one
-    numpy pass per width (the FastLanes-style batched unpack), instead of
-    the per-block Python loop of ``decode_term_postings``. Rank-identical
-    output; ~10x faster for high-df terms."""
+    """One term's decode through the per-block offsets of its skip data:
+    its full blocks go through ``_decode_full_blocks`` (one unpack pass
+    per bit width), its tail through two ``read_vints`` reads. This is
+    ``PostingsReader.postings``' decoder: on one short row it costs about
+    a third of ``decode_terms``, whose fixed cost pays off over many rows."""
     nfull = df // BLOCK_SIZE
     tail_n = df - nfull * BLOCK_SIZE
     deltas = np.empty(df, dtype=np.uint64)
     freqs = np.empty(df, dtype=np.int64)
-    raw = np.frombuffer(blob, dtype=np.uint8)
-    mv = memoryview(blob)
-
     if nfull:
-        offs = np.asarray(offsets[:nfull], dtype=np.int64)
-        wd = raw[offs].astype(np.int64)  # doc-block widths (0 = all deltas 1)
-        doc_start = offs + 1
-        freq_tok_pos = doc_start + np.where(wd > 0, 16 * wd, 0)
-        wf = raw[freq_tok_pos].astype(np.int64)
-
-        # doc deltas, batched per distinct width
-        dview = deltas[: nfull * BLOCK_SIZE].reshape(nfull, BLOCK_SIZE)
-        fview = freqs[: nfull * BLOCK_SIZE].reshape(nfull, BLOCK_SIZE)
-        all1 = np.flatnonzero(wd == 0)
-        if len(all1):
-            dview[all1] = 1
-        for w in np.unique(wd[wd > 0]):
-            blocks = np.flatnonzero(wd == w)
-            nb = 16 * int(w)
-            idx = doc_start[blocks][:, None] + np.arange(nb)[None, :]
-            chunk = raw[idx]  # (n_blocks, nb)
-            bits = np.unpackbits(chunk, axis=1)[:, : BLOCK_SIZE * int(w)]
-            bits = bits.reshape(len(blocks), BLOCK_SIZE, int(w)).astype(np.uint64)
-            shifts = np.arange(int(w) - 1, -1, -1, dtype=np.uint64)
-            dview[blocks] = (bits << shifts[None, None, :]).sum(axis=2, dtype=np.uint64)
-
-        # freqs: width-grouped packed blocks; wf==0 means all-equal + VInt
-        eq = np.flatnonzero(wf == 0)
-        if len(eq):
-            vals = read_vints_at(raw, freq_tok_pos[eq] + 1)
-            fview[eq] = vals.astype(np.int64)[:, None]
-        for w in np.unique(wf[wf > 0]):
-            blocks = np.flatnonzero(wf == w)
-            nb = (BLOCK_SIZE * int(w) + 7) // 8
-            idx = (freq_tok_pos[blocks] + 1)[:, None] + np.arange(nb)[None, :]
-            chunk = raw[idx]
-            bits = np.unpackbits(chunk, axis=1)[:, : BLOCK_SIZE * int(w)]
-            bits = bits.reshape(len(blocks), BLOCK_SIZE, int(w)).astype(np.uint64)
-            shifts = np.arange(int(w) - 1, -1, -1, dtype=np.uint64)
-            fview[blocks] = (bits << shifts[None, None, :]).sum(axis=2, dtype=np.uint64).astype(
-                np.int64
-            )
-
+        _decode_full_blocks(
+            np.frombuffer(blob, dtype=np.uint8),
+            np.asarray(offsets[:nfull], dtype=np.int64),
+            deltas[: nfull * BLOCK_SIZE].reshape(nfull, BLOCK_SIZE),
+            freqs[: nfull * BLOCK_SIZE].reshape(nfull, BLOCK_SIZE),
+            np.arange(nfull),
+        )
     if tail_n:
+        mv = memoryview(blob)
         pos = int(offsets[nfull]) if nfull < len(offsets) else 0
         combined, pos = read_vints(mv, tail_n, pos)
         lo = nfull * BLOCK_SIZE
@@ -657,6 +624,137 @@ def decode_term_postings_indexed(
         freqs[lo:] = f
 
     docs = np.cumsum(deltas.astype(np.int64)) - 1
+    return docs, freqs
+
+
+_UNPACK_CHUNK = 256  # blocks per unpack pass
+
+
+def _unpack_rows(raw: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of ``_pack_rows``: the BLOCK_SIZE values packed at
+    ``width`` bits from each byte offset ``at`` of ``raw``, as a
+    (len(at), BLOCK_SIZE) uint64 matrix. Unpacks ``_UNPACK_CHUNK`` blocks
+    per pass in the narrowest unsigned type that holds ``width`` bits, so
+    the (blocks, BLOCK_SIZE, width) bit matrix stays cache-sized
+    (unchunked, many-block inputs ran ~40% slower)."""
+    out = np.empty((len(at), BLOCK_SIZE), dtype=np.uint64)
+    span = np.arange(16 * width)
+    dt = np.min_scalar_type((1 << width) - 1)
+    shifts = np.arange(width - 1, -1, -1, dtype=dt)
+    for lo in range(0, len(at), _UNPACK_CHUNK):
+        packed = raw[at[lo : lo + _UNPACK_CHUNK, None] + span]
+        bits = np.unpackbits(packed, axis=1).reshape(len(packed), BLOCK_SIZE, width)
+        out[lo : lo + len(packed)] = (bits.astype(dt) << shifts).sum(axis=2, dtype=dt)
+    return out
+
+
+def _decode_full_blocks(
+    raw: np.ndarray, at: np.ndarray, deltas: np.ndarray, freqs: np.ndarray, rows: np.ndarray
+) -> None:
+    """Decode the full blocks whose doc tokens sit at byte offsets ``at``
+    of ``raw`` into rows ``rows`` of the (*, BLOCK_SIZE) matrices
+    ``deltas`` (doc deltas) and ``freqs``, whatever term each block
+    belongs to: packed blocks in one ``_unpack_rows`` pass per bit width
+    (the FastLanes-style batched unpack), a doc token 0 as all deltas 1,
+    a freq token 0 as its one VInt value."""
+    wd = raw[at].astype(np.int64)
+    p_freq = at + 1 + 16 * wd
+    wf = raw[p_freq].astype(np.int64)
+    deltas[rows[wd == 0]] = 1
+    for w in np.unique(wd[wd > 0]).tolist():
+        sel = np.flatnonzero(wd == w)
+        deltas[rows[sel]] = _unpack_rows(raw, at[sel] + 1, w)
+    eq = np.flatnonzero(wf == 0)
+    if len(eq):
+        freqs[rows[eq]] = read_vints_at(raw, p_freq[eq] + 1).astype(np.int64)[:, None]
+    for w in np.unique(wf[wf > 0]).tolist():
+        sel = np.flatnonzero(wf == w)
+        freqs[rows[sel]] = _unpack_rows(raw, p_freq[sel] + 1, w)
+
+
+def array_offsets(arr: pa.Array) -> np.ndarray:
+    """Int32 offsets of a non-chunked binary or list array (into its data
+    buffer or ``values``), zero-copy (``arr.offsets.to_numpy()`` costs
+    ~100x more)."""
+    o = arr.offset
+    return np.frombuffer(arr.buffers()[1], dtype=np.int32)[o : o + len(arr) + 1]
+
+
+def decode_terms(cols) -> tuple[np.ndarray, np.ndarray]:
+    """Decode many terms at once, the inverse of ``encode_terms``: ``cols``
+    maps ``df``, ``ttf``, ``singleton_doc``, ``blob`` and ``offsets`` to
+    non-chunked arrays of ``segment.TERMS_SCHEMA`` rows (at least one).
+    Returns flat (docs, freqs), int64: row i's postings are
+    ``[cumsum(df)[i] - df[i], cumsum(df)[i])``.
+
+    Array passes over all rows, no per-row Python: singletons come from
+    their columns; every row's full blocks, found through ``offsets``,
+    are unpacked together, one pass per bit width
+    (``_decode_full_blocks``); every tail block's VInts are read in one
+    ``read_vints`` pass; docs come from one cumsum of the doc deltas that
+    restarts at each row, so its running values stay below max doc + 1."""
+    df = cols["df"].to_numpy()
+    n_rows = len(df)
+    ends = np.cumsum(df)
+    starts = ends - df
+    deltas = np.empty(int(ends[-1]), dtype=np.int64)
+    freqs = np.empty(int(ends[-1]), dtype=np.int64)
+    single = np.flatnonzero(df == 1)
+    deltas[starts[single]] = cols["singleton_doc"].to_numpy()[single] + 1
+    freqs[starts[single]] = cols["ttf"].to_numpy()[single]
+
+    blob = cols["blob"]
+    b_off = array_offsets(blob)
+    raw = np.frombuffer(blob.buffers()[2] or b"", dtype=np.uint8)
+    offsets = cols["offsets"]
+    l_off = array_offsets(offsets)
+    blk_off = offsets.values.to_numpy()  # block byte offsets within each blob
+    multi = df >= 2
+    nfull = np.where(multi, df // BLOCK_SIZE, 0)
+    tail_n = np.where(multi, df % BLOCK_SIZE, 0)
+
+    n_fb = int(nfull.sum())
+    if n_fb:
+        fb_row = np.repeat(np.arange(n_rows), nfull)
+        k = np.arange(n_fb) - np.repeat(_excl_cumsum(nfull), nfull)
+        # row j of a window view is postings j .. j + 127, so each block
+        # decodes straight into its place in the flat arrays
+        _decode_full_blocks(
+            raw,
+            b_off[fb_row] + blk_off[l_off[fb_row] + k],
+            sliding_window_view(deltas, BLOCK_SIZE, writeable=True),
+            sliding_window_view(freqs, BLOCK_SIZE, writeable=True),
+            starts[fb_row] + k * BLOCK_SIZE,
+        )
+
+    tr = np.flatnonzero(tail_n)
+    if len(tr):
+        # every tail's bytes (the (delta << 1 | freq == 1) stream, then
+        # the freq != 1 stream) run to the end of its row's blob: gather
+        # them into one stream and split it per row by terminator counts
+        t_at = b_off[tr] + blk_off[l_off[tr] + nfull[tr]]
+        t_len = b_off[tr + 1] - t_at
+        t_base = _excl_cumsum(t_len)
+        cat = raw[np.repeat(t_at - t_base, t_len) + np.arange(int(t_len.sum()))]
+        is_end = (cat & 0x80) == 0
+        vals, _ = read_vints(cat, int(is_end.sum()))
+        ends_cs = np.concatenate(([0], np.cumsum(is_end)))
+        n_vals = ends_cs[t_base + t_len] - ends_cs[t_base]
+        tn = tail_n[tr]
+        val_row = np.repeat(np.arange(len(tr)), n_vals)
+        comb = np.arange(len(vals)) - _excl_cumsum(n_vals)[val_row] < tn[val_row]
+        c = vals[comb]
+        dst = np.repeat(starts[tr] + nfull[tr] * BLOCK_SIZE - _excl_cumsum(tn), tn) + np.arange(len(c))
+        deltas[dst] = c >> np.uint64(1)
+        f = np.ones(len(c), dtype=np.int64)
+        f[(c & np.uint64(1)) == 0] = vals[~comb]
+        freqs[dst] = f
+
+    # restart the running sum at each row: its first delta less the
+    # previous row's delta total (that row's last doc + 1)
+    deltas[starts[1:]] -= np.add.reduceat(deltas, starts)[:-1]
+    docs = np.cumsum(deltas)
+    docs -= 1
     return docs, freqs
 
 

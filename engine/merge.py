@@ -84,66 +84,8 @@ import pyarrow.compute as pc  # pa.compute is unset until this import
 from .rayenv import remote_args as _rargs
 import pyarrow.parquet as pq
 
-from .codec import encode_terms
+from .codec import decode_terms, encode_terms
 from .segment import POSTINGS_FILES, TERMS_SCHEMA, PostingsReader, TermRows, binary_views
-
-
-def _concat_decoded(decoded):
-    """Concatenate doc-disjoint (docs, freqs, norms, pos_blob[, off_blob])
-    runs; restore doc order. Position/offset streams byte-concatenate
-    without re-encoding when runs are already doc-ordered (deltas reset per
-    doc); a rare reorder decodes and re-encodes them."""
-    decoded = sorted(decoded, key=lambda t: int(t[0][0]))
-    docs = np.concatenate([d[0] for d in decoded])
-    freqs = np.concatenate([d[1] for d in decoded])
-    norms = np.concatenate([d[2] for d in decoded])
-    has_pos = len(decoded) > 0 and all(len(d) > 3 and d[3] for d in decoded)
-    has_off = len(decoded) > 0 and all(len(d) > 4 and d[4] for d in decoded)
-    has_pay = len(decoded) > 0 and all(len(d) > 5 and d[5] for d in decoded)
-    if len(docs) > 1 and not bool((np.diff(docs) > 0).all()):
-        order = np.argsort(docs, kind="stable")
-        if has_pos:
-            from .codec import decode_positions, encode_positions
-
-            per_posting: list[np.ndarray] = []
-            for d in decoded:
-                per_posting.extend(decode_positions(d[3], d[1]))
-            reordered = [per_posting[i] for i in order]
-            pos_blob = encode_positions(np.concatenate(reordered), freqs[order])
-        else:
-            pos_blob = b""
-        if has_off:
-            from .codec import decode_offsets, encode_offsets
-
-            per_s: list[np.ndarray] = []
-            per_e: list[np.ndarray] = []
-            for d in decoded:
-                s_l, e_l = decode_offsets(d[4], d[1])
-                per_s.extend(s_l)
-                per_e.extend(e_l)
-            off_blob = encode_offsets(
-                np.concatenate([per_s[i] for i in order]),
-                np.concatenate([per_e[i] for i in order]),
-                freqs[order],
-            )
-        else:
-            off_blob = b""
-        if has_pay:
-            from .codec import decode_payloads, encode_payloads
-
-            per_p: list[np.ndarray] = []
-            for d in decoded:
-                per_p.extend(decode_payloads(d[5], d[1]))
-            pay_blob = encode_payloads(
-                np.concatenate([per_p[i] for i in order])
-            )
-        else:
-            pay_blob = b""
-        return docs[order], freqs[order], norms[order], pos_blob, off_blob, pay_blob
-    pos_blob = b"".join(d[3] for d in decoded) if has_pos else b""
-    off_blob = b"".join(d[4] for d in decoded) if has_off else b""
-    pay_blob = b"".join(d[5] for d in decoded) if has_pay else b""
-    return docs, freqs, norms, pos_blob, off_blob, pay_blob
 
 
 # ---------------------------------------------------------------------------
@@ -513,26 +455,13 @@ def _explode_chunk(
     chunk = max(1, (len(rank_of_base) + n_salts - 1) // n_salts)
     out: list[list[bytes]] = [[] for _ in range(n_buckets)]
     for seg_dir in seg_dirs_chunk:
-        terms_path = os.path.join(seg_dir, "terms.parquet")
-        want = [
-            "term",
-            "df",
-            "ttf",
-            "singleton_doc",
-            "blob",
-            "pos_blob",
-            "off_blob",
-            "pay_blob",
-            "offsets",
-        ]
-        have = set(pq.read_schema(terms_path).names)
         t = pq.read_table(
-            terms_path,
-            # offsets ride along (tiny: one int per 128 postings) so the
-            # bucket merger's block rows decode via the batched
-            # width-grouped unpack instead of a per-block Python loop;
-            # the intersection keeps pre-payload segment files readable
-            columns=[c for c in want if c in have],
+            os.path.join(seg_dir, "terms.parquet"),
+            # offsets ride along (one int per 128 postings): the bucket
+            # merger's decode_terms finds every block of a row through them
+            columns=[
+                "term", "df", "ttf", "singleton_doc", "blob", "pos_blob", "off_blob", "pay_blob", "offsets",
+            ],
         )
         with open(os.path.join(seg_dir, "meta.json")) as f:
             doc_base = json.load(f)["doc_base"]
@@ -610,17 +539,15 @@ class _Groups(NamedTuple):
 
 
 _SIDE_STREAMS = ("pos_blob", "off_blob", "pay_blob")
+_POSTINGS_COLS = ("df", "ttf", "singleton_doc", "blob", "offsets")  # decode_terms input
 
 
 def _group_bytes(batch: pa.Table, name: str, g_starts: np.ndarray, g_ends: np.ndarray) -> pa.Array:
     """Per group, its rows' ``name`` streams joined: rows of a group are
     contiguous and doc-ordered, so that is one byte range of the column,
-    taken without a copy. A group any of whose rows lacks the stream (or
-    a batch without the column) gets b"", as the stream then does not
-    cover every posting."""
+    taken without a copy. A group any of whose rows lacks the stream gets
+    b"", as the stream then does not cover every posting."""
     n_groups = len(g_starts)
-    if name not in batch.column_names:
-        return pa.array([b""] * n_groups, type=pa.binary())
     arr = batch.column(name).chunk(0)
     offs, _ = binary_views(arr)
     missing = np.concatenate(([0], np.cumsum(offs[1:] <= offs[:-1])))
@@ -636,127 +563,30 @@ def _group_bytes(batch: pa.Table, name: str, g_starts: np.ndarray, g_ends: np.nd
 def _merge_sorted_batch(
     batch: pa.Table, norm_store: "_NormStore", group_salt: bool = True
 ) -> _Groups | None:
-    """Decode + merge a (term, salt, doc_base)-sorted single-chunk batch of
-    shuffle rows into its (term, salt) groups, in sorted order, or None
-    for an empty batch. ``group_salt=False`` groups by term ONLY (rows
-    still salt-sorted within a term) — the final heavy pass merges a
-    term's salted runs into one group this way.
+    """Merge a (term, salt, doc_base)-sorted single-chunk batch of shuffle
+    rows into its (term, salt) groups, in sorted order, or None for an
+    empty batch. ``group_salt=False`` groups by term ONLY (rows still
+    salt-sorted within a term) — the final heavy pass merges a term's
+    salted runs into one group this way.
 
-    Vectorized three-class decode (the batched-VInt lesson from the
-    inverter — per-row Python loops cost ~90us/row, this path ~2us):
-
-    - singletons (df==1): doc/freq straight from columns, no blob;
-    - VInt rows (1 < df < 128): every row's blob gathered into ONE byte
-      stream and decoded in ONE read_vints pass; the combined/freq-rest
-      sub-streams are split per row with cumsum arithmetic;
-    - block rows (df>=128, the stop band): per-row decode.
-
-    Per-row segments land in one flat postings buffer at cumsum(df)
-    offsets, so each group's merged postings are a CONTIGUOUS slice, and
-    so are its position, offset and payload bytes (``_group_bytes``);
-    group bounds come from array comparisons, with no per-group Python.
-    Rows are doc-ordered within a group (sorted by doc_base, partitions
-    doc-disjoint); a violated group is repaired through
-    ``_concat_decoded``."""
-    from .codec import (
-        BLOCK_SIZE,
-        decode_term_postings,
-        decode_term_postings_indexed,
-        read_vints,
-    )
-
+    One ``codec.decode_terms`` call decodes every row into one flat
+    postings buffer at cumsum(df) offsets, so each group's merged
+    postings are a CONTIGUOUS slice, and so are its position, offset and
+    payload bytes (``_group_bytes``); group bounds come from array
+    comparisons, with no per-group Python. A group's rows are doc-ordered:
+    partitions cover disjoint doc ranges (``finalize_build_manifest``
+    checks), rows sort by doc_base, and salts are contiguous
+    partition-rank ranges. A group whose rows interleave in doc order
+    raises ``ValueError`` naming its term."""
     n = batch.num_rows
     if n == 0:
         return None
     terms_a = batch.column("term").chunk(0)
     salt = batch.column("salt").to_numpy()
     df = batch.column("df").to_numpy()
-    ttf = batch.column("ttf").to_numpy()
-    singleton = batch.column("singleton_doc").to_numpy()
-    b_off, b_data = binary_views(batch.column("blob").chunk(0))
-    raw = (
-        np.frombuffer(b_data, dtype=np.uint8)
-        if len(b_data)
-        else np.empty(0, np.uint8)
-    )
-
+    flat_docs, flat_freqs = decode_terms({c: batch.column(c).chunk(0) for c in _POSTINGS_COLS})
     out_end = np.cumsum(df)
     out_start = out_end - df
-    total = int(out_end[-1])
-    flat_docs = np.empty(total, dtype=np.int64)
-    flat_freqs = np.empty(total, dtype=np.int64)
-
-    s_rows = np.flatnonzero(df == 1)
-    if len(s_rows):
-        flat_docs[out_start[s_rows]] = singleton[s_rows]
-        flat_freqs[out_start[s_rows]] = ttf[s_rows]
-
-    l_rows = np.flatnonzero((df > 1) & (df < BLOCK_SIZE))
-    if len(l_rows):
-        starts_b = b_off[l_rows].astype(np.int64)
-        lens_b = (b_off[l_rows + 1] - b_off[l_rows]).astype(np.int64)
-        total_b = int(lens_b.sum())
-        out_off_b = np.cumsum(lens_b) - lens_b
-        gidx = np.arange(total_b, dtype=np.int64) + np.repeat(
-            starts_b - out_off_b, lens_b
-        )
-        cat = raw[gidx]
-        is_term_b = (cat & 0x80) == 0
-        n_vints = int(is_term_b.sum())
-        vals, _ = read_vints(cat, n_vints)
-        cum_term = np.concatenate(([0], np.cumsum(is_term_b)))
-        vints_per_row = cum_term[np.cumsum(lens_b)] - cum_term[out_off_b]
-        ldf = df[l_rows]
-        val_starts = np.cumsum(vints_per_row) - vints_per_row
-        pos_in_row = np.arange(n_vints, dtype=np.int64) - np.repeat(
-            val_starts, vints_per_row
-        )
-        row_of_val = np.repeat(np.arange(len(l_rows)), vints_per_row)
-        is_comb = pos_in_row < ldf[row_of_val]
-        comb = vals[is_comb]
-        rest = vals[~is_comb].astype(np.int64)
-        d = (comb >> np.uint64(1)).astype(np.int64)
-        flags = (comb & np.uint64(1)).astype(bool)
-        seg_cs = np.cumsum(d)
-        comb_starts = np.cumsum(ldf) - ldf
-        base = np.repeat(seg_cs[comb_starts] - d[comb_starts], ldf)
-        docs_l = seg_cs - base - 1
-        freqs_l = np.ones(len(d), dtype=np.int64)
-        freqs_l[~flags] = rest
-        tgt = (
-            np.arange(len(d), dtype=np.int64)
-            - np.repeat(comb_starts, ldf)
-            + np.repeat(out_start[l_rows], ldf)
-        )
-        flat_docs[tgt] = docs_l
-        flat_freqs[tgt] = freqs_l
-
-    blk_rows = np.flatnonzero(df >= BLOCK_SIZE)
-    if len(blk_rows):
-        # block rows: use the width-grouped batched unpack when the rows
-        # carry their skip-offset arrays (run files and offset-shipping
-        # explode rows do) — decode_term_postings' per-block Python loop
-        # was the dominant line of the final-heavy pass (~10s of 18s over
-        # the sf0.1 heavy mass single-threaded)
-        off_starts = off_flat = None
-        if "offsets" in batch.column_names:
-            la = batch.column("offsets").chunk(0)
-            off_flat = la.flatten().to_numpy()
-            lens = pc.list_value_length(la).to_numpy(zero_copy_only=False)
-            lens = np.nan_to_num(lens.astype(np.float64)).astype(np.int64)
-            off_starts = np.concatenate(([0], np.cumsum(lens)))
-        for r in blk_rows.tolist():
-            blob_r = b_data[b_off[r] : b_off[r + 1]]
-            if off_starts is not None and off_starts[r + 1] > off_starts[r]:
-                dd, ff = decode_term_postings_indexed(
-                    blob_r, int(df[r]), off_flat[off_starts[r] : off_starts[r + 1]]
-                )
-            else:
-                dd, ff = decode_term_postings(blob_r, int(df[r]))
-            flat_docs[out_start[r] : out_end[r]] = dd
-            flat_freqs[out_start[r] : out_end[r]] = ff
-
-    flat_norms = norm_store.norms_for(flat_docs)
 
     if n > 1:
         neq = pc.not_equal(
@@ -770,51 +600,27 @@ def _merge_sorted_batch(
     g_starts = np.concatenate([[0], brk]).astype(np.int64)
     g_ends = np.concatenate([brk, [n]]).astype(np.int64)
     p_lo, p_hi = out_start[g_starts], out_end[g_ends - 1]
-    side = {name: _group_bytes(batch, name, g_starts, g_ends) for name in _SIDE_STREAMS}
 
-    # postings whose doc does not exceed the previous one inside a group
-    # (shouldn't happen with doc-disjoint partitions): repair those groups
-    # through the per-run slow path
-    unordered = np.flatnonzero(flat_docs[1:] <= flat_docs[:-1]) + 1
-    unordered = unordered[~np.isin(unordered, p_lo)]
-    if len(unordered):
-        bad = np.unique(np.searchsorted(p_lo, unordered, side="right") - 1).tolist()
-        views = {name: binary_views(batch.column(name).chunk(0)) for name in _SIDE_STREAMS if name in batch.column_names}
-        lists = {name: arr.to_pylist() for name, arr in side.items()}
-        for g in bad:
-            rows = range(int(g_starts[g]), int(g_ends[g]))
-            streams = []
-            for name in _SIDE_STREAMS:
-                if not lists[name][g]:
-                    streams.append([b""] * len(rows))
-                    continue
-                off, data = views[name]
-                streams.append([bytes(data[off[r] : off[r + 1]]) for r in rows])
-            decoded = [
-                (
-                    flat_docs[out_start[r] : out_end[r]],
-                    flat_freqs[out_start[r] : out_end[r]],
-                    flat_norms[out_start[r] : out_end[r]],
-                    *(st[i] for st in streams),
-                )
-                for i, r in enumerate(rows)
-            ]
-            docs, freqs, norms, *blobs = _concat_decoded(decoded)
-            lo, hi = int(p_lo[g]), int(p_hi[g])
-            flat_docs[lo:hi], flat_freqs[lo:hi], flat_norms[lo:hi] = docs, freqs, norms
-            for name, blob in zip(_SIDE_STREAMS, blobs):
-                lists[name][g] = blob
-        side = {name: pa.array(v, type=pa.binary()) for name, v in lists.items()}
+    # docs ascend within a row, so a doc not above its predecessor inside
+    # a group sits where one of its rows starts inside another's range
+    back = np.flatnonzero(flat_docs[1:] <= flat_docs[:-1]) + 1
+    back = back[~np.isin(back, p_lo)]
+    if len(back):
+        g = int(np.searchsorted(p_lo, back[0], side="right")) - 1
+        raise ValueError(
+            f"merge rows of term {terms_a[int(g_starts[g])].as_py()!r} interleave in doc "
+            "order: their partitions' doc ranges overlap"
+        )
 
     return _Groups(
         terms=terms_a.take(pa.array(g_starts)),
         salts=salt[g_starts],
         docs=flat_docs,
         freqs=flat_freqs,
-        norms=flat_norms,
+        norms=norm_store.norms_for(flat_docs),
         starts=p_lo,
         ends=p_hi,
-        side=side,
+        side={name: _group_bytes(batch, name, g_starts, g_ends) for name in _SIDE_STREAMS},
     )
 
 
@@ -1143,7 +949,7 @@ def merge_by_term(
             """Finalize one batch of heavy terms: gather their salted runs
             (each term's runs live in exactly the n_salts bucket files
             hash(term, salt) % B), then ONE sorted-batch merge over the
-            concatenated run rows — the same batched three-class decode and
+            concatenated run rows — the same batched decode (decode_terms) and
             batched encode as the bucket merger (_merge_sorted_batch,
             term-only groups, runs salt-ordered = doc-ordered). Run tables cache per worker
             process (LRU) so overlapping tasks re-read a file at most once

@@ -1839,17 +1839,6 @@ def search_dataset(
     )
 
 
-def merge_topk(
-    results: list[tuple[np.ndarray, np.ndarray]], k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """TopDocs.merge analogue over shard-local top-k lists."""
-    if not results:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-    docs = np.concatenate([r[0] for r in results])
-    scores = np.concatenate([r[1] for r in results])
-    return topk_sort(docs, scores, k)
-
-
 # ---------------------------------------------------------------------------
 # Doc-sharded distributed search (SURVEY §3.2 scatter/gather):
 # (query × shard) fan-out → shard-local top-k in a cached-shard task pool →

@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import time
 import uuid
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -54,6 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from .codec import array_offsets
 
 TERMS_SCHEMA = pa.schema(
     [
@@ -110,13 +111,6 @@ _LIST_COLS = ("last_docs", "offsets", "imp_freq", "imp_norm", "imp_start")
 _BLOB_COLS = ("blob", "pos_blob", "off_blob", "pay_blob")
 
 
-def _offsets(arr: pa.Array) -> np.ndarray:
-    """Int32 offsets of a non-chunked binary or list array, zero-copy
-    (``arr.offsets.to_numpy()`` costs ~100x more)."""
-    o = arr.offset
-    return np.frombuffer(arr.buffers()[1], dtype=np.int32)[o : o + len(arr) + 1]
-
-
 def binary_views(arr: pa.Array) -> tuple[np.ndarray, memoryview]:
     """Zero-copy (offsets, data) views over a non-chunked binary array:
     row i's bytes are data[offs[i]:offs[i+1]] — no per-row Python bytes
@@ -157,23 +151,16 @@ class TermRows:
         self._lists = []
         for c in _LIST_COLS:
             a = cols[c]
-            self._lists.append((_offsets(a), a.values.to_numpy().astype(np.int64, copy=False)))
-        # (offsets, uint8 data) per blob column; None when the table
-        # predates the column. A null slot spans no bytes, so it reads
-        # as an empty blob.
+            self._lists.append((array_offsets(a), a.values.to_numpy().astype(np.int64, copy=False)))
+        # (offsets, uint8 data) per blob column; a null slot spans no
+        # bytes, so it reads as an empty blob
         self._blobs = []
         for c in _BLOB_COLS:
-            if c not in cols:
-                self._blobs.append(None)
-                continue
             offs, data = binary_views(cols[c])
             self._blobs.append((offs, np.frombuffer(data, dtype=np.uint8)))
 
     def _blob(self, j: int, i: int) -> bytes | memoryview:
-        col = self._blobs[j]
-        if col is None:
-            return b""
-        offs, data = col
+        offs, data = self._blobs[j]
         return data[offs[i] : offs[i + 1]].data
 
     def info(self, term: str, i: int) -> TermInfo:
@@ -424,10 +411,3 @@ class Segment(PostingsReader):
             return 0, 0
         return int(self._rows.df[i]), int(self._rows.ttf[i])
 
-
-def make_terms_table(rows: dict[str, list]) -> pa.Table:
-    return pa.table(rows, schema=TERMS_SCHEMA)
-
-
-def now_ms() -> float:
-    return time.perf_counter() * 1000.0

@@ -10,10 +10,10 @@ from engine.codec import (
     BLOCK_SIZE,
     decode_block,
     decode_term_postings,
+    decode_terms,
     encode_term_postings,
     encode_terms,
     impact_frontier,
-    merge_frontiers,
     pack_block,
     read_vints,
     unpack_block,
@@ -149,13 +149,6 @@ def test_impact_frontier_property(pairs):
         assert any(ff >= pf and nn <= pn for ff, nn in zip(f.tolist(), n.tolist()))
     # frontier itself has no internal dominance and is sorted
     assert all(n[i] < n[i + 1] and f[i] < f[i + 1] for i in range(len(n) - 1))
-
-
-def test_merge_frontiers():
-    f, n = merge_frontiers(
-        np.array([2]), np.array([5], dtype=np.uint8), np.array([4]), np.array([9], dtype=np.uint8)
-    )
-    assert list(zip(f.tolist(), n.tolist())) == [(2, 5), (4, 9)]
 
 
 # ---------------------------------------------------------------- postings
@@ -403,3 +396,63 @@ def test_encode_terms_equals_per_term_reference(groups):
     assert len(got) == len(groups)
     for row, (docs, freqs, norms, _gap) in zip(got, groups):
         assert row == expected_row(docs, freqs, norms)
+    assert_decode_terms(cols, [(docs, freqs) for docs, freqs, _n, _g in groups])
+
+
+def assert_decode_terms(cols, groups) -> None:
+    """``decode_terms`` over encoded columns returns each group's docs and
+    freqs at its cumsum(df) range, equal row by row to the per-term
+    reference decode."""
+    docs, freqs = decode_terms(cols)
+    assert docs.dtype == freqs.dtype == np.int64
+    rows = [dict(zip(cols, vals)) for vals in zip(*(c.to_pylist() for c in cols.values()))]
+    pos = 0
+    for row, (d, f) in zip(rows, groups):
+        got = docs[pos : pos + len(d)], freqs[pos : pos + len(d)]
+        np.testing.assert_array_equal(got[0], d)
+        np.testing.assert_array_equal(got[1], f)
+        ref = row_postings(row)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+        pos += len(d)
+    assert pos == len(docs) == len(freqs)
+
+
+def test_decode_terms_many_rows():
+    """One batch of many rows: full blocks of many doc-delta and freq
+    widths (all-ones and all-equal tokens too), df an exact multiple of
+    128, rows with and without tails, doc ids near 10**12; and a batch of
+    singletons only."""
+    rng = np.random.default_rng(11)
+    groups = []
+    for i in range(60):
+        df = [1, 2, 127, 128, 256, 129, 640, 1000, 128 * 9][i % 9]
+        base = 10**12 - 10**9 + int(rng.integers(0, 10**8)) if i % 3 else int(rng.integers(0, 10**6))
+        if i % 5 == 0:
+            docs, freqs = base + np.arange(df), np.full(df, 1 + i)
+        else:
+            gap = 1 << int(rng.integers(1, 20))
+            docs = base + np.cumsum(rng.integers(1, gap, size=df, endpoint=True)) - 1
+            freqs = np.where(rng.random(df) < 0.5, 1, rng.integers(1, 1 << int(rng.integers(2, 18)), size=df))
+        groups.append((docs.astype(np.int64), freqs.astype(np.int64)))
+    assert groups[-1][0].max() > 10**12 - 10**9
+    lens = np.array([len(d) for d, _f in groups])
+    d_all = np.concatenate([d for d, _f in groups])
+    cols = encode_terms(
+        d_all, np.concatenate([f for _d, f in groups]), d_all % 256, np.cumsum(lens) - lens, np.cumsum(lens)
+    )
+    widths = {  # doc and freq tokens of every full block
+        b[o + k]
+        for b, offs, n in zip(cols["blob"].to_pylist(), cols["offsets"].to_pylist(), lens)
+        for o in offs[: n // BLOCK_SIZE]
+        for k in (0, 1 + 16 * b[o])
+    }
+    assert 0 in widths and len(widths) > 8, sorted(widths)
+    assert_decode_terms(cols, groups)
+
+    singles = [(np.array([10**12 + i]), np.array([i + 1])) for i in range(5)]
+    cols = encode_terms(
+        np.concatenate([d for d, _f in singles]), np.concatenate([f for _d, f in singles]),
+        np.zeros(5, dtype=np.int64), np.arange(5), np.arange(1, 6),
+    )
+    assert_decode_terms(cols, singles)

@@ -152,21 +152,21 @@ def test_merged_rows_are_canonical_and_markers_count_terms(built, tmp_path_facto
 
 
 def test_merge_sorted_batch_groups():
-    """``_merge_sorted_batch`` over hand-made shuffle rows: a well-ordered
-    group joins its rows' streams as they are; a group whose rows
-    interleave in doc order is repaired (postings and positions
-    re-sorted); a group with a row lacking positions gets none; each
-    group's encoded row equals the per-term reference."""
+    """``_merge_sorted_batch`` over hand-made shuffle rows: each group
+    joins its rows' postings and streams as they are; a group with a row
+    lacking positions gets none; each group's encoded row equals the
+    per-term reference; a group whose rows interleave in doc order
+    raises, naming its term."""
     import pyarrow as pa
 
-    from engine.codec import decode_positions, encode_positions, encode_terms
+    from engine.codec import encode_positions, encode_terms
     from engine.merge import _merge_sorted_batch
     from engine.segment import TERMS_SCHEMA
     from test_codec import expected_row
 
     # (term, salt, doc_base, docs, freqs, positions per posting or None)
     spec = [
-        ("a", -1, 0, [5, 20], [2, 1], [[1, 4], [0]]),
+        ("a", -1, 0, [5, 8], [2, 1], [[1, 4], [0]]),
         ("a", -1, 10, [10], [3], [[2, 5, 9]]),
         ("b", -1, 0, [1, 2, 3], [1, 1, 2], [[0], [3], [1, 2]]),
         ("b", -1, 10, [11], [1], [[4]]),
@@ -186,6 +186,8 @@ def test_merge_sorted_batch_groups():
             "term": [r[0] for r in spec],
             **{k: cols[k] for k in ("df", "ttf", "singleton_doc", "blob", "offsets")},
             "pos_blob": pa.array(pos, type=pa.binary()),
+            "off_blob": pa.array([b""] * len(spec), type=pa.binary()),
+            "pay_blob": pa.array([b""] * len(spec), type=pa.binary()),
             "salt": pa.array([r[1] for r in spec], type=pa.int32()),
             "doc_base": [r[2] for r in spec],
         }
@@ -200,47 +202,23 @@ def test_merge_sorted_batch_groups():
     assert tbl.schema == TERMS_SCHEMA
     got = {r["term"]: r for r in tbl.to_pylist()}
     assert list(got) == ["a", "b", "c"]
-    merged = {"a": ([5, 10, 20], [2, 3, 1]), "b": ([1, 2, 3, 11], [1, 1, 2, 1]), "c": ([6, 12, 13], [1, 1, 1])}
+    merged = {"a": ([5, 8, 10], [2, 1, 3]), "b": ([1, 2, 3, 11], [1, 1, 2, 1]), "c": ([6, 12, 13], [1, 1, 1])}
     for t, (d, f) in merged.items():
         d, f = np.array(d), np.array(f)
         exp = expected_row(d, f, (d % 7).astype(np.uint8))
         assert {k: got[t][k] for k in exp} == exp, t
-    assert [p.tolist() for p in decode_positions(got["a"]["pos_blob"], np.array([2, 3, 1]))] == [
-        [1, 4], [2, 5, 9], [0]
-    ]
+    assert got["a"]["pos_blob"] == pos[0] + pos[1]
     assert got["b"]["pos_blob"] == pos[2] + pos[3]
     assert got["c"]["pos_blob"] == b""
     assert (got["a"]["off_blob"], got["a"]["pay_blob"]) == (b"", b"")
 
-
-def test_concat_decoded_reorders_positions():
-    # interleaved (non-contiguous) runs force the decode+reorder path for
-    # the prox stream; result must equal a straight re-encode
-    import numpy as np
-
-    from engine.codec import decode_positions, encode_positions
-    from engine.merge import _concat_decoded
-
-    run1 = (
-        np.array([5, 20]),
-        np.array([2, 1]),
-        np.array([3, 3], dtype=np.uint8),
-        encode_positions(np.array([1, 4, 0]), np.array([2, 1])),
+    # rows of "b" whose doc ranges interleave (1..3 and 2) cannot merge
+    bad = batch.slice(2, 2).combine_chunks()
+    bad = bad.set_column(
+        bad.schema.get_field_index("singleton_doc"), "singleton_doc", pa.array([-1, 2], type=pa.int64())
     )
-    run2 = (
-        np.array([10]),
-        np.array([3]),
-        np.array([7], dtype=np.uint8),
-        encode_positions(np.array([2, 5, 9]), np.array([3])),
-    )
-    docs, freqs, norms, blob, off_blob, pay_blob = _concat_decoded([run1, run2])
-    assert off_blob == b""  # no offsets shipped in these runs
-    assert pay_blob == b""  # no payloads shipped in these runs
-    assert docs.tolist() == [5, 10, 20]
-    assert freqs.tolist() == [2, 3, 1]
-    assert norms.tolist() == [3, 7, 3]
-    out = decode_positions(blob, freqs)
-    assert [o.tolist() for o in out] == [[1, 4], [2, 5, 9], [0]]
+    with pytest.raises(ValueError, match="'b'"):
+        _merge_sorted_batch(bad, _Norms())
 
 
 @pytest.mark.usefixtures("ray_session")
