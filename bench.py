@@ -131,7 +131,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     t_merge = time.perf_counter() - t0
     os.sync()
 
-    # query workload: reference set x QUERY_REPS through the actor pool
+    # query workload: reference set x QUERY_REPS through search_dataset
     items = []
     qid = 0
     for rep in range(QUERY_REPS):
@@ -146,12 +146,12 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     # warm-up round (untimed): every worker opens the index and decodes
     # the query terms' postings once — the reference harness likewise
     # reports steady-state rounds, not round 0
-    search_dataset(queries_ds, index_dir, batch_size=None, mode="tasks").count()
+    search_dataset(queries_ds, index_dir, batch_size=None).count()
     t0 = time.perf_counter()
-    # task-based search: stateless tasks + per-process searcher cache reuse
-    # the warm worker pool (engine/search.py search_dataset mode="tasks")
+    # stateless tasks over each warm worker's cached searcher
+    # (engine/search.py search_dataset)
     res = search_dataset(
-        queries_ds, index_dir, batch_size=None, mode="tasks", emit_latency=True
+        queries_ds, index_dir, batch_size=None, emit_latency=True
     ).to_pandas()
     t_search = time.perf_counter() - t0
     lat = res.groupby("query_id")["latency_ms"].first().to_numpy()
@@ -161,9 +161,9 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     # metric, benchmark/quality/QualityBenchmark.java) over deterministic
     # freq-based judgments for the single-term topics
     from engine.quality import evaluate, freq_qrels
-    from engine.search import searcher_for
+    from engine.search import IndexSearcher, _index_manifest
 
-    s = searcher_for(index_dir)
+    s = IndexSearcher(_index_manifest(index_dir))
     topic_terms = ["t00000", "t00010", "t00123", "the00", "the19"]
     quality = evaluate(
         s, [(t, t) for t in topic_terms], freq_qrels(s, topic_terms), k=10, depth=1000

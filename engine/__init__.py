@@ -14,8 +14,9 @@ Lucene 8.7 (reference: HuBlanker/lucene-solr-8.7.0) on Ray Data:
   terms (the reference merges segment-at-a-time sequentially:
   index/SegmentMerger.java:96-191; we shuffle by term instead).
 - Block-max WAND top-k BM25 (search/WANDScorer.java:45-588,
-  search/similarities/BM25Similarity.java:106-235) in stateful actor-pool
-  searchers, rank-identical to an exhaustive float32 oracle.
+  search/similarities/BM25Similarity.java:106-235) in stateless Ray tasks
+  over a stateful searcher cached in each worker process and opened once
+  per manifest, rank-identical to an exhaustive float32 oracle.
 - Checkpoint/resume via per-partition lineage manifests (two-phase commit
   analogue of index/SegmentInfos.java:781-834 pending_segments_N rename).
 """

@@ -239,9 +239,10 @@ def doc_norms(sf_dir: str) -> pa.Table:
     )
 
 
-def bm25_search_results(sf_dir: str, algorithm: str = "auto") -> pa.Table:
-    """Reference query set through the actor-pool searcher over the merged
-    index: (query_id, rank, doc_id, score)."""
+def bm25_search_results(sf_dir: str) -> pa.Table:
+    """Reference query set through ``search_dataset`` (stateless tasks on
+    each worker process's cached searcher) over the merged index:
+    (query_id, rank, doc_id, score)."""
     import ray.data
 
     from .search import search_dataset
@@ -250,7 +251,7 @@ def bm25_search_results(sf_dir: str, algorithm: str = "auto") -> pa.Table:
     queries = ray.data.from_items(
         [{"query_id": q, "query": s, "k": k} for q, s, k in REFERENCE_QUERIES]
     )
-    res = search_dataset(queries, idx["index_dir"], concurrency=2, batch_size=4)
+    res = search_dataset(queries, idx["index_dir"], batch_size=4)
     return res
 
 

@@ -1,4 +1,4 @@
-"""Search execution: per-segment scorers, top-k collection, actor pools.
+"""Search execution: per-segment scorers, top-k collection, Ray search stages.
 
 Shape (SURVEY §3.2): an ``IndexSearcher`` opens the index's segments once
 (the open-IndexReader analogue), computes *global* collection + term stats
@@ -26,14 +26,18 @@ Two physical plans per (query, segment) — the Boolean2ScorerSupplier role:
 Both are rank-identical by construction (same float32 score arithmetic;
 pruning is sound) and tested against each other (CheckHits model).
 
-``search_dataset`` is the Ray Data search stage. In actor mode it passes
-the ``BatchSearcher`` CLASS to ``ds.map_batches(..., concurrency=(1, N))``
-— segments load once per actor in ``__init__``; in task mode a
-per-process cached searcher plays that role. Both run ``_search_batch``.
+``search_dataset`` is the Ray Data search stage: stateless
+``map_batches`` tasks, each running ``_search_batch`` on
+``cached_searcher``. That searcher, cached in each process of Ray's
+shared worker pool and opened once per manifest, is the stateful
+searcher (the open-IndexReader role). ``search_dataset_sharded``'s
+stats searcher and shard views come from the same cache.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from itertools import islice
 
@@ -324,7 +328,7 @@ class IndexSearcher:
         # counting deleted docs until a rewrite — exactly Lucene's
         # pre-merge semantics.
         # LRUQueryCache role (search/LRUQueryCache.java:61): per-searcher
-        # (= per searcher actor) LRU of filter-clause bitsets keyed by
+        # (= per process and manifest) LRU of filter-clause bitsets keyed by
         # (segment index, clause terms). Segments are immutable, so
         # entries never invalidate; deletions apply AFTER filtering
         # (liveDocs mask in _live), matching Lucene's cache-on-the-
@@ -1702,7 +1706,7 @@ def _search_batch(
     """One query batch (query_id, query[, k]) → hits table (query_id
     int64, rank int32, doc_id int64, score float32, then ``partial`` bool
     when a time limit is set and ``latency_ms`` float64 when asked for) —
-    the per-batch loop of both Ray search stages."""
+    the per-batch loop of ``search_dataset``."""
     qids = batch.column("query_id").to_pylist()
     queries = batch.column("query").to_pylist()
     ks = (
@@ -1746,148 +1750,44 @@ def _search_batch(
     return pa.table(cols)
 
 
-class BatchSearcher:
-    """Stateful actor-pool search stage: segments open once per actor
-    (__init__), query batches stream through __call__ (SURVEY §7.3)."""
-
-    def __init__(
-        self,
-        index_dir: str,
-        algorithm: str = "auto",
-        default_k: int = 10,
-        emit_latency: bool = False,
-        time_limit_ms: float | None = None,
-    ):
-        self.searcher = IndexSearcher(_index_manifest(index_dir), algorithm=algorithm)
-        self.default_k = default_k
-        self.emit_latency = emit_latency
-        # Solr timeAllowed + partialResults=true role: a per-query budget;
-        # an expired query contributes whatever the deadline allowed, with
-        # the `partial` column flagging it (the stage never throws)
-        self.time_limit_ms = time_limit_ms
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _search_batch(
-            self.searcher, batch, self.default_k, self.time_limit_ms, self.emit_latency
-        )
+# One per-process searcher cache (the open-IndexReader role): Ray's
+# shared worker pool keeps each process across tasks and pipeline stages,
+# so a searcher opens once per process and manifest, and its postings,
+# shard and weight LRUs stay warm for every later task on that process.
+# Keyed by the manifest's content digest, never by path or object id: a
+# manifest rewritten by a delete or a merge gets a new key, so no task
+# reads a stale index, and equal manifests share one searcher.
+_SEARCHERS: dict = {}
 
 
-# process-level searcher cache for the stateless-task search path: Ray
-# reuses worker processes across pipeline stages, so a task-based search
-# stage skips actor spawn cost and shares the open index + decoded-postings
-# cache with every task that lands on the same worker.
-_PROCESS_SEARCHERS: dict = {}
+def manifest_digest(manifest: dict) -> str:
+    """md5 of the manifest's canonical JSON: the searcher cache key."""
+    return hashlib.md5(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
 
 
-def searcher_for(index_dir: str, algorithm: str = "auto") -> IndexSearcher:
-    """This process's cached searcher over ``index_dir`` (opened once)."""
-    key = (index_dir, algorithm)
-    s = _PROCESS_SEARCHERS.get(key)
-    if s is None:
-        s = IndexSearcher(_index_manifest(index_dir), algorithm=algorithm)
-        _PROCESS_SEARCHERS[key] = s
-    return s
+def cached_searcher(
+    manifest: dict, digest: str | None = None, shard: tuple[int, int] | None = None
+) -> IndexSearcher:
+    """This process's searcher over ``manifest`` (``digest`` is its
+    ``manifest_digest``, computed here when not given). With ``shard =
+    (shard_id, n_shards)`` it is the shard-local searcher of a merge
+    manifest: the ``shard_id``-th of ``n_shards`` equal cuts of the merged
+    index's doc range [doc_base, max_doc), the same range for every field,
+    read through ``DocRangeView``s of the full searcher's one
+    ``MergedIndex`` per field. Stats stay global, and deleted docs are
+    masked as in the full searcher."""
+    if digest is None:
+        digest = manifest_digest(manifest)
+    s = _SEARCHERS.get((digest, shard))
+    if s is not None:
+        return s
+    if shard is None:
+        s = IndexSearcher(manifest)
+    else:
+        from .merge import DocRangeView
 
-
-def make_search_fn(index_dir: str, default_k: int = 10, emit_latency: bool = False):
-    """Stateless-task search stage: each batch runs on this worker
-    process's cached searcher (``searcher_for``), so the index opens once
-    per process and its postings/shard LRUs stay warm across tasks. Same
-    output as ``BatchSearcher`` without a time limit."""
-
-    def _search(batch: pa.Table) -> pa.Table:
-        return _search_batch(
-            searcher_for(index_dir), batch, default_k, emit_latency=emit_latency
-        )
-
-    return _search
-
-
-def search_dataset(
-    queries_ds,
-    index_dir: str,
-    concurrency: int = 4,
-    batch_size: int = 64,
-    mode: str = "actors",
-    emit_latency: bool = False,
-):
-    """queries (query_id, query[, k]) → hits (query_id int64, rank int32,
-    doc_id int64, score float32[, latency_ms float64]); both modes run
-    the same per-batch loop and return identical rows.
-
-    mode="actors": autoscaling pool of 1..``concurrency`` ``BatchSearcher``
-    actors, index opened once per actor (a fixed-size pool can starve the
-    upstream read tasks of CPUs).
-    mode="tasks": stateless tasks + per-process searcher cache — same
-    state-amortization, but reuses the already-warm worker pool from
-    earlier pipeline stages (no actor spawn cost); ``concurrency`` is
-    unused."""
-    if mode == "tasks":
-        return queries_ds.map_batches(
-            make_search_fn(index_dir, emit_latency=emit_latency),
-            batch_size=batch_size,
-            batch_format="pyarrow",
-            **_rargs(),
-        )
-    return queries_ds.map_batches(
-        BatchSearcher,
-        fn_constructor_kwargs={"index_dir": index_dir, "emit_latency": emit_latency},
-        batch_size=batch_size,
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
-        **_rargs(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Doc-sharded distributed search (SURVEY §3.2 scatter/gather):
-# (query × shard) fan-out → shard-local top-k in a cached-shard task pool →
-# groupby(query_id) TopDocs-merge reduce. Each shard is a contiguous doc
-# range of the merged index (``merge.DocRangeView``); global stats and
-# every multi-term rewrite come from the merged dictionary in the
-# fan-out, and ship with each (query, shard) plan.
-# ---------------------------------------------------------------------------
-
-_PROCESS_SHARDS: dict = {}
-_PROCESS_STATS: dict = {}
-
-
-def _stats_searcher(manifest_ref) -> IndexSearcher:
-    """Per-process ``IndexSearcher`` over the merge manifest, opened once
-    per worker process from the manifest ObjectRef (keyed by its hex):
-    the fan-out's rewrite + stats pass reads global df/ttf and every
-    rewrite expansion straight from its merged dictionary, and its
-    ``MergedIndex`` of each field is the one every shard view of this
-    process reads. Opening reads only the manifest, so neither the
-    calling process nor the fan-out closure ever holds an open index."""
-    import ray
-
-    key = manifest_ref.hex()
-    s = _PROCESS_STATS.get(key)
-    if s is None:
-        s = _PROCESS_STATS[key] = IndexSearcher(ray.get(manifest_ref))
-    return s
-
-
-def _shard_searcher(manifest_ref, shard_id: int, n_shards: int) -> IndexSearcher:
-    """Per-process cache of shard-local searchers: shard ``shard_id`` is
-    the ``shard_id``-th of ``n_shards`` equal cuts of the merged index's
-    doc range [doc_base, max_doc), the same range for every field, read
-    through ``DocRangeView``s of the process's one ``MergedIndex`` per
-    field (``_stats_searcher``). Stats stay global, and deleted docs
-    are masked as in the single searcher.
-
-    Keyed by the ObjectRef HEX (+ the shard split), never id(): id() is a
-    reusable memory address, so a later ray.put ref can collide with a
-    freed earlier one and silently serve a stale searcher for a different
-    index (observed as an order-dependent sharded-vs-single mismatch in
-    long sessions)."""
-    from .merge import DocRangeView
-
-    key = (manifest_ref.hex(), shard_id, n_shards)
-    s = _PROCESS_SHARDS.get(key)
-    if s is None:
-        full = _stats_searcher(manifest_ref)
+        shard_id, n_shards = shard
+        full = cached_searcher(manifest, digest)
         body = full.segments[0]
         span = body.max_doc - body.doc_base
         lo = body.doc_base + span * shard_id // n_shards
@@ -1900,8 +1800,56 @@ def _shard_searcher(manifest_ref, shard_id: int, n_shards: int) -> IndexSearcher
             views["body"][0], full.doc_count, full.sum_ttf, fields=views
         )
         s._deleted = full._deleted  # the manifest's liveDocs, global doc ids
-        _PROCESS_SHARDS[key] = s
+    _SEARCHERS[(digest, shard)] = s
     return s
+
+
+def search_dataset(
+    queries_ds,
+    index_dir: str,
+    batch_size: int = 64,
+    mode: str = "tasks",
+    emit_latency: bool = False,
+    time_limit_ms: float | None = None,
+):
+    """queries (query_id, query[, k]) → hits (query_id int64, rank int32,
+    doc_id int64, score float32[, partial bool][, latency_ms float64]):
+    stateless ``map_batches`` tasks, each running ``_search_batch`` on its
+    process's ``cached_searcher`` (the stateful searcher, opened once per
+    worker process and manifest). The manifest is read once, here, and
+    ships with the stage with its digest.
+
+    ``time_limit_ms`` is Solr's timeAllowed + partialResults=true: a
+    per-query budget; an expired query contributes whatever the deadline
+    allowed, and the ``partial`` column flags it (the stage never
+    throws). ``mode`` accepts only ``"tasks"``."""
+    if mode != "tasks":
+        raise ValueError(f"search_dataset: unknown mode {mode!r} (only 'tasks')")
+    manifest = _index_manifest(index_dir)
+    digest = manifest_digest(manifest)
+
+    def _search(batch: pa.Table) -> pa.Table:
+        return _search_batch(
+            cached_searcher(manifest, digest),
+            batch,
+            default_k=10,
+            time_limit_ms=time_limit_ms,
+            emit_latency=emit_latency,
+        )
+
+    return queries_ds.map_batches(
+        _search, batch_size=batch_size, batch_format="pyarrow", **_rargs()
+    )
+
+
+# ---------------------------------------------------------------------------
+# Doc-sharded distributed search (SURVEY §3.2 scatter/gather):
+# (query × shard) fan-out → shard-local top-k in a cached-shard task pool →
+# groupby(query_id) TopDocs-merge reduce. Each shard is a contiguous doc
+# range of the merged index (``merge.DocRangeView``); global stats and
+# every multi-term rewrite come from the merged dictionary in the
+# fan-out, and ship with each (query, shard) plan.
+# ---------------------------------------------------------------------------
 
 
 def search_dataset_sharded(
@@ -1922,16 +1870,15 @@ def search_dataset_sharded(
     if manifest.get("kind") != "merge-by-term":
         raise ValueError("merge first")
     import pandas as pd
-    import ray
 
-    manifest_ref = ray.put(manifest)
+    digest = manifest_digest(manifest)
 
     def fanout(batch: pa.Table) -> pa.Table:
         from dataclasses import asdict
 
         # merged-index searcher, opened once per worker process from the
-        # manifest ref — the closure ships NO index state
-        full = _stats_searcher(manifest_ref)
+        # shipped manifest — the closure ships NO index state
+        full = cached_searcher(manifest, digest)
         rows = []
         for r in batch.to_pylist():
             from .queryparse import query_terms
@@ -1965,7 +1912,7 @@ def search_dataset_sharded(
 
         out = {"query_id": [], "doc_id": [], "score": [], "k": []}
         for r in batch.to_pylist():
-            s = _shard_searcher(manifest_ref, int(r["shard_id"]), n_shards)
+            s = cached_searcher(manifest, digest, (int(r["shard_id"]), n_shards))
             # per-request Similarity plug (shard-local scores stay
             # globally comparable: every similarity here derives its
             # weights solely from the injected GLOBAL stats)

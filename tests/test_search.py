@@ -1060,20 +1060,36 @@ def test_time_limit_wand_path(corpus):
     np.testing.assert_array_equal(sc, s2)
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_batch_searcher_time_allowed(corpus, tmp_path):
+class _StageFn:
+    """A stand-in dataset: ``map_batches`` hands back the stage's batch
+    function, so a test runs it in this process, not on some worker."""
+
+    def map_batches(self, fn, **kwargs):
+        return fn
+
+
+def _corpus_dir(corpus) -> str:
+    return corpus["manifest"]["partitions"][0]["seg_dir"].rsplit("/partitions/", 1)[0]
+
+
+def _merged_replica(merged, tmp_path) -> str:
+    """A copy of the ``merged`` index that a test may delete from."""
+    from engine.replicate import replicate_index
+
+    root = str(tmp_path / "replica")
+    replicate_index(merged["norm_files"][0].rsplit("/merged/", 1)[0], root)
+    return root
+
+
+def test_search_dataset_time_allowed(corpus):
     """Solr timeAllowed + partialResults=true at the distributed stage:
     an expired budget yields flagged partial rows instead of raising; a
     generous budget yields the normal results with partial=false."""
     import pyarrow as pa
 
-    from engine.search import BatchSearcher
+    from engine.search import search_dataset
 
-    idx = corpus["manifest"]["root"] if "root" in corpus["manifest"] else None
-    # BatchSearcher wants an index_dir; derive from a segment path
-    seg_dir = corpus["manifest"]["partitions"][0]["seg_dir"]
-    index_dir = seg_dir.rsplit("/partitions/", 1)[0]
-
+    index_dir = _corpus_dir(corpus)
     qtbl = pa.table(
         {
             "query_id": pa.array([0, 1], type=pa.int64()),
@@ -1081,33 +1097,37 @@ def test_batch_searcher_time_allowed(corpus, tmp_path):
             "k": pa.array([10, 10], type=pa.int64()),
         }
     )
-    ok = BatchSearcher(index_dir, time_limit_ms=60_000)(qtbl)
+    ok = search_dataset(_StageFn(), index_dir, time_limit_ms=60_000)(qtbl)
     assert "partial" in ok.column_names
     assert not any(ok.column("partial").to_pylist())
     assert ok.num_rows == 20
 
-    expired = BatchSearcher(index_dir, time_limit_ms=0.0)(qtbl)
+    expired = search_dataset(_StageFn(), index_dir, time_limit_ms=0.0)(qtbl)
     assert all(expired.column("partial").to_pylist())
     assert expired.num_rows == 0 or expired.num_rows < 20
     # without a budget the schema is unchanged (no partial column)
-    plain = BatchSearcher(index_dir)(qtbl)
+    plain = search_dataset(_StageFn(), index_dir)(qtbl)
     assert "partial" not in plain.column_names
+
+
+def test_search_dataset_rejects_other_modes(corpus):
+    from engine.search import search_dataset
+
+    with pytest.raises(ValueError, match="actors"):
+        search_dataset(_StageFn(), _corpus_dir(corpus), mode="actors")
 
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("emit_latency", [False, True])
-def test_search_dataset_modes_agree(corpus, emit_latency):
-    """search_dataset in task mode (per-process cached searcher) and in
-    actor mode (BatchSearcher pool) run one batch loop: both equal
-    IndexSearcher.search row for row, float32 score bits included, under
-    the same schema."""
+def test_search_dataset_matches_searcher(corpus, emit_latency):
+    """The search_dataset stage equals IndexSearcher.search row for row,
+    float32 score bits included, under its fixed schema."""
     import pyarrow as pa
     import ray
     import ray.data
 
     from engine.search import search_dataset
 
-    index_dir = corpus["manifest"]["partitions"][0]["seg_dir"].rsplit("/partitions/", 1)[0]
     queries = [
         ("the00", 10), ("the19 the03", 25), ("+t00000 +t00001", 10),
         ("the00 -t00000", 5), ('"the00 the01"', 10), ("tiekey", 50),
@@ -1127,18 +1147,87 @@ def test_search_dataset_modes_agree(corpus, emit_latency):
               ("score", pa.float32())]
     if emit_latency:
         fields.append(("latency_ms", pa.float64()))
-    for mode in ("tasks", "actors"):
-        ds = ray.data.from_items(items, override_num_blocks=3)
-        res = search_dataset(ds, index_dir, concurrency=2, batch_size=3, mode=mode,
-                             emit_latency=emit_latency)
-        tbl = pa.concat_tables([t for t in ray.get(res.to_arrow_refs()) if t.num_rows])
-        assert tbl.schema == pa.schema(fields), mode
-        tbl = tbl.sort_by([("query_id", "ascending"), ("rank", "ascending")])
-        assert tbl.column("query_id").to_pylist() == exp_qid, mode
-        assert tbl.column("rank").to_pylist() == exp_rank, mode
-        assert tbl.column("doc_id").to_pylist() == exp_doc, mode
-        got_bits = tbl.column("score").to_numpy().view(np.uint32)
-        np.testing.assert_array_equal(got_bits, exp_bits, err_msg=mode)
+    ds = ray.data.from_items(items, override_num_blocks=3)
+    res = search_dataset(ds, _corpus_dir(corpus), batch_size=3, emit_latency=emit_latency)
+    tbl = pa.concat_tables([t for t in ray.get(res.to_arrow_refs()) if t.num_rows])
+    assert tbl.schema == pa.schema(fields)
+    tbl = tbl.sort_by([("query_id", "ascending"), ("rank", "ascending")])
+    assert tbl.column("query_id").to_pylist() == exp_qid
+    assert tbl.column("rank").to_pylist() == exp_rank
+    assert tbl.column("doc_id").to_pylist() == exp_doc
+    got_bits = tbl.column("score").to_numpy().view(np.uint32)
+    np.testing.assert_array_equal(got_bits, exp_bits)
+
+
+def test_search_dataset_sees_deletes(merged, tmp_path):
+    """A search stage built after ``delete_by_term`` on the same index
+    dir answers from the rewritten manifest: bit-identical to a new
+    searcher over it, with no deleted doc, though this process already
+    holds a searcher opened before the delete."""
+    import pyarrow as pa
+
+    from engine.checkpoint import load_merge_manifest
+    from engine.deletes import delete_by_term, deleted_docs
+    from engine.search import search_dataset
+
+    root = _merged_replica(merged, tmp_path)
+    qtbl = pa.table(
+        {
+            "query_id": pa.array(range(len(QUERIES)), type=pa.int64()),
+            "query": pa.array([q for q, _ in QUERIES], type=pa.string()),
+            "k": pa.array([k for _, k in QUERIES], type=pa.int64()),
+        }
+    )
+    before = search_dataset(_StageFn(), root, mode="tasks")(qtbl)
+    t1 = before.filter(pa.compute.equal(before.column("query_id"), 3))
+    assert t1.num_rows == 10  # "t00000" hits, soon deleted
+
+    assert delete_by_term(root, "t00000") > 0
+    dead = deleted_docs(root)
+    after = search_dataset(_StageFn(), root, mode="tasks")(qtbl)
+    assert not np.isin(after.column("doc_id").to_numpy(), dead).any()
+    fresh = IndexSearcher(load_merge_manifest(root))
+    for qid, (q, k) in enumerate(QUERIES):
+        got = after.filter(pa.compute.equal(after.column("query_id"), qid))
+        d, sc = fresh.search(q, k)
+        assert got.column("rank").to_pylist() == list(range(len(d))), q
+        np.testing.assert_array_equal(got.column("doc_id").to_numpy(), d, err_msg=q)
+        np.testing.assert_array_equal(
+            got.column("score").to_numpy().view(np.uint32),
+            sc.astype(np.float32).view(np.uint32),
+            err_msg=q,
+        )
+
+
+def test_cached_searcher_keyed_by_manifest_content(merged, tmp_path):
+    """One searcher per manifest content: equal manifests (separate
+    objects) share it, a rewritten ``deletes`` opens a new one, and the
+    shard views of a manifest read its full searcher's indexes."""
+    import copy
+
+    from engine.checkpoint import load_merge_manifest
+    from engine.deletes import delete_by_term
+    from engine.search import cached_searcher
+
+    root = _merged_replica(merged, tmp_path)
+    m = load_merge_manifest(root)
+    full = cached_searcher(m)
+    assert cached_searcher(copy.deepcopy(m)) is full
+    assert cached_searcher(load_merge_manifest(root)) is full
+
+    delete_by_term(root, "t00000")
+    m_del = load_merge_manifest(root)
+    assert m_del["deletes"] != m.get("deletes")
+    assert cached_searcher(m_del) is not full
+    assert cached_searcher(m_del)._deleted is not None
+
+    shard = cached_searcher(copy.deepcopy(m), shard=(0, 2))
+    assert shard is cached_searcher(m, shard=(0, 2))
+    assert shard is not cached_searcher(m, shard=(1, 2))
+    assert shard is not full
+    assert shard._deleted is full._deleted
+    for fld, (segs, _, _) in full.fields.items():
+        assert shard.fields[fld][0][0].index is segs[0], fld
 
 
 def test_search_after_pages_equal_big_topk(corpus):

@@ -184,9 +184,11 @@ def test_fanout_builds_no_driver_index(tmp_path_factory):
         # never construct a Segment in any process (merged index only)
         import engine.search as search_mod_check
 
-        assert not search_mod_check._PROCESS_STATS or all(
+        digest = search_mod_check.manifest_digest(mm)
+        assert all(
             not any(isinstance(s, segment_mod.Segment) for s in srch.segments)
-            for srch in search_mod_check._PROCESS_STATS.values()
+            for (d, _shard), srch in search_mod_check._SEARCHERS.items()
+            if d == digest
         ), "stats searcher holds Segments"
     finally:
         segment_mod.Segment.__init__ = orig_init
