@@ -20,25 +20,25 @@ from .segment import Segment
 def check_segment(seg: Segment | str) -> dict:
     if isinstance(seg, str):
         seg = Segment(seg)
-    terms = seg._terms
-    tbl = seg._terms_tbl
+    shard = seg.shard
+    terms = shard.terms
     assert terms == sorted(terms), f"{seg.dir}: terms not sorted"
     assert len(set(terms)) == len(terms), f"{seg.dir}: duplicate terms"
     doc_lo = seg.doc_base
     doc_hi = seg.doc_base + seg.norm_span
     sum_ttf_check = 0
-    rows = tbl.to_pylist()
-    for row in rows:
-        t = row["term"]
-        df, ttf = row["df"], row["ttf"]
+    for i, t in enumerate(terms):
+        assert shard.find(t) == i, f"{t}: term map misses row {i}"
+        row = shard.info(i)
+        df, ttf = row.df, row.ttf
         if df == 1:
-            assert row["singleton_doc"] >= 0, f"{t}: singleton_doc missing"
-            assert row["blob"] in (None, b""), f"{t}: singleton has blob"
-            docs = np.array([row["singleton_doc"]])
+            assert row.singleton_doc >= 0, f"{t}: singleton_doc missing"
+            assert not row.blob, f"{t}: singleton has blob"
+            docs = np.array([row.singleton_doc])
             freqs = np.array([ttf])
         else:
-            assert row["singleton_doc"] == -1, f"{t}: non-singleton pulsed"
-            docs, freqs = decode_term_postings(row["blob"], df)
+            assert row.singleton_doc == -1, f"{t}: non-singleton pulsed"
+            docs, freqs = decode_term_postings(row.blob, df)
         assert len(docs) == df, f"{t}: df {df} != len(postings) {len(docs)}"
         assert int(freqs.sum()) == ttf, f"{t}: ttf mismatch"
         assert (freqs >= 1).all(), f"{t}: zero freq"
@@ -48,14 +48,13 @@ def check_segment(seg: Segment | str) -> dict:
         nfull = df // BLOCK_SIZE
         tail = df - nfull * BLOCK_SIZE
         nblocks = nfull + (1 if tail else 0)
-        last = np.array(row["last_docs"])
+        last = row.last_docs
         assert len(last) == nblocks, f"{t}: skip count"
         for b in range(nfull):
             assert last[b] == docs[(b + 1) * BLOCK_SIZE - 1], f"{t}: last_doc[{b}]"
         assert last[-1] == docs[-1], f"{t}: final last_doc"
         # impacts: per block, frontier must dominate every (freq, norm) pair
-        imp_f, imp_n = np.array(row["imp_freq"]), np.array(row["imp_norm"])
-        imp_s = np.array(row["imp_start"])
+        imp_f, imp_n, imp_s = row.imp_freq, row.imp_norm, row.imp_start
         assert len(imp_s) == nblocks + 1, f"{t}: imp_start count"
         norms = seg.norm_of(docs)
         for b in range(nblocks):
@@ -68,10 +67,10 @@ def check_segment(seg: Segment | str) -> dict:
                     (ff >= f_i) & (nn <= n_i)
                 ), f"{t}: block {b} impact misses ({f_i},{n_i})"
         # prox stream (if indexed): totals + strictly ascending per posting
-        if row.get("pos_blob"):
+        if row.pos_blob:
             from .codec import decode_positions
 
-            plists = decode_positions(row["pos_blob"], freqs)
+            plists = decode_positions(row.pos_blob, freqs)
             assert len(plists) == df, f"{t}: positions posting count"
             for pl, f_i in zip(plists, freqs):
                 assert len(pl) == f_i, f"{t}: positions != freq"
@@ -81,10 +80,10 @@ def check_segment(seg: Segment | str) -> dict:
         # offset stream (if indexed): per-posting counts, ascending starts,
         # end > start (IndexOptions ..._AND_OFFSETS invariants; the .pay
         # stream consistency CheckIndex enforces via checkPostings)
-        if row.get("off_blob"):
+        if row.off_blob:
             from .codec import decode_offsets
 
-            s_lists, e_lists = decode_offsets(row["off_blob"], freqs)
+            s_lists, e_lists = decode_offsets(row.off_blob, freqs)
             assert len(s_lists) == df, f"{t}: offsets posting count"
             for sl, el, f_i in zip(s_lists, e_lists, freqs):
                 assert len(sl) == f_i, f"{t}: offsets != freq"

@@ -49,7 +49,7 @@ untouched). File names stay write-once ``uuid`` names.
 
 *Sweep.* After the manifest commits — and again on any call that finds it
 committed — a sweep deletes ``heavy_runs/``, ``units/``, every file under
-``terms/`` the manifest does not name, and ``terms.parquet`` /
+``terms/`` the manifest does not name, and ``terms.arrow`` /
 ``norms.parquet`` of every partition dir that lies under the merge's own
 ``index_dir`` (the IndexFileDeleter rule: files no commit point
 references go, and only inside the merge's own directory; an extra
@@ -62,10 +62,12 @@ raises instead; the index is rebuilt from its source.
 
 ``MergedIndex`` reads the result as one logical segment over the full doc
 range, through the same ``segment.PostingsReader`` surface as a flushed
-``Segment``. Term shards (light buckets and heavy shards, ``TERMS_SCHEMA``)
-are lz4-compressed Arrow IPC files, written by ``write_term_shard`` and
-memory-mapped by ``read_term_shard`` (the store/MMapDirectory.java role);
-every reader of a shard path goes through that function or
+``Segment``, and looks each term up in a ``segment.TermShard`` as a
+``Segment`` does. Term shards (light buckets and heavy shards,
+``TERMS_SCHEMA``) are in the partitions' term file format: lz4-compressed
+Arrow IPC files, written by ``segment.write_term_shard`` and memory-mapped
+by ``segment.read_term_shard`` (the store/MMapDirectory.java role); every
+reader of a shard path goes through that function or
 ``term_shard_dataset``. Norm shards and heavy runs are Parquet.
 """
 
@@ -85,37 +87,16 @@ from .rayenv import remote_args as _rargs
 import pyarrow.parquet as pq
 
 from .codec import decode_terms, encode_terms
-from .segment import POSTINGS_FILES, TERMS_SCHEMA, PostingsReader, TermRows, binary_views
-
-
-# ---------------------------------------------------------------------------
-# Merged term shard files: lz4 Arrow IPC, memory-mapped on read
-# ---------------------------------------------------------------------------
-
-_IPC_LZ4 = pa.ipc.IpcWriteOptions(compression="lz4")
-
-
-def write_term_shard(tbl: pa.Table, path: str) -> None:
-    """Write one merged term shard (``TERMS_SCHEMA``) as an lz4-compressed
-    Arrow IPC file, atomically (tmp + ``os.replace``)."""
-    with pa.OSFile(path + ".tmp", "wb") as sink:
-        with pa.ipc.new_file(sink, tbl.schema, options=_IPC_LZ4) as w:
-            w.write_table(tbl)
-    os.replace(path + ".tmp", path)
-
-
-def read_term_shard(path: str, columns: list[str] | None = None) -> pa.Table:
-    """Read a merged term shard through ``pa.memory_map`` (the
-    store/MMapDirectory.java role). ``columns`` projects at the IPC level,
-    so a term-only read never decompresses the postings blobs."""
-    opts = None
-    if columns is not None:
-        opts = pa.ipc.IpcReadOptions(
-            included_fields=[TERMS_SCHEMA.get_field_index(c) for c in columns]
-        )
-    with pa.memory_map(path) as src:
-        tbl = pa.ipc.open_file(src, options=opts).read_all()
-    return tbl if columns is None else tbl.select(columns)
+from .segment import (
+    POSTINGS_FILES,
+    TERMS_SCHEMA,
+    PostingsReader,
+    TermShard,
+    binary_views,
+    read_term_shard,
+    term_strings,
+    write_term_shard,
+)
 
 
 def term_shard_dataset(paths: list[str], columns: list[str]):
@@ -190,7 +171,7 @@ def compute_heavy_terms(
     import ray
     import ray.data
 
-    term_files = [os.path.join(d, "terms.parquet") for d in seg_dirs]
+    term_files = [os.path.join(d, "terms.arrow") for d in seg_dirs]
     floor = -(-salt_threshold // max(1, len(seg_dirs)))  # ceil(T / n_parts)
     n_samp = -(-SAMPLES_PER_BUCKET * n_buckets // max(1, len(seg_dirs))) if n_buckets > 1 else 0
 
@@ -204,7 +185,7 @@ def compute_heavy_terms(
     def _cand_task(files: list[str]) -> tuple[int, pa.Table, pa.Table]:
         tables, samples = [], []
         for f in files:
-            t = pq.read_table(f, columns=["term", "df"])
+            t = read_term_shard(f, ["term", "df"])
             if n_samp and t.num_rows:
                 cw = np.cumsum(np.minimum(t.column("df").to_numpy(), floor))
                 pts = (np.arange(n_samp) * 2 + 1) * int(cw[-1]) // (2 * n_samp)
@@ -455,13 +436,11 @@ def _explode_chunk(
     chunk = max(1, (len(rank_of_base) + n_salts - 1) // n_salts)
     out: list[list[bytes]] = [[] for _ in range(n_buckets)]
     for seg_dir in seg_dirs_chunk:
-        t = pq.read_table(
-            os.path.join(seg_dir, "terms.parquet"),
+        t = read_term_shard(
+            os.path.join(seg_dir, "terms.arrow"),
             # offsets ride along (one int per 128 postings): the bucket
             # merger's decode_terms finds every block of a row through them
-            columns=[
-                "term", "df", "ttf", "singleton_doc", "blob", "pos_blob", "off_blob", "pay_blob", "offsets",
-            ],
+            ["term", "df", "ttf", "singleton_doc", "blob", "pos_blob", "off_blob", "pay_blob", "offsets"],
         )
         with open(os.path.join(seg_dir, "meta.json")) as f:
             doc_base = json.load(f)["doc_base"]
@@ -1136,7 +1115,7 @@ def _sweep_merged(index_dir: str, manifest: dict, build_manifest: dict) -> None:
     committed: ``units/`` first (so a half-swept directory is never
     adopted), ``heavy_runs/``, every file under ``terms/`` that the
     manifest does not name (orphans of a crashed run, ``*.tmp``
-    included), then ``terms.parquet`` and ``norms.parquet`` of every
+    included), then ``terms.arrow`` and ``norms.parquet`` of every
     partition the merge owns (``owned_partitions``). Idempotent, so a
     call that finds the manifest committed finishes a cut sweep. Norm
     shards, the Bloom, the deletes/doc-values files added after commit
@@ -1158,16 +1137,6 @@ def _sweep_merged(index_dir: str, manifest: dict, build_manifest: dict) -> None:
                 pass
 
 
-class _LoadedShard(NamedTuple):
-    """One cached term shard: lookups go through the term map, stats and
-    term rows through the table's numpy views, with no bisect, no
-    pyarrow scalars and no per-row copies; the views leave the cache with
-    the shard."""
-
-    rows: dict[str, int]
-    cols: TermRows
-
-
 class MergedIndex(PostingsReader):
     """Segment-compatible reader over a merge-by-term output.
 
@@ -1176,8 +1145,7 @@ class MergedIndex(PostingsReader):
     heavy shards' if the term is heavy, else the light shards' (the
     BlockTree prefix-index role at file granularity). Shards are lz4 Arrow
     IPC files opened through ``pa.memory_map`` and load lazily into an LRU
-    of ``_SHARD_CACHE_MAX`` entries, each a term → row map plus
-    ``TermRows`` numpy views — opening the index reads only the manifest,
+    of ``_SHARD_CACHE_MAX`` ``TermShard``s — opening the index reads only the manifest,
     so searcher workers start in O(manifest), not O(#shards). The light
     shards in term order, with the heavy terms merged in, are the sorted
     dictionary that prefix/range/fuzzy/suffix expansion reads
@@ -1212,7 +1180,7 @@ class MergedIndex(PostingsReader):
         self._light_ranges.sort()
         self._heavy_ranges.sort()
         self._heavy_set = set(m.get("heavy_terms", []))
-        self._tables: OrderedDict[str, _LoadedShard] = OrderedDict()
+        self._tables: OrderedDict[str, TermShard] = OrderedDict()
         # Bloom sidecar (BloomFilteringPostingsFormat role): consulted
         # before loading a shard; bitset loads lazily on first miss check
         # so opening stays O(manifest)
@@ -1263,11 +1231,9 @@ class MergedIndex(PostingsReader):
                 return dense[docs - self.doc_base]
         return store.norms_for(docs)
 
-    def _load(self, path: str) -> _LoadedShard:
-        """Read one term shard and build its term map (LRU-cached)."""
-        tbl = read_term_shard(path)
-        terms = tbl.column("term").to_pylist()
-        sh = _LoadedShard(dict(zip(terms, range(len(terms)))), TermRows(tbl))
+    def _load(self, path: str) -> TermShard:
+        """Read one term shard (LRU-cached)."""
+        sh = TermShard(read_term_shard(path))
         self._tables[path] = sh
         if len(self._tables) > self._SHARD_CACHE_MAX:
             self._tables.popitem(last=False)
@@ -1301,28 +1267,20 @@ class MergedIndex(PostingsReader):
         h = _fmix64(fnv1a(term)) & (int(bm["m"]) - 1)
         return not (int(self._bloom_bits[h >> 6]) >> (h & 63)) & 1
 
-    def _lookup(self, term: str) -> tuple[_LoadedShard | None, int]:
-        """(loaded shard, row) of ``term``, or (None, -1). Only the target
-        shard is searched: heavy ranges are disjoint and so are light
-        ranges (``check_merged_index`` asserts both).
-        The Bloom sidecar is consulted only when that shard is not cached,
-        because a cached shard's term map answers a miss exactly."""
+    def _shard_of(self, term: str) -> TermShard | None:
+        """The loaded shard that can hold ``term``, or None. Only the
+        target shard is searched: heavy ranges are disjoint and so are
+        light ranges (``check_merged_index`` asserts both). The Bloom
+        sidecar is consulted only when that shard is not cached, because a
+        cached shard's term map answers a miss exactly."""
         path = self._shard_path_of(term)
         if path is None:
-            return None, -1
+            return None
         sh = self._tables.get(path)
         if sh is not None:
             self._tables.move_to_end(path)
-        elif self._bloom_definite_miss(term):
-            return None, -1
-        else:
-            sh = self._load(path)
-        i = sh.rows.get(term, -1)
-        return (sh, i) if i >= 0 else (None, -1)
-
-    def _find(self, term: str):
-        sh, i = self._lookup(term)
-        return (sh.cols, i) if sh is not None else (None, -1)
+            return sh
+        return None if self._bloom_definite_miss(term) else self._load(path)
 
     def dict_ranges(self):
         """Sorted-dictionary level (the BlockTree .tim/.tip role —
@@ -1353,47 +1311,8 @@ class MergedIndex(PostingsReader):
         """One dictionary range's sorted terms: the light shard's term
         column (a term-only read, never postings) with ``heavy`` merged
         in."""
-        terms = read_term_shard(path, ["term"]).column("term").to_pylist()
+        terms = term_strings(read_term_shard(path, ["term"]).column("term"))
         return sorted(terms + heavy) if heavy else terms
-
-    def _dict_terms_overlapping(self, lo: str, hi: str) -> list[str]:
-        """All dictionary terms in [lo, hi], touching only the dictionary
-        ranges whose [term_min, term_max] overlaps — O(matching shards)
-        I/O."""
-        from bisect import bisect_left, bisect_right
-
-        out: list[str] = []
-        for tmin, tmax, load_terms in self.dict_ranges():
-            if tmax < lo or tmin > hi:
-                continue
-            terms = load_terms()
-            out.extend(terms[bisect_left(terms, lo) : bisect_right(terms, hi)])
-        return out  # disjoint sorted ranges => already sorted
-
-    def expand_prefix(self, prefix: str, max_terms: int = 1024) -> list[str]:
-        """Terms starting with ``prefix``, lexicographic, capped; reads only
-        the overlapping dictionary ranges. The cap keeps the lexicographically-
-        first terms."""
-        hit = self._dict_terms_overlapping(prefix, prefix + chr(0x10FFFF))
-        return [t for t in hit if t.startswith(prefix)][:max_terms]
-
-    def expand_range(self, lo: str, hi: str, max_terms: int = 1024) -> list[str]:
-        """Inclusive term-range scan over the sorted dictionary level. The
-        cap keeps the lexicographically-first terms."""
-        return self._dict_terms_overlapping(lo, hi)[:max_terms]
-
-    def term_stats(self, term: str):
-        sh, i = self._lookup(term)
-        if sh is None:
-            return 0, 0
-        return int(sh.cols.df[i]), int(sh.cols.ttf[i])
-
-    def iter_terms(self):
-        """Enumerate dictionary terms in sorted order, range by range —
-        never touches postings blobs (fuzzy and suffix expansion go
-        through this)."""
-        for _tmin, _tmax, load_terms in self.dict_ranges():
-            yield from load_terms()
 
     def iter_term_rows(self):
         """(shard path, whole term row) for every term, shard by shard

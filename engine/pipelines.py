@@ -57,11 +57,12 @@ REFERENCE_QUERIES: list[tuple[int, str, int]] = [
 
 def _cache_dir(sf_dir: str, n_rows: int, variant: str = "") -> str:
     tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    # -mf8: -mf7 (multi-field + off_blob + pay_blob + docvalues sidecar
+    # -mf9: -mf8 (multi-field + off_blob + pay_blob + docvalues sidecar
     # + pages n_chars, merged term shards as lz4 Arrow IPC files,
-    # term-range light shards) with each partition's terms and norms
-    # files deleted once the merge commits
-    return os.path.join(CACHE_ROOT, f"{tag}-{n_rows}-mf8{variant}")
+    # term-range light shards, each partition's terms and norms files
+    # deleted once the merge commits) with partition terms written as
+    # lz4 Arrow IPC ``terms.arrow`` too
+    return os.path.join(CACHE_ROOT, f"{tag}-{n_rows}-mf9{variant}")
 
 
 def get_index(
@@ -124,7 +125,7 @@ def _searcher(sf_dir: str, **kw):
 def term_df_ttf(sf_dir: str) -> pa.Table:
     """(term, df, ttf) straight from the merged term dictionary — the
     end-to-end check of extract → tokenize → invert → salted merge."""
-    from .merge import read_term_shard
+    from .segment import read_term_shard
 
     idx = get_index(sf_dir)
     return pa.concat_tables(
@@ -139,7 +140,7 @@ def title_term_df(sf_dir: str) -> pa.Table:
     <title>, analyzed and inverted separately from body). Oracle: the
     fixture titles are 'doc {doc_id} rep 0', so DuckDB recomputes the same
     stats from doc_id alone."""
-    from .merge import read_term_shard
+    from .segment import read_term_shard
 
     idx = get_index(sf_dir)
     tm = idx["merge_manifest"]["fields"]["title"]

@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import OrderedDict
 from itertools import islice
 
 import numpy as np
@@ -333,10 +334,8 @@ class IndexSearcher:
         # entries never invalidate; deletions apply AFTER filtering
         # (liveDocs mask in _live), matching Lucene's cache-on-the-
         # reader-before-deletes semantics.
-        from collections import OrderedDict as _FOD
-
-        self._filter_cache: "OrderedDict" = _FOD()
-        self._weights: "OrderedDict" = _FOD()
+        self._filter_cache: OrderedDict = OrderedDict()
+        self._weights: OrderedDict = OrderedDict()
         self._deleted: np.ndarray | None = None
         dpath = manifest.get("deletes")
         if dpath:
@@ -443,10 +442,8 @@ class IndexSearcher:
         obj.make_scorer = SIMILARITIES["bm25"]
         obj._sim_map = None
         obj._deleted = None  # no liveDocs unless the caller sets them
-        from collections import OrderedDict as _FOD
-
-        obj._filter_cache = _FOD()
-        obj._weights = _FOD()
+        obj._filter_cache = OrderedDict()
+        obj._weights = OrderedDict()
         return obj
 
     _FILTER_CACHE_MAX = 32  # entries; each is one bool byte/doc of one segment
@@ -1756,8 +1753,13 @@ def _search_batch(
 # shard and weight LRUs stay warm for every later task on that process.
 # Keyed by the manifest's content digest, never by path or object id: a
 # manifest rewritten by a delete or a merge gets a new key, so no task
-# reads a stale index, and equal manifests share one searcher.
-_SEARCHERS: dict = {}
+# reads a stale index, and equal manifests share one searcher. Each digest
+# holds its full searcher (shard None) and its doc-range shard searchers;
+# at most _SEARCHERS_MAX digests stay open, the least recently used leaving
+# first with all its entries, so a long-lived worker that sees deletes or
+# merges does not keep every superseded index open.
+_SEARCHERS_MAX = 8
+_SEARCHERS: OrderedDict[str, dict[tuple[int, int] | None, IndexSearcher]] = OrderedDict()
 
 
 def manifest_digest(manifest: dict) -> str:
@@ -1778,9 +1780,12 @@ def cached_searcher(
     masked as in the full searcher."""
     if digest is None:
         digest = manifest_digest(manifest)
-    s = _SEARCHERS.get((digest, shard))
-    if s is not None:
-        return s
+    entries = _SEARCHERS.get(digest)
+    if entries is not None:
+        _SEARCHERS.move_to_end(digest)
+        s = entries.get(shard)
+        if s is not None:
+            return s
     if shard is None:
         s = IndexSearcher(manifest)
     else:
@@ -1800,7 +1805,9 @@ def cached_searcher(
             views["body"][0], full.doc_count, full.sum_ttf, fields=views
         )
         s._deleted = full._deleted  # the manifest's liveDocs, global doc ids
-    _SEARCHERS[(digest, shard)] = s
+    _SEARCHERS.setdefault(digest, {})[shard] = s
+    if len(_SEARCHERS) > _SEARCHERS_MAX:
+        _SEARCHERS.popitem(last=False)
     return s
 
 

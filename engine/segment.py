@@ -3,11 +3,12 @@
 A *segment* is the engine's analogue of a Lucene segment
 (index/SegmentInfo.java): an immutable, self-contained mini-index over a
 contiguous global docID range. SPIMI partition outputs use the layout
-below. ``merge_by_term`` term shards (engine/merge.py) use the same
-``TERMS_SCHEMA``, written as lz4 Arrow IPC files that the reader
-memory-maps:
+below. Their term file and the ``merge_by_term`` term shards
+(engine/merge.py) are one format: a ``TERMS_SCHEMA`` table sorted by
+term, written by ``write_term_shard`` as an lz4 Arrow IPC file and read
+back by ``read_term_shard`` through a memory map:
 
-    <dir>/terms.parquet   sorted term dictionary:
+    <dir>/terms.arrow     sorted term dictionary:
         term:string, df:int64, ttf:int64, singleton_doc:int64 (-1 unless
         df==1 — the pulsed singleton, Lucene84PostingsFormat.java:159-161),
         blob:binary (engine/codec.py layout; empty for singletons),
@@ -20,7 +21,7 @@ memory-maps:
     <dir>/meta.json       doc_base, n_docs, sum_ttf, field, n_terms,
         lineage {...}, wall_ms, kind ("partition")
 
-A partition's ``terms.parquet`` and ``norms.parquet`` are merge input:
+A partition's ``terms.arrow`` and ``norms.parquet`` are merge input:
 once ``merge_by_term`` commits a merge over partitions that lie under its
 own index dir, it deletes those two files (the IndexFileDeleter role) and
 the merged index is the only copy of the postings. ``meta.json`` (build
@@ -29,11 +30,13 @@ joins) stay. A ``Segment`` is therefore opened only on unmerged
 partitions: a build manifest before its merge, NRT tail segments and
 indexes that are never merged.
 
-The term dictionary stays sorted; lookup is binary search over the term
-column (the role of the BlockTree FST prefix index,
-codecs/blocktree/BlockTreeTermsWriter.java:200-217 — at 100 TB scale the
-dictionary would be block-sharded with a first-term-per-block index; the
-in-memory bisect here is the single-shard case of that design).
+Every reader looks a term up in a ``TermShard``: one loaded term file,
+its sorted term column as Python strings, a term → row map and numpy
+views over the other columns (the role of one BlockTree term block,
+codecs/blocktree/BlockTreeTermsWriter.java:200-217). A ``Segment`` is one
+shard; a ``MergedIndex`` routes a term to one of its shards by the
+manifest's sorted term ranges, the first-term-per-block index of that
+design at file granularity.
 
 Writes are atomic (tmp dir + os.rename) and keyed by doc_base, which makes
 partition builds idempotent under Ray task retries (SURVEY §4 stragglers).
@@ -87,7 +90,40 @@ TERMS_SCHEMA = pa.schema(
 
 # the partition files merge_by_term reads, and deletes once its merge of
 # the partition commits
-POSTINGS_FILES = ("terms.parquet", "norms.parquet")
+POSTINGS_FILES = ("terms.arrow", "norms.parquet")
+
+_IPC_LZ4 = pa.ipc.IpcWriteOptions(compression="lz4")
+
+
+def write_term_shard(tbl: pa.Table, path: str) -> None:
+    """Write one term file (``TERMS_SCHEMA``: a partition's
+    ``terms.arrow`` or a merged term shard) as an lz4-compressed Arrow IPC
+    file, atomically (tmp + ``os.replace``)."""
+    with pa.OSFile(path + ".tmp", "wb") as sink:
+        with pa.ipc.new_file(sink, tbl.schema, options=_IPC_LZ4) as w:
+            w.write_table(tbl)
+    os.replace(path + ".tmp", path)
+
+
+def read_term_shard(path: str, columns: list[str] | None = None) -> pa.Table:
+    """Read a term file through ``pa.memory_map`` (the
+    store/MMapDirectory.java role). ``columns`` projects at the IPC level,
+    so a term-only read never decompresses the postings blobs."""
+    opts = None
+    if columns is not None:
+        opts = pa.ipc.IpcReadOptions(
+            included_fields=[TERMS_SCHEMA.get_field_index(c) for c in columns]
+        )
+    with pa.memory_map(path) as src:
+        tbl = pa.ipc.open_file(src, options=opts).read_all()
+    return tbl if columns is None else tbl.select(columns)
+
+
+def term_strings(col: pa.Array | pa.ChunkedArray) -> list[str]:
+    """A string column as a list of Python strings, converted in one
+    Arrow call (``to_pylist()`` builds a scalar per row and costs ~25x
+    more on a term column)."""
+    return col.to_numpy(zero_copy_only=False).tolist()
 
 
 @dataclass
@@ -134,17 +170,21 @@ def _one_batch(tbl: pa.Table) -> pa.RecordBatch:
     return batches[0]
 
 
-class TermRows:
-    """Numpy views over a loaded terms table (``TERMS_SCHEMA``), built
-    once per table from its single record batch: ``info(term, i)`` returns
-    row i as a ``TermInfo`` of int64 slices of the list columns' values
-    and memoryview slices of the blob columns' data, copying nothing per
-    row (a row's ``to_pylist`` cost ~80 µs). Callers must not mutate the
-    slices."""
+class TermShard:
+    """One loaded term file (``TERMS_SCHEMA``), the structure every reader
+    looks a term up in. Built once per table from its single record
+    batch: ``terms`` is the sorted term column as Python strings,
+    ``find(term)`` its row through a term → row map (-1 when absent), and
+    ``info(i)`` row i as a ``TermInfo`` of int64 slices of the list
+    columns' values and memoryview slices of the blob columns' data,
+    copying nothing per row (a row's ``to_pylist`` cost ~80 µs). Callers
+    must not mutate ``terms`` or the slices."""
 
     def __init__(self, tbl: pa.Table):
         b = _one_batch(tbl)
         cols = dict(zip(b.schema.names, b.columns))
+        self.terms = term_strings(cols["term"])
+        self._row = dict(zip(self.terms, range(len(self.terms))))
         self.df = cols["df"].to_numpy()
         self.ttf = cols["ttf"].to_numpy()
         self._singleton = cols["singleton_doc"].to_numpy()
@@ -163,12 +203,15 @@ class TermRows:
         offs, data = self._blobs[j]
         return data[offs[i] : offs[i + 1]].data
 
-    def info(self, term: str, i: int) -> TermInfo:
+    def find(self, term: str) -> int:
+        return self._row.get(term, -1)
+
+    def info(self, i: int) -> TermInfo:
         last_docs, offsets, imp_freq, imp_norm, imp_start = (
             vals[offs[i] : offs[i + 1]] for offs, vals in self._lists
         )
         return TermInfo(
-            term=term,
+            term=self.terms[i],
             df=int(self.df[i]),
             ttf=int(self.ttf[i]),
             singleton_doc=int(self._singleton[i]),
@@ -204,7 +247,7 @@ def write_segment(
     tmp = os.path.join(parent, f".tmp-{os.path.basename(out_dir)}-{uuid.uuid4().hex[:8]}")
     os.makedirs(tmp)
     try:
-        pq.write_table(terms_table, os.path.join(tmp, "terms.parquet"))
+        write_term_shard(terms_table, os.path.join(tmp, "terms.arrow"))
         pq.write_table(
             pa.table(
                 {
@@ -235,11 +278,12 @@ def write_segment(
 class PostingsReader:
     """Postings surface shared by a flushed ``Segment`` and a merged
     ``MergedIndex`` — the one leaf-reader both kinds of Lucene segment are
-    read through. A subclass supplies how a term's row is found
-    (``_find(term)`` → (``TermRows``, row) or (None, -1)), ``iter_terms()``
-    in sorted order, ``term_stats`` and its norms; the row decode, the
-    decoded-postings LRU, the prox/offset/payload streams, the dictionary
-    ranges and the reversed-dictionary suffix seek live here."""
+    read through. A subclass supplies two things about its dictionary:
+    ``_shard_of(term)``, the ``TermShard`` that can hold a term (None when
+    none can), and ``dict_ranges()``; plus its norms. Term lookup and
+    stats, the row decode, the decoded-postings LRU, the
+    prox/offset/payload streams, term enumeration and the prefix, range
+    and reversed-dictionary suffix seeks live here."""
 
     _POSTINGS_CACHE_MAX = 128  # decoded terms kept per open reader
 
@@ -251,9 +295,22 @@ class PostingsReader:
         """Width of the doc-id range this reader covers (accumulator size)."""
         return self.max_doc - self.doc_base
 
+    def _find(self, term: str) -> tuple[TermShard | None, int]:
+        """(shard, row) of ``term``, or (None, -1)."""
+        sh = self._shard_of(term)
+        i = -1 if sh is None else sh.find(term)
+        return (sh, i) if i >= 0 else (None, -1)
+
+    def term_stats(self, term: str) -> tuple[int, int]:
+        """(docFreq, totalTermFreq) — 0,0 if absent (TermStates.build role)."""
+        sh, i = self._find(term)
+        if sh is None:
+            return 0, 0
+        return int(sh.df[i]), int(sh.ttf[i])
+
     def term_info(self, term: str) -> TermInfo | None:
-        rows, i = self._find(term)
-        return None if rows is None else rows.info(term, i)
+        sh, i = self._find(term)
+        return None if sh is None else sh.info(i)
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """Fully decoded (docs, freqs) for a term (TAAT/oracle/merge path).
@@ -308,15 +365,41 @@ class PostingsReader:
 
         return self._occurrence_stream(term, "pay_blob", decode_payloads)
 
+    # -- the sorted dictionary: a subclass's dict_ranges() is the sorted
+    # dictionary as disjoint (term_min, term_max, load_terms) ranges in
+    # term order; load_terms() returns that range's terms as a sorted
+    # list, which callers must not mutate. A range-bounded seek (prefix,
+    # range, fuzzy) reads only the ranges it admits.
 
-    def dict_ranges(self) -> list[tuple[str, str, Callable[[], Iterable[str]]]]:
-        """The sorted dictionary as disjoint (term_min, term_max,
-        load_terms) ranges in term order; ``load_terms()`` yields that
-        range's terms, sorted. A whole-dictionary reader is one range
-        spanning every string; ``MergedIndex`` has one per light term
-        shard, so a range-bounded seek (fuzzy) reads only the shards it
-        admits."""
-        return [("", chr(0x10FFFF), self.iter_terms)]
+    def iter_terms(self) -> Iterable[str]:
+        """Enumerate dictionary terms in sorted order, range by range —
+        never touches postings blobs (fuzzy and suffix expansion go
+        through this)."""
+        for _tmin, _tmax, load_terms in self.dict_ranges():
+            yield from load_terms()
+
+    def _terms_between(self, lo: str, hi: str) -> list[str]:
+        """All dictionary terms in [lo, hi], sorted, loading only the
+        dictionary ranges whose [term_min, term_max] overlaps it."""
+        out: list[str] = []
+        for tmin, tmax, load_terms in self.dict_ranges():
+            if tmax < lo or tmin > hi:
+                continue
+            terms = load_terms()
+            out.extend(terms[bisect_left(terms, lo) : bisect_right(terms, hi)])
+        return out  # disjoint sorted ranges => already sorted
+
+    def expand_prefix(self, prefix: str, max_terms: int = 1024) -> list[str]:
+        """Terms starting with ``prefix``, lexicographic, capped — the
+        PrefixQuery TermsEnum seek (BlockTree intersect role). The cap
+        keeps the lexicographically-first terms."""
+        hit = self._terms_between(prefix, prefix + chr(0x10FFFF))
+        return [t for t in hit if t.startswith(prefix)][:max_terms]
+
+    def expand_range(self, lo: str, hi: str, max_terms: int = 1024) -> list[str]:
+        """Inclusive sorted-dictionary range scan (TermRangeQuery role).
+        The cap keeps the lexicographically-first terms."""
+        return self._terms_between(lo, hi)[:max_terms]
 
     def expand_suffix(self, suffix: str, max_terms: int = 1024) -> list[str]:
         """Terms ENDING with ``suffix`` — the leading-wildcard seek of
@@ -345,17 +428,15 @@ class PostingsReader:
 
 
 class Segment(PostingsReader):
-    """Open segment: term dictionary + norms + stats, loaded once and
-    queried many times (the open-IndexReader-leaf analogue)."""
+    """Open segment: one ``TermShard`` + dense norms + stats, loaded once
+    and queried many times (the open-IndexReader-leaf analogue)."""
 
     def __init__(self, seg_dir: str):
         super().__init__()
         self.dir = seg_dir
         with open(os.path.join(seg_dir, "meta.json")) as f:
             self.meta = json.load(f)
-        self._terms_tbl = pq.read_table(os.path.join(seg_dir, "terms.parquet"))
-        self._terms: list[str] = self._terms_tbl.column("term").to_pylist()
-        self._rows = TermRows(self._terms_tbl)
+        self.shard = TermShard(read_term_shard(os.path.join(seg_dir, "terms.arrow")))
         nt = pq.read_table(os.path.join(seg_dir, "norms.parquet"))
         doc_ids = nt.column("doc_id").to_numpy()
         self.doc_base = int(self.meta["doc_base"])
@@ -373,41 +454,10 @@ class Segment(PostingsReader):
     def norm_of(self, doc_ids: np.ndarray) -> np.ndarray:
         return self._norms[np.asarray(doc_ids, dtype=np.int64) - self.doc_base]
 
-    def term_index(self, term: str) -> int:
-        i = bisect_left(self._terms, term)
-        if i < len(self._terms) and self._terms[i] == term:
-            return i
-        return -1
+    def _shard_of(self, term: str) -> TermShard:
+        return self.shard
 
-    def _find(self, term: str) -> tuple[TermRows | None, int]:
-        i = self.term_index(term)
-        return (self._rows, i) if i >= 0 else (None, -1)
-
-    def iter_terms(self):
-        yield from self._terms
-
-    def expand_prefix(self, prefix: str, max_terms: int = 1024) -> list[str]:
-        """Sorted-dictionary range scan [prefix, prefix+MAX) — the
-        PrefixQuery TermsEnum seek (BlockTree intersect role); keeps the
-        first terms."""
-        i = bisect_left(self._terms, prefix)
-        out: list[str] = []
-        for t in self._terms[i : i + max_terms]:
-            if not t.startswith(prefix):
-                break
-            out.append(t)
-        return out
-
-    def expand_range(self, lo: str, hi: str, max_terms: int = 1024) -> list[str]:
-        """Inclusive sorted-dictionary range scan (TermRangeQuery role)."""
-        i = bisect_left(self._terms, lo)
-        j = bisect_right(self._terms, hi)
-        return self._terms[i : min(j, i + max_terms)]
-
-    def term_stats(self, term: str) -> tuple[int, int]:
-        """(docFreq, totalTermFreq) — 0,0 if absent (TermStates.build role)."""
-        i = self.term_index(term)
-        if i < 0:
-            return 0, 0
-        return int(self._rows.df[i]), int(self._rows.ttf[i])
-
+    def dict_ranges(self) -> list[tuple[str, str, Callable[[], list[str]]]]:
+        """The whole dictionary as one range spanning every string."""
+        terms = self.shard.terms
+        return [("", chr(0x10FFFF), lambda: terms)]

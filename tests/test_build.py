@@ -11,7 +11,7 @@ from engine.build import build_index, invert_to_segment
 from engine.checkindex import check_index, check_segment
 from engine.extract import extract
 from engine.fixtures import make_pages, pages_from_documents, write_pages
-from engine.segment import Segment
+from engine.segment import TERMS_SCHEMA, Segment, read_term_shard
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -87,15 +87,18 @@ def test_partition_rows_are_canonical(tmp_path):
     """Every row of a partition's terms table equals the per-term reference
     encoding of its decoded postings and norms: singletons, light terms
     (which carry their exact per-block impact frontier) and terms with
-    full 128-doc blocks."""
-    import pyarrow.parquet as pq
-
+    full 128-doc blocks. The table is the partition's ``terms.arrow``, in
+    the merged term shards' format and schema."""
     from test_codec import assert_rows_canonical
 
     seg_dir = str(tmp_path / "p0")
     texts = make_pages(600, seed=3).column("text").to_pylist()
     invert_to_segment(np.arange(1000, 1600, dtype=np.int64), texts, seg_dir)
-    rows = pq.read_table(os.path.join(seg_dir, "terms.parquet")).to_pylist()
+    files = set(os.listdir(seg_dir))
+    assert "terms.arrow" in files and "terms.parquet" not in files, sorted(files)
+    tbl = read_term_shard(os.path.join(seg_dir, "terms.arrow"))
+    assert tbl.schema.equals(TERMS_SCHEMA)
+    rows = tbl.to_pylist()
     dfs = [r["df"] for r in rows]
     assert min(dfs) == 1 and max(dfs) > 2 * 128 and any(1 < d < 128 for d in dfs)
     assert any(len(r["imp_freq"]) > 1 and r["df"] < 128 for r in rows)  # frontiers, not one pair

@@ -86,7 +86,7 @@ def test_merge_by_term_salted(built, tmp_path_factory):
     # term count conservation
     all_terms = set()
     for s in segs:
-        all_terms.update(s._terms)
+        all_terms.update(s.iter_terms())
     assert sum(sh["n_terms"] for sh in mm["shards"]) == len(all_terms)
     # rank identity through the searcher on the merged-by-term index
     base = IndexSearcher(m, algorithm="taat")
@@ -242,7 +242,7 @@ def test_sorted_dictionary_level(built, tmp_path_factory):
         assert hi_a < lo_b
     assert sum(len(load()) for _, _, load in ranges) == sum(s["n_terms"] for s in mm["shards"])
     segs = [Segment(r["seg_dir"]) for r in m["partitions"]]
-    all_terms = sorted({t for s in segs for t in s._terms})
+    all_terms = sorted({t for s in segs for t in s.iter_terms()})
 
     # expansion correctness + deterministic lexicographic cap
     exp = [t for t in all_terms if t.startswith("the0")]
@@ -482,7 +482,7 @@ def test_bloom_sidecar(built, tmp_path_factory):
     segs = [Segment(r["seg_dir"]) for r in m["partitions"]]
     all_terms = set()
     for s in segs:
-        all_terms.update(s._terms)
+        all_terms.update(s.iter_terms())
     for t in all_terms:
         assert not mi._bloom_definite_miss(t), t
     # a definite miss answers (0, 0) without loading ANY shard table
@@ -570,7 +570,7 @@ def test_merge_sweeps_the_partitions_it_owns(tmp_path, monkeypatch):
         return out
 
     before = _tree()
-    missing = os.path.join(owned[0], "terms.parquet")
+    missing = os.path.join(owned[0], "terms.arrow")
     with pytest.raises(FileNotFoundError, match=re.escape(root) + ".*" + re.escape(missing)):
         merge_by_term(m, root, salt_threshold=150, n_salts=4)
     assert _tree() == before

@@ -10,13 +10,14 @@ and each view equals its partition (stats stay global)."""
 import os
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from engine.build import invert_to_segment
 from engine.checkpoint import finalize_build_manifest
 from engine.fixtures import make_pages
 from engine.merge import DocRangeView, MergedIndex, merge_by_term
-from engine.segment import Segment
+from engine.segment import TERMS_SCHEMA, Segment, TermShard, read_term_shard, write_term_shard
 
 N_DOCS = 600
 N_PARTS = 4
@@ -169,9 +170,6 @@ def test_merged_shards_ipc_eviction_and_bloom_skip(readers, monkeypatch):
     of another layout version is refused, naming the index."""
     import re
 
-    from engine.merge import read_term_shard
-    from engine.segment import TERMS_SCHEMA
-
     _, _, _, mi = readers
     mm = mi.manifest
     index_dir = os.path.dirname(os.path.dirname(mm["norm_shards"][0]["path"]))
@@ -249,7 +247,7 @@ def test_term_info_views_equal_row_copies(readers):
     stream, segs, _views, mi = readers
     side = "off_blob" if stream == "offsets" else "pay_blob"
     for seg in segs:
-        rows = seg._terms_tbl.to_pylist()
+        rows = read_term_shard(os.path.join(seg.dir, "terms.arrow")).to_pylist()
         assert any(r["pos_blob"] and r[side] for r in rows)
         for row in rows:
             assert _view_info(seg.term_info(row["term"])) == _row_info(row), row["term"]
@@ -258,3 +256,43 @@ def test_term_info_views_equal_row_copies(readers):
         shards.add(path)
         assert _view_info(mi.term_info(row["term"])) == _row_info(row), row["term"]
     assert len(shards) == len(mi.manifest["shards"])
+
+
+def _terms_table(terms: list[str]) -> pa.Table:
+    """A ``TERMS_SCHEMA`` table of singleton rows: term i is in doc i."""
+    n = len(terms)
+    empty_lists = pa.array([[]] * n, pa.list_(pa.int64()))
+    cols = {
+        "term": pa.array(terms, pa.string()),
+        "df": pa.array([1] * n, pa.int64()),
+        "ttf": pa.array(range(1, n + 1), pa.int64()),
+        "singleton_doc": pa.array(range(n), pa.int64()),
+    }
+    for f in TERMS_SCHEMA:
+        if f.name not in cols:
+            cols[f.name] = empty_lists if pa.types.is_list(f.type) else pa.array([b""] * n, pa.binary())
+    return pa.table(cols, schema=TERMS_SCHEMA)
+
+
+def test_term_shard_find_and_terms(tmp_path):
+    """``TermShard`` over a term file written and read back through
+    ``write_term_shard`` / ``read_term_shard``: ``terms`` is the term
+    column in order, ``find`` hits every row (non-ASCII terms included)
+    and misses below the first term, above the last, between two terms
+    and in an empty table."""
+    terms = sorted(["a", "apple", "b", "café", "zebra", "ß", "über", "日本", "😀"])
+    path = str(tmp_path / "terms.arrow")
+    write_term_shard(_terms_table(terms), path)
+    tbl = read_term_shard(path)
+    shard = TermShard(tbl)
+    assert shard.terms == tbl.column("term").to_pylist() == terms
+    for i, t in enumerate(terms):
+        assert shard.find(t) == i, t
+        ti = shard.info(i)
+        assert (ti.term, ti.ttf, ti.singleton_doc) == (t, i + 1, i), t
+    for miss in ("", "0", "ab", "c", "caf", "日", "\U0010ffff"):
+        assert shard.find(miss) == -1, miss
+    assert "0" < terms[0] and "\U0010ffff" > terms[-1]
+    empty = TermShard(_terms_table([]))
+    assert empty.terms == []
+    assert empty.find("a") == -1

@@ -54,7 +54,7 @@ def salted(tmp_path_factory):
         keep = ("doc_base", "n_docs", "sum_ttf", "n_terms")
         rows.append({k: meta[k] for k in keep} | {"seg_dir": seg_dir})
     manifest = finalize_build_manifest(str(root), rows)
-    terms = sorted({t for r in rows for t in Segment(r["seg_dir"])._terms})
+    terms = sorted({t for r in rows for t in Segment(r["seg_dir"]).iter_terms()})
     return {"root": root, "manifest": manifest, "terms": terms, "clean": {}}
 
 

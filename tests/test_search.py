@@ -1230,6 +1230,38 @@ def test_cached_searcher_keyed_by_manifest_content(merged, tmp_path):
         assert shard.fields[fld][0][0].index is segs[0], fld
 
 
+def test_cached_searcher_evicts_least_recent_manifest(merged, tmp_path):
+    """The searcher cache holds at most ``_SEARCHERS_MAX`` manifests: after
+    one more distinct manifest (``delete_by_term`` generations of one
+    index), the least recently used one is gone with its shard views, and
+    the newest is served from the cache."""
+    from engine import search as search_mod
+    from engine.checkpoint import load_merge_manifest
+    from engine.deletes import delete_by_term
+
+    root = _merged_replica(merged, tmp_path)
+    first = load_merge_manifest(root)
+    first_digest = search_mod.manifest_digest(first)
+    first_full = search_mod.cached_searcher(first)
+    search_mod.cached_searcher(first, shard=(0, 2))
+    assert set(search_mod._SEARCHERS[first_digest]) == {None, (0, 2)}
+    # a delete that adds no new doc leaves the manifest as it was, so
+    # delete rare terms until there are _SEARCHERS_MAX new manifests
+    seg = first_full.segments[0]
+    rare = (t for t in seg.iter_terms() if seg.term_stats(t)[0] == 1)
+    digests = [first_digest]
+    while len(digests) <= search_mod._SEARCHERS_MAX:
+        delete_by_term(root, next(rare))
+        newest = load_merge_manifest(root)
+        if search_mod.manifest_digest(newest) not in digests:
+            digests.append(search_mod.manifest_digest(newest))
+            newest_full = search_mod.cached_searcher(newest)
+    assert list(search_mod._SEARCHERS) == digests[1:]
+    assert first_digest not in search_mod._SEARCHERS
+    assert search_mod.cached_searcher(newest) is newest_full
+    assert search_mod.cached_searcher(first) is not first_full
+
+
 def test_search_after_pages_equal_big_topk(corpus):
     """IndexSearcher.searchAfter (search/IndexSearcher.java:416-433):
     chained pages of k reproduce one big top-(p*k) exactly — the
@@ -1394,7 +1426,7 @@ def test_leading_wildcard_reversed_dictionary(corpus, merged):
 
     s = IndexSearcher(corpus["manifest"], algorithm="taat")
     seg = s.segments[0]
-    all_terms = list(seg._terms) if hasattr(seg, "_terms") else list(seg.iter_terms())
+    all_terms = list(seg.iter_terms())
     # expand_suffix == full-scan endswith filter, forward-sorted
     for suf in ["01", "e05", "zzz-none"]:
         exp = sorted(t for t in all_terms if t.endswith(suf))

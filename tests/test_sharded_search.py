@@ -187,8 +187,7 @@ def test_fanout_builds_no_driver_index(tmp_path_factory):
         digest = search_mod_check.manifest_digest(mm)
         assert all(
             not any(isinstance(s, segment_mod.Segment) for s in srch.segments)
-            for (d, _shard), srch in search_mod_check._SEARCHERS.items()
-            if d == digest
+            for srch in search_mod_check._SEARCHERS.get(digest, {}).values()
         ), "stats searcher holds Segments"
     finally:
         segment_mod.Segment.__init__ = orig_init
