@@ -11,9 +11,11 @@ atomically (tmp+rename) and then commits a manifest JSON listing them
 the missing units: partition outputs are keyed by doc_base, and each
 ``merge_by_term`` bucket task leaves a done-marker under ``merged/units/``
 that a rerun of the same plan adopts (the north rule's "resume
-mid-merge"). Once the merge manifest commits, the merge sweeps its
-markers, its heavy runs and every term file the manifest does not
-name (engine/merge.py).
+mid-merge"). A bucket's done-marker names its light shard and its heavy
+run (its salted groups' merged postings, which the final heavy pass
+joins and encodes once; a rerun reruns that pass). Once the merge
+manifest commits, the merge sweeps its markers, its heavy runs and
+every term file the manifest does not name (engine/merge.py).
 """
 
 from __future__ import annotations

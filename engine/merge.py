@@ -18,18 +18,24 @@ no Dataset all-to-all:
    ``fnv1a(term, salt) % n_buckets``, salts being contiguous
    partition-rank ranges so runs stay doc-ordered. Each bucket task
    depends on exactly its own slot of every explode task, so the
-   exchange is the object transfer itself. The bucket task merges its
-   terms in one sorted batch and re-encodes them with one
-   ``codec.encode_terms`` call per output (the encoder the inverter
-   uses, so the engine has one): light terms are final and go to one
-   shard file per bucket, heavy terms leave one salted run file.
+   exchange is the object transfer itself. The bucket task decodes its
+   rows in one ``codec.decode_terms`` call and merges them in one sorted
+   batch. Light terms are final: one ``codec.encode_terms`` call (the
+   encoder the inverter uses, so the engine has one) writes them to one
+   shard file per bucket. The salted groups of heavy terms leave one
+   *run* file per bucket: their merged postings, norms and side streams,
+   not encoded, in an uncompressed Arrow IPC file sorted by
+   (term, salt).
    The light shards hold sorted, disjoint term ranges, so they and their
    manifest ``term_min``/``term_max`` are the sorted dictionary (the
    BlockTree .tim/.tip role) that serves prefix/range/fuzzy/suffix
    expansion.
 3. *Final heavy pass.* df-weighted contiguous chunks of heavy terms each
-   read at most ``n_salts`` run files and write term-range-disjoint heavy
-   shards. A Bloom sidecar over all shard terms follows.
+   take their term range from every memory-mapped run file, join each
+   term's runs in salt order (doc order: salts are contiguous partition
+   ranks) and encode the chunk once into a term-range-disjoint heavy
+   shard. No posting is decoded or encoded twice. A Bloom sidecar over
+   all shard terms follows.
 
 *Resume.* The unit of work is the bucket task: once it has written its
 shard and its heavy-run file it records its result rows, postings,
@@ -68,7 +74,8 @@ range, through the same ``segment.PostingsReader`` surface as a flushed
 Arrow IPC files, written by ``segment.write_term_shard`` and memory-mapped
 by ``segment.read_term_shard`` (the store/MMapDirectory.java role); every
 reader of a shard path goes through that function or
-``term_shard_dataset``. Norm shards and heavy runs are Parquet.
+``term_shard_dataset``. Norm shards are Parquet; heavy runs are
+uncompressed Arrow IPC and live only until the sweep.
 """
 
 from __future__ import annotations
@@ -315,11 +322,11 @@ def write_norm_shards_async(
 
 class _NormStore:
     """Per-worker lazy loader of doc-range norm shards: ``norms_for(docs)``
-    for a doc-sorted run that lies inside one partition (hence one shard).
-    Shards decode to dense uint8 arrays once per worker process and stay
-    cached (LRU) — on a multi-node cluster each node reads only the shards
-    its merge rows touch, from shared storage, once per worker; nothing is
-    ever broadcast whole."""
+    for the flat merged docs of a whole bucket, which may span every
+    shard. Shards decode to dense uint8 arrays once per worker process
+    and stay cached (LRU) — on a multi-node cluster each node reads only
+    the shards its merge rows touch, from shared storage, once per
+    worker; nothing is ever broadcast whole."""
 
     _CACHE_MAX = 64
 
@@ -365,39 +372,19 @@ class _NormStore:
 
 
 _NORM_STORES: dict = {}
-_RUN_TABLES: dict = {}
-_RUN_TABLES_MAX = 32
-
-
-def _run_table_cached(path: str) -> pa.Table:
-    """Per-worker-process LRU of heavy-run tables: final-heavy tasks over
-    overlapping term batches hit the same bucket files; each worker reads
-    a file once instead of once per task."""
-    from collections import OrderedDict
-
-    global _RUN_TABLES
-    if not isinstance(_RUN_TABLES, OrderedDict):
-        _RUN_TABLES = OrderedDict(_RUN_TABLES)
-    hit = _RUN_TABLES.get(path)
-    if hit is not None:
-        _RUN_TABLES.move_to_end(path)
-        return hit
-    tbl = pq.read_table(path)
-    _RUN_TABLES[path] = tbl
-    if len(_RUN_TABLES) > _RUN_TABLES_MAX:
-        _RUN_TABLES.popitem(last=False)
-    return tbl
 
 
 def _norm_store_for(shards: list[dict]) -> _NormStore:
     """This worker's store for one norm-shard list, keyed by the shards'
     (path, doc_lo, doc_hi): a rerun under a new norm-shard layout must
-    not read a store cached for the old one."""
+    not read a store cached for the old one. Only the current list's
+    store is kept, so a long-lived worker holds one merge's norms, not
+    every merge's it ever served."""
     key = tuple((s["path"], int(s["doc_lo"]), int(s["doc_hi"])) for s in shards)
     st = _NORM_STORES.get(key)
     if st is None:
-        st = _NormStore(shards)
-        _NORM_STORES[key] = st
+        _NORM_STORES.clear()
+        st = _NORM_STORES[key] = _NormStore(shards)
     return st
 
 
@@ -418,9 +405,10 @@ def _explode_chunk(
     less per-row shuffle overhead. Fragments of the ``done`` buckets
     (adopted on resume) are dropped here, at the map. Heavy terms get salt =
     contiguous-partition-rank-range id (runs stay doc-ordered) and the
-    bucket fnv1a(term, salt) % n_buckets (the vectorized FNV-1a, identical
-    to the scalar fnv1a the final heavy pass routes by); light terms salt
-    -1 and their term-range bucket, the number of ``boundaries`` <= term.
+    bucket fnv1a(term + "\\x00" + salt) % n_buckets (the vectorized
+    FNV-1a), which spreads a heavy term's salts over the buckets; light
+    terms salt -1 and their term-range bucket, the number of
+    ``boundaries`` <= term.
 
     Returns a TUPLE of n_buckets lists of frag bytes: run under
     ``ray.remote(num_returns=n_buckets)`` this is a map-side-partitioned
@@ -487,10 +475,10 @@ def _explode_chunk(
 
 
 class _Groups(NamedTuple):
-    """The (term, salt) groups of one merged sorted batch: group i's
-    merged postings are ``docs/freqs/norms[starts[i]:ends[i]]``, doc
-    ordered; ``side`` holds its ``pos_blob``, ``off_blob`` and
-    ``pay_blob``, one binary array each, one value per group."""
+    """The groups of one sorted batch of rows: group i's merged postings
+    are ``docs/freqs/norms[starts[i]:ends[i]]``, doc ordered; ``side``
+    holds its ``pos_blob``, ``off_blob`` and ``pay_blob``, one binary
+    array each, one value per group; ``salts`` is its first row's salt."""
 
     terms: pa.Array
     salts: np.ndarray
@@ -516,9 +504,32 @@ class _Groups(NamedTuple):
             schema=TERMS_SCHEMA,
         )
 
+    def run(self, sel: np.ndarray) -> pa.Table:
+        """Heavy-run rows of the groups ``sel`` (a boolean mask): term,
+        salt, the merged ``docs``, ``freqs`` and ``norms`` as lists, in
+        the dtypes ``encode_terms`` is handed, and the side streams."""
+        idx = np.flatnonzero(sel)
+        take = pa.array(idx, type=pa.int64())
+        lens = self.ends[idx] - self.starts[idx]
+        offs = np.concatenate(([0], np.cumsum(lens)))
+        at = np.arange(offs[-1]) + np.repeat(self.starts[idx] - offs[:-1], lens)
+        offs_a = pa.array(offs, type=pa.int32())
+        return pa.table(
+            {
+                "term": self.terms.take(take),
+                "salt": self.salts[idx],
+                **{
+                    k: pa.ListArray.from_arrays(offs_a, pa.array(getattr(self, k)[at]))
+                    for k in _RUN_POSTINGS
+                },
+                **{k: v.take(take) for k, v in self.side.items()},
+            }
+        )
+
 
 _SIDE_STREAMS = ("pos_blob", "off_blob", "pay_blob")
 _POSTINGS_COLS = ("df", "ttf", "singleton_doc", "blob", "offsets")  # decode_terms input
+_RUN_POSTINGS = ("docs", "freqs", "norms")  # list columns of a heavy run
 
 
 def _group_bytes(batch: pa.Table, name: str, g_starts: np.ndarray, g_ends: np.ndarray) -> pa.Array:
@@ -539,50 +550,32 @@ def _group_bytes(batch: pa.Table, name: str, g_starts: np.ndarray, g_ends: np.nd
     return out
 
 
-def _merge_sorted_batch(
-    batch: pa.Table, norm_store: "_NormStore", group_salt: bool = True
-) -> _Groups | None:
-    """Merge a (term, salt, doc_base)-sorted single-chunk batch of shuffle
-    rows into its (term, salt) groups, in sorted order, or None for an
-    empty batch. ``group_salt=False`` groups by term ONLY (rows still
-    salt-sorted within a term) — the final heavy pass merges a term's
-    salted runs into one group this way.
+def _term_changes(batch: pa.Table) -> np.ndarray:
+    """Per row of a non-empty single-chunk batch but the first: its term
+    differs from the row before."""
+    t = batch.column("term").chunk(0)
+    return pc.not_equal(t.slice(1), t.slice(0, len(t) - 1)).to_numpy(zero_copy_only=False)
 
-    One ``codec.decode_terms`` call decodes every row into one flat
-    postings buffer at cumsum(df) offsets, so each group's merged
-    postings are a CONTIGUOUS slice, and so are its position, offset and
-    payload bytes (``_group_bytes``); group bounds come from array
-    comparisons, with no per-group Python. A group's rows are doc-ordered:
-    partitions cover disjoint doc ranges (``finalize_build_manifest``
-    checks), rows sort by doc_base, and salts are contiguous
-    partition-rank ranges. A group whose rows interleave in doc order
-    raises ``ValueError`` naming its term."""
+
+def _join_rows(batch: pa.Table, new_group: np.ndarray, docs, freqs, norms, row_ends) -> _Groups:
+    """Join the rows of a sorted single-chunk batch into groups of
+    consecutive rows: row i + 1 starts a new group where ``new_group[i]``.
+    Row i's postings are ``docs/freqs/norms[row_ends[i-1]:row_ends[i]]``,
+    so each group's postings are one contiguous slice, and so are its
+    position, offset and payload bytes (``_group_bytes``); no per-group
+    Python. A group whose rows interleave in doc order raises
+    ``ValueError`` naming its term."""
     n = batch.num_rows
-    if n == 0:
-        return None
-    terms_a = batch.column("term").chunk(0)
-    salt = batch.column("salt").to_numpy()
-    df = batch.column("df").to_numpy()
-    flat_docs, flat_freqs = decode_terms({c: batch.column(c).chunk(0) for c in _POSTINGS_COLS})
-    out_end = np.cumsum(df)
-    out_start = out_end - df
-
-    if n > 1:
-        neq = pc.not_equal(
-            terms_a.slice(1), terms_a.slice(0, n - 1)
-        ).to_numpy(zero_copy_only=False)
-        if group_salt:
-            neq = neq | (salt[1:] != salt[:-1])
-        brk = np.flatnonzero(neq) + 1
-    else:
-        brk = np.empty(0, dtype=np.int64)
+    brk = np.flatnonzero(new_group) + 1
     g_starts = np.concatenate([[0], brk]).astype(np.int64)
     g_ends = np.concatenate([brk, [n]]).astype(np.int64)
-    p_lo, p_hi = out_start[g_starts], out_end[g_ends - 1]
+    p_lo = np.concatenate([[0], row_ends[:-1]])[g_starts]
+    p_hi = row_ends[g_ends - 1]
+    terms_a = batch.column("term").chunk(0)
 
     # docs ascend within a row, so a doc not above its predecessor inside
     # a group sits where one of its rows starts inside another's range
-    back = np.flatnonzero(flat_docs[1:] <= flat_docs[:-1]) + 1
+    back = np.flatnonzero(docs[1:] <= docs[:-1]) + 1
     back = back[~np.isin(back, p_lo)]
     if len(back):
         g = int(np.searchsorted(p_lo, back[0], side="right")) - 1
@@ -593,14 +586,46 @@ def _merge_sorted_batch(
 
     return _Groups(
         terms=terms_a.take(pa.array(g_starts)),
-        salts=salt[g_starts],
-        docs=flat_docs,
-        freqs=flat_freqs,
-        norms=norm_store.norms_for(flat_docs),
+        salts=batch.column("salt").to_numpy()[g_starts],
+        docs=docs,
+        freqs=freqs,
+        norms=norms,
         starts=p_lo,
         ends=p_hi,
         side={name: _group_bytes(batch, name, g_starts, g_ends) for name in _SIDE_STREAMS},
     )
+
+
+def _merge_sorted_batch(batch: pa.Table, norm_store: "_NormStore") -> _Groups | None:
+    """Merge a (term, salt, doc_base)-sorted single-chunk batch of shuffle
+    rows into its (term, salt) groups, in sorted order, or None for an
+    empty batch.
+
+    One ``codec.decode_terms`` call decodes every row into one flat
+    postings buffer at cumsum(df) offsets, which ``_join_rows`` joins. A
+    group's rows are doc-ordered: partitions cover disjoint doc ranges
+    (``finalize_build_manifest`` checks), rows sort by doc_base, and
+    salts are contiguous partition-rank ranges."""
+    if batch.num_rows == 0:
+        return None
+    salt = batch.column("salt").to_numpy()
+    docs, freqs = decode_terms({c: batch.column(c).chunk(0) for c in _POSTINGS_COLS})
+    new_group = _term_changes(batch) | (salt[1:] != salt[:-1])
+    row_ends = np.cumsum(batch.column("df").to_numpy())
+    return _join_rows(batch, new_group, docs, freqs, norm_store.norms_for(docs), row_ends)
+
+
+def _join_runs(runs: pa.Table) -> _Groups:
+    """Join the heavy-run rows (``_Groups.run``) of some terms into one
+    group per term: sorted by (term, salt), a term's runs are in doc
+    order, so its postings, norms and side streams are theirs
+    concatenated, with nothing decoded."""
+    runs = runs.take(
+        pc.sort_indices(runs, sort_keys=[("term", "ascending"), ("salt", "ascending")])
+    ).combine_chunks()
+    flat = {k: runs.column(k).chunk(0).flatten().to_numpy() for k in _RUN_POSTINGS}
+    row_ends = np.cumsum(pc.list_value_length(runs.column("docs")).to_numpy(), dtype=np.int64)
+    return _join_rows(runs, _term_changes(runs), **flat, row_ends=row_ends)
 
 
 def _fmix64(h):
@@ -700,12 +725,13 @@ def merge_by_term(
     bucket = term range for a light term, hash(term, salt) for a heavy
     one — an explicit partitioned shuffle with B buckets so per-group
     scheduling overhead is O(B), not O(#terms) —
-    → each bucket task merges its terms and re-encodes them in array
-    passes, with no per-term Python (``codec.encode_terms``; heavy terms
-    appear as per-salt sub-groups that stay doc-ordered because salts
-    are contiguous partition-rank ranges) → light terms are final after the single
-    shuffle; the stop-word-sized set of salted runs finishes through
-    min(#heavy, max(8, 2·cpus)) df-weighted chunks of heavy terms. Norms
+    → each bucket task merges its terms in array passes, with no
+    per-term Python → light terms are final after the single shuffle and
+    are encoded there (``codec.encode_terms``); heavy terms appear as
+    per-salt sub-groups, doc-ordered because salts are contiguous
+    partition-rank ranges, which the bucket writes merged, not encoded →
+    min(#heavy, max(8, 2·cpus)) df-weighted chunks of heavy terms each
+    join their terms' runs in salt order and encode them once. Norms
     are doc-range-sharded by Ray tasks (1 byte/doc total) and mergers
     fetch only the shards their rows touch, cached per worker — nothing
     whole-corpus is ever held on the driver or broadcast dense. Output
@@ -763,7 +789,7 @@ def merge_by_term(
     # parts_per_shard.
     units_dir = os.path.join(merged_dir, "units")
     plan = {
-        "version": 4,  # light buckets are term ranges; markers count terms
+        "version": 5,  # heavy runs are merged postings in Arrow IPC
         "partitions": [[r["seg_dir"], int(r["doc_base"])] for r in parts],
         "salt_threshold": salt_threshold,
         "n_salts": n_salts,
@@ -815,15 +841,17 @@ def merge_by_term(
 
     def _merge_bucket(bucket_id: int, *frag_lists) -> dict:
         """One shuffle bucket: merge every (term, salt) group in it, write
-        one final shard (+ one heavy-run file), then record the result
-        rows and the bucket's postings, terms, output bytes and wall in
-        its done-marker and return that marker.
+        one final shard of its light terms (+ one heavy-run file of its
+        salted groups), then record the result rows and the bucket's
+        postings, terms, output bytes and wall in its done-marker and
+        return that marker.
 
         Arrow-native hot path: unpack the IPC fragments, one sort, one
         batched decode into contiguous groups (_merge_sorted_batch), one
-        batched encode per output table (_Groups.table) — per-term
-        Python (the round-1 .to_pylist(), then a per-group encode call)
-        set the bucket wall by its term count."""
+        batched encode of the light groups (_Groups.table) and one
+        gather of the salted ones (_Groups.run) — per-term Python (the
+        round-1 .to_pylist(), then a per-group encode call) set the
+        bucket wall by its term count."""
         import uuid as _uuid
 
         t_b = time.perf_counter()
@@ -844,23 +872,14 @@ def merge_by_term(
         batch = batch.take(idx).combine_chunks()
         groups = _merge_sorted_batch(batch, norm_store)
         light = groups.salts < 0  # light terms are final after this shuffle
-        if not light.all():  # salted runs of heavy terms
-            run_tbl = groups.table(~light).append_column(
-                "salt", pa.array(groups.salts[~light], type=pa.int32())
-            )
-            hpath = os.path.join(heavy_dir, f"run-{_uuid.uuid4().hex[:12]}.parquet")
-            pq.write_table(run_tbl, hpath + ".tmp")
+        if not light.all():  # salted runs of heavy terms, merged postings
+            run_tbl = groups.run(~light)
+            hpath = os.path.join(heavy_dir, f"run-{_uuid.uuid4().hex[:12]}.arrow")
+            with pa.OSFile(hpath + ".tmp", "wb") as sink:
+                with pa.ipc.new_file(sink, run_tbl.schema) as w:
+                    w.write_table(run_tbl)
             os.replace(hpath + ".tmp", hpath)
-            out_rows.append(
-                {
-                    "kind": "heavy_runs",
-                    "path": hpath,
-                    "term_min": None,
-                    "term_max": None,
-                    "n_terms": run_tbl.num_rows,
-                    "bucket": bucket_id,
-                }
-            )
+            out_rows.append({"kind": "heavy_runs", "path": hpath, "n_terms": run_tbl.num_rows})
         if light.any():
             tbl = groups.table(light)
             path = os.path.join(shard_dir, f"shard-{_uuid.uuid4().hex[:12]}.arrow")
@@ -909,62 +928,37 @@ def merge_by_term(
         for r in results
         if r.get("kind") == "shard"
     ]
-    heavy_run_files = [r["path"] for r in results if r.get("kind") == "heavy_runs"]
+    run_files = [r["path"] for r in results if r.get("kind") == "heavy_runs"]
 
-    if heavy_run_files:
-        # Final pass over the salted runs. A term's salted rows live in
-        # exactly the buckets hash(term, salt) % B for salt in
-        # 0..n_salts-1, and stage 2 wrote one run file per bucket — so each
-        # per-term-batch task reads at most n_salts run files, not all of
-        # them. (A Dataset groupby(term) over the runs was measured 2x
-        # slower here: the all-to-all's fixed per-block overhead dwarfs the
+    if run_files:
+        # Final pass over the salted runs: every run file is sorted by
+        # (term, salt), so a chunk of heavy terms is one slice of each.
+        # (A Dataset groupby(term) over the runs was measured 2x slower:
+        # the all-to-all's fixed per-block overhead dwarfs the
         # stop-word-sized run mass.)
-        bucket_to_run = {
-            int(r["bucket"]): r["path"] for r in results if r.get("kind") == "heavy_runs"
-        }
-        run_map_ref = ray.put(bucket_to_run)
 
-        def _final_heavy_term(term_list: list[str]) -> list[dict]:
-            """Finalize one batch of heavy terms: gather their salted runs
-            (each term's runs live in exactly the n_salts bucket files
-            hash(term, salt) % B), then ONE sorted-batch merge over the
-            concatenated run rows — the same batched decode (decode_terms) and
-            batched encode as the bucket merger (_merge_sorted_batch,
-            term-only groups, runs salt-ordered = doc-ordered). Run tables cache per worker
-            process (LRU) so overlapping tasks re-read a file at most once
-            per worker."""
+        def _final_heavy_term(lo: str, hi: str) -> list[dict]:
+            """Finalize the heavy terms lo..hi, a contiguous range of the
+            sorted heavy terms: take that range from every memory-mapped
+            run file (searchsorted over its term column), join each
+            term's runs in salt order (_join_runs) and encode the chunk
+            in one encode_terms call (_Groups.table). Each posting was
+            decoded and given its norm once, in its bucket."""
             import uuid as _uuid
 
-            from .textops import fnv1a
-
-            norm_store = _norm_store_for(norm_shards)
-            run_map = ray.get(run_map_ref)
-            terms = sorted(term_list)
-            files = sorted(
-                {
-                    run_map[b]
-                    for t in terms
-                    for s in range(n_salts)
-                    if (b := fnv1a(f"{t}\x00{s}") % n_buckets) in run_map
-                }
-            )
-            term_arr = pa.array(terms, type=pa.string())
             parts = []
-            for fp in files:
-                t = _run_table_cached(fp)
-                t = t.filter(pc.is_in(t.column("term"), term_arr))
-                if t.num_rows:
-                    parts.append(t)
+            for fp in run_files:
+                with pa.memory_map(fp) as src:
+                    run = pa.ipc.open_file(src).read_all()
+                col = run.column("term").to_numpy(zero_copy_only=False)
+                a = int(np.searchsorted(col, lo, side="left"))
+                b = int(np.searchsorted(col, hi, side="right"))
+                if b > a:
+                    parts.append(run.slice(a, b - a))
             if not parts:
                 return []
-            cat = pa.concat_tables(parts)
-            idx = pc.sort_indices(
-                cat,
-                sort_keys=[("term", "ascending"), ("salt", "ascending")],
-            )
-            cat = cat.take(idx).combine_chunks()
-            tbl = _merge_sorted_batch(cat, norm_store, group_salt=False).table()
-            terms = tbl.column("term")  # terms actually present in the runs
+            tbl = _join_runs(pa.concat_tables(parts)).table()
+            terms = tbl.column("term")
             path = os.path.join(shard_dir, f"shard-heavy-{_uuid.uuid4().hex[:12]}.arrow")
             write_term_shard(tbl, path)
             return [
@@ -986,8 +980,7 @@ def merge_by_term(
         # put the whole stop band in one task (measured 4s stage tail).
         # Contiguous chunks keep heavy shard term ranges disjoint for the
         # searcher's range bisect.
-        n_cpus_h = int(ray.cluster_resources().get("CPU", 8))
-        n_heavy_tasks = min(len(heavy), max(8, n_cpus_h * 2))
+        n_heavy_tasks = min(len(heavy), max(8, n_cpus * 2))
         order = sorted(heavy)
         w = np.array([max(1, int(heavy[t])) for t in order], dtype=np.float64)
         cw = np.cumsum(w)
@@ -995,7 +988,7 @@ def merge_by_term(
             cw, np.linspace(0, cw[-1], n_heavy_tasks + 1)[1:-1], side="left"
         )
         chunks = [
-            [order[i] for i in ch]
+            (order[ch[0]], order[ch[-1]])
             for ch in np.split(np.arange(len(order)), np.unique(bounds))
             if len(ch)
         ]
@@ -1003,7 +996,7 @@ def merge_by_term(
         _final_remote = ray.remote(**_rargs())(_final_heavy_term)
         heavy_shards = [
             row
-            for rows in ray.get([_final_remote.remote(c) for c in chunks])
+            for rows in ray.get([_final_remote.remote(lo, hi) for lo, hi in chunks])
             for row in rows
         ]
         stage_t["final_heavy"] = round(time.perf_counter() - t_s, 3)

@@ -118,21 +118,24 @@ def test_merge_by_term_salted(built, tmp_path_factory):
 
 @pytest.mark.usefixtures("ray_session")
 def test_merged_rows_are_canonical_and_markers_count_terms(built, tmp_path_factory, monkeypatch):
-    """Every row of every merged shard, and of every salted run, equals the
-    per-term reference encoding of its decoded postings and norms; the
-    bucket markers' term counts add up to the light shards' terms plus
-    the run rows (the post-commit sweep is disabled to keep the markers
-    and runs)."""
+    """Every row of every merged shard equals the per-term reference
+    encoding of its decoded postings and norms. Every row of every salted
+    run holds its term's merged postings inside its salt's partition doc
+    range, not encoded, with their norms, and each run is sorted by
+    (term, salt). The bucket markers' term counts add up to the light
+    shards' terms plus the run rows (the post-commit sweep is disabled to
+    keep the markers and runs)."""
     import json
 
-    import pyarrow.parquet as pq
+    import pyarrow as pa
 
     import engine.merge as merge_mod
     from test_codec import assert_rows_canonical
 
     monkeypatch.setattr(merge_mod, "_sweep_merged", lambda *_a: None)
     root = str(tmp_path_factory.mktemp("canon"))
-    mm = merge_by_term(built["manifest"], root, salt_threshold=400, n_salts=4)
+    n_salts = 4
+    mm = merge_by_term(built["manifest"], root, salt_threshold=400, n_salts=n_salts)
     mi = MergedIndex(root)
     rows = [row for _p, row in mi.iter_term_rows()]
     assert assert_rows_canonical(rows, mi.norm_of) == sum(s["n_terms"] for s in mm["shards"])
@@ -143,12 +146,94 @@ def test_merged_rows_are_canonical_and_markers_count_terms(built, tmp_path_facto
     assert len(markers) == mm["n_buckets"]
     runs = [r["path"] for mk in markers for r in mk["rows"] if r["kind"] == "heavy_runs"]
     assert runs
-    run_rows = [row for p in runs for row in pq.read_table(p).to_pylist()]
-    assert_rows_canonical(run_rows, mi.norm_of)
+    # salt s covers the partitions of rank [s * per, (s + 1) * per)
+    parts = sorted(built["manifest"]["partitions"], key=lambda r: r["doc_base"])
+    per = -(-len(parts) // n_salts)
+    bounds = [r["doc_base"] for r in parts[::per]] + [parts[-1]["doc_base"] + parts[-1]["n_docs"]]
+    n_run_rows = 0
+    for p in runs:
+        with pa.memory_map(p) as src:
+            run = pa.ipc.open_file(src).read_all()
+        assert run.schema.field("norms").type == pa.list_(pa.uint8())
+        keys = list(zip(run.column("term").to_pylist(), run.column("salt").to_pylist()))
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), p
+        for row in run.to_pylist():
+            lo, hi = bounds[row["salt"]], bounds[row["salt"] + 1]
+            docs, freqs = mi.postings(row["term"])
+            inside = (docs >= lo) & (docs < hi)
+            assert row["docs"] == docs[inside].tolist(), (row["term"], row["salt"])
+            assert row["freqs"] == freqs[inside].tolist(), (row["term"], row["salt"])
+            assert row["norms"] == mi.norm_of(docs[inside]).tolist(), (row["term"], row["salt"])
+            n_run_rows += 1
     light_terms = sum(s["n_terms"] for s in mm["shards"] if s["bucket"] >= 0)
-    assert sum(mk["terms"] for mk in markers) == light_terms + len(run_rows)
+    assert sum(mk["terms"] for mk in markers) == light_terms + n_run_rows
     assert mm["buckets"]["terms_max"] == max(mk["terms"] for mk in markers)
     assert mm["buckets"]["terms_median"] == float(np.median([mk["terms"] for mk in markers]))
+
+
+# (term, doc_base, docs, freqs, positions per posting or None)
+_SPEC = [
+    ("a", 0, [5, 8], [2, 1], [[1, 4], [0]]),
+    ("a", 10, [10], [3], [[2, 5, 9]]),
+    ("b", 0, [1, 2, 3], [1, 1, 2], [[0], [3], [1, 2]]),
+    ("b", 10, [11], [1], [[4]]),
+    ("c", 0, [6], [1], [[7]]),
+    ("c", 10, [12, 13], [1, 1], None),
+]
+_MERGED = {"a": ([5, 8, 10], [2, 1, 3]), "b": ([1, 2, 3, 11], [1, 1, 2, 1]), "c": ([6, 12, 13], [1, 1, 1])}
+
+
+class _Norms:
+    def norms_for(self, d):
+        return (d % 7).astype(np.uint8)
+
+
+def _shuffle_batch(salts):
+    """``_SPEC`` as (term, salt, doc_base)-sorted shuffle rows with the
+    given salt per row, and each row's position stream."""
+    import pyarrow as pa
+
+    from engine.codec import encode_positions, encode_terms
+
+    docs = np.concatenate([r[2] for r in _SPEC])
+    freqs = np.concatenate([r[3] for r in _SPEC])
+    lens = np.array([len(r[2]) for r in _SPEC])
+    cols = encode_terms(docs, freqs, docs % 7, np.cumsum(lens) - lens, np.cumsum(lens))
+    pos = [
+        encode_positions(np.concatenate([np.array(p) for p in r[4]]), np.array(r[3])) if r[4] else b""
+        for r in _SPEC
+    ]
+    batch = pa.table(
+        {
+            "term": [r[0] for r in _SPEC],
+            **{k: cols[k] for k in ("df", "ttf", "singleton_doc", "blob", "offsets")},
+            "pos_blob": pa.array(pos, type=pa.binary()),
+            "off_blob": pa.array([b""] * len(_SPEC), type=pa.binary()),
+            "pay_blob": pa.array([b""] * len(_SPEC), type=pa.binary()),
+            "salt": pa.array(salts, type=pa.int32()),
+            "doc_base": [r[1] for r in _SPEC],
+        }
+    )
+    return batch, pos
+
+
+def _assert_merged(tbl, pos):
+    """``tbl`` holds one encoded row per ``_MERGED`` term, equal to the
+    per-term reference, with the rows' position streams joined."""
+    from engine.segment import TERMS_SCHEMA
+    from test_codec import expected_row
+
+    assert tbl.schema == TERMS_SCHEMA
+    got = {r["term"]: r for r in tbl.to_pylist()}
+    assert list(got) == ["a", "b", "c"]
+    for t, (d, f) in _MERGED.items():
+        d, f = np.array(d), np.array(f)
+        exp = expected_row(d, f, (d % 7).astype(np.uint8))
+        assert {k: got[t][k] for k in exp} == exp, t
+    assert got["a"]["pos_blob"] == pos[0] + pos[1]
+    assert got["b"]["pos_blob"] == pos[2] + pos[3]
+    assert got["c"]["pos_blob"] == b""
+    assert (got["a"]["off_blob"], got["a"]["pay_blob"]) == (b"", b"")
 
 
 def test_merge_sorted_batch_groups():
@@ -159,58 +244,10 @@ def test_merge_sorted_batch_groups():
     raises, naming its term."""
     import pyarrow as pa
 
-    from engine.codec import encode_positions, encode_terms
     from engine.merge import _merge_sorted_batch
-    from engine.segment import TERMS_SCHEMA
-    from test_codec import expected_row
 
-    # (term, salt, doc_base, docs, freqs, positions per posting or None)
-    spec = [
-        ("a", -1, 0, [5, 8], [2, 1], [[1, 4], [0]]),
-        ("a", -1, 10, [10], [3], [[2, 5, 9]]),
-        ("b", -1, 0, [1, 2, 3], [1, 1, 2], [[0], [3], [1, 2]]),
-        ("b", -1, 10, [11], [1], [[4]]),
-        ("c", -1, 0, [6], [1], [[7]]),
-        ("c", -1, 10, [12, 13], [1, 1], None),
-    ]
-    docs = np.concatenate([r[3] for r in spec])
-    freqs = np.concatenate([r[4] for r in spec])
-    lens = np.array([len(r[3]) for r in spec])
-    cols = encode_terms(docs, freqs, docs % 7, np.cumsum(lens) - lens, np.cumsum(lens))
-    pos = [
-        encode_positions(np.concatenate([np.array(p) for p in r[5]]), np.array(r[4])) if r[5] else b""
-        for r in spec
-    ]
-    batch = pa.table(
-        {
-            "term": [r[0] for r in spec],
-            **{k: cols[k] for k in ("df", "ttf", "singleton_doc", "blob", "offsets")},
-            "pos_blob": pa.array(pos, type=pa.binary()),
-            "off_blob": pa.array([b""] * len(spec), type=pa.binary()),
-            "pay_blob": pa.array([b""] * len(spec), type=pa.binary()),
-            "salt": pa.array([r[1] for r in spec], type=pa.int32()),
-            "doc_base": [r[2] for r in spec],
-        }
-    )
-
-    class _Norms:
-        def norms_for(self, d):
-            return (d % 7).astype(np.uint8)
-
-    g = _merge_sorted_batch(batch, _Norms())
-    tbl = g.table()
-    assert tbl.schema == TERMS_SCHEMA
-    got = {r["term"]: r for r in tbl.to_pylist()}
-    assert list(got) == ["a", "b", "c"]
-    merged = {"a": ([5, 8, 10], [2, 1, 3]), "b": ([1, 2, 3, 11], [1, 1, 2, 1]), "c": ([6, 12, 13], [1, 1, 1])}
-    for t, (d, f) in merged.items():
-        d, f = np.array(d), np.array(f)
-        exp = expected_row(d, f, (d % 7).astype(np.uint8))
-        assert {k: got[t][k] for k in exp} == exp, t
-    assert got["a"]["pos_blob"] == pos[0] + pos[1]
-    assert got["b"]["pos_blob"] == pos[2] + pos[3]
-    assert got["c"]["pos_blob"] == b""
-    assert (got["a"]["off_blob"], got["a"]["pay_blob"]) == (b"", b"")
+    batch, pos = _shuffle_batch([-1] * len(_SPEC))
+    _assert_merged(_merge_sorted_batch(batch, _Norms()).table(), pos)
 
     # rows of "b" whose doc ranges interleave (1..3 and 2) cannot merge
     bad = batch.slice(2, 2).combine_chunks()
@@ -219,6 +256,30 @@ def test_merge_sorted_batch_groups():
     )
     with pytest.raises(ValueError, match="'b'"):
         _merge_sorted_batch(bad, _Norms())
+
+
+def test_join_runs_concatenates_salted_runs():
+    """The final heavy pass's join: the merged (term, salt) groups of a
+    bucket, written as heavy-run rows in any row order, join into one
+    group per term whose encoded row equals what merging all its rows at
+    once gives; runs of a term whose docs interleave raise, naming it."""
+    import pyarrow as pa
+
+    from engine.merge import _join_runs, _merge_sorted_batch
+
+    batch, pos = _shuffle_batch([0, 1] * (len(_SPEC) // 2))
+    groups = _merge_sorted_batch(batch, _Norms())
+    runs = groups.run(np.ones(len(_SPEC), dtype=bool))
+    assert runs.column("docs").to_pylist() == [r[2] for r in _SPEC]
+    assert runs.column("norms").to_pylist() == [[d % 7 for d in r[2]] for r in _SPEC]
+    _assert_merged(_join_runs(runs.take(pa.array(np.arange(len(_SPEC))[::-1]))).table(), pos)
+
+    # salt 1 of "b" holds doc 2, inside salt 0's 1..3
+    docs = runs.column("docs").to_pylist()
+    docs[3] = [2]
+    bad = runs.set_column(runs.schema.get_field_index("docs"), "docs", pa.array(docs, runs.schema.field("docs").type))
+    with pytest.raises(ValueError, match="'b'"):
+        _join_runs(bad)
 
 
 @pytest.mark.usefixtures("ray_session")

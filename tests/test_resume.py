@@ -78,7 +78,7 @@ def _markers(units: str) -> dict[int, dict]:
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize(
-    "crash", ["lost_buckets", "lost_heavy_shards", "unswept_commit", "new_plan"]
+    "crash", ["lost_buckets", "lost_heavy_shards", "half_final_heavy", "unswept_commit", "new_plan"]
 )
 def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
     """Crash points of merge_by_term, each simulated on the files of a
@@ -88,6 +88,10 @@ def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
       one more keeps its files but loses its marker, a stray ``*.tmp``;
     - lost_heavy_shards: the manifest and the heavy shards are lost, every
       bucket done (explode must not run);
+    - half_final_heavy: the final heavy pass failed after half its chunks
+      wrote their heavy shards: the manifest and the other heavy shards
+      are missing, the written ones are orphans, and the failing chunk
+      left a stray ``shard-heavy-*.arrow.tmp`` (explode must not run);
     - unswept_commit: the manifest committed but the sweep never ran;
     - new_plan: the manifest is lost and the rerun changes
       ``parts_per_shard`` and ``n_salts`` (merged/ starts over).
@@ -127,6 +131,14 @@ def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
         for s in mm1["shards"]:
             if s["bucket"] < 0:
                 os.remove(s["path"])
+    elif crash == "half_final_heavy":
+        heavy = [s["path"] for s in mm1["shards"] if s["bucket"] < 0]
+        assert len(heavy) >= 2
+        orphans = set(heavy[: len(heavy) // 2])
+        for p in heavy[len(heavy) // 2 :]:
+            os.remove(p)
+        with open(os.path.join(merged, "terms", "shard-heavy-0badc0ffee00.arrow.tmp"), "wb") as fh:
+            fh.write(b"partial")
     elif crash == "new_plan":
         kw = {"salt_threshold": 400, "n_salts": 2, "parts_per_shard": 2, "n_buckets": 128}
     adopted = {}
@@ -138,7 +150,7 @@ def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
                         adopted[r["path"]] = (fh.read(), os.stat(r["path"]).st_mtime_ns)
 
     with monkeypatch.context() as mp:
-        if crash in ("lost_heavy_shards", "unswept_commit"):
+        if crash in ("lost_heavy_shards", "half_final_heavy", "unswept_commit"):
 
             def _no_explode(*_a):  # nested, so Ray ships it by value
                 raise AssertionError("explode ran although every bucket was done")
@@ -155,6 +167,8 @@ def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
             assert fh.read() == data, p
         assert os.stat(p).st_mtime_ns == mtime, p
     assert set(adopted) <= {s["path"] for s in mm2["shards"]}
+    if crash == "half_final_heavy":
+        assert not orphans & {s["path"] for s in mm2["shards"]}
 
     ref = _clean_merge(salted, **kw)
     got, exp = MergedIndex(root), MergedIndex(None, manifest=ref)
@@ -255,26 +269,42 @@ def test_derive_n_buckets():
     assert derive_n_buckets(10**12) == 128
 
 
+def _norm_shard(tmp_path, lo: int, norms: list[int]) -> dict:
+    """A norm shard file of docs lo.. with the given norms, as a manifest
+    ``norm_shards`` row."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    path = str(tmp_path / f"norms-{lo:012d}.parquet")
+    docs = np.arange(lo, lo + len(norms), dtype=np.int64)
+    pq.write_table(pa.table({"doc_id": docs, "norm": pa.array(norms, pa.uint8())}), path)
+    return {"doc_lo": lo, "doc_hi": lo + len(norms), "path": path}
+
+
 def test_norm_store_keyed_by_shard_list(tmp_path):
     """A worker's norm store follows the shard list, not the index: after
     a parts_per_shard change rewrites norms-000000000000.parquet over a
     narrower doc range, the new list must read the new shards."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
     from engine.merge import _norm_store_for
 
-    def shard(lo, norms):
-        path = str(tmp_path / f"norms-{lo:012d}.parquet")
-        docs = np.arange(lo, lo + len(norms), dtype=np.int64)
-        pq.write_table(pa.table({"doc_id": docs, "norm": pa.array(norms, pa.uint8())}), path)
-        return {"doc_lo": lo, "doc_hi": lo + len(norms), "path": path}
-
     docs = np.arange(4, dtype=np.int64)
-    wide = [shard(0, [1, 2, 3, 4])]
+    wide = [_norm_shard(tmp_path, 0, [1, 2, 3, 4])]
     assert _norm_store_for(wide).norms_for(docs).tolist() == [1, 2, 3, 4]
-    narrow = [shard(0, [5, 6]), shard(2, [7, 8])]
+    narrow = [_norm_shard(tmp_path, 0, [5, 6]), _norm_shard(tmp_path, 2, [7, 8])]
     assert _norm_store_for(narrow).norms_for(docs).tolist() == [5, 6, 7, 8]
+
+
+def test_norm_store_cache_keeps_one_shard_list(tmp_path):
+    """A worker keeps the norm store of its current shard list only: one
+    that serves many merges must not hold every merge's norms."""
+    import engine.merge as merge_mod
+
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = merge_mod._norm_store_for([_norm_shard(tmp_path / "a", 0, [1, 2])])
+    second = merge_mod._norm_store_for([_norm_shard(tmp_path / "b", 0, [3, 4])])
+    assert second is not first
+    assert list(merge_mod._NORM_STORES.values()) == [second]
 
 
 def test_retry_idempotence_under_concurrent_write(tmp_path):
