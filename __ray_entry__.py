@@ -1,7 +1,7 @@
 """Driver contract for the graft builder (Ray Data target).
 
 ``entry()`` runs the flagship pipeline (pages fixture → extract → SPIMI
-invert → salted groupby-term merge → BM25 actor-pool search) at sf0.001.
+invert → salted groupby-term merge → BM25 search tasks) at sf0.001.
 ``queries()`` exposes one entry per implemented operator family from
 SURVEY.md §2 (+ the training-data extras) — 119 entries as of round 3;
 ``oracle_sql()`` gives DuckDB equivalents where SQL can express the
@@ -21,6 +21,7 @@ import os
 
 import pyarrow as pa
 
+from engine.rayenv import ProcessStage
 from engine.rayenv import remote_args as _rargs
 from collections.abc import Callable
 from typing import Any
@@ -260,14 +261,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return textops.soundex_term_groups(_docs(sf_dir), k=50)
 
     def q_quality_scores(sf_dir):
-        return _docs(sf_dir).map_batches(
-            textops.QualityScorer, batch_format="pyarrow", concurrency=2, **_rargs()
-        )
+        return _docs(sf_dir).map_batches(ProcessStage(textops.QualityScorer), batch_format="pyarrow", **_rargs())
 
     def q_langid(sf_dir):
-        return _docs(sf_dir).map_batches(
-            textops.LangId, batch_format="pyarrow", concurrency=2, **_rargs()
-        )
+        return _docs(sf_dir).map_batches(ProcessStage(textops.LangId), batch_format="pyarrow", **_rargs())
 
     def q_rolling_fp(sf_dir):
         # exploded (doc_id, rank, fp) rows so the winnowing fingerprints
@@ -414,12 +411,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             threshold=0.7,
             source_path=os.path.join(sf_dir, "documents.parquet"),
         )
-        quality_ds = _docs(sf_dir).map_batches(
-            textops.QualityScorer,
-            batch_format="pyarrow",
-            concurrency=(1, 4),
-            **_rargs(),
-        )
+        quality_ds = _docs(sf_dir).map_batches(ProcessStage(textops.QualityScorer), batch_format="pyarrow", **_rargs())
         return dedup.near_dup_keep_best(pairs, quality_ds)
 
     def q_simhash(sf_dir):
@@ -569,11 +561,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
         )
         return synth_media_payloads(ds).map_batches(
-            AudioFrameSampler,
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=(1, 2),
-            **_rargs(),
+            ProcessStage(AudioFrameSampler), batch_format="pyarrow", batch_size=64, **_rargs()
         )
 
     def q_video_frames(sf_dir):
@@ -585,17 +573,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
             os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
         )
         return synth_media_payloads(ds).map_batches(
-            VideoFrameSampler,
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=(1, 2),
-            **_rargs(),
+            ProcessStage(VideoFrameSampler), batch_format="pyarrow", batch_size=64, **_rargs()
         )
 
     def q_image_embed_ann(sf_dir):
         """Multimodal -> similarity integration: synth image payloads ->
-        ImageEmbedder actor pool (deterministic stub encoder, real
-        plumbing) -> brute-force cosine top-10 of the first 10 images
+        ImageEmbedder tasks (a deterministic stub encoder, one per worker
+        process; real plumbing) -> brute-force cosine top-10 of the first 10 images
         against the corpus. Rank-only output; the oracle reconstructs the
         integer-derived vectors and ranks by DuckDB cosine."""
         import numpy as np
@@ -608,11 +592,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
         )
         emb = synth_image_payloads(ds).map_batches(
-            ImageEmbedder,
-            batch_format="pyarrow",
-            batch_size=128,
-            concurrency=(1, 2),
-            **_rargs(),
+            ProcessStage(ImageEmbedder), batch_format="pyarrow", batch_size=128, **_rargs()
         )
         qids = np.arange(10, dtype=np.int64)
         qv = ImageEmbedder()._encode(qids).astype(np.float32)
@@ -628,7 +608,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
         )
         return synth_image_payloads(ds).map_batches(
-            ImageMetaExtractor, batch_format="pyarrow", batch_size=64, concurrency=2, **_rargs()
+            ProcessStage(ImageMetaExtractor), batch_format="pyarrow", batch_size=64, **_rargs()
         )
 
     return {

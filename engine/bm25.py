@@ -21,6 +21,7 @@ model) and by golden-fixture generation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,13 +46,22 @@ def norm_inverse_cache(
     avgdl: np.float32, k1: np.float32 = K1_DEFAULT, b: np.float32 = B_DEFAULT
 ) -> np.ndarray:
     """cache[i] = 1f / (k1 * ((1-b) + b * LENGTH_TABLE[i] / avgdl)), all ops
-    float32 in the reference's order (BM25Similarity.java:188-191)."""
+    float32 in the reference's order (BM25Similarity.java:188-191).
+    Memoized per float32 (avgdl, k1, b): every term of a field shares one
+    read-only array, so a term scorer costs no 256-entry rebuild."""
+    return _norm_inverse_cache(np.float32(avgdl), np.float32(k1), np.float32(b))
+
+
+@functools.lru_cache(maxsize=256)
+def _norm_inverse_cache(avgdl: np.float32, k1: np.float32, b: np.float32) -> np.ndarray:
     one = np.float32(1.0)
     t = np.multiply(b, LENGTH_TABLE, dtype=np.float32)
     t = np.divide(t, avgdl, dtype=np.float32)
     t = np.add(np.subtract(one, b, dtype=np.float32), t, dtype=np.float32)
     t = np.multiply(k1, t, dtype=np.float32)
-    return np.divide(one, t, dtype=np.float32)
+    cache = np.divide(one, t, dtype=np.float32)
+    cache.flags.writeable = False
+    return cache
 
 
 @dataclass(frozen=True)

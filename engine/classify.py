@@ -25,8 +25,8 @@ tokenize-to-unique inside ``map_batches`` (each doc contributes its
 distinct terms, so a per-batch Arrow group-count is already a distinct
 doc count) followed by a small ``groupby(class, term).sum`` — the model
 (vocab x classes) is the only thing collected. CLASSIFICATION is
-actor-pool batch inference: the model ships once as constructor args,
-documents stream through zero-copy Arrow batches.
+batch inference in ``rayenv.ProcessStage`` tasks: the model ships once
+per stage, documents stream through zero-copy Arrow batches.
 """
 
 from __future__ import annotations
@@ -226,14 +226,11 @@ def nb_score_doc(model: dict, tokens: list[str]) -> tuple[str, float]:
 
 
 class NBClassifierStage:
-    """Actor-pool inference stage: model ships once as constructor args,
-    document batches stream through."""
+    """Inference stage (run as ``rayenv.ProcessStage`` tasks): the model
+    ships once per stage, document batches stream through."""
 
     def __init__(self, model, analyzer: Analyzer = DEFAULT_ANALYZER):
-        from .rayenv import Opaque
-
-        # the model dict ships Opaque-wrapped (see rayenv.Opaque)
-        self.model = model.obj if isinstance(model, Opaque) else model
+        self.model = model
         self.analyzer = analyzer
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -255,13 +252,12 @@ def nb_classify_dataset(
     sf_dir: str,
     class_col: str = "lang",
     analyzer: Analyzer = DEFAULT_ANALYZER,
-    concurrency: tuple[int, int] = (1, 4),
 ):
     """Train on the labeled table, then classify the same document
     stream (self-classification) — Dataset of (doc_id, assigned_class)."""
     import ray.data
 
-    from .rayenv import Opaque
+    from .rayenv import ProcessStage
 
     model = nb_train(sf_dir, class_col, analyzer)
     from .rayenv import read_parquet_clean
@@ -269,11 +265,9 @@ def nb_classify_dataset(
     path = os.path.join(sf_dir, "documents.parquet")
     ds = read_parquet_clean(path, columns=["doc_id", "text"])
     return ds.map_batches(
-        NBClassifierStage,
-        fn_constructor_args=(Opaque(model), analyzer),
+        ProcessStage(NBClassifierStage, model, analyzer),
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=concurrency,
         **_rargs(),
     )
 
@@ -305,9 +299,9 @@ def knn_vote(
 
 
 class KNNClassifierStage:
-    """Actor-pool kNN classification stage: the searcher opens ONCE per
-    actor in ``__init__`` (same state-amortization shape as NB
-    inference); example documents stream through as (doc_id, text)
+    """kNN classification stage (``rayenv.ProcessStage`` tasks): the
+    searcher opens ONCE per worker process in ``__init__`` (same
+    state-amortization shape as NB inference); example documents stream through as (doc_id, text)
     batches. Neighbor labels are fetched per batch with a doc_id-pushdown
     pruned read over the labeled table (bounded by batch_size x k ids —
     never a full table scan)."""
@@ -386,18 +380,17 @@ def knn_classify_docs(
     k: int = 10,
     max_query_terms: int = 10,
     batch_size: int = 64,
-    concurrency: tuple[int, int] = (1, 4),
 ) -> pa.Table:
     """kNN classification of example docs: MLT term selection -> BM25
-    top-k neighbor search -> class vote, run as the KNNClassifierStage
-    actor pool (examples stream as batches; the searcher opens once per
-    actor). Example texts are fetched with a doc_id-pushdown pruned
-    read."""
+    top-k neighbor search -> class vote, run as KNNClassifierStage tasks
+    (examples stream as batches; the searcher opens once per worker
+    process, ``rayenv.ProcessStage``). Example texts are fetched with a
+    doc_id-pushdown pruned read."""
     import pyarrow.dataset as pads
     import ray.data
 
     src = os.path.join(sf_dir, "documents.parquet")
-    from .rayenv import read_parquet_clean
+    from .rayenv import ProcessStage, read_parquet_clean
 
     examples = read_parquet_clean(
         src,
@@ -405,17 +398,16 @@ def knn_classify_docs(
         filter=pads.field("doc_id").isin(doc_ids),
     )
     out = examples.map_batches(
-        KNNClassifierStage,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "labels_path": src,
-            "class_col": "lang",
-            "k": k,
-            "max_query_terms": max_query_terms,
-        },
+        ProcessStage(
+            KNNClassifierStage,
+            index_dir=index_dir,
+            labels_path=src,
+            class_col="lang",
+            k=k,
+            max_query_terms=max_query_terms,
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
         **_rargs(),
     ).to_pandas()
     # restore the caller's example order (batches may complete out of

@@ -22,7 +22,8 @@ Per-term blob (docFreq >= 2)::
            a bug (writes docDelta<<15, Lucene84PostingsWriter.java:409); we
            follow the documented/reader semantics (<<1).  Deviation from the
            reference layout: tail freqs follow as a second VInt stream
-           instead of being interleaved, so decode stays vectorized.
+           instead of being interleaved, so the batched decode stays
+           vectorized.
         [VInt freq] for each tail entry whose flag bit was 0, in order
 
 docFreq == 1 terms store no blob at all: the single (doc, freq) is pulsed
@@ -48,12 +49,17 @@ parses the blob. A reader decodes one term at a time:
 one block through ``decode_block``. ``encode_term_postings`` and
 ``decode_term_postings`` encode and decode one term block by block; they
 are the per-term references the batched paths are tested against, and
-``checkindex`` decodes through the latter.
+``checkindex`` decodes through the latter. The three per-term decoders
+read a tail block through ``read_tail_block``, one scalar pass over its
+bytes (Lucene's ``readVIntBlock``, Lucene84PostingsReader.java:125-137):
+a tail holds fewer than 128 values, where the fixed cost of numpy calls
+outweighs their per-value speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import pyarrow as pa
@@ -170,6 +176,40 @@ def read_vints_at(raw: np.ndarray, positions: np.ndarray) -> np.ndarray:
     low7 = chunk & np.uint64(0x7F)
     shifts = (np.uint64(7) * np.arange(_MAX_VBYTES, dtype=np.uint64))[None, :]
     return ((low7 << shifts) * active).sum(axis=1, dtype=np.uint64)
+
+
+def read_tail_block(buf: bytes | memoryview, n: int, pos: int = 0) -> tuple[list[int], list[int], int]:
+    """Decode one VInt tail block of ``n`` postings starting at byte
+    ``pos``: ``n`` values ``delta << 1 | (freq == 1)``, then one freq per
+    value whose flag bit is 0. Returns (doc deltas, freqs, next position),
+    the deltas and freqs as Python int lists. One scalar pass over the
+    bytes: on a block of fewer than 128 values it costs a fraction of the
+    numpy calls that ``read_vints`` and flag masking would make."""
+    vals: list[int] = []
+    append = vals.append
+    want = n
+    k = i = x = shift = 0
+    for byte in bytes(buf[pos : pos + 2 * _MAX_VBYTES * n]):
+        i += 1
+        if byte & 0x80:
+            x |= (byte & 0x7F) << shift
+            shift += 7
+            continue
+        append(x | byte << shift)
+        x = shift = 0
+        k += 1
+        if k == want:
+            if k == n:  # the flags are in: count the freqs that follow
+                want += n - sum([v & 1 for v in vals])
+            if k == want:
+                break
+    else:
+        if n:
+            raise ValueError("truncated VInt stream")
+        return [], [], pos
+    rest = iter(vals[n:])
+    comb = vals[:n]
+    return [v >> 1 for v in comb], [1 if v & 1 else next(rest) for v in comb], pos + i
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +557,8 @@ def encode_terms(
 def decode_term_postings(blob: bytes | memoryview, df: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode a full term blob back to (docs int64, freqs int64)."""
     nfull = df // BLOCK_SIZE
-    tail_n = df - nfull * BLOCK_SIZE
+    if not nfull:
+        return _tail_only(blob, df, 0)
     deltas = np.empty(df, dtype=np.uint64)
     freqs = np.empty(df, dtype=np.int64)
     mv = memoryview(blob)
@@ -525,19 +566,19 @@ def decode_term_postings(blob: bytes | memoryview, df: int) -> tuple[np.ndarray,
     for b in range(nfull):
         lo = b * BLOCK_SIZE
         pos = _decode_block_into(mv, pos, deltas, freqs, lo, BLOCK_SIZE)
-    if tail_n:
-        lo = nfull * BLOCK_SIZE
-        combined, pos = read_vints(mv, tail_n, pos)
-        d = combined >> np.uint64(1)
-        flags = (combined & np.uint64(1)).astype(bool)
-        n_rest = int((~flags).sum())
-        rest, pos = read_vints(mv, n_rest, pos)
-        deltas[lo:] = d
-        f = np.ones(tail_n, dtype=np.int64)
-        f[~flags] = rest.astype(np.int64)
-        freqs[lo:] = f
+    lo = nfull * BLOCK_SIZE
+    deltas[lo:], freqs[lo:], _ = read_tail_block(mv, df - lo, pos)
     docs = np.cumsum(deltas.astype(np.int64)) - 1
     return docs, freqs
+
+
+def _tail_only(blob: bytes | memoryview, df: int, pos: int, prev_doc: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """(docs, freqs), int64, of a term or block that is one tail block
+    at byte ``pos``, its docs counted on from ``prev_doc``: the cumsum runs
+    in Python, with no numpy set-up for so few values."""
+    deltas, freqs, _ = read_tail_block(blob, df, pos)
+    docs = np.fromiter(accumulate(deltas, initial=prev_doc), np.int64, df + 1)
+    return docs[1:], np.fromiter(freqs, np.int64, df)
 
 
 def _decode_block_into(
@@ -575,18 +616,11 @@ def decode_block(
     nfull = df // BLOCK_SIZE
     mv = memoryview(blob)
     pos = int(tp_offsets[block_idx])
-    if block_idx < nfull:
-        deltas = np.empty(BLOCK_SIZE, dtype=np.uint64)
-        freqs = np.empty(BLOCK_SIZE, dtype=np.int64)
-        _decode_block_into(mv, pos, deltas, freqs, 0, BLOCK_SIZE)
-    else:
-        tail_n = df - nfull * BLOCK_SIZE
-        combined, pos = read_vints(mv, tail_n, pos)
-        deltas = combined >> np.uint64(1)
-        flags = (combined & np.uint64(1)).astype(bool)
-        rest, pos = read_vints(mv, int((~flags).sum()), pos)
-        freqs = np.ones(tail_n, dtype=np.int64)
-        freqs[~flags] = rest.astype(np.int64)
+    if block_idx >= nfull:
+        return _tail_only(mv, df - nfull * BLOCK_SIZE, pos, prev_last_doc)
+    deltas = np.empty(BLOCK_SIZE, dtype=np.uint64)
+    freqs = np.empty(BLOCK_SIZE, dtype=np.int64)
+    _decode_block_into(mv, pos, deltas, freqs, 0, BLOCK_SIZE)
     docs = np.cumsum(deltas.astype(np.int64)) + prev_last_doc
     return docs, freqs
 
@@ -596,33 +630,26 @@ def decode_term_postings_indexed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One term's decode through the per-block offsets of its skip data:
     its full blocks go through ``_decode_full_blocks`` (one unpack pass
-    per bit width), its tail through two ``read_vints`` reads. This is
-    ``PostingsReader.postings``' decoder: on one short row it costs about
-    a third of ``decode_terms``, whose fixed cost pays off over many rows."""
+    per bit width), its tail through ``read_tail_block``; a term with no
+    full block (most of a vocabulary) makes no numpy call but the two
+    output arrays. This is ``PostingsReader.postings``' decoder: on one
+    short row it costs a fraction of ``decode_terms``, whose fixed cost
+    pays off over many rows."""
     nfull = df // BLOCK_SIZE
-    tail_n = df - nfull * BLOCK_SIZE
+    if not nfull:
+        return _tail_only(blob, df, int(offsets[0]) if len(offsets) else 0)
+    lo = nfull * BLOCK_SIZE
     deltas = np.empty(df, dtype=np.uint64)
     freqs = np.empty(df, dtype=np.int64)
-    if nfull:
-        _decode_full_blocks(
-            np.frombuffer(blob, dtype=np.uint8),
-            np.asarray(offsets[:nfull], dtype=np.int64),
-            deltas[: nfull * BLOCK_SIZE].reshape(nfull, BLOCK_SIZE),
-            freqs[: nfull * BLOCK_SIZE].reshape(nfull, BLOCK_SIZE),
-            np.arange(nfull),
-        )
-    if tail_n:
-        mv = memoryview(blob)
-        pos = int(offsets[nfull]) if nfull < len(offsets) else 0
-        combined, pos = read_vints(mv, tail_n, pos)
-        lo = nfull * BLOCK_SIZE
-        deltas[lo:] = combined >> np.uint64(1)
-        flags = (combined & np.uint64(1)).astype(bool)
-        rest, pos = read_vints(mv, int((~flags).sum()), pos)
-        f = np.ones(tail_n, dtype=np.int64)
-        f[~flags] = rest.astype(np.int64)
-        freqs[lo:] = f
-
+    _decode_full_blocks(
+        np.frombuffer(blob, dtype=np.uint8),
+        np.asarray(offsets[:nfull], dtype=np.int64),
+        deltas[:lo].reshape(nfull, BLOCK_SIZE),
+        freqs[:lo].reshape(nfull, BLOCK_SIZE),
+        np.arange(nfull),
+    )
+    if df > lo:
+        deltas[lo:], freqs[lo:], _ = read_tail_block(blob, df - lo, int(offsets[nfull]))
     docs = np.cumsum(deltas.astype(np.int64)) - 1
     return docs, freqs
 

@@ -944,13 +944,14 @@ def near_dup_clusters(pairs, max_rounds: int = 64):
 
 
 class _DeconScan:
-    """Actor-pool scan stage: the eval n-gram set ships ONCE per actor via
-    fn_constructor_args (never per batch, never a bare ray.put handle —
-    CLAUDE.md owner-death hazard); __call__ intersects each train doc's
-    distinct n-gram set against it (C-level set ops)."""
+    """Scan stage (``rayenv.ProcessStage`` tasks): the eval n-gram set
+    ships ONCE per stage inside the stage object (never per batch, never
+    a bare ray.put handle, whose owner dies when the building function
+    returns); __call__ intersects each train doc's distinct n-gram set
+    against it (C-level set ops)."""
 
     def __init__(self, grams, n: int, eval_stride: int):
-        self._grams = grams.obj if hasattr(grams, "obj") else grams
+        self._grams = grams
         self._n = n
         self._stride = eval_stride
 
@@ -1000,14 +1001,14 @@ def decontaminate_ngrams(
        you'd broadcast u64 fnv1a gram hashes instead, trading the string
        set for an 8-byte array and re-verifying collisions by pushdown,
        exactly like minhash_lsh_dedup's verify stage).
-    2. train scan: actor-pool map_batches; the gram set rides
-       fn_constructor_args once per actor; per doc a C-level set
+    2. train scan: map_batches tasks (``rayenv.ProcessStage``); the gram
+       set ships once per stage; per doc a C-level set
        intersection counts DISTINCT shared grams. Only contaminated rows
        are emitted (sparse output).
 
     Returns a Dataset of (doc_id, n_hits) for contaminated train docs —
     exactly SQL-replayable (DISTINCT-gram semi-join + group count)."""
-    from .rayenv import Opaque
+    from .rayenv import ProcessStage
 
     def _eval_grams(batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_numpy()
@@ -1033,11 +1034,7 @@ def decontaminate_ngrams(
             )
 
     return ds.map_batches(
-        _DeconScan,
-        fn_constructor_args=(Opaque(eval_set), n, eval_stride),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-        **_rargs(),
+        ProcessStage(_DeconScan, eval_set, n, eval_stride), batch_format="pyarrow", **_rargs()
     )
 
 
@@ -1157,12 +1154,12 @@ def bloom_new_keys(ds, m_bits: int = 4096):
     key = 'https://' || source || '.example.com/doc/' || doc_id (the
     fixture url scheme), hashed fnv1a -> fmix64 -> & (m-1). Shape: one
     pass builds per-batch partial bitsets (ORed on the driver — m/8
-    bytes, not key-count); the scan ships the bitset to an actor pool
-    via fn_constructor_args. The ORACLE replays the bitset exactly in
+    bytes, not key-count); the scan ships the bitset once with its
+    ``rayenv.ProcessStage`` tasks. The ORACLE replays the bitset exactly in
     SQL (fnv1a string fold + fmix64 via HUGEINT mulmod), so even the
     false-positive victims match bit-for-bit."""
     from .merge import _fmix64
-    from .rayenv import Opaque
+    from .rayenv import ProcessStage
     from .textops import fnv1a_vec
 
     assert m_bits & (m_bits - 1) == 0
@@ -1200,7 +1197,7 @@ def bloom_new_keys(ds, m_bits: int = 4096):
 
     class _Scan:
         def __init__(self, packed):
-            self.bits = np.frombuffer(packed.obj, dtype=np.uint64)
+            self.bits = np.frombuffer(packed, dtype=np.uint64)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             h = _fmix64(fnv1a_vec(_keys(batch).combine_chunks())) & mask
@@ -1214,13 +1211,7 @@ def bloom_new_keys(ds, m_bits: int = 4096):
                 }
             )
 
-    return ds.map_batches(
-        _Scan,
-        fn_constructor_args=(Opaque(bits.tobytes()),),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-        **_rargs(),
-    )
+    return ds.map_batches(ProcessStage(_Scan, bits.tobytes()), batch_format="pyarrow", **_rargs())
 
 
 def near_dup_keep_best(pairs, quality_ds):

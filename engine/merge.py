@@ -1180,13 +1180,15 @@ class MergedIndex(PostingsReader):
         self._bloom_meta = m.get("bloom")
         self._bloom_bits: np.ndarray | None = None
 
-        # Norms are NEVER loaded dense at open: a searcher worker touches
-        # only the doc-range shards its postings hit, lazily through the
-        # same LRU _NormStore the merge tasks use (the per-leaf mmap'd
-        # norms role — codecs/lucene80/Lucene80NormsFormat.java:30-78).
+        # Norms are NEVER loaded at open: doc bounds come from the shard
+        # METADATA, so __init__ does zero norm-file I/O. The first
+        # norm_of densifies them when the span is at most
+        # DENSE_NORMS_MAX_SPAN; above it a searcher worker touches only
+        # the doc-range shards its postings hit, lazily through the same
+        # LRU _NormStore the merge tasks use (the per-leaf mmap'd norms
+        # role — codecs/lucene80/Lucene80NormsFormat.java:30-78), since
         # 1 byte/doc dense would be 10-100 GB per worker at 10^10-10^11
-        # docs. Doc bounds come from the shard METADATA, so __init__ does
-        # zero norm-file I/O.
+        # docs.
         shard_rows = m["norm_shards"]
         self._norm_store: _NormStore | None = _NormStore(shard_rows)
         self._norms_dense: np.ndarray | None = None  # set by norm_of
@@ -1199,30 +1201,27 @@ class MergedIndex(PostingsReader):
         return int(self.manifest["sum_ttf"])
 
     # span bound for on-demand densification: 256 MB of norm bytes per
-    # searcher process. Below it, the first MULTI-shard lookup (a heavy
-    # term's whole-corpus TAAT scan) materializes one dense array — the
-    # doc-range store costs ~20x per lookup on such scans (measured 8.8ms
-    # vs 0.4ms on a df=190k term). Above it (10^9+ docs), lookups stay on
-    # the range-LRU so a worker never holds whole-corpus norms.
+    # searcher process. Below it, the first lookup materializes one dense
+    # array and every later lookup is one gather: the doc-range store's
+    # min/max and searchsorted passes cost ~10x a gather on a short tail
+    # term (12 vs 1.3 us) and ~20x on a heavy term's whole-corpus TAAT
+    # scan (8.8 vs 0.4 ms on a df=190k term). Above it (10^9+ docs),
+    # lookups stay on the range-LRU so a worker never holds whole-corpus
+    # norms.
     DENSE_NORMS_MAX_SPAN = 1 << 28
 
     def norm_of(self, doc_ids: np.ndarray) -> np.ndarray:
         docs = np.asarray(doc_ids, dtype=np.int64)
+        if self._norms_dense is None and self.norm_span <= self.DENSE_NORMS_MAX_SPAN:
+            store = self._norm_store
+            dense = np.zeros(self.norm_span, dtype=np.uint8)
+            for j, s in enumerate(store.shards):
+                dense[int(s["doc_lo"]) - self.doc_base : int(s["doc_hi"]) - self.doc_base] = store._dense(j)
+            self._norms_dense = dense
+            self._norm_store = None  # shards now redundant in this reader
         if self._norms_dense is not None:
             return self._norms_dense[docs - self.doc_base]
-        store = self._norm_store
-        if len(docs) and self.norm_span <= self.DENSE_NORMS_MAX_SPAN:
-            lo_d, hi_d = int(docs.min()), int(docs.max())
-            i = int(np.searchsorted(store._lo, lo_d, side="right")) - 1
-            if not (0 <= i < len(store.shards) and hi_d < int(store.shards[i]["doc_hi"])):
-                # multi-shard request: densify once, serve direct gathers
-                dense = np.zeros(self.norm_span, dtype=np.uint8)
-                for j, s in enumerate(store.shards):
-                    dense[int(s["doc_lo"]) - self.doc_base : int(s["doc_hi"]) - self.doc_base] = store._dense(j)
-                self._norms_dense = dense
-                self._norm_store = None  # shards now redundant in this reader
-                return dense[docs - self.doc_base]
-        return store.norms_for(docs)
+        return self._norm_store.norms_for(docs)
 
     def _load(self, path: str) -> TermShard:
         """Read one term shard (LRU-cached)."""

@@ -25,7 +25,7 @@ Reference roles:
 
 Ray shape: the compiled query set + anchor index is built ONCE on the
 driver (queries are small — the reference holds them in one in-memory
-QueryIndex too), shipped once to the actor pool as constructor args
+QueryIndex too), shipped once with the task stage
 (broadcast, never per batch). Documents stream
 through ``map_batches`` with zero-copy Arrow batches; the output is the
 (doc_id, query_id) match stream. At 100 TB the document side stays fully
@@ -238,25 +238,13 @@ def compile_queries(
 
 
 class PercolatorStage:
-    """Actor-pool map_batches stage: the broadcast query set is fetched
-    once per actor in __init__; each document batch is tokenized and
-    matched against its candidate queries."""
+    """The percolator's stateful stage: it holds the compiled query set,
+    and each document batch is tokenized and matched against its
+    candidate queries."""
 
-    def __init__(
-        self,
-        compiled,
-        anchor_map,
-        always: list,
-        analyzer: Analyzer = DEFAULT_ANALYZER,
-    ):
-        from .rayenv import Opaque
-
-        # dict args ship Opaque-wrapped (rayenv.Opaque: keeps Ray Data's
-        # schema-dedup hashing off the raw dicts)
-        self.compiled = compiled.obj if isinstance(compiled, Opaque) else compiled
-        self.anchor_map = (
-            anchor_map.obj if isinstance(anchor_map, Opaque) else anchor_map
-        )
+    def __init__(self, compiled: dict, anchor_map: dict, always: list, analyzer: Analyzer = DEFAULT_ANALYZER):
+        self.compiled = compiled
+        self.anchor_map = anchor_map
         self.always = always
         self.analyzer = analyzer
 
@@ -300,31 +288,20 @@ def percolate(
     docs_ds,
     queries: list[tuple[object, str]],
     analyzer: Analyzer = DEFAULT_ANALYZER,
-    concurrency: tuple[int, int] = (1, 4),
     batch_size: int = 256,
 ):
     """Match a registered query set against a document Dataset
     (Monitor.match over a stream). Returns a Dataset of (doc_id,
     query_id) pairs.
 
-    The compiled query set rides in ``fn_constructor_args`` — Ray stores
-    constructor args in the object store ONCE for the whole actor pool
-    (never re-shipped per batch). A bare ``ray.put`` handle captured only
-    by the lazy Dataset plan would be freed when this function returns
-    (the ref's owner goes out of scope before execution starts, so
-    ``ray.get`` in actor ``__init__`` blocks forever); constructor args
-    are owned by the actor-creation task, so their lifetime is correct
-    by construction."""
-    from .rayenv import remote_args
+    One task stage (``rayenv.ProcessStage``): the compiled query set (a
+    few KB) ships once with the stage, never per batch, and no
+    ``ray.put`` handle outlives this function's frame."""
+    from .rayenv import ProcessStage, remote_args
 
-    from .rayenv import Opaque
-
-    compiled, anchor_map, always = compile_queries(queries, analyzer)
     return docs_ds.map_batches(
-        PercolatorStage,
-        fn_constructor_args=(Opaque(compiled), Opaque(anchor_map), always, analyzer),
+        ProcessStage(PercolatorStage, *compile_queries(queries, analyzer), analyzer),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
         **remote_args(),
     )

@@ -9,8 +9,9 @@ Ray-side plumbing is real and tested: schemas, actor-pool signatures,
 batch sizing for large binary cells, and output layouts are exactly what a
 real decoder would drop into.
 
-Stages are callable CLASSES for ``map_batches(Cls, concurrency=N)`` —
-model/codec setup happens once per actor in ``__init__``; per the memory
+Stages are callable CLASSES, run as
+``map_batches(rayenv.ProcessStage(Cls), ...)`` tasks — model/codec setup
+happens once per worker process in ``__init__``; per the memory
 guidance, binary payload stages use small ``batch_size`` so
 batch x concurrency fits the worker heap.
 """

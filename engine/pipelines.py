@@ -169,21 +169,10 @@ def bm25_title_topk(sf_dir: str) -> pa.Table:
         (10, "title:[6 TO 8]", 10),    # field term range
         (11, "title:/d.c/", 10),       # field regexp
     ]
-    out = {"query_id": [], "rank": [], "doc_id": [], "score": []}
-    for qid, qs, k in title_queries:
-        docs, scores = searcher.search(qs, k)
-        out["query_id"].extend([qid] * len(docs))
-        out["rank"].extend(range(len(docs)))
-        out["doc_id"].extend(docs.tolist())
-        out["score"].extend(scores.tolist())
-    return pa.table(
-        {
-            "query_id": pa.array(out["query_id"], type=pa.int64()),
-            "rank": pa.array(out["rank"], type=pa.int32()),
-            "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-            "score": pa.array(out["score"], type=pa.float32()),
-        }
-    )
+    from .search import hits_table
+
+    hits = [searcher.search(qs, k) for _, qs, k in title_queries]
+    return hits_table([qid for qid, _, _ in title_queries], hits)
 
 
 def top100_terms(sf_dir: str) -> pa.Table:
@@ -625,7 +614,7 @@ def nb_train_stats(sf_dir: str) -> pa.Table:
 
 def nb_classify(sf_dir: str):
     """SimpleNaiveBayesClassifier self-classification of the documents
-    table (train + actor-pool batch inference); (doc_id,
+    table (train + batch inference tasks); (doc_id,
     assigned_class). Exact oracle: the SQL replays the integer model
     stats and folds the per-occurrence ln-sum in doc order from the
     prior (list_reduce), matching the reference op chain bit-for-bit
@@ -995,19 +984,18 @@ def covering_query_topk(
 
 
 class LMScorer:
-    """Actor-pool doc scorer under the trained stupid-backoff bigram LM
+    """Doc scorer under the trained stupid-backoff bigram LM
     (the KenLM-style perplexity filter of pretraining pipelines, using
     the engine's FreeTextSuggester model — suggest/analyzing/
     FreeTextSuggester.java stupid backoff, ALPHA = 0.4): per doc,
     logprob = sum over adjacent transitions (a, b) of
     ln(big(a,b) / uni(a)) when the bigram was seen, else
-    ln(0.4 * uni(b) / total). The model ships once per actor via
-    fn_constructor_args (vocab-bounded broadcast, never per batch);
+    ln(0.4 * uni(b) / total). The model ships once per stage in a
+    ``rayenv.ProcessStage`` (vocab-bounded broadcast, never per batch);
     accumulation is left-associative float64 in token order so the SQL
     fold replays it bit-exactly."""
 
-    def __init__(self, model_opaque):
-        m = model_opaque.obj
+    def __init__(self, m):
         self.uni = m["uni"]
         self.big = m["big"]
         self.tot = float(m["tot"])
@@ -1049,8 +1037,8 @@ def lm_doc_logprob(sf_dir: str) -> "object":
     LM quality-filter scoring pass (filtering = a quantile cut over
     logprob / n_trans, derivable downstream). Model trained distributed
     (freetext_train's one-pass partial counts), then broadcast to the
-    scorer actor pool."""
-    from .rayenv import Opaque, read_parquet_clean
+    scorer tasks."""
+    from .rayenv import ProcessStage, read_parquet_clean
     from .suggest import freetext_train
 
     model = freetext_train(sf_dir)
@@ -1059,13 +1047,7 @@ def lm_doc_logprob(sf_dir: str) -> "object":
     )
     from .rayenv import remote_args as _ra
 
-    return ds.map_batches(
-        LMScorer,
-        fn_constructor_args=(Opaque(model),),
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-        **_ra(),
-    )
+    return ds.map_batches(ProcessStage(LMScorer, model), batch_format="pyarrow", **_ra())
 
 
 def ccnet_buckets(
@@ -2439,15 +2421,16 @@ def corpus_curation(
          packing needed);
       5. BPE-ish token budget per kept doc.
 
-    One map_batches actor pool computes every per-doc signal (profiles
-    and regexes built once per actor in __init__), survivors stream
+    One map_batches task stage computes every per-doc signal (profiles
+    and regexes built once per worker process in __init__, through
+    ``rayenv.ProcessStage``), survivors stream
     into one hash groupby — the only shuffle; rejected docs never leave
     their input task. Returns (doc_id, quality, n_bpe_tokens,
     dup_count) for kept docs."""
     import ray.data
 
     from .dedup import content_hash_batch
-    from .rayenv import Opaque, read_parquet_clean
+    from .rayenv import ProcessStage, read_parquet_clean
     from .rayenv import remote_args as _rargs
     from .textops import LangId, QualityScorer, bpe_token_count_batch, gopher_repetition_batch
 
@@ -2467,8 +2450,7 @@ def corpus_curation(
     src = ds.union(ds.map_batches(shift, batch_format="pyarrow", **_rargs()))
 
     class CurationStage:
-        def __init__(self, params):
-            p = params.obj if hasattr(params, "obj") else params
+        def __init__(self, p):
             self.quality_min = p["quality_min"]
             self.dup_num, self.dup_den = p["dup_num"], p["dup_den"]
             self.bigram_num, self.bigram_den = p["bigram_num"], p["bigram_den"]
@@ -2503,22 +2485,14 @@ def corpus_curation(
 
     from ray.data.aggregate import Count, Min
 
-    params = Opaque(
-        {
-            "quality_min": quality_min,
-            "dup_num": dup_num,
-            "dup_den": dup_den,
-            "bigram_num": bigram_num,
-            "bigram_den": bigram_den,
-        }
-    )
-    surv = src.map_batches(
-        CurationStage,
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-        fn_constructor_args=(params,),
-        **_rargs(),
-    )
+    params = {
+        "quality_min": quality_min,
+        "dup_num": dup_num,
+        "dup_den": dup_den,
+        "bigram_num": bigram_num,
+        "bigram_den": bigram_den,
+    }
+    surv = src.map_batches(ProcessStage(CurationStage, params), batch_format="pyarrow", **_rargs())
     agg = surv.groupby("content_hash").aggregate(
         Min("doc_id", alias_name="doc_id"),
         Min("quality", alias_name="quality"),

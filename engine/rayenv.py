@@ -14,6 +14,8 @@ map_groups / @ray.remote.
 from __future__ import annotations
 
 import os
+import uuid
+from collections import OrderedDict
 
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,18 +44,37 @@ def remote_args() -> dict:
     return {"runtime_env": {"env_vars": {"PYTHONPATH": REPO_DIR}}}
 
 
-class Opaque:
-    """Wrapper making a constructor argument opaque to Ray Data's
-    schema-deduplication hashing: a bare dict in ``fn_constructor_args``
-    lands in a `set()` inside ray.data's unify-schema path and spams
-    'Failed to hash the schemas (for deduplication): unhashable type:
-    dict' per actor. Wrapping in a (identity-hashed) object silences it;
-    stages unwrap via ``.obj`` in __init__."""
+class ProcessStage:
+    """A stateful ``map_batches`` stage run as tasks: ``__call__`` feeds
+    each batch to one ``cls(*args, **kwargs)`` per worker process, built
+    on that process's first batch of the stage and kept for its later
+    ones, as an actor pool's actor would be. The arguments ride in this
+    object, which Ray Data stores once for the stage. An actor pool
+    would take them as constructor arguments beside the location-tracker
+    handle that Ray Data passes every pool actor, so with the pool's
+    default restarts Ray logs that a restarted actor could not be
+    rebuilt (once per driver process); a failed task is retried
+    instead."""
 
-    __slots__ = ("obj",)
+    def __init__(self, cls, *args, **kwargs):
+        self.cls, self.args, self.kwargs = cls, args, kwargs
+        self.key = uuid.uuid4().hex  # one instance per stage and process
 
-    def __init__(self, obj):
-        self.obj = obj
+    def __call__(self, batch):
+        inst = _STAGES.get(self.key)
+        if inst is None:
+            inst = _STAGES[self.key] = self.cls(*self.args, **self.kwargs)
+            if len(_STAGES) > _STAGES_MAX:
+                _STAGES.popitem(last=False)
+        else:
+            _STAGES.move_to_end(self.key)
+        return inst(batch)
+
+
+# this process's stage instances, least recently used first: a
+# long-lived worker keeps the last few stages' state, not every stage's
+_STAGES_MAX = 8
+_STAGES: OrderedDict = OrderedDict()
 
 
 def read_parquet_clean(paths, columns=None, **kwargs):

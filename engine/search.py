@@ -1711,13 +1711,10 @@ def _search_batch(
         if "k" in batch.column_names
         else [default_k] * len(qids)
     )
-    out_qid: list[int] = []
-    out_rank: list[int] = []
-    out_doc: list[int] = []
-    out_score: list[float] = []
-    out_lat: list[float] = []
-    out_partial: list[bool] = []
-    for qid, qs, k in zip(qids, queries, ks):
+    hits: list[tuple[np.ndarray, np.ndarray]] = []
+    lats: list[float] = []
+    partials: list[bool] = []
+    for qs, k in zip(queries, ks):
         t0 = time.perf_counter()
         partial = False
         if time_limit_ms is None:
@@ -1727,24 +1724,33 @@ def _search_batch(
                 docs, scores = searcher.search(qs, int(k), time_limit_ms=time_limit_ms)
             except TimeLimitExceeded as e:
                 docs, scores, partial = e.docs, e.scores, True
-        lat_ms = (time.perf_counter() - t0) * 1000.0
-        out_qid.extend([qid] * len(docs))
-        out_rank.extend(range(len(docs)))
-        out_doc.extend(docs.tolist())
-        out_score.extend(scores.tolist())
-        out_lat.extend([lat_ms] * len(docs))
-        out_partial.extend([partial] * len(docs))
-    cols = {
-        "query_id": pa.array(out_qid, type=pa.int64()),
-        "rank": pa.array(out_rank, type=pa.int32()),
-        "doc_id": pa.array(out_doc, type=pa.int64()),
-        "score": pa.array(out_score, type=pa.float32()),
-    }
+        lats.append((time.perf_counter() - t0) * 1000.0)
+        hits.append((docs, scores))
+        partials.append(partial)
+    extra = {}
     if time_limit_ms is not None:
-        cols["partial"] = pa.array(out_partial, type=pa.bool_())
+        extra["partial"] = pa.array(partials, type=pa.bool_())
     if emit_latency:
-        cols["latency_ms"] = pa.array(out_lat, type=pa.float64())
-    return pa.table(cols)
+        extra["latency_ms"] = pa.array(lats, type=pa.float64())
+    return hits_table(qids, hits, **extra)
+
+
+def hits_table(qids: list, hits: list[tuple[np.ndarray, np.ndarray]], **per_query: pa.Array) -> pa.Table:
+    """Ranked hits of a query batch: (query_id int64, rank int32, doc_id
+    int64, score float32), one row per hit, query ``qids[i]``'s hits being
+    ``hits[i] = (docs, scores)`` in rank order; each ``per_query`` column
+    (one value per query) follows, repeated over that query's hits. Array
+    passes (``np.repeat``, ``np.concatenate``, ``take``), no per-hit
+    Python."""
+    n = np.fromiter((len(d) for d, _ in hits), np.int64, len(hits))
+    q = np.repeat(np.arange(len(hits)), n)
+    cols = {
+        "query_id": pa.array(qids, type=pa.int64()).take(q),
+        "rank": pa.array((np.arange(len(q)) - (np.cumsum(n) - n)[q]).astype(np.int32)),
+        "doc_id": pa.array(np.concatenate([d for d, _ in hits]) if len(q) else [], type=pa.int64()),
+        "score": pa.array(np.concatenate([sc for _, sc in hits]) if len(q) else [], type=pa.float32()),
+    }
+    return pa.table({**cols, **{name: col.take(q) for name, col in per_query.items()}})
 
 
 # One per-process searcher cache (the open-IndexReader role): Ray's

@@ -5,7 +5,8 @@ table (SURVEY's "beyond the reference" training-data operators): token
 counting, quality features/scoring, language ID (char-n-gram profile
 heuristic), and document fingerprinting (MD5 canonical + Rabin-Karp
 winnowing). Stateful pieces (per-language profiles, compiled patterns) are
-built once per actor via callable classes.
+built once per worker process via callable classes run through
+``rayenv.ProcessStage``.
 """
 
 from __future__ import annotations
@@ -159,9 +160,9 @@ def quality_features_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 class QualityScorer:
-    """Actor-pool stage: composite quality score in [0, 1] from length,
+    """Stateful stage: composite quality score in [0, 1] from length,
     punctuation ratio, stopword ratio and type-token ratio (the usual
-    web-corpus filtering heuristics). Regexes compile once per actor."""
+    web-corpus filtering heuristics). Regexes compile once per instance."""
 
     def __init__(self):
         self.word = TOKEN_RE
@@ -198,10 +199,10 @@ class QualityScorer:
 
 class LangId:
     """Char-trigram-profile language ID (n-gram heuristic). Profiles are
-    built deterministically in __init__ (once per actor) from tiny built-in
+    built deterministically in __init__ (once per instance) from tiny built-in
     seed text per language; prediction = cosine over trigram counts with a
     tie-break on profile order. Real corpora would load real profiles —
-    the Ray plumbing (actor pool, vectorized batch) is the point."""
+    the Ray plumbing (stateful stage, vectorized batch) is the point."""
 
     SEEDS = {
         "en": "the quick brown fox jumps over the lazy dog and runs away with it",
@@ -1258,11 +1259,12 @@ def _gumbel_keys(ids, scores, salt: int, inv_scale: float):
 
 
 class _DsirScore:
-    """Actor-pool scoring stage: the fixed-point lambda table ships ONCE
-    per actor via fn_constructor_args (never a bare ray.put handle — the
-    CLAUDE.md owner-death hazard); __call__ scores each raw doc as an
-    INTEGER sum of per-occurrence bucket weights and emits the batch's
-    partial top-k only (<= top_k rows per block shuffle)."""
+    """Scoring stage (``rayenv.ProcessStage`` tasks): the fixed-point
+    lambda table ships ONCE per stage inside the stage object (never a
+    bare ray.put handle, whose owner dies when the building function
+    returns); __call__ scores each raw doc as an INTEGER sum of
+    per-occurrence bucket weights and emits the batch's partial top-k
+    only (<= top_k rows per block shuffle)."""
 
     def __init__(
         self,
@@ -1273,7 +1275,7 @@ class _DsirScore:
         gumbel_salt: int | None = None,
         scale_bits: int = 20,
     ):
-        self._lam = lam.obj if hasattr(lam, "obj") else lam
+        self._lam = lam
         self._nb = np.uint64(n_buckets)
         self._stride = target_stride
         self._k = top_k
@@ -1353,13 +1355,13 @@ def dsir_select(
     correctly-rounded f64 ops on exactly-representable ints, and floor
     is exact. Three streaming stages: (1) per-batch partial bucket
     counts (<= n_buckets rows each) folded on the driver — bounded by B,
-    not the corpus; (2) the B-entry lambda table ships per actor via
-    fn_constructor_args; (3) per-batch partial top-k, driver final sort
+    not the corpus; (2) the B-entry lambda table ships once per stage in
+    a ``rayenv.ProcessStage``; (3) per-batch partial top-k, driver final sort
     over <= top_k x n_blocks rows. Returns an Arrow table
     (doc_id, dsir_score) of the selected docs."""
     import math
 
-    from .rayenv import Opaque
+    from .rayenv import ProcessStage
 
     B = n_buckets
 
@@ -1411,17 +1413,8 @@ def dsir_select(
         else (0x9E3779B97F4A7C15 * (gumbel_seed + 1)) & 0xFFFFFFFFFFFFFFFF
     )
     scored = ds.map_batches(
-        _DsirScore,
-        fn_constructor_args=(
-            Opaque(lam),
-            n_buckets,
-            target_stride,
-            top_k,
-            salt,
-            scale_bits,
-        ),
+        ProcessStage(_DsirScore, lam, n_buckets, target_stride, top_k, salt, scale_bits),
         batch_format="pyarrow",
-        concurrency=(1, 8),
         **_rargs(),
     )
     rows = scored.take_all()  # <= top_k per block: bounded

@@ -1,6 +1,8 @@
 """Codec round-trips (model: TestForUtil/TestPForUtil/TestForDeltaUtil and
 BasePostingsFormatTestCase randomized corpora)."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -456,3 +458,143 @@ def test_decode_terms_many_rows():
         np.zeros(5, dtype=np.int64), np.arange(5), np.arange(1, 6),
     )
     assert_decode_terms(cols, singles)
+
+
+# ---------------------------------------------------------------- tail block
+
+
+def _tail_stream(deltas, freqs) -> bytes:
+    """A tail block laid out by hand: (delta << 1 | freq == 1) values,
+    then the freqs that are not 1."""
+    d = np.asarray(deltas, dtype=np.uint64)
+    f = np.asarray(freqs, dtype=np.uint64)
+    return write_vints((d << np.uint64(1)) | (f == 1).astype(np.uint64)) + write_vints(f[f != 1])
+
+
+def _assert_per_term_decoders(docs, freqs):
+    """Every per-term decoder reads ``docs``/``freqs`` back exactly, as
+    int64, from ``encode_term_postings``' blob."""
+    from engine.codec import decode_term_postings_indexed
+
+    df = len(docs)
+    tp = encode_term_postings(docs, freqs, np.zeros(df, dtype=np.uint8))
+    for got in (
+        decode_term_postings(tp.blob, df),
+        decode_term_postings_indexed(tp.blob, df, tp.block_offset),
+        decode_term_postings_indexed(memoryview(tp.blob), df, tp.block_offset),
+    ):
+        assert got[0].dtype == got[1].dtype == np.int64
+        np.testing.assert_array_equal(got[0], docs)
+        np.testing.assert_array_equal(got[1], freqs)
+    prev = -1
+    blocks = []
+    for b in range(len(tp.block_offset)):
+        blocks.append(decode_block(tp.blob, tp.block_offset, b, df, prev))
+        prev = int(blocks[-1][0][-1])
+    np.testing.assert_array_equal(np.concatenate([d for d, _f in blocks]), docs)
+    np.testing.assert_array_equal(np.concatenate([f for _d, f in blocks]), freqs)
+
+
+def test_read_tail_block_roundtrip():
+    """Seeded tails of 1-127 values, read from a mid-buffer position: the
+    deltas, the freqs and the position after the block."""
+    from engine.codec import read_tail_block
+
+    rng = np.random.default_rng(19)
+    for n in range(1, BLOCK_SIZE):
+        deltas = rng.integers(1, 5000, size=n)
+        freqs = np.where(rng.random(n) < 0.6, 1, rng.integers(1, 300, size=n))
+        body = _tail_stream(deltas, freqs)
+        buf = b"\xff\x01" + body + b"\x05\x85"  # bytes around the block
+        got_d, got_f, pos = read_tail_block(buf, n, 2)
+        assert got_d == deltas.tolist() and got_f == freqs.tolist(), n
+        assert pos == 2 + len(body)
+    assert read_tail_block(b"\x07", 0, 1) == ([], [], 1)
+
+
+def test_tail_decoders_every_tail_size():
+    """df 2-127 (all tail) and 1-3 full blocks plus tails of 1-127, through
+    all three per-term decoders."""
+    rng = np.random.default_rng(23)
+    for nfull in range(4):
+        for tail in range(1, BLOCK_SIZE):
+            df = nfull * BLOCK_SIZE + tail
+            if df < 2 or (nfull and tail % 9 and tail not in (1, 2, 126, 127)):
+                continue
+            docs, freqs, _norms = _random_postings(rng, df, max_freq=400)
+            _assert_per_term_decoders(docs, freqs)
+
+
+def test_tail_block_multibyte_vints():
+    """Doc deltas at and above 2^7, 2^14, 2^21 and 2^28 (so combined
+    values of 2-5 bytes) and freqs above 127, in a tail-only term and in
+    the tail after a full block."""
+    gaps = [1, 2**7, 2**7 - 1, 2**14, 2**14 + 3, 2**21, 2**21 - 1, 2**28, 2**28 + 5, 2**35, 3]
+    freqs = [1, 128, 1, 2**14, 300, 1, 2**21 + 1, 2, 1, 127, 2**28]
+    docs = np.cumsum(gaps).astype(np.int64) - 1
+    _assert_per_term_decoders(docs, np.array(freqs, dtype=np.int64))
+    head = np.arange(BLOCK_SIZE, dtype=np.int64)
+    _assert_per_term_decoders(
+        np.concatenate([head, head[-1] + np.cumsum(gaps)]),
+        np.array([1] * BLOCK_SIZE + freqs, dtype=np.int64),
+    )
+
+
+def test_decode_block_tail_equals_term_slice():
+    """``decode_block`` on the tail block is the same slice of
+    ``decode_term_postings``, for tails with and without full blocks
+    before them."""
+    rng = np.random.default_rng(29)
+    for df in (2, 11, 127, 129, 255, 3 * BLOCK_SIZE + 40):
+        docs, freqs, norms = _random_postings(rng, df)
+        tp = encode_term_postings(docs, freqs, norms)
+        nfull = df // BLOCK_SIZE
+        prev = int(tp.block_last_doc[nfull - 1]) if nfull else -1
+        d, f = decode_block(tp.blob, tp.block_offset, nfull, df, prev)
+        all_d, all_f = decode_term_postings(tp.blob, df)
+        np.testing.assert_array_equal(d, all_d[nfull * BLOCK_SIZE :])
+        np.testing.assert_array_equal(f, all_f[nfull * BLOCK_SIZE :])
+
+
+def test_truncated_tail_raises():
+    from engine.codec import decode_term_postings_indexed, read_tail_block
+
+    body = _tail_stream([3, 200, 7], [1, 5, 1000])
+    for cut in range(len(body)):
+        with pytest.raises(ValueError):
+            read_tail_block(body[:cut], 3)
+    docs = np.array([4, 90, 20000, 20001], dtype=np.int64)
+    tp = encode_term_postings(docs, np.array([1, 2, 1, 700]), np.zeros(4, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        decode_term_postings_indexed(tp.blob[:-1], 4, tp.block_offset)
+    with pytest.raises(ValueError):
+        decode_term_postings(tp.blob[:-2], 4)
+
+
+def test_indexed_decode_equals_decode_terms_on_built_index(tmp_path):
+    """Every row of a small built partition: ``decode_term_postings_indexed``
+    (the reader's per-term decode, scalar tail) equals ``decode_terms``
+    (the merge's batched, vectorized decode)."""
+    from engine.build import invert_to_segment
+    from engine.codec import array_offsets, decode_term_postings_indexed
+    from engine.segment import read_term_shard
+
+    rng = np.random.default_rng(31)
+    vocab = np.array([f"w{i}" for i in range(3000)])
+    zipf = 1.0 / np.arange(1, len(vocab) + 1)
+    texts = [" ".join(vocab[rng.choice(len(vocab), size=60, p=zipf / zipf.sum())]) for _ in range(700)]
+    seg_dir = str(tmp_path / "p0")
+    invert_to_segment(np.arange(10**9, 10**9 + len(texts), dtype=np.int64), texts, seg_dir)
+    tbl = read_term_shard(os.path.join(seg_dir, "terms.arrow")).combine_chunks()
+    cols = {c: tbl.column(c).chunk(0) for c in ("df", "ttf", "singleton_doc", "blob", "offsets")}
+    df = cols["df"].to_numpy()
+    assert df.max() > 3 * BLOCK_SIZE and (df < BLOCK_SIZE).mean() > 0.9
+    docs, freqs = decode_terms(cols)
+    ends = np.cumsum(df)
+    blobs = cols["blob"].to_pylist()
+    offs = cols["offsets"].values.to_numpy()
+    l_off = array_offsets(cols["offsets"])
+    for i in np.flatnonzero(df >= 2):
+        d, f = decode_term_postings_indexed(blobs[i], int(df[i]), offs[l_off[i] : l_off[i + 1]])
+        np.testing.assert_array_equal(d, docs[ends[i] - df[i] : ends[i]])
+        np.testing.assert_array_equal(f, freqs[ends[i] - df[i] : ends[i]])

@@ -374,9 +374,10 @@ def test_checkindex_validates_dict_level(built, tmp_path_factory):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_merged_index_norms_lazy(built, tmp_path_factory):
+def test_merged_index_norms_lazy(built, tmp_path_factory, monkeypatch):
     """Opening a MergedIndex must read NO norm shard (doc bounds come from
-    manifest metadata); shards load lazily per doc-range on first query —
+    manifest metadata). Above ``DENSE_NORMS_MAX_SPAN`` (patched below this
+    index's span here) shards load lazily per doc-range on first query —
     the per-leaf-mmap norms role (Lucene80NormsFormat.java:30-78). At
     10^10 docs a dense whole-corpus load is 10+ GB per searcher worker."""
     m = built["manifest"]
@@ -385,6 +386,8 @@ def test_merged_index_norms_lazy(built, tmp_path_factory):
     assert len(mm["norm_shards"]) >= 3, "fixture must produce multiple norm shards"
 
     import engine.merge as merge_mod
+
+    monkeypatch.setattr(MergedIndex, "DENSE_NORMS_MAX_SPAN", m["doc_count"] - 1)
 
     reads = []
     orig = merge_mod.pq.read_table
@@ -417,6 +420,7 @@ def test_merged_index_norms_lazy(built, tmp_path_factory):
     exp = np.concatenate([s._norms for s in segs])[probe]
     np.testing.assert_array_equal(mi.norm_of(probe), exp)
     assert span == m["doc_count"]
+    assert mi._norms_dense is None, "a span above the bound never densifies"
     # search results bit-identical to the segment searcher
     base = IndexSearcher(m, algorithm="taat")
     merged = IndexSearcher(mm, algorithm="taat")
@@ -425,6 +429,30 @@ def test_merged_index_norms_lazy(built, tmp_path_factory):
         md, ms = merged.search(q, 20)
         np.testing.assert_array_equal(md, bd, err_msg=q)
         np.testing.assert_array_equal(ms, bs, err_msg=q)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_merged_norms_dense_from_first_lookup(built, tmp_path_factory):
+    """Under ``DENSE_NORMS_MAX_SPAN`` the first ``norm_of`` densifies,
+    even on a one-norm-shard index whose lookups never span shards, and
+    serves the ``_NormStore`` values from then on."""
+    from engine.merge import _NormStore
+
+    m = built["manifest"]
+    root = str(tmp_path_factory.mktemp("densenorms"))
+    mm = merge_by_term(m, root, salt_threshold=400, n_salts=4)
+    assert len(mm["norm_shards"]) == 1, "fixture must produce one norm shard"
+    mi = MergedIndex(root)
+    assert mi._norms_dense is None  # open reads no norms
+    store = _NormStore(mm["norm_shards"])
+    rng = np.random.default_rng(5)
+    first = np.array([3, 4], dtype=np.int64)
+    np.testing.assert_array_equal(mi.norm_of(first), store.norms_for(first))
+    assert mi._norms_dense is not None and len(mi._norms_dense) == mi.norm_span == m["doc_count"]
+    probe = rng.permutation(m["doc_count"])[:400]
+    np.testing.assert_array_equal(mi.norm_of(probe), store.norms_for(probe))
+    np.testing.assert_array_equal(mi.norm_of(np.arange(m["doc_count"])), store.norms_for(np.arange(m["doc_count"])))
+    assert mi.norm_of(np.empty(0, dtype=np.int64)).dtype == np.uint8
 
 
 @pytest.mark.usefixtures("ray_session")

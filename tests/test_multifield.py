@@ -244,3 +244,37 @@ def test_field_phrase_uses_field_norms(mf_corpus):
         np.array([int_to_byte4(title_len)], dtype=np.uint8),
     )[0]
     assert scores[0] == np.float32(exp)
+
+
+def test_norm_inverse_cache_shared_per_key(mf_corpus):
+    """One read-only norm-inverse cache per (avgdl, k1, b): equal keys
+    give the same object, the body's and the title field's avgdl give
+    different arrays, and the bits equal the unmemoized formula."""
+    from engine.bm25 import B_DEFAULT, K1_DEFAULT, avg_field_length, norm_inverse_cache
+    from engine.smallfloat import LENGTH_TABLE
+
+    m = mf_corpus["manifest"]
+    body = avg_field_length(m["sum_ttf"], m["doc_count"])
+    title = avg_field_length(m["fields"]["title"]["sum_ttf"], m["fields"]["title"]["doc_count"])
+    assert body != title
+    for avgdl in (body, title):
+        c = norm_inverse_cache(avgdl)
+        assert norm_inverse_cache(np.float32(float(avgdl))) is c
+        assert norm_inverse_cache(float(avgdl), float(K1_DEFAULT), float(B_DEFAULT)) is c
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = np.float32(0.0)
+        one = np.float32(1.0)
+        t = np.multiply(K1_DEFAULT, np.add(
+            np.subtract(one, B_DEFAULT, dtype=np.float32),
+            np.divide(np.multiply(B_DEFAULT, LENGTH_TABLE, dtype=np.float32), avgdl, dtype=np.float32),
+            dtype=np.float32,
+        ), dtype=np.float32)
+        exp = np.divide(one, t, dtype=np.float32)
+        np.testing.assert_array_equal(c.view(np.uint32), exp.view(np.uint32))
+    assert norm_inverse_cache(body) is not norm_inverse_cache(title)
+    assert not np.array_equal(norm_inverse_cache(body), norm_inverse_cache(title))
+    # every term scorer of a field shares its field's one cache
+    for df in (1, 7, 90):
+        assert make_term_scorer(df, N_DOCS, m["fields"]["title"]["sum_ttf"]).cache is norm_inverse_cache(title)
+        assert make_term_scorer(df, N_DOCS, m["sum_ttf"]).cache is norm_inverse_cache(body)

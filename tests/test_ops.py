@@ -1085,12 +1085,11 @@ def test_lm_scorer_stupid_backoff():
     import math
 
     from engine.pipelines import LMScorer
-    from engine.rayenv import Opaque
 
     # corpus: "a b a b", "b a", "c" -> uni a:3 b:3 c:1 tot=7
     # bigrams: (a,b):2 (b,a):2
     model = {"uni": {"a": 3, "b": 3, "c": 1}, "big": {("a", "b"): 2, ("b", "a"): 2}, "tot": 7}
-    scorer = LMScorer(Opaque(model))
+    scorer = LMScorer(model)
     out = scorer(
         pa.table({"doc_id": pa.array([0, 1, 2], type=pa.int64()),
                   "text": pa.array(["a b a c", "c", "b b"], type=pa.string())})

@@ -2052,3 +2052,66 @@ def test_weight_cache_bounded_and_read_only(corpus):
                 with pytest.raises(ValueError):
                     sc[0] = 0.0
     assert n_arrays > cap
+
+
+def _hits_by_lists(qids, hits, **per_query):
+    """The per-hit list construction ``hits_table`` replaced: the
+    reference its tables must equal, schema included."""
+    import pyarrow as pa
+
+    qid, rank, doc, score = [], [], [], []
+    extra = {name: [] for name in per_query}
+    for i, (q, (d, sc)) in enumerate(zip(qids, hits)):
+        qid.extend([q] * len(d))
+        rank.extend(range(len(d)))
+        doc.extend(d.tolist())
+        score.extend(sc.tolist())
+        for name, col in per_query.items():
+            extra[name].extend([col[i].as_py()] * len(d))
+    cols = {
+        "query_id": pa.array(qid, type=pa.int64()),
+        "rank": pa.array(rank, type=pa.int32()),
+        "doc_id": pa.array(doc, type=pa.int64()),
+        "score": pa.array(score, type=pa.float32()),
+    }
+    cols.update({name: pa.array(extra[name], type=col.type) for name, col in per_query.items()})
+    return pa.table(cols)
+
+
+def test_hits_table_equals_per_hit_lists(corpus):
+    """``hits_table`` and the ``_search_batch`` built on it equal the
+    per-hit list construction, schema included: queries with and without
+    hits, k = 1 and k above the match count, per-query columns, and a
+    batch of no queries."""
+    import pyarrow as pa
+
+    from engine.search import _search_batch, hits_table
+
+    s = IndexSearcher(corpus["manifest"])
+    queries = [("the00 the19", 25), ("zzznomatch", 10), ("tiekey", 500), ("t00003 the02", 1), ("zzz", 3)]
+    qids = [7, 3, 11, 0, 2]
+    hits = [s.search(q, k) for q, k in queries]
+    assert any(len(d) == 0 for d, _ in hits) and any(len(d) > 1 for d, _ in hits)
+    extra = {
+        "partial": pa.array([False, True, False, True, False]),
+        "latency_ms": pa.array([0.5, 1.25, 0.0, 3.0, 2.5], type=pa.float64()),
+    }
+    for per_query in ({}, extra):
+        got = hits_table(qids, hits, **per_query)
+        assert got.equals(_hits_by_lists(qids, hits, **per_query))
+    assert hits_table([], []).equals(_hits_by_lists([], []))
+
+    batch = pa.table(
+        {
+            "query_id": pa.array(qids, type=pa.int64()),
+            "query": [q for q, _ in queries],
+            "k": pa.array([k for _, k in queries], type=pa.int64()),
+        }
+    )
+    plain = _search_batch(s, batch, 10)
+    assert plain.equals(_hits_by_lists(qids, hits))
+    timed = _search_batch(s, batch, 10, time_limit_ms=60_000)
+    assert timed.equals(_hits_by_lists(qids, hits, partial=pa.array([False] * 5)))
+    with_lat = _search_batch(s, batch, 10, emit_latency=True)
+    assert with_lat.schema.field("latency_ms").type == pa.float64()
+    assert with_lat.drop_columns(["latency_ms"]).equals(plain)
