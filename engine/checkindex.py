@@ -114,28 +114,35 @@ def check_index(manifest: dict) -> dict:
 def check_merged_index(mi, owned_partitions: list[str] | None = None) -> dict:
     """CheckIndex over a merge-by-term output (engine/merge.MergedIndex):
     per-shard term order, df/ttf/postings consistency, doc-range bounds,
-    norms coverage, global stat sums. It also proves the reader's
+    norms coverage (the manifest's norms file exists and holds one byte
+    per doc of the span), global stat sums. It also proves the reader's
     single-shard lookup sound: light-shard term ranges are pairwise
     disjoint, and so are heavy-shard ones, and every term resolves through
     ``_shard_path_of`` to the file that holds it. ``dict_ranges()`` must be
     sorted, disjoint and cover exactly the shard term set. And it checks
-    for dead bytes: ``terms/`` holds only files the manifest names, the
-    merge's own ``heavy_runs/`` and ``units/`` are gone, and each dir of
+    for dead bytes: ``terms/`` holds only files the manifest names,
+    ``merged/`` no other ``norms*`` file and no ``*.tmp``, the merge's own
+    ``heavy_runs/`` and ``units/`` are gone, and each dir of
     ``owned_partitions`` (the partitions the merge owns,
     ``merge.owned_partitions``) holds nothing but ``meta.json`` and
     ``docvalues.parquet``."""
     for d in owned_partitions or ():
         left = set(os.listdir(d)) - {"meta.json", "docvalues.parquet"}
         assert not left, f"{d}: {sorted(left)} left after commit"
-    named = [r["path"] for r in mi.manifest["shards"]]
-    if named:
-        merged_dir = os.path.dirname(os.path.dirname(named[0]))
-        for sub in ("heavy_runs", "units"):
-            assert not os.path.exists(os.path.join(merged_dir, sub)), f"{sub}/ left after commit"
-        names = {os.path.basename(p) for p in named}
-        for f in os.listdir(os.path.join(merged_dir, "terms")):
-            assert not f.endswith(".tmp"), f"terms/{f}: temporary file left"
-            assert f in names, f"terms/{f}: not named by the manifest"
+    norms = mi.manifest["norms"]["path"]
+    assert os.path.isfile(norms), f"{norms}: norms file missing"
+    size = os.path.getsize(norms)
+    assert size == mi.norm_span, f"{norms}: {size} bytes for a span of {mi.norm_span} docs"
+    merged_dir = os.path.dirname(norms)
+    for f in os.listdir(merged_dir):
+        assert not f.endswith(".tmp"), f"{f}: temporary file left"
+        assert f == os.path.basename(norms) or not f.startswith("norms"), f"{f}: not the manifest's norms"
+    for sub in ("heavy_runs", "units"):
+        assert not os.path.exists(os.path.join(merged_dir, sub)), f"{sub}/ left after commit"
+    names = {os.path.basename(r["path"]) for r in mi.manifest["shards"]}
+    for f in os.listdir(os.path.join(merged_dir, "terms")) if names else ():
+        assert not f.endswith(".tmp"), f"terms/{f}: temporary file left"
+        assert f in names, f"terms/{f}: not named by the manifest"
     for kind, ranges in (("light", mi._light_ranges), ("heavy", mi._heavy_ranges)):
         ranges = sorted(ranges)
         for (lo_a, hi_a, _), (lo_b, _, _) in zip(ranges, ranges[1:]):

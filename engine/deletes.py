@@ -9,9 +9,9 @@ deletion set is a sorted global doc_id parquet sidecar referenced from
 the merged manifest (the new liveDocs "generation" replaces the old
 atomically), `IndexSearcher._live` masks hits before top-k, and stats
 are intentionally unchanged (documented pre-merge semantics). At
-10^10+ docs the sidecar becomes doc-range-sharded files exactly like
-the norm shards — the manifest key is already a path, so only the
-reader changes.
+10^10+ docs the sidecar becomes a memory-mapped bitset like the norms
+file (one byte per doc) — the manifest key is already a path, so only
+the reader changes.
 
 The engine's bulk build is immutable (SURVEY §2: no mutation API), so
 deletions target a REPLICA or a post-build index, never the shared

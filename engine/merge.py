@@ -9,7 +9,7 @@ no Dataset all-to-all:
    stop-word band, SURVEY §4): the *heavy* terms. The same reads take a
    df-weighted term sample of every partition, whose quantiles are the
    ``n_buckets - 1`` term-range boundaries of the light buckets. In
-   parallel, tasks re-shard the partition norms by doc range.
+   parallel, tasks copy the partition norms into one norms file.
 2. *Map-side exchange.* Each explode task reads a chunk of partitions and
    returns ``num_returns=n_buckets`` objects, one per bucket
    (``n_buckets`` grows with the corpus's token count,
@@ -43,20 +43,22 @@ terms (light rows plus run rows), output bytes and wall in
 ``merged/units/bucket-NNN.json`` (the merge manifest's ``buckets`` entry
 summarizes them). A rerun adopts every
 marked bucket untouched and explodes fragments only for the rest (no
-explode at all when every bucket is done); the final heavy pass and the
-Bloom read the adopted outputs and simply rerun. The range boundaries
+explode at all when every bucket is done); the norms write reruns into
+a new file, and the final heavy pass and the Bloom read the adopted
+outputs and simply rerun. The range boundaries
 are a pure function of the partition files and ``n_buckets``, so a rerun
 routes every term to the bucket it had.
-``merged/units/plan.json`` names the plan (partitions, salting, bucket
-and norm-shard layout); a rerun under a different plan clears
+``merged/units/plan.json`` names the plan (partitions, salting and
+bucket count); a rerun under a different plan clears
 ``merged/`` first, after checking that every partition still has its
 postings files (a ``FileNotFoundError`` otherwise, with ``merged/``
 untouched). File names stay write-once ``uuid`` names.
 
 *Sweep.* After the manifest commits — and again on any call that finds it
 committed — a sweep deletes ``heavy_runs/``, ``units/``, every file under
-``terms/`` the manifest does not name, and ``terms.arrow`` /
-``norms.parquet`` of every partition dir that lies under the merge's own
+``terms/`` the manifest does not name, every ``norms*`` or ``*.tmp`` file
+in ``merged/`` but the manifest's norms file, and ``terms.arrow`` /
+``norms.u8`` of every partition dir that lies under the merge's own
 ``index_dir`` (the IndexFileDeleter rule: files no commit point
 references go, and only inside the merge's own directory; an extra
 field's merge owns ``fields/<field>/partitions``). The committed index
@@ -74,8 +76,11 @@ range, through the same ``segment.PostingsReader`` surface as a flushed
 Arrow IPC files, written by ``segment.write_term_shard`` and memory-mapped
 by ``segment.read_term_shard`` (the store/MMapDirectory.java role); every
 reader of a shard path goes through that function or
-``term_shard_dataset``. Norm shards are Parquet; heavy runs are
-uncompressed Arrow IPC and live only until the sweep.
+``term_shard_dataset``. The norms are one raw uint8 file,
+``merged/norms-<uuid>.u8``, one byte per doc over the manifest's
+``norms`` [doc_lo, doc_hi), which bucket tasks and ``MergedIndex`` both
+read through ``segment.map_norms``; heavy runs are uncompressed Arrow
+IPC and live only until the sweep.
 """
 
 from __future__ import annotations
@@ -91,7 +96,6 @@ import pyarrow as pa
 import pyarrow.compute as pc  # pa.compute is unset until this import
 
 from .rayenv import remote_args as _rargs
-import pyarrow.parquet as pq
 
 from .codec import decode_terms, encode_terms
 from .segment import (
@@ -100,6 +104,7 @@ from .segment import (
     PostingsReader,
     TermShard,
     binary_views,
+    map_norms,
     read_term_shard,
     term_strings,
     write_term_shard,
@@ -272,120 +277,53 @@ def compute_heavy_terms(
     return heavy, boundaries
 
 
-def write_norm_shards_async(
-    parts: list[dict], out_dir: str, parts_per_shard: int = 8
-) -> tuple[list[dict], list]:
-    """Consolidate partition norms into doc-range-sharded files with raw
-    Ray tasks — the driver never holds a whole-corpus norms array (the
-    round-1 dense ray.put broadcast was a ~1 TB driver allocation at 10^12
-    docs). Each shard = the concatenated (doc_id, norm) rows of
-    parts_per_shard doc-contiguous partitions, written atomically.
+def write_norms_async(parts: list[dict], out_dir: str) -> tuple[dict, list]:
+    """Start writing the corpus's norms file: raw uint8, one byte per doc
+    over [doc_lo, doc_hi), the partitions' ``norms.u8`` bytes each at its
+    doc offset; a doc-id gap between partitions reads 0. The driver only
+    sizes the ``.tmp`` file; raw Ray tasks (a few independent file writes,
+    where launch latency matters) each copy a contiguous chunk of the
+    partitions into it, so the driver never holds a whole-corpus norms
+    array.
 
-    Returns ([{doc_lo, doc_hi, path}], task refs) IMMEDIATELY so the
-    writes overlap the heavy-term pre-pass; ray.get the refs before any
-    merge task needs the files. Raw @ray.remote (not a Dataset job) on
-    purpose: a handful of independent file writes, launch latency matters."""
+    Returns ({path, doc_lo, doc_hi}, task refs) at once, so the writes
+    overlap the heavy-term pre-pass; once the refs are done the caller
+    publishes the file with ``os.replace(path + ".tmp", path)``. The file
+    name is a write-once uuid."""
+    import uuid
+
     import ray
 
     parts = sorted(parts, key=lambda r: r["doc_base"])
-    groups = [
-        parts[i : i + parts_per_shard] for i in range(0, len(parts), parts_per_shard)
-    ]
-    specs = []
-    for g in groups:
-        lo = int(g[0]["doc_base"])
-        hi = int(g[-1]["doc_base"]) + int(g[-1]["n_docs"])
-        specs.append(
-            {
-                "doc_lo": lo,
-                "doc_hi": hi,
-                "path": os.path.join(out_dir, f"norms-{lo:012d}.parquet"),
-                "inputs": [r["seg_dir"] for r in g],
-            }
-        )
-
-    @ray.remote(**_rargs())
-    def _write(spec: dict) -> str:
-        if not os.path.exists(spec["path"]):  # idempotent resume
-            tbl = pa.concat_tables(
-                pq.read_table(os.path.join(d, "norms.parquet"))
-                for d in spec["inputs"]
-            )
-            pq.write_table(tbl, spec["path"] + ".tmp")
-            os.replace(spec["path"] + ".tmp", spec["path"])
-        return spec["path"]
-
-    refs = [_write.remote(s) for s in specs]
-    rows = [{k: s[k] for k in ("doc_lo", "doc_hi", "path")} for s in specs]
-    return rows, refs
+    lo = int(parts[0]["doc_base"]) if parts else 0
+    hi = max((int(r["doc_base"]) + int(r["n_docs"]) for r in parts), default=lo)
+    path = os.path.join(out_dir, f"norms-{uuid.uuid4().hex[:12]}.u8")
+    with open(path + ".tmp", "wb") as f:
+        f.truncate(hi - lo)
+    spans = [(r["seg_dir"], int(r["doc_base"]) - lo, int(r["n_docs"])) for r in parts]
+    step = max(1, -(-len(spans) // int(ray.cluster_resources().get("CPU", 1))))
+    write = ray.remote(**_rargs())(_write_norms)
+    refs = [write.remote(path + ".tmp", spans[i : i + step]) for i in range(0, len(spans), step)]
+    return {"path": path, "doc_lo": lo, "doc_hi": hi}, refs
 
 
-class _NormStore:
-    """Per-worker lazy loader of doc-range norm shards: ``norms_for(docs)``
-    for the flat merged docs of a whole bucket, which may span every
-    shard. Shards decode to dense uint8 arrays once per worker process
-    and stay cached (LRU) — on a multi-node cluster each node reads only
-    the shards its merge rows touch, from shared storage, once per
-    worker; nothing is ever broadcast whole."""
-
-    _CACHE_MAX = 64
-
-    def __init__(self, shards: list[dict]):
-        from collections import OrderedDict
-
-        self.shards = sorted(shards, key=lambda r: r["doc_lo"])
-        self._lo = np.array([s["doc_lo"] for s in self.shards], dtype=np.int64)
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    def _dense(self, i: int) -> np.ndarray:
-        hit = self._cache.get(i)
-        if hit is not None:
-            self._cache.move_to_end(i)
-            return hit
-        s = self.shards[i]
-        tbl = pq.read_table(s["path"])
-        arr = np.zeros(int(s["doc_hi"]) - int(s["doc_lo"]), dtype=np.uint8)
-        arr[tbl.column("doc_id").to_numpy() - int(s["doc_lo"])] = tbl.column(
-            "norm"
-        ).to_numpy()
-        self._cache[i] = arr
-        if len(self._cache) > self._CACHE_MAX:
-            self._cache.popitem(last=False)
-        return arr
-
-    def norms_for(self, docs: np.ndarray) -> np.ndarray:
-        """Norm byte per doc for an ARBITRARY (not necessarily sorted) doc
-        array; fast path when the whole array lies inside one shard."""
-        if len(docs) == 0:
-            return np.empty(0, dtype=np.uint8)
-        lo_d, hi_d = int(docs.min()), int(docs.max())
-        i = int(np.searchsorted(self._lo, lo_d, side="right")) - 1
-        s = self.shards[i]
-        if hi_d < int(s["doc_hi"]):  # fast path: all docs inside one shard
-            return self._dense(i)[docs - int(s["doc_lo"])]
-        out = np.empty(len(docs), dtype=np.uint8)  # spans shards
-        idx = np.searchsorted(self._lo, docs, side="right") - 1
-        for j in np.unique(idx):
-            m = idx == j
-            out[m] = self._dense(int(j))[docs[m] - int(self.shards[int(j)]["doc_lo"])]
-        return out
-
-
-_NORM_STORES: dict = {}
-
-
-def _norm_store_for(shards: list[dict]) -> _NormStore:
-    """This worker's store for one norm-shard list, keyed by the shards'
-    (path, doc_lo, doc_hi): a rerun under a new norm-shard layout must
-    not read a store cached for the old one. Only the current list's
-    store is kept, so a long-lived worker holds one merge's norms, not
-    every merge's it ever served."""
-    key = tuple((s["path"], int(s["doc_lo"]), int(s["doc_hi"])) for s in shards)
-    st = _NORM_STORES.get(key)
-    if st is None:
-        _NORM_STORES.clear()
-        st = _NORM_STORES[key] = _NormStore(shards)
-    return st
+def _write_norms(tmp: str, spans: list[tuple[str, int, int]]) -> None:
+    """Copy each partition's ``norms.u8`` into ``tmp`` at its offset. A
+    partition whose norms cover more than its ``n_docs`` docs (doc ids not
+    contiguous) would overwrite its successor's, so it raises."""
+    fd = os.open(tmp, os.O_WRONLY)
+    try:
+        for seg_dir, offset, n_docs in spans:
+            with open(os.path.join(seg_dir, "norms.u8"), "rb") as f:
+                data = f.read()
+            if len(data) > n_docs:
+                raise ValueError(
+                    f"{seg_dir}: norms cover {len(data)} doc ids for {n_docs} docs; "
+                    "a partition's doc ids must be contiguous"
+                )
+            os.pwrite(fd, data, offset)
+    finally:
+        os.close(fd)
 
 
 def _explode_chunk(
@@ -596,10 +534,10 @@ def _join_rows(batch: pa.Table, new_group: np.ndarray, docs, freqs, norms, row_e
     )
 
 
-def _merge_sorted_batch(batch: pa.Table, norm_store: "_NormStore") -> _Groups | None:
+def _merge_sorted_batch(batch: pa.Table, norms: np.ndarray, doc_lo: int) -> _Groups | None:
     """Merge a (term, salt, doc_base)-sorted single-chunk batch of shuffle
     rows into its (term, salt) groups, in sorted order, or None for an
-    empty batch.
+    empty batch. ``norms`` holds the norm byte of doc ``doc_lo + i`` at i.
 
     One ``codec.decode_terms`` call decodes every row into one flat
     postings buffer at cumsum(df) offsets, which ``_join_rows`` joins. A
@@ -612,7 +550,7 @@ def _merge_sorted_batch(batch: pa.Table, norm_store: "_NormStore") -> _Groups | 
     docs, freqs = decode_terms({c: batch.column(c).chunk(0) for c in _POSTINGS_COLS})
     new_group = _term_changes(batch) | (salt[1:] != salt[:-1])
     row_ends = np.cumsum(batch.column("df").to_numpy())
-    return _join_rows(batch, new_group, docs, freqs, norm_store.norms_for(docs), row_ends)
+    return _join_rows(batch, new_group, docs, freqs, norms[docs - doc_lo], row_ends)
 
 
 def _join_runs(runs: pa.Table) -> _Groups:
@@ -672,9 +610,9 @@ def _bloom_partial(paths: list[str], m_bits: int) -> np.ndarray:
     return bits
 
 
-# Layout version of the merge manifest: 2 = light buckets are term
-# ranges, no dict files (1 hashed them and kept a dict level).
-MERGE_VERSION = 2
+# Layout version of the merge manifest: 3 = one raw norms file (2 kept
+# Parquet norm shards; 1 hashed the light buckets and kept a dict level).
+MERGE_VERSION = 3
 
 # Tokens one bucket task is sized for. A bucket task carries ~5 ms of
 # fixed cost (Ray timeline, 1 cpu), so a 4k-doc corpus (~873k tokens)
@@ -717,7 +655,6 @@ def merge_by_term(
     salt_threshold: int | None = None,
     n_salts: int = 8,
     n_buckets: int | None = None,
-    parts_per_shard: int = 8,
 ) -> dict:
     """North-rule merge: term-partitioned shuffle with explicit salting.
 
@@ -731,13 +668,12 @@ def merge_by_term(
     per-salt sub-groups, doc-ordered because salts are contiguous
     partition-rank ranges, which the bucket writes merged, not encoded →
     min(#heavy, max(8, 2·cpus)) df-weighted chunks of heavy terms each
-    join their terms' runs in salt order and encode them once. Norms
-    are doc-range-sharded by Ray tasks (1 byte/doc total) and mergers
-    fetch only the shards their rows touch, cached per worker — nothing
-    whole-corpus is ever held on the driver or broadcast dense. Output
-    under <index_dir>/merged/: term-range-sharded term files (the light
-    shards in term order are the sorted dictionary) + norm shards + a
-    Bloom sidecar. A rerun after a
+    join their terms' runs in salt order and encode them once. Ray tasks
+    copy the partition norms into one byte-per-doc file, which each
+    merger memory-maps and gathers from — nothing whole-corpus is ever
+    held on the driver or broadcast. Output under <index_dir>/merged/:
+    term-range-sharded term files (the light shards in term order are the
+    sorted dictionary) + the norms file + a Bloom sidecar. A rerun after a
     crash adopts every finished bucket, and the committed index holds
     only the files its manifest names and the only copy of the postings:
     the partitions under ``index_dir`` lose their term and norm files
@@ -783,18 +719,15 @@ def merge_by_term(
     seg_dirs = [r["seg_dir"] for r in parts]
     rank_of_base = {int(r["doc_base"]): i for i, r in enumerate(parts)}
 
-    # Bucket markers are adoptable only under the plan that wrote them. A
-    # different plan clears merged/ whole: write_norm_shards_async keeps
-    # any existing norms-{lo} file, whose doc range depends on
-    # parts_per_shard.
+    # Bucket markers are adoptable only under the plan that wrote them; a
+    # different plan clears merged/ whole.
     units_dir = os.path.join(merged_dir, "units")
     plan = {
-        "version": 5,  # heavy runs are merged postings in Arrow IPC
+        "version": 6,  # one raw norms file
         "partitions": [[r["seg_dir"], int(r["doc_base"])] for r in parts],
         "salt_threshold": salt_threshold,
         "n_salts": n_salts,
         "n_buckets": n_buckets,
-        "parts_per_shard": parts_per_shard,
     }
     if _load_json(os.path.join(units_dir, "plan.json")) != plan:
         if os.path.isdir(merged_dir):
@@ -805,22 +738,19 @@ def merge_by_term(
     def _marker(bucket_id: int) -> str:
         return os.path.join(units_dir, f"bucket-{bucket_id:03d}.json")
 
-    # doc-range-sharded norms, written by raw Ray tasks that OVERLAP the
-    # heavy-term pre-pass — no whole-corpus driver allocation, no dense
-    # broadcast; mergers fetch only the shards their rows touch (cached
-    # per worker process)
+    # the norms file, written by raw Ray tasks that OVERLAP the heavy-term
+    # pre-pass; a rerun writes a new one and the sweep removes the old
     t_s = time.perf_counter()
-    norm_shards, norm_refs = write_norm_shards_async(
-        parts, merged_dir, parts_per_shard=parts_per_shard
-    )
+    norms_meta, norm_refs = write_norms_async(parts, merged_dir)
 
     heavy, boundaries = compute_heavy_terms(seg_dirs, salt_threshold, n_buckets=n_buckets)
     stage_t["heavy_prepass"] = round(time.perf_counter() - t_s, 3)
     heavy_ref = ray.put(heavy)  # broadcast once
 
     t_s = time.perf_counter()
-    ray.get(norm_refs)  # norm shards must exist before merge tasks read them
-    stage_t["norm_shards"] = round(time.perf_counter() - t_s, 3)
+    ray.get(norm_refs)  # the norms must be in place before merge tasks map them
+    os.replace(norms_meta["path"] + ".tmp", norms_meta["path"])
+    stage_t["norm_shards"] = round(time.perf_counter() - t_s, 3)  # key read by perfbench
 
     # Raw-task map-side shuffle (no Dataset sort-based all-to-all):
     # explode tasks return num_returns=n_buckets per-bucket frag lists,
@@ -862,7 +792,6 @@ def merge_by_term(
             marker["wall_ms"] = round((time.perf_counter() - t_b) * 1000, 3)
             atomic_write_json(_marker(bucket_id), marker)
             return marker
-        norm_store = _norm_store_for(norm_shards)
         batch = pa.concat_tables(
             pa.ipc.open_stream(f).read_all() for f in frags
         )
@@ -870,7 +799,7 @@ def merge_by_term(
             batch, sort_keys=[("term", "ascending"), ("salt", "ascending"), ("doc_base", "ascending")]
         )
         batch = batch.take(idx).combine_chunks()
-        groups = _merge_sorted_batch(batch, norm_store)
+        groups = _merge_sorted_batch(batch, map_norms(norms_meta["path"]), norms_meta["doc_lo"])
         light = groups.salts < 0  # light terms are final after this shuffle
         if not light.all():  # salted runs of heavy terms, merged postings
             run_tbl = groups.run(~light)
@@ -1069,8 +998,7 @@ def merge_by_term(
         "n_heavy_terms": len(heavy),
         "heavy_terms": sorted(heavy),
         "shards": sorted(shards, key=lambda s: s["term_min"]),
-        "norm_files": [s["path"] for s in norm_shards],
-        "norm_shards": norm_shards,
+        "norms": norms_meta,
         "bloom": bloom_meta,
         "doc_count": manifest["doc_count"],
         "sum_ttf": manifest["sum_ttf"],
@@ -1108,11 +1036,13 @@ def _sweep_merged(index_dir: str, manifest: dict, build_manifest: dict) -> None:
     committed: ``units/`` first (so a half-swept directory is never
     adopted), ``heavy_runs/``, every file under ``terms/`` that the
     manifest does not name (orphans of a crashed run, ``*.tmp``
-    included), then ``terms.arrow`` and ``norms.parquet`` of every
+    included), every ``norms*`` and ``*.tmp`` file in ``merged/`` but the
+    manifest's norms file, then ``terms.arrow`` and ``norms.u8`` of every
     partition the merge owns (``owned_partitions``). Idempotent, so a
-    call that finds the manifest committed finishes a cut sweep. Norm
-    shards, the Bloom, the deletes/doc-values files added after commit
-    and each partition's ``meta.json`` and ``docvalues.parquet`` stay."""
+    call that finds the manifest committed finishes a cut sweep. The
+    norms file, the Bloom, the deletes/doc-values files added after
+    commit and each partition's ``meta.json`` and ``docvalues.parquet``
+    stay."""
     merged_dir = os.path.join(index_dir, "merged")
     for sub in ("units", "heavy_runs"):
         if os.path.isdir(os.path.join(merged_dir, sub)):
@@ -1122,6 +1052,10 @@ def _sweep_merged(index_dir: str, manifest: dict, build_manifest: dict) -> None:
     for name in os.listdir(d) if os.path.isdir(d) else ():
         if name not in named:
             os.remove(os.path.join(d, name))
+    norms = os.path.basename(manifest["norms"]["path"])
+    for name in os.listdir(merged_dir):
+        if name != norms and (name.startswith("norms") or name.endswith(".tmp")):
+            os.remove(os.path.join(merged_dir, name))
     for seg_dir in owned_partitions(build_manifest, index_dir):
         for name in POSTINGS_FILES:
             try:
@@ -1137,19 +1071,17 @@ class MergedIndex(PostingsReader):
     search over the manifest's sorted, disjoint shard term ranges — the
     heavy shards' if the term is heavy, else the light shards' (the
     BlockTree prefix-index role at file granularity). Shards are lz4 Arrow
-    IPC files opened through ``pa.memory_map`` and load lazily into an LRU
-    of ``_SHARD_CACHE_MAX`` ``TermShard``s — opening the index reads only the manifest,
-    so searcher workers start in O(manifest), not O(#shards). The light
+    IPC files opened through ``pa.memory_map``; each loads as a
+    ``TermShard`` on its first lookup and stays loaded (the merge makes at
+    most ``MAX_BUCKETS`` light shards and a few heavy ones). Opening the
+    index reads only the manifest and maps the norms file, so searcher
+    workers start in O(manifest), not O(#shards). The light
     shards in term order, with the heavy terms merged in, are the sorted
     dictionary that prefix/range/fuzzy/suffix expansion reads
     (``dict_ranges``). A manifest of another layout version raises
     ``ValueError``."""
 
-    _SHARD_CACHE_MAX = 64
-
     def __init__(self, index_dir: str | None, manifest: dict | None = None):
-        from collections import OrderedDict
-
         from .checkpoint import load_merge_manifest
 
         super().__init__()
@@ -1157,7 +1089,7 @@ class MergedIndex(PostingsReader):
         if m is None or m.get("kind") != "merge-by-term":
             raise FileNotFoundError(f"no merge-by-term manifest under {index_dir}")
         if m.get("version") != MERGE_VERSION:
-            where = index_dir or os.path.dirname(os.path.dirname(m["norm_shards"][0]["path"]))
+            where = index_dir or os.path.dirname(os.path.dirname(m.get("norms", {}).get("path", "")))
             raise ValueError(
                 f"{where}: merge manifest version {m.get('version')!r}, this reader "
                 f"reads version {MERGE_VERSION}; rerun merge_by_term to rebuild merged/"
@@ -1173,62 +1105,32 @@ class MergedIndex(PostingsReader):
         self._light_ranges.sort()
         self._heavy_ranges.sort()
         self._heavy_set = set(m.get("heavy_terms", []))
-        self._tables: OrderedDict[str, TermShard] = OrderedDict()
+        self._tables: dict[str, TermShard] = {}
         # Bloom sidecar (BloomFilteringPostingsFormat role): consulted
         # before loading a shard; bitset loads lazily on first miss check
         # so opening stays O(manifest)
         self._bloom_meta = m.get("bloom")
         self._bloom_bits: np.ndarray | None = None
 
-        # Norms are NEVER loaded at open: doc bounds come from the shard
-        # METADATA, so __init__ does zero norm-file I/O. The first
-        # norm_of densifies them when the span is at most
-        # DENSE_NORMS_MAX_SPAN; above it a searcher worker touches only
-        # the doc-range shards its postings hit, lazily through the same
-        # LRU _NormStore the merge tasks use (the per-leaf mmap'd norms
-        # role — codecs/lucene80/Lucene80NormsFormat.java:30-78), since
-        # 1 byte/doc dense would be 10-100 GB per worker at 10^10-10^11
-        # docs.
-        shard_rows = m["norm_shards"]
-        self._norm_store: _NormStore | None = _NormStore(shard_rows)
-        self._norms_dense: np.ndarray | None = None  # set by norm_of
-        self.doc_base = int(min(r["doc_lo"] for r in shard_rows))
-        self.max_doc = int(max(r["doc_hi"] for r in shard_rows))
+        # norms: one byte per doc, memory-mapped (the per-leaf mmap'd .nvd
+        # role, codecs/lucene80/Lucene80NormsFormat.java:30-78); a lookup
+        # pages in only what it touches, so no worker holds them whole
+        norms = m["norms"]
+        self._norms = map_norms(norms["path"])
+        self.doc_base = int(norms["doc_lo"])
+        self.max_doc = int(norms["doc_hi"])
         self.n_docs = int(m["doc_count"])
 
     @property
     def sum_ttf(self) -> int:
         return int(self.manifest["sum_ttf"])
 
-    # span bound for on-demand densification: 256 MB of norm bytes per
-    # searcher process. Below it, the first lookup materializes one dense
-    # array and every later lookup is one gather: the doc-range store's
-    # min/max and searchsorted passes cost ~10x a gather on a short tail
-    # term (12 vs 1.3 us) and ~20x on a heavy term's whole-corpus TAAT
-    # scan (8.8 vs 0.4 ms on a df=190k term). Above it (10^9+ docs),
-    # lookups stay on the range-LRU so a worker never holds whole-corpus
-    # norms.
-    DENSE_NORMS_MAX_SPAN = 1 << 28
-
     def norm_of(self, doc_ids: np.ndarray) -> np.ndarray:
-        docs = np.asarray(doc_ids, dtype=np.int64)
-        if self._norms_dense is None and self.norm_span <= self.DENSE_NORMS_MAX_SPAN:
-            store = self._norm_store
-            dense = np.zeros(self.norm_span, dtype=np.uint8)
-            for j, s in enumerate(store.shards):
-                dense[int(s["doc_lo"]) - self.doc_base : int(s["doc_hi"]) - self.doc_base] = store._dense(j)
-            self._norms_dense = dense
-            self._norm_store = None  # shards now redundant in this reader
-        if self._norms_dense is not None:
-            return self._norms_dense[docs - self.doc_base]
-        return self._norm_store.norms_for(docs)
+        return self._norms[np.asarray(doc_ids, dtype=np.int64) - self.doc_base]
 
     def _load(self, path: str) -> TermShard:
-        """Read one term shard (LRU-cached)."""
-        sh = TermShard(read_term_shard(path))
-        self._tables[path] = sh
-        if len(self._tables) > self._SHARD_CACHE_MAX:
-            self._tables.popitem(last=False)
+        """Read one term shard and keep it."""
+        sh = self._tables[path] = TermShard(read_term_shard(path))
         return sh
 
     def _shard_path_of(self, term: str) -> str | None:
@@ -1270,7 +1172,6 @@ class MergedIndex(PostingsReader):
             return None
         sh = self._tables.get(path)
         if sh is not None:
-            self._tables.move_to_end(path)
             return sh
         return None if self._bloom_definite_miss(term) else self._load(path)
 

@@ -57,12 +57,11 @@ REFERENCE_QUERIES: list[tuple[int, str, int]] = [
 
 def _cache_dir(sf_dir: str, n_rows: int, variant: str = "") -> str:
     tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    # -mf9: -mf8 (multi-field + off_blob + pay_blob + docvalues sidecar
-    # + pages n_chars, merged term shards as lz4 Arrow IPC files,
-    # term-range light shards, each partition's terms and norms files
-    # deleted once the merge commits) with partition terms written as
-    # lz4 Arrow IPC ``terms.arrow`` too
-    return os.path.join(CACHE_ROOT, f"{tag}-{n_rows}-mf9{variant}")
+    # -mf10: -mf9 (multi-field + off_blob + pay_blob + docvalues sidecar
+    # + pages n_chars, term files as lz4 Arrow IPC, term-range light
+    # shards, each partition's terms and norms files deleted once the
+    # merge commits) with norms as raw byte-per-doc files
+    return os.path.join(CACHE_ROOT, f"{tag}-{n_rows}-mf10{variant}")
 
 
 def get_index(
@@ -216,15 +215,20 @@ def token_counts(sf_dir: str) -> pa.Table:
 
 
 def doc_norms(sf_dir: str) -> pa.Table:
-    """(doc_id, norm) — SmallFloat-quantized lengths from the index
-    (no SQL oracle: the byte4 quantization isn't SQL-expressible)."""
-    idx = get_index(sf_dir)
-    tables = [pq.read_table(p) for p in idx["merge_manifest"]["norm_files"]]
-    t = pa.concat_tables(tables)
+    """(doc_id, norm) — SmallFloat-quantized lengths from the index's
+    norms file, one row per doc of its span (no SQL oracle: the byte4
+    quantization isn't SQL-expressible). A span that is not the index's
+    doc count (a doc-id gap) raises ``ValueError``."""
+    from .segment import map_norms
+
+    mm = get_index(sf_dir)["merge_manifest"]
+    lo, hi = mm["norms"]["doc_lo"], mm["norms"]["doc_hi"]
+    if hi - lo != mm["doc_count"]:
+        raise ValueError(f"norms span [{lo}, {hi}) is not the index's {mm['doc_count']} docs")
     return pa.table(
         {
-            "doc_id": t.column("doc_id"),
-            "norm": pa.compute.cast(t.column("norm"), pa.int64()),
+            "doc_id": pa.array(np.arange(lo, hi, dtype=np.int64)),
+            "norm": pa.array(map_norms(mm["norms"]["path"]).astype(np.int64)),
         }
     )
 

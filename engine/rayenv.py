@@ -54,11 +54,27 @@ class ProcessStage:
     handle that Ray Data passes every pool actor, so with the pool's
     default restarts Ray logs that a restarted actor could not be
     rebuilt (once per driver process); a failed task is retried
-    instead."""
+    instead.
+
+    Ray Data names a callable-object stage after the object's type, so
+    each stage is an instance of a subclass named after ``cls``: the plan
+    and logs read ``MapBatches(PercolatorStage)``, not
+    ``MapBatches(ProcessStage)``."""
+
+    def __new__(cls, stage_cls, *args, **kwargs):
+        named = _NAMED.get(stage_cls)
+        if named is None:
+            named = _NAMED[stage_cls] = type(stage_cls.__name__, (ProcessStage,), {})
+        return super().__new__(named)
 
     def __init__(self, cls, *args, **kwargs):
         self.cls, self.args, self.kwargs = cls, args, kwargs
         self.key = uuid.uuid4().hex  # one instance per stage and process
+
+    def __reduce__(self):
+        # the named subclass is not importable: rebuild through the base,
+        # then restore the arguments and key
+        return ProcessStage, (self.cls,), self.__dict__
 
     def __call__(self, batch):
         inst = _STAGES.get(self.key)
@@ -75,6 +91,7 @@ class ProcessStage:
 # long-lived worker keeps the last few stages' state, not every stage's
 _STAGES_MAX = 8
 _STAGES: OrderedDict = OrderedDict()
+_NAMED: dict = {}  # stage class -> its ProcessStage subclass
 
 
 def read_parquet_clean(paths, columns=None, **kwargs):

@@ -16,12 +16,13 @@ back by ``read_term_shard`` through a memory map:
         (Lucene84SkipWriter analogue), imp_freq:list<int64>,
         imp_norm:list<int64>, imp_start:list<int64>  block impact frontiers
         (CompetitiveImpactAccumulator analogue)
-    <dir>/norms.parquet   doc_id:int64, norm:uint8  (Lucene80NormsFormat
-        analogue — 1 byte per doc for the indexed body field)
+    <dir>/norms.u8        raw uint8, one norm byte per doc over
+        [doc_base, max_doc); a doc-id gap reads 0 (the Lucene80NormsFormat
+        .nvd analogue), read through ``map_norms``
     <dir>/meta.json       doc_base, n_docs, sum_ttf, field, n_terms,
         lineage {...}, wall_ms, kind ("partition")
 
-A partition's ``terms.arrow`` and ``norms.parquet`` are merge input:
+A partition's ``terms.arrow`` and ``norms.u8`` are merge input:
 once ``merge_by_term`` commits a merge over partitions that lie under its
 own index dir, it deletes those two files (the IndexFileDeleter role) and
 the merged index is the only copy of the postings. ``meta.json`` (build
@@ -90,7 +91,7 @@ TERMS_SCHEMA = pa.schema(
 
 # the partition files merge_by_term reads, and deletes once its merge of
 # the partition commits
-POSTINGS_FILES = ("terms.arrow", "norms.parquet")
+POSTINGS_FILES = ("terms.arrow", "norms.u8")
 
 _IPC_LZ4 = pa.ipc.IpcWriteOptions(compression="lz4")
 
@@ -117,6 +118,18 @@ def read_term_shard(path: str, columns: list[str] | None = None) -> pa.Table:
     with pa.memory_map(path) as src:
         tbl = pa.ipc.open_file(src, options=opts).read_all()
     return tbl if columns is None else tbl.select(columns)
+
+
+def map_norms(path: str) -> np.ndarray:
+    """A norms file (raw uint8, one byte per doc) as a read-only array
+    over a memory map (the .nvd through MMapDirectory role): the OS page
+    cache holds only the pages a lookup touches, shared by every process.
+    It is a plain ndarray view, whose fancy index costs less than the
+    memmap subclass's; a 0-byte file, which ``np.memmap`` refuses, maps to
+    an empty array."""
+    if os.path.getsize(path) == 0:
+        return np.zeros(0, dtype=np.uint8)
+    return np.memmap(path, dtype=np.uint8, mode="r").view(np.ndarray)
 
 
 def term_strings(col: pa.Array | pa.ChunkedArray) -> list[str]:
@@ -248,15 +261,12 @@ def write_segment(
     os.makedirs(tmp)
     try:
         write_term_shard(terms_table, os.path.join(tmp, "terms.arrow"))
-        pq.write_table(
-            pa.table(
-                {
-                    "doc_id": pa.array(norm_doc_ids, type=pa.int64()),
-                    "norm": pa.array(norms, type=pa.uint8()),
-                }
-            ),
-            os.path.join(tmp, "norms.parquet"),
-        )
+        # one byte per doc over [doc_base, max doc + 1): a gap reads 0
+        doc_ids = np.asarray(norm_doc_ids, dtype=np.int64)
+        base = int(meta["doc_base"])
+        dense = np.zeros(int(doc_ids.max()) + 1 - base if len(doc_ids) else 0, dtype=np.uint8)
+        dense[doc_ids - base] = norms
+        dense.tofile(os.path.join(tmp, "norms.u8"))
         if doc_values is not None:
             # DocValues sidecar (index/DocValuesType.java:28; the .dvd/.dvm
             # per-segment column store role) — same atomic rename
@@ -428,7 +438,7 @@ class PostingsReader:
 
 
 class Segment(PostingsReader):
-    """Open segment: one ``TermShard`` + dense norms + stats, loaded once
+    """Open segment: one ``TermShard`` + mapped norms + stats, loaded once
     and queried many times (the open-IndexReader-leaf analogue)."""
 
     def __init__(self, seg_dir: str):
@@ -437,15 +447,10 @@ class Segment(PostingsReader):
         with open(os.path.join(seg_dir, "meta.json")) as f:
             self.meta = json.load(f)
         self.shard = TermShard(read_term_shard(os.path.join(seg_dir, "terms.arrow")))
-        nt = pq.read_table(os.path.join(seg_dir, "norms.parquet"))
-        doc_ids = nt.column("doc_id").to_numpy()
+        self._norms = map_norms(os.path.join(seg_dir, "norms.u8"))
         self.doc_base = int(self.meta["doc_base"])
         self.n_docs = int(self.meta["n_docs"])
-        self.max_doc = int(doc_ids.max()) + 1 if len(doc_ids) else self.doc_base
-        # dense norm array over [doc_base, max_doc) — contiguous in practice,
-        # scatter handles any gaps from rejected/filtered rows
-        self._norms = np.zeros(self.max_doc - self.doc_base, dtype=np.uint8)
-        self._norms[doc_ids - self.doc_base] = nt.column("norm").to_numpy()
+        self.max_doc = self.doc_base + len(self._norms)
 
     @property
     def sum_ttf(self) -> int:

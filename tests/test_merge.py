@@ -183,9 +183,7 @@ _SPEC = [
 _MERGED = {"a": ([5, 8, 10], [2, 1, 3]), "b": ([1, 2, 3, 11], [1, 1, 2, 1]), "c": ([6, 12, 13], [1, 1, 1])}
 
 
-class _Norms:
-    def norms_for(self, d):
-        return (d % 7).astype(np.uint8)
+_NORMS = (np.arange(16) % 7).astype(np.uint8)  # doc d's norm byte is d % 7
 
 
 def _shuffle_batch(salts):
@@ -247,7 +245,7 @@ def test_merge_sorted_batch_groups():
     from engine.merge import _merge_sorted_batch
 
     batch, pos = _shuffle_batch([-1] * len(_SPEC))
-    _assert_merged(_merge_sorted_batch(batch, _Norms()).table(), pos)
+    _assert_merged(_merge_sorted_batch(batch, _NORMS, 0).table(), pos)
 
     # rows of "b" whose doc ranges interleave (1..3 and 2) cannot merge
     bad = batch.slice(2, 2).combine_chunks()
@@ -255,7 +253,7 @@ def test_merge_sorted_batch_groups():
         bad.schema.get_field_index("singleton_doc"), "singleton_doc", pa.array([-1, 2], type=pa.int64())
     )
     with pytest.raises(ValueError, match="'b'"):
-        _merge_sorted_batch(bad, _Norms())
+        _merge_sorted_batch(bad, _NORMS, 0)
 
 
 def test_join_runs_concatenates_salted_runs():
@@ -268,7 +266,7 @@ def test_join_runs_concatenates_salted_runs():
     from engine.merge import _join_runs, _merge_sorted_batch
 
     batch, pos = _shuffle_batch([0, 1] * (len(_SPEC) // 2))
-    groups = _merge_sorted_batch(batch, _Norms())
+    groups = _merge_sorted_batch(batch, _NORMS, 0)
     runs = groups.run(np.ones(len(_SPEC), dtype=bool))
     assert runs.column("docs").to_pylist() == [r[2] for r in _SPEC]
     assert runs.column("norms").to_pylist() == [[d % 7 for d in r[2]] for r in _SPEC]
@@ -374,53 +372,60 @@ def test_checkindex_validates_dict_level(built, tmp_path_factory):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_merged_index_norms_lazy(built, tmp_path_factory, monkeypatch):
-    """Opening a MergedIndex must read NO norm shard (doc bounds come from
-    manifest metadata). Above ``DENSE_NORMS_MAX_SPAN`` (patched below this
-    index's span here) shards load lazily per doc-range on first query —
-    the per-leaf-mmap norms role (Lucene80NormsFormat.java:30-78). At
-    10^10 docs a dense whole-corpus load is 10+ GB per searcher worker."""
+def test_checkindex_checks_norms(built, tmp_path_factory):
+    """``check_merged_index`` fails on a norms file one byte short of the
+    span, on a missing one, and on a second ``norms*`` file or a ``*.tmp``
+    left in ``merged/``."""
+    import shutil
+
+    from engine.checkindex import check_merged_index
+
+    root = str(tmp_path_factory.mktemp("cinorms"))
+    mm = merge_by_term(built["manifest"], root, salt_threshold=400, n_salts=4)
+    path = mm["norms"]["path"]
+    check_merged_index(MergedIndex(root))
+    shutil.copy(path, path + ".keep")  # itself a stray file, until put back
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) - 1)
+    with pytest.raises(AssertionError, match="bytes for a span"):
+        check_merged_index(MergedIndex(root))
+    mi = MergedIndex(root)  # its map outlives the file
+    os.remove(path)
+    with pytest.raises(AssertionError, match="norms file missing"):
+        check_merged_index(mi)
+    os.replace(path + ".keep", path)
+    check_merged_index(MergedIndex(root))
+    for stray in ("norms-0badc0ffee00.u8", "bloom.bin.tmp"):
+        open(os.path.join(root, "merged", stray), "wb").close()
+        with pytest.raises(AssertionError, match=re.escape(stray)):
+            check_merged_index(MergedIndex(root))
+        os.remove(os.path.join(root, "merged", stray))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_merged_index_norms_lazy(built, tmp_path_factory):
+    """Opening a MergedIndex maps the manifest's one norms file and
+    copies none of it: its norms are a read-only ndarray view of a
+    ``np.memmap`` of that file, one byte per doc of the span, so a lookup
+    pages in only what it touches (the per-leaf mmap'd norms role,
+    Lucene80NormsFormat.java:30-78). Unsorted lookups across every
+    partition boundary read the source segments' norms, and search is
+    bit-identical to the segment searcher."""
     m = built["manifest"]
     root = str(tmp_path_factory.mktemp("lazynorms"))
-    mm = merge_by_term(m, root, salt_threshold=400, n_salts=4, parts_per_shard=2)
-    assert len(mm["norm_shards"]) >= 3, "fixture must produce multiple norm shards"
+    mm = merge_by_term(m, root, salt_threshold=400, n_salts=4)
+    mi = MergedIndex(root)
+    assert isinstance(mi._norms.base, np.memmap) and type(mi._norms) is np.ndarray
+    assert os.path.samefile(mi._norms.base.filename, mm["norms"]["path"])
+    assert not mi._norms.flags.owndata and not mi._norms.flags.writeable
+    assert len(mi._norms) == mi.norm_span == m["doc_count"]
 
-    import engine.merge as merge_mod
-
-    monkeypatch.setattr(MergedIndex, "DENSE_NORMS_MAX_SPAN", m["doc_count"] - 1)
-
-    reads = []
-    orig = merge_mod.pq.read_table
-
-    def counting_read(path, *a, **kw):
-        reads.append(str(path))
-        return orig(path, *a, **kw)
-
-    norm_paths = set(mm["norm_files"])
-    merge_mod.pq.read_table = counting_read
-    try:
-        mi = MergedIndex(root)
-        assert not (set(reads) & norm_paths), "open read a norm shard"
-        span = mi.norm_span  # metadata-only
-        assert not (set(reads) & norm_paths)
-        # a single-shard doc range touches exactly one shard file
-        reads.clear()
-        lo = mm["norm_shards"][0]["doc_lo"]
-        one = mi.norm_of(np.array([lo, lo + 1]))
-        touched = set(reads) & norm_paths
-        assert touched == {mm["norm_shards"][0]["path"]}
-    finally:
-        merge_mod.pq.read_table = orig
-
-    # values identical to the source segments across every shard boundary
     segs = [Segment(r["seg_dir"]) for r in m["partitions"]]
     all_docs = np.arange(m["doc_count"], dtype=np.int64)
     rng = np.random.default_rng(3)
-    probe = rng.permutation(all_docs)[:500]  # unsorted, spans shards
+    probe = rng.permutation(all_docs)[:500]  # unsorted, spans partitions
     exp = np.concatenate([s._norms for s in segs])[probe]
     np.testing.assert_array_equal(mi.norm_of(probe), exp)
-    assert span == m["doc_count"]
-    assert mi._norms_dense is None, "a span above the bound never densifies"
     # search results bit-identical to the segment searcher
     base = IndexSearcher(m, algorithm="taat")
     merged = IndexSearcher(mm, algorithm="taat")
@@ -433,26 +438,112 @@ def test_merged_index_norms_lazy(built, tmp_path_factory, monkeypatch):
 
 @pytest.mark.usefixtures("ray_session")
 def test_merged_norms_dense_from_first_lookup(built, tmp_path_factory):
-    """Under ``DENSE_NORMS_MAX_SPAN`` the first ``norm_of`` densifies,
-    even on a one-norm-shard index whose lookups never span shards, and
-    serves the ``_NormStore`` values from then on."""
-    from engine.merge import _NormStore
-
+    """The norms file is dense from the first lookup: its bytes are the
+    partitions' ``norms.u8`` files laid end to end over [doc_lo, doc_hi),
+    and the first ``norm_of``, an unsorted probe and the whole span all
+    gather them from the mapped array."""
     m = built["manifest"]
     root = str(tmp_path_factory.mktemp("densenorms"))
     mm = merge_by_term(m, root, salt_threshold=400, n_salts=4)
-    assert len(mm["norm_shards"]) == 1, "fixture must produce one norm shard"
+    assert (mm["norms"]["doc_lo"], mm["norms"]["doc_hi"]) == (0, m["doc_count"])
+    parts = b""
+    for r in sorted(m["partitions"], key=lambda r: r["doc_base"]):
+        with open(os.path.join(r["seg_dir"], "norms.u8"), "rb") as fh:
+            parts += fh.read()
+    with open(mm["norms"]["path"], "rb") as fh:
+        assert fh.read() == parts
+    dense = np.frombuffer(parts, dtype=np.uint8)
     mi = MergedIndex(root)
-    assert mi._norms_dense is None  # open reads no norms
-    store = _NormStore(mm["norm_shards"])
-    rng = np.random.default_rng(5)
     first = np.array([3, 4], dtype=np.int64)
-    np.testing.assert_array_equal(mi.norm_of(first), store.norms_for(first))
-    assert mi._norms_dense is not None and len(mi._norms_dense) == mi.norm_span == m["doc_count"]
-    probe = rng.permutation(m["doc_count"])[:400]
-    np.testing.assert_array_equal(mi.norm_of(probe), store.norms_for(probe))
-    np.testing.assert_array_equal(mi.norm_of(np.arange(m["doc_count"])), store.norms_for(np.arange(m["doc_count"])))
+    np.testing.assert_array_equal(mi.norm_of(first), dense[first])
+    probe = np.random.default_rng(5).permutation(m["doc_count"])[:400]
+    np.testing.assert_array_equal(mi.norm_of(probe), dense[probe])
+    np.testing.assert_array_equal(mi.norm_of(np.arange(m["doc_count"])), dense)
     assert mi.norm_of(np.empty(0, dtype=np.int64)).dtype == np.uint8
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_norms_across_a_doc_id_gap(tmp_path):
+    """A corpus whose doc ids skip 200..299 between two partitions, and a
+    partition with a gap inside: every doc's norm, through ``Segment`` and
+    through ``MergedIndex``, is ``analyze.compute_norms`` of its length,
+    and a gap doc reads 0. Search over the merged index equals
+    ``bm25.brute_force_topk`` over those norms. A merge refuses the
+    partition whose doc ids are not contiguous."""
+    from engine.analyze import analyze_batch, compute_norms
+    from engine.bm25 import brute_force_topk, make_term_scorer
+    from engine.queryparse import parse_query
+
+    texts = make_pages(500, seed=23).column("text").to_pylist()
+    ranges = [(0, 200), (300, 600)]
+    root = str(tmp_path / "idx")
+    rows = []
+    for lo, hi in ranges:
+        seg_dir = os.path.join(root, "partitions", f"p{lo:012d}")
+        docs = np.arange(lo, hi, dtype=np.int64)
+        meta = invert_to_segment(docs, texts[: hi - lo] if lo == 0 else texts[200:], seg_dir)
+        rows.append({k: meta[k] for k in ("doc_base", "n_docs", "sum_ttf", "n_terms")} | {"seg_dir": seg_dir})
+    m = finalize_build_manifest(root, rows)
+    _, lengths = analyze_batch(texts)
+    norms = np.zeros(600, dtype=np.uint8)  # global doc id -> norm, 0 in the gap
+    doc_ids = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+    norms[doc_ids] = compute_norms(lengths)
+    for r in rows:
+        seg = Segment(r["seg_dir"])
+        docs = np.arange(r["doc_base"], r["doc_base"] + r["n_docs"])
+        np.testing.assert_array_equal(seg.norm_of(docs), norms[docs])
+
+    merge_root = str(tmp_path / "merged-idx")
+    mm = merge_by_term(m, merge_root, salt_threshold=150, n_salts=2)
+    mi = MergedIndex(merge_root)
+    assert (mi.doc_base, mi.max_doc, mi.n_docs) == (0, 600, 500)
+    np.testing.assert_array_equal(mi.norm_of(np.arange(600)), norms)
+
+    from engine.checkindex import check_merged_index
+
+    check_merged_index(mi)
+    searcher = IndexSearcher(mm, algorithm="taat")
+    for q in ("the00", "t00000 t00001", "the03 t00002 t00009", "s000350"):
+        terms = [t for t in parse_query(q).should if mi.term_stats(t)[0]]
+        tp = [mi.postings(t) for t in terms]
+        params = [make_term_scorer(mi.term_stats(t)[0], 500, m["sum_ttf"]) for t in terms]
+        ed, es = brute_force_topk(tp, params, norms, 10) if tp else (np.empty(0), np.empty(0))
+        gd, gs = searcher.search(q, 10)
+        np.testing.assert_array_equal(gd, ed, err_msg=q)
+        np.testing.assert_array_equal(gs.view(np.uint32), np.asarray(es, np.float32).view(np.uint32), err_msg=q)
+
+    # a gap inside one partition: the segment scatters, the merge refuses
+    gap_dir = os.path.join(str(tmp_path), "gap", "p000000000000")
+    docs = np.concatenate([np.arange(0, 10), np.arange(15, 20)]).astype(np.int64)
+    meta = invert_to_segment(docs, texts[:15], gap_dir)
+    seg = Segment(gap_dir)
+    assert (seg.doc_base, seg.max_doc) == (0, 20)
+    _, gap_lengths = analyze_batch(texts[:15])
+    exp = np.zeros(20, dtype=np.uint8)
+    exp[docs] = compute_norms(gap_lengths)
+    np.testing.assert_array_equal(seg.norm_of(np.arange(20)), exp)
+    gap_root = os.path.join(str(tmp_path), "gap")
+    gm = finalize_build_manifest(
+        gap_root,
+        [{k: meta[k] for k in ("doc_base", "n_docs", "sum_ttf", "n_terms")} | {"seg_dir": gap_dir}],
+    )
+    with pytest.raises(ValueError, match="contiguous"):
+        merge_by_term(gm, str(tmp_path / "gap-merged"))
+
+
+def test_zero_doc_partition_opens(tmp_path):
+    """A partition of no docs writes a 0-byte norms file (which
+    ``np.memmap`` refuses to map) and opens as an empty segment."""
+    from engine.checkindex import check_segment
+
+    seg_dir = str(tmp_path / "p000000000000")
+    invert_to_segment(np.empty(0, dtype=np.int64), [], seg_dir)
+    assert os.path.getsize(os.path.join(seg_dir, "norms.u8")) == 0
+    seg = Segment(seg_dir)
+    assert seg.norm_span == 0 and seg.n_docs == 0
+    assert seg.norm_of(np.empty(0, dtype=np.int64)).dtype == np.uint8
+    assert seg.term_stats("the00") == (0, 0) and list(seg.iter_terms()) == []
+    check_segment(seg)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -635,7 +726,7 @@ def test_merge_sweeps_the_partitions_it_owns(tmp_path, monkeypatch):
     assert committed is not None
     base = IndexSearcher(m, algorithm="taat")
     expected = {q: base.search(q, 20) for q in QUERIES}
-    os.remove(os.path.join(owned[1], "norms.parquet"))  # a sweep cut midway
+    os.remove(os.path.join(owned[1], "norms.u8"))  # a sweep cut midway
 
     assert merge_by_term(m, root, salt_threshold=150, n_salts=4) == committed
     check_merged_index(MergedIndex(root), owned)

@@ -90,3 +90,20 @@ def test_process_stage_in_a_dataset():
     )
     got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
     assert got.equals(QualityScorer()(tbl))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_process_stage_operator_named_after_its_class():
+    """Ray Data names a stage after its callable's type: a
+    ``ProcessStage`` stage reads ``MapBatches(<stage class>)`` in the plan
+    and logs, and the stage is still a ``ProcessStage``."""
+    import ray.data
+
+    from engine.textops import QualityScorer
+
+    stage = rayenv.ProcessStage(QualityScorer)
+    assert isinstance(stage, rayenv.ProcessStage) and type(stage).__name__ == "QualityScorer"
+    ds = ray.data.from_items([{"doc_id": 1, "text": "a b c."}]).map_batches(
+        stage, batch_format="pyarrow", **rayenv.remote_args()
+    )
+    assert ds._logical_plan.dag.name == "MapBatches(QualityScorer)"

@@ -93,8 +93,8 @@ def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
       are missing, the written ones are orphans, and the failing chunk
       left a stray ``shard-heavy-*.arrow.tmp`` (explode must not run);
     - unswept_commit: the manifest committed but the sweep never ran;
-    - new_plan: the manifest is lost and the rerun changes
-      ``parts_per_shard`` and ``n_salts`` (merged/ starts over).
+    - new_plan: the manifest is lost and the rerun changes ``n_salts``
+      (merged/ starts over and writes one new norms file).
 
     The rerun must leave adopted bucket files untouched, equal a clean
     merge with its arguments term by term and query by query, and leave
@@ -140,7 +140,7 @@ def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
         with open(os.path.join(merged, "terms", "shard-heavy-0badc0ffee00.arrow.tmp"), "wb") as fh:
             fh.write(b"partial")
     elif crash == "new_plan":
-        kw = {"salt_threshold": 400, "n_salts": 2, "parts_per_shard": 2, "n_buckets": 128}
+        kw = {"salt_threshold": 400, "n_salts": 2, "n_buckets": 128}
     adopted = {}
     if crash != "new_plan":
         for b, rows in rows_of.items():
@@ -161,7 +161,10 @@ def test_merge_by_term_resumes_per_bucket(salted, crash, tmp_path, monkeypatch):
     if crash == "unswept_commit":
         assert mm2 == mm1
     if crash == "new_plan":
-        assert len(mm2["norm_shards"]) == 4 and mm2["n_salts"] == 2
+        assert mm2["n_salts"] == 2 and not os.path.exists(mm1["norms"]["path"])
+        assert [f for f in os.listdir(merged) if f.startswith("norms")] == [
+            os.path.basename(mm2["norms"]["path"])
+        ]
     for p, (data, mtime) in adopted.items():
         with open(p, "rb") as fh:
             assert fh.read() == data, p
@@ -269,42 +272,61 @@ def test_derive_n_buckets():
     assert derive_n_buckets(10**12) == 128
 
 
-def _norm_shard(tmp_path, lo: int, norms: list[int]) -> dict:
-    """A norm shard file of docs lo.. with the given norms, as a manifest
-    ``norm_shards`` row."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    path = str(tmp_path / f"norms-{lo:012d}.parquet")
-    docs = np.arange(lo, lo + len(norms), dtype=np.int64)
-    pq.write_table(pa.table({"doc_id": docs, "norm": pa.array(norms, pa.uint8())}), path)
-    return {"doc_lo": lo, "doc_hi": lo + len(norms), "path": path}
-
-
-def test_norm_store_keyed_by_shard_list(tmp_path):
-    """A worker's norm store follows the shard list, not the index: after
-    a parts_per_shard change rewrites norms-000000000000.parquet over a
-    narrower doc range, the new list must read the new shards."""
-    from engine.merge import _norm_store_for
-
-    docs = np.arange(4, dtype=np.int64)
-    wide = [_norm_shard(tmp_path, 0, [1, 2, 3, 4])]
-    assert _norm_store_for(wide).norms_for(docs).tolist() == [1, 2, 3, 4]
-    narrow = [_norm_shard(tmp_path, 0, [5, 6]), _norm_shard(tmp_path, 2, [7, 8])]
-    assert _norm_store_for(narrow).norms_for(docs).tolist() == [5, 6, 7, 8]
-
-
-def test_norm_store_cache_keeps_one_shard_list(tmp_path):
-    """A worker keeps the norm store of its current shard list only: one
-    that serves many merges must not hold every merge's norms."""
+@pytest.mark.usefixtures("ray_session")
+def test_merged_index_keeps_every_loaded_shard(salted, monkeypatch):
+    """A ``MergedIndex`` keeps each shard it loads, however many the
+    manifest names: the first pass over every term loads each shard once,
+    and a second pass loads none (loads counted at ``read_term_shard``)."""
     import engine.merge as merge_mod
 
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
-    first = merge_mod._norm_store_for([_norm_shard(tmp_path / "a", 0, [1, 2])])
-    second = merge_mod._norm_store_for([_norm_shard(tmp_path / "b", 0, [3, 4])])
-    assert second is not first
-    assert list(merge_mod._NORM_STORES.values()) == [second]
+    mm = _clean_merge(salted, salt_threshold=400, n_salts=4, n_buckets=128)
+    assert len(mm["shards"]) > 64, "fixture must name many shards"
+    loads = []
+    orig = merge_mod.read_term_shard
+    monkeypatch.setattr(merge_mod, "read_term_shard", lambda p, *a: loads.append(p) or orig(p, *a))
+    mi = MergedIndex(None, manifest=mm)
+    for t in salted["terms"]:
+        assert mi.term_stats(t)[0] > 0, t
+    assert sorted(loads) == sorted(s["path"] for s in mm["shards"])
+    loads.clear()
+    for t in salted["terms"]:
+        mi.term_info(t)
+    assert loads == []
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_merge_resumes_after_norms_write_crash(salted, tmp_path, monkeypatch):
+    """A crash in the merge's norms write (the copy task fails after
+    writing part of the ``.tmp`` file) fails the merge and leaves that
+    file behind; the rerun sweeps it, keeps one norms file, and its bytes
+    equal a clean merge's."""
+    import engine.merge as merge_mod
+
+    m = salted["manifest"]
+    root = str(tmp_path / "idx")
+    merged = os.path.join(root, "merged")
+    kw = {"salt_threshold": 400, "n_salts": 4}
+
+    def _half_write(tmp, spans):  # nested, so Ray ships it by value
+        fd = os.open(tmp, os.O_WRONLY)
+        os.pwrite(fd, b"\x07" * 10, spans[0][1])
+        os.close(fd)
+        raise OSError("crash in the norms write")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(merge_mod, "_write_norms", _half_write)
+        with pytest.raises(Exception, match="crash in the norms write"):
+            merge_by_term(m, root, **kw)
+    stray = [f for f in os.listdir(merged) if f.endswith(".u8.tmp")]
+    assert len(stray) == 1
+
+    mm = merge_by_term(m, root, **kw)
+    assert [f for f in os.listdir(merged) if f.startswith("norms")] == [
+        os.path.basename(mm["norms"]["path"])
+    ]
+    with open(mm["norms"]["path"], "rb") as fh, open(_clean_merge(salted, **kw)["norms"]["path"], "rb") as ref:
+        assert fh.read() == ref.read()
+    check_merged_index(MergedIndex(root))
 
 
 def test_retry_idempotence_under_concurrent_write(tmp_path):

@@ -1077,7 +1077,7 @@ def _merged_replica(merged, tmp_path) -> str:
     from engine.replicate import replicate_index
 
     root = str(tmp_path / "replica")
-    replicate_index(merged["norm_files"][0].rsplit("/merged/", 1)[0], root)
+    replicate_index(merged["norms"]["path"].rsplit("/merged/", 1)[0], root)
     return root
 
 

@@ -1,6 +1,6 @@
 """Byte-identity digest of a merged index: the sha256 of each merged term
-shard in ``term_min`` order, of each norm shard in doc order and of
-``bloom.bin``, for the body and for every extra field. File names are
+shard in ``term_min`` order, of the norms file and of ``bloom.bin``, for
+the body and for every extra field. File names are
 write-once uuids, so each line names its file by what it holds: two
 merges of the same partitions wrote the same bytes iff they print the
 same lines (``diff`` the outputs).
@@ -35,8 +35,8 @@ def digest_lines(manifest: dict, field: str = "body") -> list[str]:
             f"{sha256(s['path'])}  {field} {kind} shard {s['term_min']!r}..{s['term_max']!r}"
             f" ({s['n_terms']} terms)"
         )
-    for s in sorted(manifest["norm_shards"], key=lambda s: s["doc_lo"]):
-        out.append(f"{sha256(s['path'])}  {field} norms {s['doc_lo']}..{s['doc_hi']}")
+    n = manifest["norms"]
+    out.append(f"{sha256(n['path'])}  {field} norms {n['doc_lo']}..{n['doc_hi']}")
     if manifest.get("bloom"):
         out.append(f"{sha256(manifest['bloom']['path'])}  {field} bloom.bin")
     for name, fm in sorted((manifest.get("fields") or {}).items()):
