@@ -42,18 +42,19 @@ bounds block-max BM25 scores.
 ``encode_terms`` is the engine's one postings encoder: it writes this
 layout for every term of a partition (the inverter) or of a merge bucket
 in array passes. ``decode_terms``, its inverse, is the merge's one
-decoder: every row of a merge batch in array passes, so no other module
-parses the blob. A reader decodes one term at a time:
-``PostingsReader.postings`` through ``decode_term_postings_indexed``
-(cheaper than ``decode_terms`` on one short row), WAND block skipping
-one block through ``decode_block``. ``encode_term_postings`` and
-``decode_term_postings`` encode and decode one term block by block; they
-are the per-term references the batched paths are tested against, and
-``checkindex`` decodes through the latter. The three per-term decoders
-read a tail block through ``read_tail_block``, one scalar pass over its
-bytes (Lucene's ``readVIntBlock``, Lucene84PostingsReader.java:125-137):
-a tail holds fewer than 128 values, where the fixed cost of numpy calls
-outweighs their per-value speed.
+decoder: every row of a merge batch in array passes, the full blocks in
+one unpack pass per bit width. A reader decodes one term block by block:
+``decode_term_postings`` (``PostingsReader.postings`` calls it as
+``decode_term_postings_indexed``) walks the term's blocks, and
+``decode_block`` decodes the one block WAND skips to. A full block
+unpacks through ``unpack_block``, one fixed sequence per bit width with
+constants built at import (ForUtil's one routine per width); a tail block
+through ``read_tail_block``, one scalar pass over its bytes (Lucene's
+``readVIntBlock``, Lucene84PostingsReader.java:125-137), as numpy's fixed
+cost outweighs its per-value speed on fewer than 128 values.
+``encode_term_postings`` is the reference ``encode_terms`` is tested
+against; ``decode_terms`` and the per-term decoders are tested against
+each other.
 """
 
 from __future__ import annotations
@@ -226,12 +227,15 @@ def pack_block(values: np.ndarray, width: int) -> bytes:
     return np.packbits(bits.ravel()).tobytes()
 
 
-def unpack_block(buf: bytes | memoryview, width: int, n: int = BLOCK_SIZE) -> np.ndarray:
-    nbits = n * width
-    raw = np.frombuffer(buf, dtype=np.uint8, count=(nbits + 7) // 8)
-    bits = np.unpackbits(raw, count=nbits).reshape(n, width).astype(np.uint64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    return (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
+def unpack_block(raw: np.ndarray, at: int, width: int) -> np.ndarray:
+    """Inverse of ``pack_block``: the BLOCK_SIZE values packed at ``width``
+    bits from byte ``at`` of the uint8 array ``raw``, as uint64: their
+    (BLOCK_SIZE, width) bit matrix times the width's place values."""
+    return np.unpackbits(raw[at : at + 16 * width]).reshape(BLOCK_SIZE, width) @ _POW[width]
+
+
+# _POW[w]: the place values 1 << (w - 1 ... 0) of a w-bit value, per width
+_POW = [None] + [np.array([1 << k for k in range(w - 1, -1, -1)], dtype=np.uint64) for w in range(1, 65)]
 
 
 def _width_of(values: np.ndarray) -> int:
@@ -554,22 +558,36 @@ def encode_terms(
     }
 
 
-def decode_term_postings(blob: bytes | memoryview, df: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a full term blob back to (docs int64, freqs int64)."""
-    nfull = df // BLOCK_SIZE
+def decode_term_postings(
+    blob: bytes | memoryview, df: int, offsets: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a full term blob back to (docs int64, freqs int64), block by
+    block in order: each full block through ``_decode_block_into``, the
+    tail through ``read_tail_block``. With ``offsets``, the per-block byte
+    offsets of the term's skip data, each block is read from its offset;
+    without, from the end of the block before it. A term with no full
+    block (most of a vocabulary) makes no numpy call but the two output
+    arrays."""
+    starts = None if offsets is None else offsets.tolist()
+    pos = starts[0] if starts else 0
+    nfull, tail_n = divmod(df, BLOCK_SIZE)
     if not nfull:
-        return _tail_only(blob, df, 0)
-    deltas = np.empty(df, dtype=np.uint64)
-    freqs = np.empty(df, dtype=np.int64)
+        return _tail_only(blob, df, pos)
     mv = memoryview(blob)
-    pos = 0
+    raw = np.frombuffer(blob, dtype=np.uint8)
+    deltas = np.empty(df, dtype=np.int64)
+    freqs = np.empty(df, dtype=np.int64)
     for b in range(nfull):
-        lo = b * BLOCK_SIZE
-        pos = _decode_block_into(mv, pos, deltas, freqs, lo, BLOCK_SIZE)
-    lo = nfull * BLOCK_SIZE
-    deltas[lo:], freqs[lo:], _ = read_tail_block(mv, df - lo, pos)
-    docs = np.cumsum(deltas.astype(np.int64)) - 1
-    return docs, freqs
+        pos = _decode_block_into(raw, mv, starts[b] if starts else pos, deltas, freqs, b * BLOCK_SIZE)
+    if tail_n:
+        lo = nfull * BLOCK_SIZE
+        deltas[lo:], freqs[lo:], _ = read_tail_block(mv, tail_n, starts[nfull] if starts else pos)
+    np.cumsum(deltas, out=deltas)
+    deltas -= 1
+    return deltas, freqs
+
+
+decode_term_postings_indexed = decode_term_postings  # PostingsReader.postings' name for it (perfbench traces it)
 
 
 def _tail_only(blob: bytes | memoryview, df: int, pos: int, prev_doc: int = -1) -> tuple[np.ndarray, np.ndarray]:
@@ -582,26 +600,29 @@ def _tail_only(blob: bytes | memoryview, df: int, pos: int, prev_doc: int = -1) 
 
 
 def _decode_block_into(
-    mv: memoryview, pos: int, deltas: np.ndarray, freqs: np.ndarray, lo: int, n: int
+    raw: np.ndarray, mv: memoryview, pos: int, deltas: np.ndarray, freqs: np.ndarray, lo: int
 ) -> int:
+    """Decode the full block at byte ``pos`` (``raw`` and ``mv`` view the
+    same bytes) into ``deltas[lo : lo + BLOCK_SIZE]`` (doc deltas) and
+    ``freqs[lo : lo + BLOCK_SIZE]``; returns the position after it. A doc
+    token 0 is all deltas 1, a freq token 0 one VInt value read in Python."""
+    w = mv[pos]
+    deltas[lo : lo + BLOCK_SIZE] = unpack_block(raw, pos + 1, w) if w else 1
+    pos += 1 + 16 * w
     w = mv[pos]
     pos += 1
-    if w == 0:
-        deltas[lo : lo + n] = 1
-    else:
-        nb = (n * w + 7) // 8
-        deltas[lo : lo + n] = unpack_block(mv[pos : pos + nb], w, n)
-        pos += nb
-    wf = mv[pos]
-    pos += 1
-    if wf == 0:
-        val, pos = read_vints(mv, 1, pos)
-        freqs[lo : lo + n] = int(val[0])
-    else:
-        nb = (n * wf + 7) // 8
-        freqs[lo : lo + n] = unpack_block(mv[pos : pos + nb], wf, n).astype(np.int64)
-        pos += nb
-    return pos
+    if w:
+        freqs[lo : lo + BLOCK_SIZE] = unpack_block(raw, pos, w)
+        return pos + 16 * w
+    x = shift = 0
+    for byte in mv[pos : pos + _MAX_VBYTES]:
+        pos += 1
+        x |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            freqs[lo : lo + BLOCK_SIZE] = x
+            return pos
+        shift += 7
+    raise ValueError("truncated VInt stream")
 
 
 def decode_block(
@@ -614,44 +635,15 @@ def decode_block(
     """Decode a single block (for WAND block skipping). ``prev_last_doc`` is
     the last docID of the previous block (-1 for block 0)."""
     nfull = df // BLOCK_SIZE
-    mv = memoryview(blob)
     pos = int(tp_offsets[block_idx])
     if block_idx >= nfull:
-        return _tail_only(mv, df - nfull * BLOCK_SIZE, pos, prev_last_doc)
-    deltas = np.empty(BLOCK_SIZE, dtype=np.uint64)
+        return _tail_only(blob, df - nfull * BLOCK_SIZE, pos, prev_last_doc)
+    deltas = np.empty(BLOCK_SIZE, dtype=np.int64)
     freqs = np.empty(BLOCK_SIZE, dtype=np.int64)
-    _decode_block_into(mv, pos, deltas, freqs, 0, BLOCK_SIZE)
-    docs = np.cumsum(deltas.astype(np.int64)) + prev_last_doc
-    return docs, freqs
-
-
-def decode_term_postings_indexed(
-    blob: bytes | memoryview, df: int, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One term's decode through the per-block offsets of its skip data:
-    its full blocks go through ``_decode_full_blocks`` (one unpack pass
-    per bit width), its tail through ``read_tail_block``; a term with no
-    full block (most of a vocabulary) makes no numpy call but the two
-    output arrays. This is ``PostingsReader.postings``' decoder: on one
-    short row it costs a fraction of ``decode_terms``, whose fixed cost
-    pays off over many rows."""
-    nfull = df // BLOCK_SIZE
-    if not nfull:
-        return _tail_only(blob, df, int(offsets[0]) if len(offsets) else 0)
-    lo = nfull * BLOCK_SIZE
-    deltas = np.empty(df, dtype=np.uint64)
-    freqs = np.empty(df, dtype=np.int64)
-    _decode_full_blocks(
-        np.frombuffer(blob, dtype=np.uint8),
-        np.asarray(offsets[:nfull], dtype=np.int64),
-        deltas[:lo].reshape(nfull, BLOCK_SIZE),
-        freqs[:lo].reshape(nfull, BLOCK_SIZE),
-        np.arange(nfull),
-    )
-    if df > lo:
-        deltas[lo:], freqs[lo:], _ = read_tail_block(blob, df - lo, int(offsets[nfull]))
-    docs = np.cumsum(deltas.astype(np.int64)) - 1
-    return docs, freqs
+    _decode_block_into(np.frombuffer(blob, dtype=np.uint8), memoryview(blob), pos, deltas, freqs, 0)
+    deltas[0] += prev_last_doc
+    np.cumsum(deltas, out=deltas)
+    return deltas, freqs
 
 
 _UNPACK_CHUNK = 256  # blocks per unpack pass
@@ -678,12 +670,12 @@ def _unpack_rows(raw: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
 def _decode_full_blocks(
     raw: np.ndarray, at: np.ndarray, deltas: np.ndarray, freqs: np.ndarray, rows: np.ndarray
 ) -> None:
-    """Decode the full blocks whose doc tokens sit at byte offsets ``at``
-    of ``raw`` into rows ``rows`` of the (*, BLOCK_SIZE) matrices
+    """``decode_terms``' full blocks, whose doc tokens sit at byte offsets
+    ``at`` of ``raw``, into rows ``rows`` of the (*, BLOCK_SIZE) matrices
     ``deltas`` (doc deltas) and ``freqs``, whatever term each block
     belongs to: packed blocks in one ``_unpack_rows`` pass per bit width
-    (the FastLanes-style batched unpack), a doc token 0 as all deltas 1,
-    a freq token 0 as its one VInt value."""
+    (set-up that only a batch of many blocks repays), a doc token 0 as
+    all deltas 1, a freq token 0 as its one VInt value."""
     wd = raw[at].astype(np.int64)
     p_freq = at + 1 + 16 * wd
     wf = raw[p_freq].astype(np.int64)

@@ -691,6 +691,8 @@ def merge_by_term(
 
     from .checkpoint import atomic_write_json, commit_merge_manifest, load_merge_manifest
 
+    if not manifest["partitions"]:
+        raise ValueError(f"{index_dir}: cannot merge a build manifest with no partitions")
     merged_dir = os.path.join(index_dir, "merged")
     existing = load_merge_manifest(index_dir)
     if existing is not None and existing.get("version") == MERGE_VERSION:

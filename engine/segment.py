@@ -219,6 +219,12 @@ class TermShard:
     def find(self, term: str) -> int:
         return self._row.get(term, -1)
 
+    def postings_row(self, i: int) -> tuple[int, int, int, bytes | memoryview, np.ndarray]:
+        """Row i's (df, ttf, singleton_doc, blob, offsets): what a postings
+        decode reads, without slicing the other columns as ``info`` does."""
+        offs, vals = self._lists[1]  # the offsets column
+        return int(self.df[i]), int(self.ttf[i]), int(self._singleton[i]), self._blob(0, i), vals[offs[i] : offs[i + 1]]
+
     def info(self, i: int) -> TermInfo:
         last_docs, offsets, imp_freq, imp_norm, imp_start = (
             vals[offs[i] : offs[i + 1]] for offs, vals in self._lists
@@ -323,26 +329,25 @@ class PostingsReader:
         return None if sh is None else sh.info(i)
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """Fully decoded (docs, freqs) for a term (TAAT/oracle/merge path).
-        Width-grouped vectorized decode + per-reader LRU of decoded terms
-        (the role the OS page cache + hot TermsEnum plays in the
-        reference)."""
+        """Fully decoded (docs, freqs) for a term (TAAT/oracle path): the
+        row's blob through ``codec.decode_term_postings_indexed``, behind a
+        per-reader LRU of decoded terms (the role the OS page cache + hot
+        TermsEnum plays in the reference)."""
         cached = self._postings_cache.get(term)
         if cached is not None:
             self._postings_cache.move_to_end(term)
             return cached
         from .codec import decode_term_postings_indexed
 
-        ti = self.term_info(term)
-        if ti is None:
+        sh, i = self._find(term)
+        if sh is None:
             out = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        elif ti.df == 1:
-            out = (
-                np.array([ti.singleton_doc], dtype=np.int64),
-                np.array([ti.ttf], dtype=np.int64),
-            )
         else:
-            out = decode_term_postings_indexed(ti.blob, ti.df, ti.offsets)
+            df, ttf, singleton_doc, blob, offsets = sh.postings_row(i)
+            if df == 1:
+                out = (np.array([singleton_doc], dtype=np.int64), np.array([ttf], dtype=np.int64))
+            else:
+                out = decode_term_postings_indexed(blob, df, offsets)
         self._postings_cache[term] = out
         if len(self._postings_cache) > self._POSTINGS_CACHE_MAX:
             self._postings_cache.popitem(last=False)

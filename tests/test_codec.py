@@ -95,25 +95,20 @@ def test_read_vints_truncated_raises():
 # ---------------------------------------------------------------- FOR pack
 
 
-@given(
-    st.integers(min_value=1, max_value=63).flatmap(
-        lambda w: st.tuples(
-            st.just(w),
-            st.lists(
-                st.integers(min_value=0, max_value=2**w - 1),
-                min_size=BLOCK_SIZE,
-                max_size=BLOCK_SIZE,
-            ),
-        )
-    )
-)
-@settings(max_examples=40, deadline=None)
-def test_pack_roundtrip(wv):
-    w, vals = wv
-    arr = np.array(vals, dtype=np.uint64)
-    buf = pack_block(arr, w)
-    assert len(buf) == (BLOCK_SIZE * w + 7) // 8
-    np.testing.assert_array_equal(unpack_block(buf, w), arr)
+def test_pack_roundtrip():
+    """``unpack_block`` inverts ``pack_block`` at every width from 1 to 64,
+    on seeded values that include 0 and the width's largest value, read
+    from a mid-buffer offset."""
+    rng = np.random.default_rng(3)
+    for w in range(1, 65):
+        arr = rng.integers(0, 2**64 - 1, size=BLOCK_SIZE, dtype=np.uint64, endpoint=True) >> np.uint64(64 - w)
+        arr[:2] = [0, (1 << w) - 1]
+        buf = pack_block(arr, w)
+        assert len(buf) == 16 * w
+        raw = np.frombuffer(b"\x9c" * 5 + buf + b"\xff", dtype=np.uint8)
+        got = unpack_block(raw, 5, w)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, arr, err_msg=f"width {w}")
 
 
 # ---------------------------------------------------------------- impacts
@@ -458,6 +453,86 @@ def test_decode_terms_many_rows():
         np.zeros(5, dtype=np.int64), np.arange(5), np.arange(1, 6),
     )
     assert_decode_terms(cols, singles)
+
+
+_EQUAL_FREQS = [1, 127, 128, 300, 2**14, 2**21 + 5, 2**35]  # VInts of 1-6 bytes
+
+
+@st.composite
+def _blocked_term(draw):
+    """One term of df = 128·m + r, m in 0-4 and r in {0, 1, 127} (df >= 2),
+    drawn block by block: each full block's doc deltas are all 1 (doc
+    token 0) or packed at a drawn width of 2-40 bits; its freqs are all
+    one drawn value (freq token 0, a VInt of 1-6 bytes) or packed at a
+    drawn width of 2-40 bits. Returns (docs, freqs, doc tokens, freq
+    tokens), the tokens of its full blocks."""
+    m = draw(st.integers(min_value=0, max_value=4))
+    r = draw(st.sampled_from([0, 1, 127] if m else [127]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    deltas, freqs, wd, wf = [], [], [], []
+    for _ in range(m):
+        w = draw(st.sampled_from([0, *range(2, 41)]))
+        d = rng.integers(1, 1 << w, size=BLOCK_SIZE) if w else np.ones(BLOCK_SIZE, dtype=np.int64)
+        d[rng.integers(BLOCK_SIZE)] = max(1, (1 << w) - 1)  # the width is exactly w
+        w_f = draw(st.sampled_from([0, *range(2, 41)]))
+        if w_f:
+            f = rng.integers(1, 1 << w_f, size=BLOCK_SIZE)
+            f[:2] = [1, (1 << w_f) - 1]
+        else:
+            f = np.full(BLOCK_SIZE, draw(st.sampled_from(_EQUAL_FREQS)))
+        deltas.append(d)
+        freqs.append(f)
+        wd.append(w)
+        wf.append(w_f)
+    deltas.append(rng.integers(1, 1 << 20, size=r))
+    freqs.append(np.where(rng.random(r) < 0.5, 1, rng.integers(1, 2**17, size=r)))
+    docs = np.cumsum(np.concatenate(deltas)).astype(np.int64) - 1
+    return docs, np.concatenate(freqs).astype(np.int64), wd, wf
+
+
+@given(st.lists(_blocked_term(), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_per_term_decoders_equal_decode_terms(terms):
+    """On every row of ``encode_terms`` output, the per-term decoder (with
+    the row's skip offsets, as ``PostingsReader.postings`` calls it, and
+    without) equals ``decode_terms``, the merge's batched decoder, and
+    the source postings, in values and int64 dtype; ``decode_block`` on
+    each block equals the same slice. The drawn doc and freq tokens are
+    read back from each blob, so every token kind and width is decoded."""
+    from engine.codec import decode_term_postings_indexed
+
+    lens = np.array([len(t[0]) for t in terms])
+    ends = np.cumsum(lens)
+    d_all = np.concatenate([t[0] for t in terms])
+    cols = encode_terms(
+        d_all, np.concatenate([t[1] for t in terms]), d_all % 256, ends - lens, ends
+    )
+    all_docs, all_freqs = decode_terms(cols)
+    for i, (docs, freqs, wd, wf) in enumerate(terms):
+        df = len(docs)
+        blob = cols["blob"][i].as_py()
+        offsets = np.array(cols["offsets"][i].as_py(), dtype=np.int64)
+        assert [blob[o] for o in offsets[: len(wd)]] == wd
+        assert [blob[o + 1 + 16 * blob[o]] for o in offsets[: len(wd)]] == wf
+        ref_d, ref_f = all_docs[ends[i] - df : ends[i]], all_freqs[ends[i] - df : ends[i]]
+        np.testing.assert_array_equal(ref_d, docs)
+        np.testing.assert_array_equal(ref_f, freqs)
+        for got_d, got_f in (
+            decode_term_postings_indexed(blob, df, offsets),
+            decode_term_postings_indexed(memoryview(blob), df, offsets),
+            decode_term_postings(blob, df),
+        ):
+            assert got_d.dtype == got_f.dtype == np.int64
+            np.testing.assert_array_equal(got_d, ref_d)
+            np.testing.assert_array_equal(got_f, ref_f)
+        lo, prev = 0, -1
+        for b in range(len(offsets)):
+            got_d, got_f = decode_block(blob, offsets, b, df, prev)
+            assert got_d.dtype == got_f.dtype == np.int64
+            np.testing.assert_array_equal(got_d, ref_d[lo : lo + len(got_d)])
+            np.testing.assert_array_equal(got_f, ref_f[lo : lo + len(got_f)])
+            lo, prev = lo + len(got_d), int(got_d[-1])
+        assert lo == df
 
 
 # ---------------------------------------------------------------- tail block

@@ -547,6 +547,20 @@ def test_zero_doc_partition_opens(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_merge_of_an_empty_build_manifest_raises(tmp_path):
+    """A build manifest with no partitions: ``merge_by_term`` raises a
+    ValueError naming the index dir before it writes anything, so no
+    ``merged/`` dir (plan, norms ``.tmp``) is left behind."""
+    root = str(tmp_path / "idx")
+    os.makedirs(root)
+    m = finalize_build_manifest(root, [])
+    assert m["partitions"] == [] and m["doc_count"] == 0
+    with pytest.raises(ValueError, match=re.escape(root) + ".*no partitions"):
+        merge_by_term(m, root)
+    assert not os.path.exists(os.path.join(root, "merged"))
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_offsets_survive_merge_by_term(tmp_path_factory):
     """Offsets streams (..._AND_OFFSETS) must byte-concatenate correctly
     through the salted groupby-term shuffle: every merged (start, end)
