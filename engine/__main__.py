@@ -37,7 +37,6 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--pages", required=True)
     b.add_argument("--index", required=True)
     b.add_argument("--partition-docs", type=int, default=4096)
-    b.add_argument("--from-html", action="store_true", default=True)
 
     s = sub.add_parser("search", help="BM25 top-k over a merged index")
     s.add_argument("--index", required=True)
@@ -59,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
                 args.pages,
                 args.index,
                 partition_docs=args.partition_docs,
-                from_html=args.from_html,
+                from_html=True,
             )
             mm = merge_by_term(manifest, args.index)
             print(

@@ -17,6 +17,13 @@ Contract notes mirrored from the reference:
   corpus is ASCII web text, so this subset is exhaustive for it; the DuckDB
   oracle expression is ``regexp_extract_all(lower(text), '[a-z0-9]+')``.
 
+Index-time analysis has one entry, ``analyze_for_index``: it picks the
+chain for the index option (``analyze_batch_indexing`` for positions,
+``analyze_batch_with_offsets`` for offsets, ``analyze_batch_with_payloads``
+for payloads) and refuses the combinations an index cannot hold.
+``analyze_batch_indexing`` stacks the keyword-repeat, synonym and
+common-gram forms in one per-doc pass.
+
 Everything returns flat numpy/Arrow-friendly structures so the SPIMI
 inverter can stay vectorized: one flat token list + an int64 lengths array
 per batch (no per-row Python objects leak out of this module).
@@ -25,7 +32,7 @@ per batch (no per-row Python objects leak out of this module).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -358,60 +365,39 @@ def compute_norms(doc_lengths: np.ndarray) -> np.ndarray:
 def analyze_batch_indexing(
     texts: list[str], analyzer: Analyzer = DEFAULT_ANALYZER
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """``analyze_batch_with_positions`` plus index-time synonym-graph
-    injection (SynonymGraphFilter): synonyms are stacked at the SAME
-    position as their source token (posIncr 0).
+    """``analyze_batch_with_positions`` plus the index-time stacking
+    filters, in one per-doc pass. Each token at position p gets its extra
+    forms stacked at p (posIncr 0), after it:
+
+    - its ``filters``-chained form, under keyword-repeat (the base tokens
+      are then analyzed with ``filters=()``; KeywordRepeatFilter +
+      RemoveDuplicatesTokenFilter);
+    - its synonyms (SynonymGraphFilter);
+    - the common gram it starts with the next token in the stream, when
+      either is common (CommonGramsFilter).
 
     Returns ``(flat, emit_lengths, norm_lengths, positions)``:
     ``emit_lengths`` counts every emitted token (drives doc mapping and
     sum_ttf — Lucene's sumTotalTermFreq counts stacked tokens too, the
     avgdl quirk), while ``norm_lengths`` counts only posIncr>=1 tokens —
     BM25Similarity's default discountOverlaps=true norm semantics
-    (BM25Similarity.java setDiscountOverlaps). With no synonyms the two
-    are identical and the vectorized path is untouched. Per-doc tokens
-    stay position-sorted after injection (stable: source token before
-    its stacked synonyms), so per-term position streams remain monotone
-    for the delta codec; duplicate (term, position) pairs are dropped
-    (a synonym identical to a co-positioned token)."""
-    if analyzer.keyword_repeat and analyzer.filters:
-        # KeywordRepeat chain: tokenize WITHOUT the 1:1 filter chain (the
-        # keyword-marked copies), then stack each token's chained form at
-        # the same position when it differs (RemoveDuplicates contract).
-        assert not analyzer.synonyms and not analyzer.common_grams
-        from dataclasses import replace as _dc_replace
-
-        from .filters import FILTERS
-
-        base = _dc_replace(analyzer, filters=(), keyword_repeat=False)
-        flat, lengths, positions = analyze_batch_with_positions(texts, base)
-        chain = [FILTERS[name] for name in analyzer.filters]
-        out_flat: list[str] = []
-        out_pos: list[int] = []
-        emit = np.empty(len(texts), dtype=np.int64)
-        start = 0
-        for i, n in enumerate(lengths.tolist()):
-            toks = flat[start : start + n]
-            pos = positions[start : start + n].tolist()
-            start += n
-            n_emit = 0
-            for t, p in zip(toks, pos):
-                out_flat.append(t)
-                out_pos.append(p)
-                n_emit += 1
-                ft = t
-                for f in chain:
-                    ft = f(ft)
-                if ft and ft != t:
-                    out_flat.append(ft)
-                    out_pos.append(p)
-                    n_emit += 1
-            emit[i] = n_emit
-        return out_flat, emit, lengths, np.asarray(out_pos, dtype=np.int64)
-
-    flat, lengths, positions = analyze_batch_with_positions(texts, analyzer)
-    if not analyzer.synonyms and not analyzer.common_grams:
+    (BM25Similarity.java setDiscountOverlaps). With no stacking option the
+    two are identical and the vectorized path is untouched. Per-doc tokens
+    stay position-sorted after stacking (stable: source token before its
+    stacked forms), so per-term position streams remain monotone for the
+    delta codec; duplicate (term, position) pairs are dropped (a stacked
+    form identical to a co-positioned token)."""
+    repeat = analyzer.keyword_repeat and bool(analyzer.filters)
+    if repeat and (analyzer.synonyms or analyzer.common_grams):
+        raise NotImplementedError(
+            "keyword_repeat stacks with neither synonyms nor common_grams"
+        )
+    base = replace(analyzer, filters=()) if repeat else analyzer
+    flat, lengths, positions = analyze_batch_with_positions(texts, base)
+    if not (repeat or analyzer.synonyms or analyzer.common_grams):
         return flat, lengths, lengths, positions
-    syn = {k: tuple(v) for k, v in analyzer.synonyms}
+    forms = analyzer.run_filters(flat) if repeat else flat
+    syn = dict(analyzer.synonyms)
     common = frozenset(analyzer.common_grams)
     out_flat: list[str] = []
     out_pos: list[int] = []
@@ -420,28 +406,54 @@ def analyze_batch_indexing(
     for i, n in enumerate(lengths.tolist()):
         toks = flat[start : start + n]
         pos = positions[start : start + n].tolist()
-        start += n
         seen = set(zip(toks, pos))
-        stacked: list[tuple[int, int, str]] = [
-            (p, 0, t) for t, p in zip(toks, pos)
-        ]
-        for t, p in zip(toks, pos):
-            for s in syn.get(t, ()):
-                if (s, p) not in seen:
-                    seen.add((s, p))
-                    stacked.append((p, 1, s))
-        if common:
-            # CommonGramsFilter: gram between stream-consecutive tokens
-            # when either side is common, stacked at the FIRST token's
-            # position (posIncr-0 emission before the second token)
-            for j in range(1, len(toks)):
-                if toks[j - 1] in common or toks[j] in common:
-                    g = toks[j - 1] + "_" + toks[j]
-                    if (g, pos[j - 1]) not in seen:
-                        seen.add((g, pos[j - 1]))
-                        stacked.append((pos[j - 1], 1, g))
+        stacked = [(p, 0, t) for t, p in zip(toks, pos)]
+        for j, (t, p) in enumerate(zip(toks, pos)):
+            extra = list(syn.get(t, ()))
+            if repeat and forms[start + j]:
+                extra.append(forms[start + j])
+            if j + 1 < n and (t in common or toks[j + 1] in common):
+                extra.append(t + "_" + toks[j + 1])
+            for x in extra:
+                if (x, p) not in seen:
+                    seen.add((x, p))
+                    stacked.append((p, 1, x))
+        start += n
         stacked.sort(key=lambda x: (x[0], x[1]))
         emit[i] = len(stacked)
         out_flat.extend(t for _p, _o, t in stacked)
         out_pos.extend(p for p, _o, _t in stacked)
     return out_flat, emit, lengths, np.asarray(out_pos, dtype=np.int64)
+
+
+def analyze_for_index(
+    texts: list[str],
+    analyzer: Analyzer = DEFAULT_ANALYZER,
+    index_offsets: bool = False,
+    payload_delimiter: str | None = None,
+    payload_encoder: str = "int",
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, tuple | None, np.ndarray | None]:
+    """The one place that picks the analysis chain for an index option
+    and refuses the combinations an index cannot hold. Returns ``(flat,
+    emit_lengths, norm_lengths, positions, offsets, payloads)``, where
+    ``offsets`` is ``(starts, ends)`` when ``index_offsets`` and
+    ``payloads`` the per-token payload words when ``payload_delimiter`` is
+    set, else None. Offsets and payloads hang off the prox stream
+    (IndexOptions.java:28, Lucene84PostingsFormat.java:39-104), one side
+    stream per index; a stacked token has no character span or payload of
+    its own, so both refuse every stacking option."""
+    if payload_delimiter is None and not index_offsets:
+        return (*analyze_batch_indexing(texts, analyzer), None, None)
+    stacking = [n for n in ("synonyms", "common_grams", "keyword_repeat") if getattr(analyzer, n)]
+    if stacking or (payload_delimiter is not None and index_offsets):
+        raise NotImplementedError(
+            "offsets and payloads combine with neither each other nor a "
+            f"stacking option (got {', '.join(stacking) or 'both'})"
+        )
+    if payload_delimiter is not None:
+        flat, lengths, positions, payloads = analyze_batch_with_payloads(
+            texts, analyzer, delimiter=payload_delimiter, encoder=payload_encoder
+        )
+        return flat, lengths, lengths, positions, None, payloads
+    flat, lengths, positions, starts, ends = analyze_batch_with_offsets(texts, analyzer)
+    return flat, lengths, lengths, positions, (starts, ends), None

@@ -19,12 +19,15 @@ segment-local-docID + docBase remap (index/MergeState.java:152-196): a
 partition's docBase is simply its minimum doc_id, stable under task
 retries — which is what makes rank tie-breaks and resume deterministic.
 
-Inversion is fully vectorized per batch: Arrow dictionary_encode interns
-term bytes (the BytesRefHash role), ``np.unique`` over a (term, doc) key
-produces the per-term (doc, freq) runs (the FreqProxTermsWriter role), and
-one batched ``codec.encode_terms`` call writes every term's FOR/VInt
-blocks, skip data and exact per-block impact frontiers — the same encoder
-the merge uses.
+Each partition is analyzed by one ``analyze.analyze_for_index`` call,
+which picks the tokenizer chain for the index option, and inverted in
+array passes: Arrow dictionary_encode interns term bytes (the BytesRefHash
+role), a stable argsort over a (term, doc) key produces the per-term
+(doc, freq) runs (the FreqProxTermsWriter role), one batched
+``codec.encode_terms`` call writes every term's FOR/VInt blocks, skip
+data and exact per-block impact frontiers — the same encoder the merge
+uses — and ``_side_column`` writes each of the prox, offset and payload
+streams with one VInt pass. Every partition indexes positions.
 """
 
 from __future__ import annotations
@@ -34,16 +37,48 @@ import time
 
 import numpy as np
 import pyarrow as pa
-
-from .rayenv import remote_args as _rargs
 import pyarrow.compute as pc
 
-from .analyze import DEFAULT_ANALYZER, Analyzer, compute_norms
-from .codec import encode_terms
+from .analyze import DEFAULT_ANALYZER, Analyzer, analyze_for_index, compute_norms
+from .codec import encode_terms, vint_byte_counts, write_vints
 from .extract import extract_batch
+from .rayenv import remote_args as _rargs
 from .segment import TERMS_SCHEMA, write_segment
 
 PARTITIONS_SUBDIR = "partitions"
+
+
+def _pair_deltas(v: np.ndarray, pair_starts: np.ndarray) -> np.ndarray:
+    """Per-token deltas of ``v`` in (term, doc, position) order, restarted
+    at each (term, doc) pair's first token as that value + 1: the prox
+    stream's position deltas and the offset stream's start deltas."""
+    d = np.empty(len(v), dtype=np.uint64)
+    d[1:] = (v[1:] - v[:-1]).astype(np.uint64)
+    d[pair_starts] = (v[pair_starts] + 1).astype(np.uint64)
+    return d
+
+
+def _side_column(words: list[np.ndarray], term_tok: np.ndarray) -> pa.Array:
+    """One per-term binary column from per-token uint64 words already in
+    (term, doc, position) order: two word arrays (offset start delta,
+    length) interleave per token; one ``write_vints`` pass writes the
+    stream, and the column is that buffer + int32 offsets at the term
+    token starts ``term_tok`` — no per-term bytes(). No words gives an
+    all-empty column (the stream is not indexed). Binary offsets are
+    int32: a partition's stream must stay under 2 GiB."""
+    if words:
+        flat = words[0] if len(words) == 1 else np.stack(words, axis=1).ravel()
+        stream = write_vints(flat)
+        byte_at = np.concatenate(([0], np.cumsum(vint_byte_counts(flat))))
+        bounds = byte_at[term_tok * len(words)]
+    else:
+        stream, bounds = b"", np.zeros(len(term_tok), dtype=np.int64)
+    if int(bounds[-1]) > 0x7FFFFFFF:
+        raise ValueError("partition stream > 2 GiB: lower partition_docs")
+    offs = np.ascontiguousarray(bounds, dtype=np.int32)
+    return pa.Array.from_buffers(
+        pa.binary(), len(offs) - 1, [None, pa.py_buffer(offs), pa.py_buffer(stream)]
+    )
 
 
 def invert_to_segment(
@@ -52,14 +87,16 @@ def invert_to_segment(
     out_dir: str,
     analyzer: Analyzer = DEFAULT_ANALYZER,
     lineage: dict | None = None,
-    index_positions: bool = True,
     index_offsets: bool = False,
     payload_delimiter: str | None = None,
     payload_encoder: str = "int",
     field: str = "body",
     doc_values: pa.Table | None = None,
 ) -> dict:
-    """Invert one partition worth of documents into a segment directory.
+    """Invert one partition worth of documents into a segment directory:
+    one ``analyze_for_index`` call, one vectorized inversion, one batched
+    ``encode_terms`` of the postings and one ``_side_column`` per prox,
+    offset and payload stream. Every partition indexes positions.
 
     Returns the manifest row (segment meta)."""
     t0 = time.perf_counter()
@@ -69,60 +106,20 @@ def invert_to_segment(
     if not np.array_equal(order, np.arange(n_docs)):
         doc_ids = doc_ids[order]
         texts = [texts[i] for i in order]
-    from .analyze import (
-        analyze_batch_indexing,
-        analyze_batch_with_offsets,
-        analyze_batch_with_payloads,
+    # emitted counts drive doc mapping and sum_ttf; norms discount
+    # posIncr==0 stacked tokens (BM25Similarity discountOverlaps=true)
+    flat, lengths, norm_lengths, tok_positions, tok_offsets, tok_payloads = (
+        analyze_for_index(texts, analyzer, index_offsets, payload_delimiter, payload_encoder)
     )
-
-    # positions carry StopFilter / over-long-token increment GAPS
-    # (StopFilter.java:28, StandardTokenizer.java:152-175): a phrase
-    # across a removed token must not match adjacently
-    tok_starts = tok_ends = None
-    tok_payloads = None
-    if payload_delimiter is not None:
-        if index_offsets or analyzer.synonyms:
-            raise NotImplementedError(
-                "payloads combine with neither offsets nor the index-time "
-                "synonym graph in this engine (pick one sidecar stream)"
-            )
-        # payloads imply positions (the .pay stream hangs off the prox
-        # stream, Lucene84PostingsFormat.java:39-104)
-        index_positions = True
-        flat, lengths, tok_positions, tok_payloads = analyze_batch_with_payloads(
-            texts, analyzer, delimiter=payload_delimiter, encoder=payload_encoder
-        )
-        norm_lengths = lengths
-    elif index_offsets:
-        if analyzer.synonyms:
-            raise NotImplementedError(
-                "offsets + index-time synonym graph not supported (stacked "
-                "tokens carry no distinct character offsets)"
-            )
-        # offsets imply positions (IndexOptions.java:28 ..._AND_OFFSETS)
-        index_positions = True
-        flat, lengths, tok_positions, tok_starts, tok_ends = (
-            analyze_batch_with_offsets(texts, analyzer)
-        )
-        norm_lengths = lengths
-    else:
-        # synonym-aware indexing path: emitted counts drive doc mapping
-        # and sum_ttf; norms discount posIncr==0 stacked tokens
-        # (BM25Similarity discountOverlaps=true default)
-        flat, lengths, norm_lengths, tok_positions = analyze_batch_indexing(
-            texts, analyzer
-        )
     norms = compute_norms(norm_lengths)
 
     # --- vectorized inversion (TermsHash + FreqProx analogue) -------------
-    # Arrow dictionary_encode interns term bytes; np.unique over a
+    # Arrow dictionary_encode interns term bytes; a stable argsort over a
     # (term, doc) key yields per-term (doc, freq) runs; codec.encode_terms
     # encodes every term's postings, skip and exact impact data in array
     # passes over the whole partition (CompetitiveImpactAccumulator role
     # per block); the prox/offset/payload streams are one VInt pass each.
-    from .codec import vint_byte_counts, write_vints
-
-    cols: dict[str, list] = {k.name: [] for k in TERMS_SCHEMA}
+    cols: dict = {k.name: [] for k in TERMS_SCHEMA}
     if flat:
         enc = pc.dictionary_encode(pa.array(flat, type=pa.string()))
         term_idx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -132,127 +129,54 @@ def invert_to_segment(
         rank_of = np.empty(n_terms, dtype=np.int64)
         rank_of[sort_idx] = np.arange(n_terms)
         tok_doc = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
-        tok_pos = tok_positions
         key = rank_of[term_idx] * n_docs + tok_doc
         # stable sort groups tokens by (term, doc) keeping position order
         order = np.argsort(key, kind="stable")
         skey = key[order]
-        spos = tok_pos[order]
         pair_start_mask = np.empty(len(skey), dtype=bool)
         pair_start_mask[0] = True
         np.not_equal(skey[1:], skey[:-1], out=pair_start_mask[1:])
         pair_tok_starts = np.flatnonzero(pair_start_mask)
         pair_key = skey[pair_tok_starts]
-        pair_freq = np.diff(np.concatenate((pair_tok_starts, [len(skey)]))).astype(np.int64)
+        pair_freq = np.diff(np.append(pair_tok_starts, len(skey)))
         pair_rank = pair_key // n_docs
         pair_doc = pair_key % n_docs
         counts = np.bincount(pair_rank, minlength=n_terms).astype(np.int64)
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        ends = starts + counts
-        docs_g = doc_ids[pair_doc]
-        norms_pp = norms[pair_doc]
+        # each term's first token in the sorted stream, then the end
+        term_tok = np.append(pair_tok_starts[starts], len(skey))
 
-        ttf = np.add.reduceat(pair_freq, starts)
-
-        # positions: one batched VInt pass over the whole prox stream,
-        # per-term blobs = byte slices at term token boundaries
-        def _bin_col(bounds: np.ndarray, stream: bytes) -> pa.Array:
-            """Zero-copy per-term binary column: the batched VInt stream
-            is already laid out in term order, so the column is the
-            stream buffer + int32 slice offsets — no per-term bytes().
-            Partition streams are bounded by partition_docs (~4096 docs),
-            far under the int32 offset ceiling; assert anyway."""
-            assert int(bounds[-1]) <= 0x7FFFFFFF, "partition stream > 2 GiB"
-            offs = np.ascontiguousarray(bounds, dtype=np.int32)
-            return pa.Array.from_buffers(
-                pa.binary(),
-                len(offs) - 1,
-                [None, pa.py_buffer(offs), pa.py_buffer(stream)],
-            )
-
-        _empty_bounds = np.zeros(n_terms + 1, dtype=np.int64)
-
-        if index_positions:
-            p_deltas = np.empty(len(spos), dtype=np.uint64)
-            p_deltas[1:] = (spos[1:] - spos[:-1]).astype(np.uint64)
-            p_deltas[pair_tok_starts] = (spos[pair_tok_starts] + 1).astype(np.uint64)
-            p_stream = write_vints(p_deltas)
-            p_nbytes = vint_byte_counts(p_deltas)
-            p_off = np.concatenate(([0], np.cumsum(p_nbytes)))
-            term_tok_starts = np.concatenate(([0], np.cumsum(ttf)))
-            pos_col = _bin_col(p_off[term_tok_starts], p_stream)
-        else:
-            pos_col = _bin_col(_empty_bounds, b"")
-
-        if index_offsets and len(spos):
-            # offsets stream mirrors the prox stream build: interleaved
-            # (start delta, length) VInt pairs over the SAME (term, doc)
-            # sorted token order, one batched write_vints pass, per-term
-            # blobs sliced at token boundaries (the .pay offset role)
-            so = tok_starts[order]
-            eo = tok_ends[order]
-            o_deltas = np.empty(len(so), dtype=np.uint64)
-            o_deltas[1:] = (so[1:] - so[:-1]).astype(np.uint64)
-            o_deltas[pair_tok_starts] = (so[pair_tok_starts] + 1).astype(np.uint64)
-            o_lens = (eo - so).astype(np.uint64)
-            inter = np.empty(2 * len(so), dtype=np.uint64)
-            inter[0::2] = o_deltas
-            inter[1::2] = o_lens
-            o_stream = write_vints(inter)
-            o_nbytes = vint_byte_counts(o_deltas) + vint_byte_counts(o_lens)
-            o_boff = np.concatenate(([0], np.cumsum(o_nbytes)))
-            o_tok_starts = np.concatenate(([0], np.cumsum(ttf)))
-            off_col = _bin_col(o_boff[o_tok_starts], o_stream)
-        else:
-            off_col = _bin_col(_empty_bounds, b"")
-
-        if tok_payloads is not None and len(spos):
-            # payload stream rides the SAME (term, doc, position) sorted
-            # order as the prox stream: one VInt word per occurrence
-            # (codec.encode_payloads layout), per-term blobs sliced at
-            # token boundaries — the .pay payload half
-            pw = tok_payloads[order]
-            pay_stream = write_vints(pw)
-            pay_nbytes = vint_byte_counts(pw)
-            pay_boff = np.concatenate(([0], np.cumsum(pay_nbytes)))
-            pay_tok_starts = np.concatenate(([0], np.cumsum(ttf)))
-            pay_col = _bin_col(pay_boff[pay_tok_starts], pay_stream)
-        else:
-            pay_col = _bin_col(_empty_bounds, b"")
-
-        # the postings columns: one batched encode of every term
+        # the side streams ride the (term, doc, position) token order: the
+        # prox deltas; interleaved (start delta, length) offset pairs (the
+        # .pay offset role); one payload word per occurrence
+        # (codec.encode_payloads layout, the .pay payload half)
+        side = {"pos_blob": [_pair_deltas(tok_positions[order], pair_tok_starts)]}
+        if tok_offsets is not None:
+            so, eo = tok_offsets[0][order], tok_offsets[1][order]
+            side["off_blob"] = [_pair_deltas(so, pair_tok_starts), (eo - so).astype(np.uint64)]
+        if tok_payloads is not None:
+            side["pay_blob"] = [tok_payloads[order]]
         cols = {
             "term": enc.dictionary.take(pa.array(sort_idx)),
-            **encode_terms(docs_g, pair_freq, norms_pp, starts, ends),
-            "pos_blob": pos_col,
-            "off_blob": off_col,
-            "pay_blob": pay_col,
+            **encode_terms(doc_ids[pair_doc], pair_freq, norms[pair_doc], starts, starts + counts),
+            **{k: _side_column(side.get(k, []), term_tok) for k in ("pos_blob", "off_blob", "pay_blob")},
         }
-        n_terms_out = n_terms
-    else:
-        n_terms_out = 0
 
     meta = {
         "kind": "partition",
         "field": field,
-        "index_options": (
-            "docs_freqs_positions_payloads"
-            if payload_delimiter is not None
-            else "docs_freqs_positions_offsets"
-            if index_offsets
-            else "docs_freqs_positions" if index_positions else "docs_freqs"
-        ),
+        "index_options": "docs_freqs_positions"
+        + ("_payloads" if payload_delimiter is not None else "_offsets" if index_offsets else ""),
         "doc_base": int(doc_ids.min()) if n_docs else 0,
         "n_docs": n_docs,
         "sum_ttf": int(lengths.sum()),
-        "n_terms": n_terms_out,
+        "n_terms": len(cols["term"]),
         "lineage": lineage or {},
-        "wall_ms": None,  # filled below
+        "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        "doc_values": sorted(
+            n for n in (doc_values.schema.names if doc_values is not None else []) if n != "doc_id"
+        ),
     }
-    meta["wall_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    meta["doc_values"] = sorted(
-        n for n in (doc_values.schema.names if doc_values is not None else []) if n != "doc_id"
-    )
     return write_segment(
         out_dir,
         pa.table(cols, schema=TERMS_SCHEMA),

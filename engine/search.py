@@ -1519,8 +1519,7 @@ def _phrase_postings(
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         if not ti.pos_blob:
             raise ValueError(
-                f"phrase query needs positions but term {t!r} has no prox "
-                "stream (index built with index_positions=False)"
+                f"phrase query needs positions but term {t!r} has no prox stream"
             )
         docs, _ = seg.postings(t)
         term_docs.append(docs)
@@ -1549,8 +1548,7 @@ def _multi_phrase_postings(
                 continue
             if not ti.pos_blob:
                 raise ValueError(
-                    f"multi-phrase query needs positions but term {t!r} has "
-                    "no prox stream (index built with index_positions=False)"
+                    f"multi-phrase query needs positions but term {t!r} has no prox stream"
                 )
             docs, _ = seg.postings(t)
             present.append((docs, seg.positions(t)))

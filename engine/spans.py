@@ -232,8 +232,7 @@ def eval_spans(seg, q) -> dict[int, np.ndarray]:
             return {}
         if not ti.pos_blob:
             raise ValueError(
-                f"span query needs positions but term {q.term!r} has no "
-                "prox stream (index built with index_positions=False)"
+                f"span query needs positions but term {q.term!r} has no prox stream"
             )
         docs, _ = seg.postings(q.term)
         pos = seg.positions(q.term)

@@ -6,7 +6,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from engine.analyze import analyze_batch
+from engine.analyze import Analyzer, analyze_batch
 from engine.build import build_index, invert_to_segment
 from engine.checkindex import check_index, check_segment
 from engine.extract import extract
@@ -190,3 +190,131 @@ def test_offsets_default_off(tmp_path):
     seg = Segment(seg_dir)
     assert seg.offsets("beta") is None
     assert seg.meta["index_options"] == "docs_freqs_positions"
+
+
+# -- one reference across every index option --------------------------------
+
+OPT_TEXTS = [
+    "The data join of the data|3",
+    "running runs the runner|7 runs",
+    "",
+    "fast cars|2 and fast|5 boats " + "x" * 300 + " of the fast data",
+    "Searching the index, the searcher searched|1 quickly",
+]
+OPT_STOP = frozenset({"the", "of"})
+OPT_SYN = (("fast", ("quick", "rapid")), ("data", ("info",)), ("runs", ("runs",)))
+OPT_COMMON = ("the", "of")
+INDEX_OPTIONS = {
+    "default": {},
+    "stopwords": {"analyzer": Analyzer(stopwords=OPT_STOP)},
+    "synonyms": {"analyzer": Analyzer(synonyms=OPT_SYN)},
+    "common_grams": {"analyzer": Analyzer(common_grams=OPT_COMMON)},
+    "keyword_repeat": {"analyzer": Analyzer(filters=("porter",), keyword_repeat=True)},
+    "offsets": {"index_offsets": True},
+    "payloads": {"payload_delimiter": "|"},
+}
+
+
+def _option_reference(texts: list[str], option: str) -> dict:
+    """term -> doc -> {position: (start, end, payload word)}, straight from
+    ``re.finditer`` over the lowercased text. Tokens over 255 chars and
+    stopwords are dropped but keep their position; stacked forms share
+    their source token's position; the payload chain reads one payload
+    per whitespace word and numbers the kept tokens consecutively."""
+    import re
+    from collections import defaultdict
+
+    from engine.filters import porter_stem
+
+    tok = re.compile(r"[a-z0-9]+")
+    stop = OPT_STOP if option == "stopwords" else frozenset()
+    ref: dict = defaultdict(lambda: defaultdict(dict))
+    for d, text in enumerate(texts):
+        if option == "payloads":
+            p = 0
+            for word in text.split():
+                term, _, pay = word.rpartition("|") if "|" in word else (word, "", "")
+                for m in tok.finditer(term.lower()):
+                    if len(m.group()) <= 255:
+                        ref[m.group()][d][p] = (None, None, int(pay) + 1 if pay else 0)
+                        p += 1
+            continue
+        kept = [
+            (j, m)
+            for j, m in enumerate(tok.finditer(text.lower()))
+            if len(m.group()) <= 255 and m.group() not in stop
+        ]
+        for j, m in kept:
+            ref[m.group()][d][j] = (m.start(), m.end(), None)
+        for (j, m), nxt in zip(kept, kept[1:] + [None]):
+            t = m.group()
+            stacked = list(dict(OPT_SYN).get(t, ())) if option == "synonyms" else []
+            if option == "keyword_repeat":
+                stacked.append(porter_stem(t))
+            if option == "common_grams" and nxt and {t, nxt[1].group()} & set(OPT_COMMON):
+                stacked.append(t + "_" + nxt[1].group())
+            for s in stacked:
+                ref[s][d].setdefault(j, (None, None, None))
+    return ref
+
+
+@pytest.mark.parametrize("option", list(INDEX_OPTIONS))
+def test_every_index_option_matches_reference(tmp_path, option):
+    """Each index option's postings, positions and, where indexed, offsets
+    and payloads equal the per-doc reference for every term."""
+    base = 10
+    seg_dir = str(tmp_path / "p0")
+    invert_to_segment(
+        np.arange(base, base + len(OPT_TEXTS)), OPT_TEXTS, seg_dir, **INDEX_OPTIONS[option]
+    )
+    seg = Segment(seg_dir)
+    check_segment(seg)
+    ref = _option_reference(OPT_TEXTS, option)
+    assert sorted(seg.iter_terms()) == sorted(ref)
+    for term, by_doc in ref.items():
+        docs = sorted(by_doc)
+        at = [sorted(by_doc[d].items()) for d in docs]
+        got_docs, got_freqs = seg.postings(term)
+        assert got_docs.tolist() == [base + d for d in docs], term
+        assert got_freqs.tolist() == [len(a) for a in at], term
+        assert [p.tolist() for p in seg.positions(term)] == [[p for p, _ in a] for a in at], term
+        if option == "offsets":
+            starts, ends = seg.offsets(term)
+            assert [s.tolist() for s in starts] == [[v[0] for _, v in a] for a in at], term
+            assert [e.tolist() for e in ends] == [[v[1] for _, v in a] for a in at], term
+        else:
+            assert seg.offsets(term) is None
+        if option == "payloads":
+            assert [w.tolist() for w in seg.payloads(term)] == [[v[2] for _, v in a] for a in at], term
+        else:
+            assert seg.payloads(term) is None
+
+
+STACKING = {
+    "synonyms": Analyzer(synonyms=OPT_SYN),
+    "common_grams": Analyzer(common_grams=OPT_COMMON),
+    "keyword_repeat": Analyzer(filters=("porter",), keyword_repeat=True),
+}
+
+
+@pytest.mark.parametrize("side", ["offsets", "payloads"])
+@pytest.mark.parametrize("stacking", list(STACKING))
+def test_side_streams_refuse_stacking(tmp_path, stacking, side):
+    """A stacked token has no character span or payload of its own: the
+    offsets and payload builds refuse every stacking option instead of
+    dropping the stacked tokens."""
+    seg_dir = str(tmp_path / "p0")
+    with pytest.raises(NotImplementedError, match=stacking):
+        invert_to_segment(
+            np.arange(2), OPT_TEXTS[:2], seg_dir, STACKING[stacking], **INDEX_OPTIONS[side]
+        )
+    assert not os.path.exists(seg_dir)
+
+
+@pytest.mark.parametrize("other", ["synonyms", "common_grams"])
+def test_keyword_repeat_refuses_other_stacking(tmp_path, other):
+    an = Analyzer(
+        filters=("porter",), keyword_repeat=True, **{other: getattr(STACKING[other], other)}
+    )
+    with pytest.raises(NotImplementedError, match="keyword_repeat"):
+        invert_to_segment(np.arange(2), OPT_TEXTS[:2], str(tmp_path / "p0"), an)

@@ -1,9 +1,15 @@
-"""Byte-identity digest of a merged index: the sha256 of each merged term
-shard in ``term_min`` order, of the norms file and of ``bloom.bin``, for
-the body and for every extra field. File names are
-write-once uuids, so each line names its file by what it holds: two
-merges of the same partitions wrote the same bytes iff they print the
-same lines (``diff`` the outputs).
+"""Byte-identity digest of an index: two builds of the same corpus wrote
+the same bytes iff they print the same lines (``diff`` the outputs).
+
+- A merged index (one with a merge manifest) prints the sha256 of each
+  merged term shard in ``term_min`` order, of the norms file and of
+  ``bloom.bin``. File names are write-once uuids, so each line names its
+  file by what it holds.
+- An unmerged build (a build manifest and no merge manifest) prints the
+  sha256 of each partition's ``terms.arrow`` and ``norms.u8`` in
+  ``doc_base`` order. ``meta.json`` is left out: it records ``wall_ms``.
+
+Either way the body comes first, then every extra field by name.
 
 Usage: python tools/index_digest.py <index_dir>
 """
@@ -15,6 +21,8 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+PARTITION_FILES = ("terms.arrow", "norms.u8")
 
 
 def sha256(path: str) -> str:
@@ -44,17 +52,35 @@ def digest_lines(manifest: dict, field: str = "body") -> list[str]:
     return out
 
 
+def partition_lines(manifest: dict, field: str = "body") -> list[str]:
+    """One ``<sha256>  <what>`` line per partition file of a build
+    manifest, partitions in ``doc_base`` order, then the lines of its
+    extra fields' partitions, by field name."""
+    out = []
+    for p in sorted(manifest["partitions"], key=lambda p: p["doc_base"]):
+        for name in PARTITION_FILES:
+            path = os.path.join(p["seg_dir"], name)
+            out.append(f"{sha256(path)}  {field} partition {p['doc_base']} {name}")
+    for name, fm in sorted((manifest.get("fields") or {}).items()):
+        out.extend(partition_lines(fm, name))
+    return out
+
+
 def main(argv: list[str]) -> int:
-    from engine.checkpoint import load_merge_manifest
+    from engine.checkpoint import load_manifest, load_merge_manifest
 
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 2
-    manifest = load_merge_manifest(argv[1])
-    if manifest is None:
-        print(f"{argv[1]}: no merge manifest", file=sys.stderr)
+    merged = load_merge_manifest(argv[1])
+    if merged is not None:
+        print("\n".join(digest_lines(merged)))
+        return 0
+    build = load_manifest(argv[1])
+    if build is None:
+        print(f"{argv[1]}: neither a merge nor a build manifest", file=sys.stderr)
         return 1
-    print("\n".join(digest_lines(manifest)))
+    print("\n".join(partition_lines(build)))
     return 0
 
 
